@@ -14,6 +14,7 @@ verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -51,15 +52,19 @@ def _torus_class(text: str) -> TorusClass:
             f"expected a class as p,q (got {text!r})")
 
 
-def _nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, "
-                                         f"got {value}")
-    return value
+def _at_least(least: int):
+    """An argparse type for integers no smaller than `least`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {value}")
+        return value
+    return parse
 
 
 def parse_curve_spec(text: str) -> Component:
@@ -124,26 +129,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "complex", help="enumerate the grafting graph breadth-first")
     cplx.add_argument("config", help="configuration JSON path (needs a "
                                      "'gamma' entry)")
-    cplx.add_argument("--depth", type=_nonnegative, required=True)
-    cplx.add_argument("--twist-bound", type=_nonnegative, required=True)
+    cplx.add_argument("--depth", type=_at_least(0), required=True)
+    cplx.add_argument("--twist-bound", type=_at_least(0), required=True)
     cplx.add_argument("--format", choices=("dot", "json"), default="json")
     cplx.add_argument("--output", help="graph file destination")
-    cplx.add_argument("--workers", type=int, default=1,
+    cplx.add_argument("--workers", type=_at_least(1), default=1,
                       help="BFS expansion threads (results are identical "
                            "for any count)")
 
     verify = sub.add_parser("verify", help="run one identity suite")
     verify.add_argument("--suite", required=True,
                         help=f"one of: {', '.join(suite_names())}")
-    verify.add_argument("--k-max", type=_nonnegative, dest="k_max")
-    verify.add_argument("--range", type=_nonnegative, dest="sweep",
+    verify.add_argument("--k-max", type=_at_least(0), dest="k_max")
+    verify.add_argument("--range", type=_at_least(0), dest="sweep",
                         help="primitive-entry radius for the oracle sweep")
-    verify.add_argument("--trials", type=_nonnegative)
+    verify.add_argument("--trials", type=_at_least(0))
     verify.add_argument("--seed", type=int,
                         help="seed for randomized suites (default fixed)")
     verify.add_argument("--l0", type=int, help="twist relating the pair "
                                                "(iterated suite)")
-    verify.add_argument("--twist-bound", type=_nonnegative,
+    verify.add_argument("--twist-bound", type=_at_least(0),
                         dest="twist_bound")
     verify.add_argument("--json", dest="json_path",
                         help="also write the machine-readable report here")
@@ -165,6 +170,15 @@ def _load_configuration(path: str):
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     return parse_configuration(data)
+
+
+def _destination(path: Optional[str], mode: str):
+    """Open an output file before the work that fills it, so that an
+    unwritable path fails at once with nothing printed; without a path,
+    a context that yields None."""
+    if not path:
+        return contextlib.nullcontext()
+    return open(path, mode, encoding=None if "b" in mode else "utf-8")
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -213,30 +227,24 @@ def _cmd_complex(cfg: CliConfig) -> int:
         "lambda", {n: c for n, c in totals.items() if c != (0, 0)} or
         {model.charts[0]: (0, 0)})
     configuration = validate_configuration(model, lam_total, gamma)
-    graph = build_complex(configuration, cfg.flags["twist_bound"],
-                          cfg.flags["depth"],
-                          workers=cfg.flags.get("workers", 1),
-                          seed=struct)
-    print(f"vertices={len(graph.vertices)} edges={len(graph.edges)} "
-          f"cycle_rank={graph.cycle_rank()}")
-    ranks = graph.rank_by_kind()
-    print(f"rank[all]={ranks['all']} rank[graft]={ranks['graft']} "
-          f"rank[elementary]={ranks['elementary']}")
-    if cfg.output:
-        if cfg.flags.get("format", "json") == "dot":
-            with open(cfg.output, "w", encoding="utf-8") as handle:
-                handle.write(graph.to_dot())
-        else:
-            with open(cfg.output, "wb") as handle:
-                handle.write(graph.to_json_bytes())
+    dot = cfg.flags.get("format", "json") == "dot"
+    with _destination(cfg.output, "w" if dot else "wb") as handle:
+        graph = build_complex(configuration, cfg.flags["twist_bound"],
+                              cfg.flags["depth"],
+                              workers=cfg.flags.get("workers", 1),
+                              seed=struct)
+        print(f"vertices={len(graph.vertices)} edges={len(graph.edges)} "
+              f"cycle_rank={graph.cycle_rank()}")
+        ranks = graph.rank_by_kind()
+        print(f"rank[all]={ranks['all']} rank[graft]={ranks['graft']} "
+              f"rank[elementary]={ranks['elementary']}")
+        if handle is not None:
+            handle.write(graph.to_dot() if dot else graph.to_json_bytes())
     return 0
 
 
 def _cmd_verify(cfg: CliConfig) -> int:
     name = cfg.flags["suite"]
-    if name not in suite_names():
-        raise UnknownSuite(f"unknown suite {name!r}; known: "
-                           f"{', '.join(suite_names())}")
     offered = {key: cfg.flags[key]
                for key in ("k_max", "sweep", "trials", "seed", "l0",
                            "twist_bound")
@@ -245,11 +253,11 @@ def _cmd_verify(cfg: CliConfig) -> int:
     if rejected:
         raise ValueError(f"suite {name!r} does not take: "
                          f"{', '.join(rejected)}")
-    report = verify_suite(name, **offered)
-    for line in report.lines():
-        print(line)
-    if cfg.flags.get("json_path"):
-        with open(cfg.flags["json_path"], "w", encoding="utf-8") as handle:
+    with _destination(cfg.flags.get("json_path"), "w") as handle:
+        report = verify_suite(name, **offered)
+        for line in report.lines():
+            print(line)
+        if handle is not None:
             json.dump(report.to_json_obj(), handle, indent=2, sort_keys=True)
             handle.write("\n")
     return 0 if report.passed else 3

@@ -575,12 +575,11 @@ def _suite_oracle(sweep: int = 5) -> Report:
     checked = 0
     for a in prims:
         for b in prims:
-            first, second = grid_oracle.draw_pair(a, 1, b, 1)
-            geo, alg = grid_oracle.oracle_intersection(first, second)
-            ok = (alg == algebraic_intersection(a, b)
-                  and geo == geometric_intersection(a, b))
+            pair = grid_oracle.probe_pair(a, 1, b, 1)
+            ok = (pair.forward.algebraic == algebraic_intersection(a, b)
+                  and pair.forward.geometric == geometric_intersection(a, b))
             for mode in (Mode.SHARP, Mode.FLAT):
-                comps = grid_oracle.oracle_resolve(first, second, mode)
+                comps = pair.resolve(mode)
                 total = (sum(c.p for c in comps), sum(c.q for c in comps))
                 ok = ok and TorusClass(*total) == resolve(a, b, mode)
             checked += 1

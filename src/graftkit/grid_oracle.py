@@ -7,69 +7,63 @@ resolutions are performed by explicitly reconnecting arcs at every
 crossing and tracing the resulting components. Nothing here consults the
 closed-form torus formulas except the final comparisons done by callers.
 
-All coordinates are exact rationals; the solver works on cleared
-denominators so the inner loop is pure integer arithmetic.
+All arithmetic is on integers: offsets are numerators on the fixed
+97 x 89 lattice, and crossing parameters are numerators over one
+denominator per crossing list, R * |det| with R = 97 * 89. probe_pair
+draws a pair in general position and keeps the two crossing lists its
+probe computes, against the second curve and against its reversal, so
+the counts and both resolutions of a pair need no further list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import floor, gcd
-from typing import Iterable, List, Sequence, Tuple
+from math import gcd
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegeneratePosition, NonPrimitive
 from .torus import Mode, TorusClass
-
-Point = Tuple[Fraction, Fraction]
-Segment = Tuple[Point, Point]
 
 # Offset lattice denominators; primes well above any sweep entry so that
 # line coincidences require an unlikely congruence (and are retried away).
 _DEN_X = 97
 _DEN_Y = 89
+_R = _DEN_X * _DEN_Y
 
 
-@dataclass(frozen=True)
-class _CopyLine:
-    """One parallel copy: the path t -> offset + t*direction, t in [0,1]."""
+class _CopyLine(NamedTuple):
+    """One parallel copy: the path t -> offset + t*direction, t in [0,1],
+    with offset (x/97, y/89) held as its numerators (x, y)."""
 
-    offset: Point
+    offset: Tuple[int, int]
     direction: TorusClass
 
 
-@dataclass(frozen=True)
-class GridCurve:
-    """Polygonal representative of copies x class_hint on the torus.
-
-    segments holds the per-copy reduced pieces inside the unit square;
-    lines holds the underlying exact line data used by the solver.
-    """
+class GridCurve(NamedTuple):
+    """Straight-line representative of copies x class_hint on the torus;
+    lines holds the exact line data of each copy."""
 
     class_hint: TorusClass
     copies: int
     lines: Tuple[_CopyLine, ...]
-    segments: Tuple[Tuple[Segment, ...], ...]
 
     def total_class(self) -> TorusClass:
         return TorusClass(self.copies * self.class_hint.p,
                           self.copies * self.class_hint.q)
 
 
-@dataclass(frozen=True)
-class Crossing:
-    point: Point
-    first_direction: TorusClass
-    second_direction: TorusClass
+class Crossing(NamedTuple):
     index: int
-    # Curve-internal addresses: (copy number, parameter along the line).
-    first_at: Tuple[int, Fraction]
-    second_at: Tuple[int, Fraction]
+    # Curve-internal addresses: (copy number, parameter numerator over
+    # the crossing list's denominator).
+    first_at: Tuple[int, int]
+    second_at: Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CrossingList:
+class CrossingList(NamedTuple):
     crossings: Tuple[Crossing, ...]
+    # Common denominator of every crossing parameter: R * |det|, which is
+    # 0 for parallel curves (they never cross).
+    denominator: int
 
     @property
     def geometric(self) -> int:
@@ -80,70 +74,41 @@ class CrossingList:
         return sum(c.index for c in self.crossings)
 
 
-def _offset(role: int, copy: int, attempt: int) -> Point:
-    ox = Fraction((1 + 7 * role + 11 * copy + 23 * attempt) % _DEN_X, _DEN_X)
-    oy = Fraction((2 + 13 * role + 17 * copy + 29 * attempt) % _DEN_Y, _DEN_Y)
-    return (ox, oy)
-
-
-def _segments_for(line: _CopyLine) -> Tuple[Segment, ...]:
-    """Cut one cover line at integer coordinate crossings and reduce each
-    piece into the unit square."""
-    ox, oy = line.offset
-    p, q = line.direction
-    breaks = {Fraction(0), Fraction(1)}
-    if p != 0:
-        lo, hi = sorted((ox, ox + p))
-        k = floor(lo)
-        while k <= hi + 1:
-            t = Fraction(k - ox, p)
-            if 0 < t < 1:
-                breaks.add(t)
-            k += 1
-    if q != 0:
-        lo, hi = sorted((oy, oy + q))
-        k = floor(lo)
-        while k <= hi + 1:
-            t = Fraction(k - oy, q)
-            if 0 < t < 1:
-                breaks.add(t)
-            k += 1
-    ts = sorted(breaks)
-    pieces: List[Segment] = []
-    for t0, t1 in zip(ts, ts[1:]):
-        sx, sy = ox + t0 * p, oy + t0 * q
-        ex, ey = ox + t1 * p, oy + t1 * q
-        mx, my = (sx + ex) / 2, (sy + ey) / 2
-        cx, cy = floor(mx), floor(my)
-        pieces.append(((sx - cx, sy - cy), (ex - cx, ey - cy)))
-    return tuple(pieces)
+def _offset(role: int, copy: int, attempt: int) -> Tuple[int, int]:
+    return ((1 + 7 * role + 11 * copy + 23 * attempt) % _DEN_X,
+            (2 + 13 * role + 17 * copy + 29 * attempt) % _DEN_Y)
 
 
 def _audit_edge_counts(curve: GridCurve) -> None:
     """Check the drawing against its class: signed crossings of the cover
-    line with vertical integer lines total p per copy, horizontal total q."""
+    line with vertical integer lines total p per copy, horizontal total q.
+    The line meets x = k at t = (k - x/97)/p, inside (0,1) exactly when
+    0 < (97k - x)*sign(p) < 97|p|."""
     p, q = curve.class_hint
+    sp = (p > 0) - (p < 0)
+    sq = (q > 0) - (q < 0)
     for line in curve.lines:
         ox, oy = line.offset
         x_hits = sum(1 for k in range(-abs(p) - 1, abs(p) + 2)
-                     if 0 < Fraction(k - ox, p) < 1) if p else 0
+                     if 0 < (_DEN_X * k - ox) * sp < _DEN_X * abs(p))
         y_hits = sum(1 for k in range(-abs(q) - 1, abs(q) + 2)
-                     if 0 < Fraction(k - oy, q) < 1) if q else 0
-        if x_hits * (1 if p > 0 else -1 if p < 0 else 0) != p:
+                     if 0 < (_DEN_Y * k - oy) * sq < _DEN_Y * abs(q))
+        if x_hits * sp != p:
             raise AssertionError(f"x edge count {x_hits} mismatches {p}")
-        if y_hits * (1 if q > 0 else -1 if q < 0 else 0) != q:
+        if y_hits * sq != q:
             raise AssertionError(f"y edge count {y_hits} mismatches {q}")
 
 
 def _parallel_coincident(l1: _CopyLine, l2: _CopyLine) -> bool:
-    """True when two parallel copies land on the same torus geodesic."""
+    """True when two parallel copies land on the same torus geodesic:
+    (dx + sx)*q = (dy + sy)*p for a translate (sx, sy), scaled by R."""
     p, q = l1.direction
-    dx = l2.offset[0] - l1.offset[0]
-    dy = l2.offset[1] - l1.offset[1]
+    dx = (l2.offset[0] - l1.offset[0]) * _DEN_Y
+    dy = (l2.offset[1] - l1.offset[1]) * _DEN_X
     span = abs(p) + abs(q) + 2
     for sx in range(-span, span + 1):
         for sy in range(-span, span + 1):
-            if (dx + sx) * q - (dy + sy) * p == 0:
+            if (dx + _R * sx) * q - (dy + _R * sy) * p == 0:
                 return True
     return False
 
@@ -172,22 +137,17 @@ def oracle_draw(cls: Sequence[int], copies: int = 1, role: int = 0,
             if sub > 40:
                 raise DegeneratePosition("cannot separate parallel copies")
         lines.append(cand)
-    curve = GridCurve(direction, copies, tuple(lines),
-                      tuple(_segments_for(ln) for ln in lines))
+    curve = GridCurve(direction, copies, tuple(lines))
     _audit_edge_counts(curve)
     return curve
 
 
 def _reverse(curve: GridCurve) -> GridCurve:
-    """Orientation reversal; each copy keeps its geodesic."""
-    rev = []
-    for ln in curve.lines:
-        start = (ln.offset[0] + ln.direction.p, ln.offset[1] + ln.direction.q)
-        start = (start[0] - floor(start[0]), start[1] - floor(start[1]))
-        rev.append(_CopyLine(start, -ln.direction))
-    cls = -curve.class_hint
-    return GridCurve(cls, curve.copies, tuple(rev),
-                     tuple(_segments_for(ln) for ln in rev))
+    """Orientation reversal; each copy keeps its geodesic. The reversed
+    copy starts at offset + direction, which is the same point of the
+    torus, so the offset numerators carry over unchanged."""
+    rev = tuple(_CopyLine(ln.offset, -ln.direction) for ln in curve.lines)
+    return GridCurve(-curve.class_hint, curve.copies, rev)
 
 
 def _copy_crossings(ia: int, la: _CopyLine, ib: int,
@@ -195,43 +155,34 @@ def _copy_crossings(ia: int, la: _CopyLine, ib: int,
     """All torus intersection points of two copy lines, exactly.
 
     Solves t*a - u*b = (oB - oA) + s over integer translates s with
-    cleared denominators; only solutions with both parameters in [0,1)
-    are real crossings.
+    denominators cleared by R; t = tn/D and u = un/D with D = R*det, and
+    only solutions with both parameters in [0,1) are real crossings. The
+    parameters are kept as numerators over |D|.
     """
     a, b = la.direction, lb.direction
     det = a.p * (-b.q) - (-b.p) * a.q
-    dx = lb.offset[0] - la.offset[0]
-    dy = lb.offset[1] - la.offset[1]
     if det == 0:
         if _parallel_coincident(la, lb):
             raise DegeneratePosition("parallel curves share a geodesic")
         return []
-    R = dx.denominator * dy.denominator // gcd(dx.denominator,
-                                               dy.denominator)
-    nx, ny = int(dx * R), int(dy * R)
-    D = R * det
+    nx = (lb.offset[0] - la.offset[0]) * _DEN_Y
+    ny = (lb.offset[1] - la.offset[1]) * _DEN_X
+    sign = 1 if det > 0 else -1
+    bound = _R * abs(det)
     index = 1 if a.p * b.q - a.q * b.p > 0 else -1
     out: List[Crossing] = []
     span_x = abs(a.p) + abs(b.p) + 2
     span_y = abs(a.q) + abs(b.q) + 2
     for sx in range(-span_x, span_x + 1):
-        rx = nx + R * sx
+        rx = nx + _R * sx
         for sy in range(-span_y, span_y + 1):
-            ry = ny + R * sy
-            tn = b.p * ry - b.q * rx
-            un = a.p * ry - a.q * rx
-            if D > 0:
-                ok = 0 <= tn < D and 0 <= un < D
-            else:
-                ok = D < tn <= 0 and D < un <= 0
-            if not ok:
+            ry = ny + _R * sy
+            tn = (b.p * ry - b.q * rx) * sign
+            if not 0 <= tn < bound:
                 continue
-            t = Fraction(tn, D)
-            u = Fraction(un, D)
-            px = la.offset[0] + t * a.p
-            py = la.offset[1] + t * a.q
-            out.append(Crossing((px - floor(px), py - floor(py)),
-                                a, b, index, (ia, t), (ib, u)))
+            un = (a.p * ry - a.q * rx) * sign
+            if 0 <= un < bound:
+                out.append(Crossing(index, (ia, tn), (ib, un)))
     if len(out) != abs(det):
         raise AssertionError(
             f"crossing count {len(out)} differs from |det| {abs(det)}")
@@ -248,14 +199,11 @@ def crossing_list(first: GridCurve, second: GridCurve) -> CrossingList:
     for ia, la in enumerate(first.lines):
         for ib, lb in enumerate(second.lines):
             found.extend(_copy_crossings(ia, la, ib, lb))
-    for side in (0, 1):
-        seen = {}
-        for c in found:
-            addr = c.first_at if side == 0 else c.second_at
-            if addr in seen:
-                raise DegeneratePosition("coincident crossing parameters")
-            seen[addr] = c
-    return CrossingList(tuple(found))
+    if (len({c.first_at for c in found}) != len(found)
+            or len({c.second_at for c in found}) != len(found)):
+        raise DegeneratePosition("coincident crossing parameters")
+    a, b = first.class_hint, second.class_hint
+    return CrossingList(tuple(found), _R * abs(a.p * b.q - a.q * b.p))
 
 
 def oracle_intersection(first: GridCurve,
@@ -270,17 +218,18 @@ def _trace(first: GridCurve, second: GridCurve,
     """Reconnect in-first -> out-second at every crossing and trace.
 
     Components come back as exact homology classes via cover
-    displacements; crossing-free copies pass through unchanged.
+    displacements, summed as numerators over the list's denominator;
+    crossing-free copies pass through unchanged.
     """
-    curves = {0: first, 1: second}
+    curves = (first, second)
     per_copy = {}
     for c in crossings.crossings:
         per_copy.setdefault((0, c.first_at[0]), []).append(
             (c.first_at[1], c))
         per_copy.setdefault((1, c.second_at[0]), []).append(
             (c.second_at[1], c))
-    for key in per_copy:
-        per_copy[key].sort(key=lambda item: item[0])
+    for items in per_copy.values():
+        items.sort(key=lambda item: item[0])
 
     components: List[TorusClass] = []
     for side in (0, 1):
@@ -289,38 +238,32 @@ def _trace(first: GridCurve, second: GridCurve,
                 components.append(curves[side].lines[j].direction)
 
     # Arc (side, copy, i) runs from crossing i to crossing i+1 (cyclic).
+    den = crossings.denominator
     slot_of = {}
-    for (side, j), items in per_copy.items():
-        for i, (_, c) in enumerate(items):
-            addr = c.first_at if side == 0 else c.second_at
-            slot_of[(side, addr)] = (side, j, i)
-
-    successor = {}
     displacement = {}
     for (side, j), items in per_copy.items():
         m = len(items)
         direction = curves[side].lines[j].direction
-        for i in range(m):
-            t0 = items[i][0]
-            t1 = items[(i + 1) % m][0]
-            dt = t1 - t0 if i + 1 < m else t1 - t0 + 1
+        for i, (t0, c) in enumerate(items):
+            slot_of[(side, c.first_at if side == 0 else c.second_at)] = \
+                (side, j, i)
+            dt = items[i + 1][0] - t0 if i + 1 < m else items[0][0] - t0 + den
             displacement[(side, j, i)] = (dt * direction.p, dt * direction.q)
+
+    successor = {}
     for c in crossings.crossings:
         a_slot = slot_of[(0, c.first_at)]
         b_slot = slot_of[(1, c.second_at)]
         m_a = len(per_copy[(0, a_slot[1])])
         m_b = len(per_copy[(1, b_slot[1])])
-        in_a = (0, a_slot[1], (a_slot[2] - 1) % m_a)
-        in_b = (1, b_slot[1], (b_slot[2] - 1) % m_b)
-        successor[in_a] = b_slot
-        successor[in_b] = a_slot
+        successor[(0, a_slot[1], (a_slot[2] - 1) % m_a)] = b_slot
+        successor[(1, b_slot[1], (b_slot[2] - 1) % m_b)] = a_slot
 
     visited = set()
     for start in sorted(successor):
         if start in visited:
             continue
-        dx = Fraction(0)
-        dy = Fraction(0)
+        dx = dy = 0
         arc = start
         while arc not in visited:
             visited.add(arc)
@@ -330,9 +273,9 @@ def _trace(first: GridCurve, second: GridCurve,
             arc = successor[arc]
         if arc != start:
             raise AssertionError("trace closed on a foreign arc")
-        if dx.denominator != 1 or dy.denominator != 1:
+        if dx % den or dy % den:
             raise AssertionError("non-integral component displacement")
-        components.append(TorusClass(int(dx), int(dy)))
+        components.append(TorusClass(dx // den, dy // den))
     return components
 
 
@@ -347,16 +290,33 @@ def oracle_resolve(first: GridCurve, second: GridCurve,
     traced index sum, matching the local orientation frame at each
     crossing; the oracle computes that sign from its crossing list alone.
     """
-    d = crossing_list(first, second).algebraic
-    if (mode is Mode.SHARP and d < 0) or (mode is Mode.FLAT and d > 0):
-        second = _reverse(second)
-    crossings = crossing_list(first, second)
-    return tuple(sorted(_trace(first, second, crossings)))
+    return ProbedPair(first, second, crossing_list(first, second)) \
+        .resolve(mode)
 
 
-def draw_pair(first_cls: Sequence[int], first_copies: int,
-              second_cls: Sequence[int], second_copies: int,
-              max_attempts: int = 8) -> Tuple[GridCurve, GridCurve]:
+class ProbedPair(NamedTuple):
+    """Two drawn curves, their crossing list and, when the probe has
+    computed it, the list against the reversed second curve."""
+
+    first: GridCurve
+    second: GridCurve
+    forward: CrossingList
+    backward: Optional[CrossingList] = None
+
+    def resolve(self, mode: Mode) -> Tuple[TorusClass, ...]:
+        """What oracle_resolve(first, second, mode) returns."""
+        d = self.forward.algebraic
+        if (mode is Mode.SHARP and d < 0) or (mode is Mode.FLAT and d > 0):
+            second = _reverse(self.second)
+            crossings = (self.backward if self.backward is not None
+                         else crossing_list(self.first, second))
+            return tuple(sorted(_trace(self.first, second, crossings)))
+        return tuple(sorted(_trace(self.first, self.second, self.forward)))
+
+
+def probe_pair(first_cls: Sequence[int], first_copies: int,
+               second_cls: Sequence[int], second_copies: int,
+               max_attempts: int = 8) -> ProbedPair:
     """Draw two curves in verified general position.
 
     Retries the deterministic offset ladder until the configuration is
@@ -367,9 +327,17 @@ def draw_pair(first_cls: Sequence[int], first_copies: int,
         a = oracle_draw(first_cls, first_copies, role=0, attempt=attempt)
         b = oracle_draw(second_cls, second_copies, role=1, attempt=attempt)
         try:
-            crossing_list(a, b)
-            crossing_list(a, _reverse(b))
-            return a, b
+            return ProbedPair(a, b, crossing_list(a, b),
+                              crossing_list(a, _reverse(b)))
         except DegeneratePosition as exc:
             last = exc
     raise DegeneratePosition(f"no general position found: {last}")
+
+
+def draw_pair(first_cls: Sequence[int], first_copies: int,
+              second_cls: Sequence[int], second_copies: int,
+              max_attempts: int = 8) -> Tuple[GridCurve, GridCurve]:
+    """The two curves of probe_pair, without their crossing lists."""
+    pair = probe_pair(first_cls, first_copies, second_cls, second_copies,
+                      max_attempts)
+    return pair.first, pair.second

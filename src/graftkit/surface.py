@@ -625,9 +625,13 @@ def _component_from_json(data: dict) -> Component:
     charts = data.get("charts")
     if not isinstance(charts, dict) or not charts:
         raise ValueError("curve entry needs a nonempty 'charts' object")
-    chart_map = tuple(sorted(
-        (str(name), TorusClass(int(v[0]), int(v[1])))
-        for name, v in charts.items()))
+    for name, v in charts.items():
+        if (not isinstance(v, (list, tuple)) or len(v) != 2
+                or not all(isinstance(n, int) for n in v)):
+            raise ValueError(f"chart {name!r} needs a pair of integers "
+                             f"[p, q], got {v!r}")
+    chart_map = tuple(sorted((str(name), TorusClass(*v))
+                             for name, v in charts.items()))
     mult = int(data.get("multiplicity", 1))
     return Component(content, chart_map, mult)
 

@@ -163,6 +163,48 @@ class TestComplexCommand:
         assert outs[0] == outs[1]
 
 
+class TestInputContract:
+    @pytest.mark.parametrize("field", ["curves", "gamma"])
+    @pytest.mark.parametrize("value", [5, [1], [1, 2, 3], None],
+                             ids=["int", "short", "long", "null"])
+    def test_malformed_chart_value_is_input_error(self, tmp_path, field,
+                                                  value):
+        config = json.loads(json.dumps(CONFIG))
+        entry = config["gamma"] if field == "gamma" else config["curves"][0]
+        entry["charts"]["a"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli("complex", str(path), "--depth", "1",
+                       "--twist-bound", "1")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
+
+    def test_zero_workers_is_usage_error(self, config_path):
+        proc = run_cli("complex", config_path, "--depth", "1",
+                       "--twist-bound", "1", "--workers", "0")
+        assert proc.returncode == 2
+        assert "usage" in proc.stderr.lower()
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_unwritable_graph_output_fails_before_work(self, config_path,
+                                                       tmp_path, fmt):
+        out = tmp_path / "missing_dir" / "g.out"
+        proc = run_cli("complex", config_path, "--depth", "2",
+                       "--twist-bound", "2", "--format", fmt,
+                       "--output", str(out))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
+    def test_unwritable_report_path_fails_before_work(self, tmp_path):
+        out = tmp_path / "missing_dir" / "r.json"
+        proc = run_cli("verify", "--suite", "flatsharp", "--json", str(out))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
+
 class TestVerifyCommand:
     def test_flatsharp_passes(self):
         proc = run_cli("verify", "--suite", "flatsharp")

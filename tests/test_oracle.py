@@ -1,5 +1,8 @@
 """Grid-oracle cross-checks: the drawn-curve engine against exact formulas."""
 
+import hashlib
+import json
+from itertools import product
 from math import gcd
 
 import pytest
@@ -11,6 +14,7 @@ from graftkit import (
     algebraic_intersection,
     geometric_intersection,
     resolve,
+    verify_suite,
 )
 from graftkit import grid_oracle
 
@@ -115,3 +119,61 @@ class TestResolution:
                 if expected:
                     assert len(comps) == expected
                     assert len(set(comps)) == 1
+
+
+def primitives(radius):
+    return [(p, q) for p in range(-radius, radius + 1)
+            for q in range(-radius, radius + 1)
+            if gcd(abs(p), abs(q)) == 1]
+
+
+class TestInvariants:
+    def test_sweep_computes_two_crossing_lists_per_pair(self, monkeypatch):
+        calls = []
+        original = grid_oracle.crossing_list
+
+        def counted(first, second):
+            calls.append(1)
+            return original(first, second)
+
+        monkeypatch.setattr(grid_oracle, "crossing_list", counted)
+        assert verify_suite("oracle", sweep=2).passed
+        assert len(calls) == 2 * len(primitives(2)) ** 2 == 512
+
+    def test_multi_copy_agreement(self):
+        # parallel copies give several copy pairs per crossing list, all
+        # over the list's one denominator
+        for a in primitives(2):
+            for b in primitives(2):
+                for m, n in product(range(1, 4), repeat=2):
+                    total_a = (m * a[0], m * a[1])
+                    total_b = (n * b[0], n * b[1])
+                    first, second = draw(a, b, m, n)
+                    assert grid_oracle.oracle_intersection(first, second) \
+                        == (geometric_intersection(total_a, total_b),
+                            algebraic_intersection(total_a, total_b)), \
+                        (a, m, b, n)
+                    for mode in (Mode.SHARP, Mode.FLAT):
+                        comps = grid_oracle.oracle_resolve(first, second,
+                                                           mode)
+                        total = (sum(c.p for c in comps),
+                                 sum(c.q for c in comps))
+                        assert total == resolve(total_a, total_b, mode), \
+                            (a, m, b, n, mode)
+
+    def test_probe_lists_match_the_wrappers(self):
+        pair = grid_oracle.probe_pair((2, 1), 2, (1, -3), 1)
+        assert grid_oracle.draw_pair((2, 1), 2, (1, -3), 1) == \
+            (pair.first, pair.second)
+        assert (pair.forward.geometric, pair.forward.algebraic) == \
+            grid_oracle.oracle_intersection(pair.first, pair.second)
+        for mode in (Mode.SHARP, Mode.FLAT):
+            assert pair.resolve(mode) == \
+                grid_oracle.oracle_resolve(pair.first, pair.second, mode)
+
+    def test_sweep_report_pinned(self):
+        obj = verify_suite("oracle", sweep=3).to_json_obj()
+        digest = hashlib.sha256(
+            json.dumps(obj, sort_keys=True).encode()).hexdigest()
+        assert digest == ("7c0e045af2b9fa6e96b8add60bc59d31"
+                          "3137cdeaea2e6ab6a8ed956df5372e3a")
