@@ -6,7 +6,10 @@ curves exactly twice). The breadth-first closure under a bounded
 generator family is deterministic for fixed inputs: frontier expansion
 may fan out over worker threads, but results are merged in a fixed
 order, and exports sort everything by key, so repeated builds are
-byte-identical regardless of scheduling.
+byte-identical regardless of scheduling. A build twists the grafting
+curve once per generator, checks admissibility once per graft (inside
+graft_along), and keys each structure once (Structure.key() is kept on
+the object); an edge to a vertex already seen reuses its key string.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .surface import (
     graft_along,
     graft_disjoint,
     graft_spiraling,
-    is_admissible,
+    is_admissible,  # unused here, but bench/test_bench.py looks it up here
     structure,
     twist_about_curve,
     twist_about_meridian,
@@ -185,14 +188,18 @@ def standard_configuration(num_charts: int = 1,
     return validate_configuration(model, lam, gam)
 
 
-def _graft_generators(config: Configuration,
-                      twist_bound: int) -> List[Tuple[str, str, int]]:
-    gens: List[Tuple[str, str, int]] = [("graft", "", 0)]
+def _grafts(config: Configuration, twist_bound: int
+            ) -> List[Tuple[Tuple[str, str, int], Component]]:
+    """The graft generators with their curves, built once per build: the
+    untwisted grafting curve, then per chart its meridian twists up to
+    the twist bound."""
+    out = [(("graft", "", 0), config.gamma)]
     for chart in config.model.charts:
         for n in range(-twist_bound, twist_bound + 1):
             if n != 0:
-                gens.append(("graft", chart, n))
-    return gens
+                out.append((("graft", chart, n),
+                            twist_about_meridian(config.gamma, chart, n)))
+    return out
 
 
 def _elementary_applicable(struct: Structure, chart: str) -> bool:
@@ -204,7 +211,7 @@ def _elementary_applicable(struct: Structure, chart: str) -> bool:
 
 
 def _expand(config: Configuration, struct: Structure,
-            gens: Sequence[Tuple[str, str, int]]
+            grafts: Sequence[Tuple[Tuple[str, str, int], Component]]
             ) -> List[Tuple[Tuple[str, str, int], Structure]]:
     """Apply every generator to one structure; inadmissible grafts are
     skipped (logged at debug level)."""
@@ -214,15 +221,12 @@ def _expand(config: Configuration, struct: Structure,
             for n in (1, -1):
                 out.append((("elementary", chart, n),
                             twist_about_meridian(struct, chart, n)))
-    for desc in gens:
-        _, chart, n = desc
-        gamma = config.gamma if n == 0 else twist_about_meridian(
-            config.gamma, chart, n)
-        adm = is_admissible(gamma, struct)
-        if not adm:
-            log.debug("skipping %s at %s: %s", desc, struct.key(), adm.reason)
-            continue
-        out.append((desc, graft_along(struct, gamma)))
+    for desc, gamma in grafts:
+        try:
+            out.append((desc, graft_along(struct, gamma)))
+        except NotAdmissible as exc:
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug("skipping %s at %s: %s", desc, struct.key(), exc)
     return out
 
 
@@ -242,7 +246,7 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
         raise BadConfiguration("twist bound and depth must be nonnegative")
     if workers < 1:
         raise BadConfiguration("workers must be positive")
-    gens = _graft_generators(config, twist_bound)
+    grafts = _grafts(config, twist_bound)
     if seed is None:
         seed = config.base_structure()
     seed_key = seed.key()
@@ -255,20 +259,23 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
             break
         frontier.sort(key=lambda s: s.key())
         if workers == 1:
-            batches = [_expand(config, s, gens) for s in frontier]
+            batches = [_expand(config, s, grafts) for s in frontier]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 batches = list(pool.map(
-                    lambda s: _expand(config, s, gens), frontier))
+                    lambda s: _expand(config, s, grafts), frontier))
         next_frontier: List[Structure] = []
         for src, batch in zip(frontier, batches):
             src_key = src.key()
             for desc, result in batch:
                 kind, chart, n = desc
                 dst_key = result.key()
-                if dst_key not in vertices:
+                seen = vertices.get(dst_key)
+                if seen is None:
                     vertices[dst_key] = Vertex(dst_key, result)
                     next_frontier.append(result)
+                else:
+                    dst_key = seen.key
                 if kind == "elementary":
                     pair = (min(src_key, dst_key), max(src_key, dst_key),
                             chart)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -51,14 +51,13 @@ ChartMap = Tuple[Tuple[str, TorusClass], ...]
 class SurfaceModel:
     """Genus-g surface with named, pairwise disjoint meridian charts.
 
-    Every chart's core meridian has trivial holonomy; the flag is stored
-    so the invariant is visible, and no operation ever clears it.
+    Every chart's core meridian has trivial holonomy, and every move
+    twists about it in the chart basis (MERIDIAN).
     """
 
     genus: int
     holonomy_tag: str
     charts: Tuple[str, ...]
-    meridians_trivial: bool = True
 
     def __post_init__(self):
         if self.genus < 2:
@@ -176,15 +175,32 @@ class Structure:
 
     model: SurfaceModel
     real_curves: SurfaceMulticurve
+    _key: Optional[str] = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @property
     def holonomy_tag(self) -> str:
         return self.model.holonomy_tag
 
     def key(self) -> str:
-        return canonical_key(self.real_curves, self.model)
+        """The canonical key, computed on first use and kept."""
+        if self._key is None:
+            object.__setattr__(self, "_key",
+                               canonical_key(self.real_curves, self.model))
+        return self._key
 
     def __eq__(self, other) -> bool:
+        """Equal holonomy tag and canonical key.
+
+        The key is a projection: it keeps the content and chart totals,
+        not how they split into components, and admissibility can depend
+        on that split (in one chart, x@(1,2) + x@(1,-2) and a doubled
+        x@(2,0) share a key, yet only the second admits grafting (1,0)).
+        On the structures the grafting complex reaches from a standard
+        configuration, same-key representatives have the same moves to
+        the same keys, so the projection is sound there; the congruence
+        test in tests/test_complex.py checks this on enumerated graphs.
+        """
         if not isinstance(other, Structure):
             return NotImplemented
         return (self.holonomy_tag == other.holonomy_tag
@@ -206,17 +222,31 @@ def canonical_key(curve: SurfaceMulticurve, model: SurfaceModel) -> str:
     Flattens to what classifies the structure: the content-label totals
     and, per chart, the homology total of the orientation-normalized
     components. Component order, orientations, and how parallel leaves
-    are split across equal components cannot affect the key.
+    are split across equal components cannot affect the key, so the
+    totals are summed straight from the components, canonical or not.
+    Content labels whose total is zero are kept.
     """
-    canon = canonicalize(curve, model)
-    chart_totals = {}
-    for name in model.charts:
-        cls = canon.total_chart_class(name)
-        chart_totals[name] = [cls.p, cls.q]
-    payload = {
-        "content": sorted(canon.content_total().items()),
-        "charts": chart_totals,
-    }
+    totals = {name: [0, 0] for name in model.charts}
+    content: Dict[str, int] = {}
+    for comp in curve.components:
+        mult = comp.multiplicity
+        for lab, n in comp.content:
+            content[lab] = content.get(lab, 0) + n * mult
+        classes = dict(reversed(comp.charts))  # first wins, as chart_class
+        # Orientation normalization as in _normalized: the sign of the
+        # first nonzero entry, scanning charts in model order.
+        sign = mult
+        for name in model.charts:
+            p, q = classes.get(name, (0, 0))
+            if p or q:
+                sign = -mult if (p or q) < 0 else mult
+                break
+        for name, (p, q) in classes.items():
+            total = totals.get(name)
+            if total is not None:
+                total[0] += sign * p
+                total[1] += sign * q
+    payload = {"content": sorted(content.items()), "charts": totals}
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -226,19 +256,12 @@ def canonical_key(curve: SurfaceMulticurve, model: SurfaceModel) -> str:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Validated base data for grafting pipelines: the base real curve,
-    the base grafting curve, and a meridian class per chart."""
+    """Validated base data for grafting pipelines: the base real curve
+    and the base grafting curve."""
 
     model: SurfaceModel
     lam: Component
     gamma: Component
-    meridians: Tuple[Tuple[str, TorusClass], ...]
-
-    def meridian(self, chart: str) -> TorusClass:
-        for name, cls in self.meridians:
-            if name == chart:
-                return cls
-        return MERIDIAN
 
     def base_structure(self) -> Structure:
         return structure(self.model, [self.lam])
@@ -248,7 +271,6 @@ def validate_configuration(
     model: SurfaceModel,
     lam: Component,
     gamma: Component,
-    meridians: Optional[Mapping[str, Sequence[int]]] = None,
 ) -> Configuration:
     """Check the chart intersection pattern the grafting calculus assumes.
 
@@ -257,22 +279,17 @@ def validate_configuration(
     chart-disjoint. Violations raise BadIntersectionPattern naming the
     failed count.
     """
-    given = {name: TorusClass(int(v[0]), int(v[1]))
-             for name, v in (meridians or {}).items()}
-    for name in given:
-        model.require_chart(name)
-    table = tuple((name, given.get(name, MERIDIAN)) for name in model.charts)
-    for name, mer in table:
+    for name in model.charts:
         lam_c = lam.chart_class(name)
         gam_c = gamma.chart_class(name)
         if lam_c == (0, 0) and gam_c == (0, 0):
             continue
-        n_lam = geometric_intersection(mer, lam_c)
+        n_lam = geometric_intersection(MERIDIAN, lam_c)
         if n_lam != 2:
             raise BadIntersectionPattern(
                 f"chart {name!r}: meridian meets the real curve "
                 f"{n_lam} times, expected 2")
-        n_gam = geometric_intersection(mer, gam_c)
+        n_gam = geometric_intersection(MERIDIAN, gam_c)
         if n_gam != 1:
             raise BadIntersectionPattern(
                 f"chart {name!r}: meridian meets the grafting curve "
@@ -282,7 +299,7 @@ def validate_configuration(
             raise BadIntersectionPattern(
                 f"chart {name!r}: base curves intersect {n_cross} times, "
                 f"expected 0")
-    return Configuration(model, lam, gamma, table)
+    return Configuration(model, lam, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +522,7 @@ def graft_disjoint(struct: Structure, gamma: Component) -> Structure:
         raise NotAdmissible(adm.reason if not adm else
                             "curve crosses the real curves; use the "
                             "spiraling graft")
-    doubled = Component(gamma.content, gamma.charts, 2 * gamma.multiplicity)
-    return structure(struct.model,
-                     list(struct.real_curves.components) + [doubled])
+    return _graft_disjoint(struct, gamma)
 
 
 def graft_spiraling(struct: Structure, gamma: Component) -> Structure:
@@ -519,14 +534,39 @@ def graft_spiraling(struct: Structure, gamma: Component) -> Structure:
     spiral turns right (positive spiral sign) and FLAT where it turns
     left; charts without crossings contribute the plain homology sum.
     """
-    model = struct.model
     adm = is_admissible(gamma, struct)
     if adm.route == "disjoint":
         raise NonSpiralingCurve(
             "curve is disjoint from the real curves; nothing spirals")
     if not adm:
         raise NotAdmissible(adm.reason)
+    return _graft_spiraling(struct, gamma)
 
+
+def graft_along(struct: Structure, gamma: Component) -> Structure:
+    """Graft dispatcher: disjoint route when there are no chart crossings,
+    spiraling route otherwise. Checks admissibility once; an inadmissible
+    curve raises NotAdmissible whose message is the failed condition."""
+    adm = is_admissible(gamma, struct)
+    if not adm:
+        raise NotAdmissible(adm.reason)
+    if adm.route == "disjoint":
+        return _graft_disjoint(struct, gamma)
+    return _graft_spiraling(struct, gamma)
+
+
+# The graft cores assume the route is admissible; the public grafts above
+# check it first.
+
+
+def _graft_disjoint(struct: Structure, gamma: Component) -> Structure:
+    doubled = Component(gamma.content, gamma.charts, 2 * gamma.multiplicity)
+    return structure(struct.model,
+                     list(struct.real_curves.components) + [doubled])
+
+
+def _graft_spiraling(struct: Structure, gamma: Component) -> Structure:
+    model = struct.model
     crossed = []
     rest = []
     for comp in struct.real_curves.components:
@@ -562,17 +602,6 @@ def graft_spiraling(struct: Structure, gamma: Component) -> Structure:
             charts[name] = merged
     fused = _merged_component(content, charts, 1)
     return structure(model, rest + [fused])
-
-
-def graft_along(struct: Structure, gamma: Component) -> Structure:
-    """Graft dispatcher: disjoint route when there are no chart crossings,
-    spiraling route otherwise."""
-    adm = is_admissible(gamma, struct)
-    if not adm:
-        raise NotAdmissible(adm.reason)
-    if adm.route == "disjoint":
-        return graft_disjoint(struct, gamma)
-    return graft_spiraling(struct, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -615,11 +644,19 @@ def _component_to_json(comp: Component) -> dict:
 
 
 def _component_from_json(data: dict) -> Component:
+    if not isinstance(data, dict):
+        raise ValueError(f"curve entry must be an object, got {data!r}")
     label = data.get("label")
     if isinstance(label, str):
         content: Content = ((label, 1),)
     elif isinstance(label, list):
-        content = tuple(sorted((str(lab), int(n)) for lab, n in label))
+        for entry in label:
+            if (not isinstance(entry, list) or len(entry) != 2
+                    or not isinstance(entry[0], str)
+                    or not isinstance(entry[1], int)):
+                raise ValueError(f"label entry needs a [name, integer "
+                                 f"count] pair, got {entry!r}")
+        content = tuple(sorted((lab, n) for lab, n in label))
     else:
         raise ValueError("curve entry needs a 'label'")
     charts = data.get("charts")
@@ -632,7 +669,9 @@ def _component_from_json(data: dict) -> Component:
                              f"[p, q], got {v!r}")
     chart_map = tuple(sorted((str(name), TorusClass(*v))
                              for name, v in charts.items()))
-    mult = int(data.get("multiplicity", 1))
+    mult = data.get("multiplicity", 1)
+    if not isinstance(mult, int):
+        raise ValueError(f"'multiplicity' must be an integer, got {mult!r}")
     return Component(content, chart_map, mult)
 
 

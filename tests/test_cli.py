@@ -24,6 +24,18 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+def assert_input_error(tmp_path, config):
+    """`complex` on the config exits 2 with one `error:` line."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli("complex", str(path), "--depth", "1",
+                   "--twist-bound", "1")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "config.json"
@@ -172,13 +184,26 @@ class TestInputContract:
         config = json.loads(json.dumps(CONFIG))
         entry = config["gamma"] if field == "gamma" else config["curves"][0]
         entry["charts"]["a"] = value
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli("complex", str(path), "--depth", "1",
-                       "--twist-bound", "1")
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error:")
+        assert_input_error(tmp_path, config)
+
+    @pytest.mark.parametrize("path,value", [
+        (("curves", 0), 5),
+        (("gamma",), 5),
+        (("curves", 0, "label"), [5]),
+        (("curves", 0, "label"), [["lambda", "1"]]),
+        (("gamma", "label"), [["gamma", 1.5]]),
+        (("curves", 0, "multiplicity"), None),
+        (("gamma", "multiplicity"), "2"),
+    ], ids=["curve-int", "gamma-int", "label-short", "label-count-str",
+            "label-count-float", "multiplicity-null", "multiplicity-str"])
+    def test_malformed_curve_entry_is_input_error(self, tmp_path, path,
+                                                  value):
+        config = json.loads(json.dumps(CONFIG))
+        target = config
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        assert_input_error(tmp_path, config)
 
     def test_zero_workers_is_usage_error(self, config_path):
         proc = run_cli("complex", config_path, "--depth", "1",

@@ -6,6 +6,8 @@ import pytest
 
 from graftkit import (
     BadConfiguration,
+    complex_graph,
+    surface,
     UnknownSuite,
     build_complex,
     common_grafts,
@@ -90,6 +92,76 @@ class TestBuildComplex:
         assert ranks["all"] == cycle_rank(graph)
         assert 0 <= ranks["graft"] <= ranks["all"]
         assert 0 <= ranks["elementary"] <= ranks["all"]
+
+
+class TestComputedOnce:
+    """The BFS computes each fact once: one admissibility check per
+    graft and one canonical key per structure object."""
+
+    def test_one_admissibility_check_per_graft(self, monkeypatch):
+        counts = {"is_admissible": 0, "graft_along": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(surface, "is_admissible",
+                            counting("is_admissible", surface.is_admissible))
+        monkeypatch.setattr(complex_graph, "graft_along",
+                            counting("graft_along", surface.graft_along))
+        build_complex(standard_configuration(2), 4, 3)
+        assert counts["graft_along"] > 0
+        assert counts["is_admissible"] == counts["graft_along"]
+
+    def test_one_key_per_structure(self, monkeypatch):
+        keyed = []
+        original = surface.canonical_key
+
+        def recording(curve, model):
+            keyed.append(curve)  # keeps each curve alive, so ids stay unique
+            return original(curve, model)
+
+        monkeypatch.setattr(surface, "canonical_key", recording)
+        graph = build_complex(standard_configuration(2), 4, 3)
+        assert len(keyed) >= len(graph.vertices)
+        assert len({id(curve) for curve in keyed}) == len(keyed)
+
+
+def _moves(config, struct, grafts):
+    return {(desc, result.key())
+            for desc, result in complex_graph._expand(config, struct, grafts)}
+
+
+class TestKeyCongruence:
+    """Vertices are identified by canonical key alone, a projection that
+    forgets how the totals split into components. On the reachable set
+    it must still determine the moves: wherever a move lands on a vertex
+    with components other than the vertex's representative, both expand
+    to the same (move, key) pairs."""
+
+    @pytest.mark.parametrize("charts,bound,depth,expected", [
+        (1, 6, 4, 43),
+        (3, 2, 3, 38),
+    ])
+    def test_same_key_same_moves(self, charts, bound, depth, expected):
+        config = standard_configuration(charts)
+        graph = build_complex(config, bound, depth)
+        grafts = complex_graph._grafts(config, bound)
+        reps = {v.key: v.structure for v in graph.vertices}
+        checked = 0
+        for vertex in graph.vertices:
+            for desc, result in complex_graph._expand(
+                    config, vertex.structure, grafts):
+                rep = reps.get(result.key())
+                if rep is None or (result.real_curves.components
+                                   == rep.real_curves.components):
+                    continue
+                checked += 1
+                assert _moves(config, result, grafts) == \
+                    _moves(config, rep, grafts), (desc, result.key())
+        assert checked == expected
 
 
 class TestExports:

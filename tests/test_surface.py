@@ -3,17 +3,22 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graftkit import (
     BadIntersectionPattern,
+    Component,
     NON_SPIRALING,
     NonSpiralingCurve,
     NotAdmissible,
     OddMultiplicity,
     SurfaceModel,
     SurfaceMulticurve,
+    TorusClass,
     UnknownChart,
     canonical_key,
+    canonicalize,
     check_spiraling_hypotheses,
     component,
     goldman_decompose,
@@ -61,7 +66,9 @@ class TestValidation:
     def test_standard_pattern_accepted(self):
         model, lam, gam = standard_pair()
         config = validate_configuration(model, lam, gam)
-        assert config.meridian("a") == (0, 1)
+        assert (config.lam, config.gamma) == (lam, gam)
+        assert config.base_structure().key() == \
+            canonical_key(multicurve(lam), model)
 
     def test_real_curve_count_enforced(self):
         model, _, gam = standard_pair()
@@ -246,6 +253,87 @@ class TestCanonicalKey:
         key = canonical_key(multicurve(lam), model)
         assert json.loads(key) == {"charts": {"a": [2, 0]},
                                    "content": [["lambda", 1]]}
+
+
+def reference_key(curve, model):
+    """The key as first defined: canonicalize (normalize orientations,
+    merge equal components), then the totals, then the JSON."""
+    canon = canonicalize(curve, model)
+    chart_totals = {}
+    for name in model.charts:
+        cls = canon.total_chart_class(name)
+        chart_totals[name] = [cls.p, cls.q]
+    payload = {
+        "content": sorted(canon.content_total().items()),
+        "charts": chart_totals,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+KEY_MODEL = SurfaceModel(2, "rho", ("a", "b", "c"))
+entries = st.integers(-4, 4)
+raw_components = st.builds(
+    Component,
+    content=st.lists(st.tuples(st.sampled_from("xyz"), st.integers(0, 3)),
+                     min_size=1, max_size=3).map(tuple),
+    # Unsorted, and a chart may repeat: the first entry is the class.
+    charts=st.lists(st.tuples(st.sampled_from(KEY_MODEL.charts),
+                              st.builds(TorusClass, entries, entries)),
+                    max_size=4).map(tuple),
+    multiplicity=st.integers(1, 4),
+)
+
+
+def _flipped(comp):
+    return Component(comp.content,
+                     tuple((name, -cls) for name, cls in comp.charts),
+                     comp.multiplicity)
+
+
+@st.composite
+def split_multicurves(draw):
+    """A multicurve (negative classes, zero counts and non-canonical
+    chart lists included) and the same multicurve with some components
+    split into parallel pieces, some of them reversed."""
+    comps = draw(st.lists(raw_components, max_size=4))
+    split = []
+    for comp in comps:
+        if comp.multiplicity > 1 and draw(st.booleans()):
+            k = draw(st.integers(1, comp.multiplicity - 1))
+            piece = Component(comp.content, comp.charts, k)
+            rest = Component(comp.content, comp.charts,
+                             comp.multiplicity - k)
+            split += [_flipped(piece) if draw(st.booleans()) else piece,
+                      rest]
+        else:
+            split.append(_flipped(comp) if draw(st.booleans()) else comp)
+    split = draw(st.permutations(split))
+    return SurfaceMulticurve(tuple(comps)), SurfaceMulticurve(tuple(split))
+
+
+class TestKeyDefinition:
+    @settings(max_examples=300, deadline=None)
+    @given(split_multicurves())
+    def test_matches_reference_definition(self, curves):
+        merged, split = curves
+        want = reference_key(merged, KEY_MODEL)
+        assert canonical_key(merged, KEY_MODEL) == want
+        assert canonical_key(split, KEY_MODEL) == want
+        assert reference_key(split, KEY_MODEL) == want
+
+    def test_zero_count_content_kept(self):
+        curve = multicurve(Component((("x", 0), ("y", 1)),
+                                     (("a", TorusClass(1, 0)),)))
+        key = canonical_key(curve, KEY_MODEL)
+        assert json.loads(key)["content"] == [["x", 0], ["y", 1]]
+        assert key == reference_key(curve, KEY_MODEL)
+
+    def test_structure_keys_once(self):
+        model, lam, _ = standard_pair()
+        struct = structure(model, [lam])
+        first = struct.key()
+        assert struct.key() is first
+        assert first == canonical_key(struct.real_curves, model)
 
 
 class TestGoldman:
