@@ -19,8 +19,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .errors import GraftError, UnknownChart, UnknownSuite
 from .torus import Mode, TorusClass, algebraic_intersection, dehn_twist, \
@@ -33,16 +32,6 @@ from .complex_graph import build_complex, suite_names, suite_parameters, \
 log = logging.getLogger("graftkit")
 
 
-@dataclass
-class CliConfig:
-    """Parsed invocation: one subcommand plus its inputs and flags."""
-
-    subcommand: str
-    inputs: Tuple[str, ...] = ()
-    output: Optional[str] = None
-    flags: Dict[str, object] = field(default_factory=dict)
-
-
 def _torus_class(text: str) -> TorusClass:
     try:
         p_text, q_text = text.split(",")
@@ -52,19 +41,17 @@ def _torus_class(text: str) -> TorusClass:
             f"expected a class as p,q (got {text!r})")
 
 
-def _at_least(least: int):
-    """An argparse type for integers no smaller than `least`."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer, got {text!r}")
-        if value < least:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer >= {least}, got {value}")
-        return value
-    return parse
+def _nonnegative(text: str) -> int:
+    """An argparse type for integers no smaller than 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {value}")
+    return value
 
 
 def parse_curve_spec(text: str) -> Component:
@@ -129,38 +116,27 @@ def _build_parser() -> argparse.ArgumentParser:
         "complex", help="enumerate the grafting graph breadth-first")
     cplx.add_argument("config", help="configuration JSON path (needs a "
                                      "'gamma' entry)")
-    cplx.add_argument("--depth", type=_at_least(0), required=True)
-    cplx.add_argument("--twist-bound", type=_at_least(0), required=True)
+    cplx.add_argument("--depth", type=_nonnegative, required=True)
+    cplx.add_argument("--twist-bound", type=_nonnegative, required=True)
     cplx.add_argument("--format", choices=("dot", "json"), default="json")
     cplx.add_argument("--output", help="graph file destination")
-    cplx.add_argument("--workers", type=_at_least(1), default=1,
-                      help="BFS expansion threads (results are identical "
-                           "for any count)")
 
     verify = sub.add_parser("verify", help="run one identity suite")
     verify.add_argument("--suite", required=True,
                         help=f"one of: {', '.join(suite_names())}")
-    verify.add_argument("--k-max", type=_at_least(0), dest="k_max")
-    verify.add_argument("--range", type=_at_least(0), dest="sweep",
+    verify.add_argument("--k-max", type=_nonnegative, dest="k_max")
+    verify.add_argument("--range", type=_nonnegative, dest="sweep",
                         help="primitive-entry radius for the oracle sweep")
-    verify.add_argument("--trials", type=_at_least(0))
+    verify.add_argument("--trials", type=_nonnegative)
     verify.add_argument("--seed", type=int,
                         help="seed for randomized suites (default fixed)")
     verify.add_argument("--l0", type=int, help="twist relating the pair "
                                                "(iterated suite)")
-    verify.add_argument("--twist-bound", type=_at_least(0),
+    verify.add_argument("--twist-bound", type=_nonnegative,
                         dest="twist_bound")
     verify.add_argument("--json", dest="json_path",
                         help="also write the machine-readable report here")
     return parser
-
-
-def _cli_config(ns: argparse.Namespace) -> CliConfig:
-    flags = {k: v for k, v in vars(ns).items()
-             if k not in ("subcommand", "config", "output") and v is not None}
-    inputs = (ns.config,) if getattr(ns, "config", None) else ()
-    return CliConfig(ns.subcommand, inputs, getattr(ns, "output", None),
-                     flags)
 
 
 def _load_configuration(path: str):
@@ -191,34 +167,31 @@ def _emit(text: str, output: Optional[str]) -> None:
             sys.stdout.write("\n")
 
 
-def _cmd_torus(cfg: CliConfig) -> int:
-    op = cfg.flags["op"]
-    if op == "intersect":
-        a, b = cfg.flags["first"], cfg.flags["second"]
-        print(f"geometric={geometric_intersection(a, b)} "
-              f"algebraic={algebraic_intersection(a, b)}")
-    elif op == "resolve":
-        mode = Mode.SHARP if cfg.flags["mode"] == "sharp" else Mode.FLAT
-        print(resolve(cfg.flags["first"], cfg.flags["second"], mode))
+def _cmd_torus(ns: argparse.Namespace) -> int:
+    if ns.op == "intersect":
+        print(f"geometric={geometric_intersection(ns.first, ns.second)} "
+              f"algebraic={algebraic_intersection(ns.first, ns.second)}")
+    elif ns.op == "resolve":
+        mode = Mode.SHARP if ns.mode == "sharp" else Mode.FLAT
+        print(resolve(ns.first, ns.second, mode))
     else:
-        print(dehn_twist(cfg.flags["target"], cfg.flags["about"],
-                         cfg.flags.get("k", 1)))
+        print(dehn_twist(ns.target, ns.about, ns.k))
     return 0
 
 
-def _cmd_graft(cfg: CliConfig) -> int:
-    _, struct, _ = _load_configuration(cfg.inputs[0])
-    curve = parse_curve_spec(cfg.flags["curve"])
+def _cmd_graft(ns: argparse.Namespace) -> int:
+    _, struct, _ = _load_configuration(ns.config)
+    curve = parse_curve_spec(ns.curve)
     for name, _cls in curve.charts:
         struct.model.require_chart(name)
     result = graft_along(struct, curve)
     text = json.dumps(structure_to_json(result), indent=2, sort_keys=True)
-    _emit(text + "\n", cfg.output)
+    _emit(text + "\n", ns.output)
     return 0
 
 
-def _cmd_complex(cfg: CliConfig) -> int:
-    model, struct, gamma = _load_configuration(cfg.inputs[0])
+def _cmd_complex(ns: argparse.Namespace) -> int:
+    model, struct, gamma = _load_configuration(ns.config)
     if gamma is None:
         raise ValueError("configuration lacks a 'gamma' grafting curve")
     totals = {name: struct.real_curves.total_chart_class(name)
@@ -227,11 +200,9 @@ def _cmd_complex(cfg: CliConfig) -> int:
         "lambda", {n: c for n, c in totals.items() if c != (0, 0)} or
         {model.charts[0]: (0, 0)})
     configuration = validate_configuration(model, lam_total, gamma)
-    dot = cfg.flags.get("format", "json") == "dot"
-    with _destination(cfg.output, "w" if dot else "wb") as handle:
-        graph = build_complex(configuration, cfg.flags["twist_bound"],
-                              cfg.flags["depth"],
-                              workers=cfg.flags.get("workers", 1),
+    dot = ns.format == "dot"
+    with _destination(ns.output, "w" if dot else "wb") as handle:
+        graph = build_complex(configuration, ns.twist_bound, ns.depth,
                               seed=struct)
         print(f"vertices={len(graph.vertices)} edges={len(graph.edges)} "
               f"cycle_rank={graph.cycle_rank()}")
@@ -243,18 +214,17 @@ def _cmd_complex(cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: CliConfig) -> int:
-    name = cfg.flags["suite"]
-    offered = {key: cfg.flags[key]
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    offered = {key: getattr(ns, key)
                for key in ("k_max", "sweep", "trials", "seed", "l0",
                            "twist_bound")
-               if key in cfg.flags}
-    rejected = sorted(set(offered) - suite_parameters(name))
+               if getattr(ns, key) is not None}
+    rejected = sorted(set(offered) - suite_parameters(ns.suite))
     if rejected:
-        raise ValueError(f"suite {name!r} does not take: "
+        raise ValueError(f"suite {ns.suite!r} does not take: "
                          f"{', '.join(rejected)}")
-    with _destination(cfg.flags.get("json_path"), "w") as handle:
-        report = verify_suite(name, **offered)
+    with _destination(ns.json_path, "w") as handle:
+        report = verify_suite(ns.suite, **offered)
         for line in report.lines():
             print(line)
         if handle is not None:
@@ -268,11 +238,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    cfg = _cli_config(ns)
     handlers = {"torus": _cmd_torus, "graft": _cmd_graft,
                 "complex": _cmd_complex, "verify": _cmd_verify}
     try:
-        return handlers[cfg.subcommand](cfg)
+        return handlers[ns.subcommand](ns)
     except (UnknownSuite, UnknownChart) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,13 +3,13 @@
 Vertices are canonical structure keys; edges are graft moves and
 elementary moves (meridian twists where the meridian meets the real
 curves exactly twice). The breadth-first closure under a bounded
-generator family is deterministic for fixed inputs: frontier expansion
-may fan out over worker threads, but results are merged in a fixed
-order, and exports sort everything by key, so repeated builds are
-byte-identical regardless of scheduling. A build twists the grafting
-curve once per generator, checks admissibility once per graft (inside
-graft_along), and keys each structure once (Structure.key() is kept on
-the object); an edge to a vertex already seen reuses its key string.
+generator family is deterministic for fixed inputs: one serial loop
+expands the frontier in key order and merges each structure's moves as
+it goes, and exports sort everything by key, so repeated builds are
+byte-identical. A build twists the grafting curve once per generator,
+checks admissibility once per graft (inside graft_along), and keys each
+structure once (Structure.key() is kept on the object); an edge to a
+vertex already seen reuses its key string.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import inspect
 import json
 import logging
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, \
+    Tuple
 
 from .errors import BadConfiguration, NotAdmissible, OddMultiplicity, UnknownSuite
 from .torus import Mode, TorusClass, algebraic_intersection, dehn_twist, \
@@ -97,6 +97,8 @@ class ComplexGraph:
     seed_key: str
 
     def cycle_rank(self) -> int:
+        """First Betti number, |E| - |V| + 1; parallel edges count
+        separately (BFS construction keeps the graph connected)."""
         return len(self.edges) - len(self.vertices) + 1
 
     def rank_by_kind(self) -> Dict[str, int]:
@@ -171,12 +173,6 @@ class ComplexGraph:
         return "\n".join(lines) + "\n"
 
 
-def cycle_rank(graph: ComplexGraph) -> int:
-    """First Betti number of the enumerated subgraph, |E| - |V| + 1;
-    parallel edges count separately (BFS construction keeps it connected)."""
-    return graph.cycle_rank()
-
-
 def standard_configuration(num_charts: int = 1,
                            genus: int = 2) -> Configuration:
     """The base setup used by the suites: real curve reading (2,0) and
@@ -231,7 +227,6 @@ def _expand(config: Configuration, struct: Structure,
 
 
 def build_complex(config: Configuration, twist_bound: int, depth: int,
-                  workers: int = 1,
                   seed: Optional[Structure] = None) -> ComplexGraph:
     """Breadth-first closure of the seed structure under the generators.
 
@@ -244,8 +239,6 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
     """
     if twist_bound < 0 or depth < 0:
         raise BadConfiguration("twist bound and depth must be nonnegative")
-    if workers < 1:
-        raise BadConfiguration("workers must be positive")
     grafts = _grafts(config, twist_bound)
     if seed is None:
         seed = config.base_structure()
@@ -258,17 +251,10 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
         if not frontier:
             break
         frontier.sort(key=lambda s: s.key())
-        if workers == 1:
-            batches = [_expand(config, s, grafts) for s in frontier]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                batches = list(pool.map(
-                    lambda s: _expand(config, s, grafts), frontier))
         next_frontier: List[Structure] = []
-        for src, batch in zip(frontier, batches):
+        for src in frontier:
             src_key = src.key()
-            for desc, result in batch:
-                kind, chart, n = desc
+            for (kind, chart, n), result in _expand(config, src, grafts):
                 dst_key = result.key()
                 seen = vertices.get(dst_key)
                 if seen is None:
@@ -296,6 +282,26 @@ def _twist_chart(config: Configuration) -> str:
     return config.model.charts[0]
 
 
+def _witnesses(config: Configuration, l0: int, twist_bound: int
+               ) -> Iterator[Tuple[Witness, Structure]]:
+    """The common-graft search behind common_grafts and witness_graph:
+    each witness with the structure both pipelines reach."""
+    chart = _twist_chart(config)
+    base = config.base_structure()
+    other = twist_about_meridian(base, chart, l0)
+    for m in range(-twist_bound, twist_bound + 1):
+        k = 2 * m - l0
+        one_step = graft_along(base, twist_about_meridian(
+            config.gamma, chart, 2 * m))
+        two_step = graft_along(other, twist_about_meridian(
+            config.gamma, chart, k))
+        if one_step.key() == two_step.key():
+            yield Witness(m, k, l0, one_step.key()), one_step
+        else:
+            log.debug("no witness at m=%d (keys %s vs %s)", m,
+                      one_step.key(), two_step.key())
+
+
 def common_grafts(config: Configuration, l0: int,
                   twist_bound: int) -> List[Witness]:
     """Search the doubled-twist graft coincidences for a fixed pair.
@@ -308,22 +314,7 @@ def common_grafts(config: Configuration, l0: int,
     trades against two units absorbed by the doubled grafting class. The
     expected hit count is the full range of m.
     """
-    chart = _twist_chart(config)
-    base = config.base_structure()
-    other = twist_about_meridian(base, chart, l0)
-    found = []
-    for m in range(-twist_bound, twist_bound + 1):
-        k = 2 * m - l0
-        one_step = graft_along(base, twist_about_meridian(
-            config.gamma, chart, 2 * m))
-        two_step = graft_along(other, twist_about_meridian(
-            config.gamma, chart, k))
-        if one_step.key() == two_step.key():
-            found.append(Witness(m, k, l0, one_step.key()))
-        else:
-            log.debug("no witness at m=%d (keys %s vs %s)", m,
-                      one_step.key(), two_step.key())
-    return found
+    return [w for w, _ in _witnesses(config, l0, twist_bound)]
 
 
 def witness_graph(config: Configuration, l0: int,
@@ -336,9 +327,7 @@ def witness_graph(config: Configuration, l0: int,
     vertices = {base.key(): Vertex(base.key(), base)}
     vertices.setdefault(other.key(), Vertex(other.key(), other))
     edges = []
-    for w in common_grafts(config, l0, twist_bound):
-        target = graft_along(base, twist_about_meridian(
-            config.gamma, chart, 2 * w.m))
+    for w, target in _witnesses(config, l0, twist_bound):
         vertices.setdefault(w.key, Vertex(w.key, target))
         edges.append(Edge("graft", chart, 2 * w.m, base.key(), w.key))
         edges.append(Edge("graft", chart, w.k, other.key(), w.key))

@@ -306,54 +306,6 @@ def validate_configuration(
 # Spiraling classification and admissibility
 
 
-class SpiralClass(Tuple[str, int]):
-    """Direction and step count of a spiraling chart class."""
-
-    def __new__(cls, direction: str, steps: int):
-        return super().__new__(cls, (direction, steps))
-
-    @property
-    def direction(self) -> str:
-        return self[0]
-
-    @property
-    def steps(self) -> int:
-        return self[1]
-
-    @classmethod
-    def right(cls, k: int) -> "SpiralClass":
-        return cls("right", k)
-
-    @classmethod
-    def left(cls, k: int) -> "SpiralClass":
-        return cls("left", k)
-
-    def __repr__(self) -> str:
-        if self.direction == "none":
-            return "NonSpiraling"
-        return f"{self.direction.capitalize()}({self.steps})"
-
-
-NON_SPIRALING = SpiralClass("none", 0)
-
-
-def spiraling_class(chart_cls: Sequence[int]) -> SpiralClass:
-    """Classify a single-strand chart class (1, k).
-
-    Direction labels are fixed by the twist convention used everywhere in
-    this package: positive meridian twisting of the base grafting curve
-    yields right-spiraling, so (1,k) is Right(k) for k > 0 and Left(-k)
-    for k < 0. Anything without a single strand, and the untwisted class,
-    is NonSpiraling.
-    """
-    p, q = int(chart_cls[0]), int(chart_cls[1])
-    if p < 0 or (p == 0 and q < 0):
-        p, q = -p, -q
-    if p != 1 or q == 0:
-        return NON_SPIRALING
-    return SpiralClass.right(q) if q > 0 else SpiralClass.left(-q)
-
-
 def _spiral_sign(lam_total: TorusClass, gamma_cls: TorusClass) -> int:
     """Orientation of the spiral in one chart: for a real-curve class with
     horizontal strands the sign of the algebraic intersection, otherwise
@@ -567,6 +519,9 @@ def _graft_disjoint(struct: Structure, gamma: Component) -> Structure:
 
 def _graft_spiraling(struct: Structure, gamma: Component) -> Structure:
     model = struct.model
+    # The graft depends on the unoriented curve: fix the orientation
+    # whose first nonzero chart entry is positive.
+    gamma = _normalized(gamma, model.charts)
     crossed = []
     rest = []
     for comp in struct.real_curves.components:

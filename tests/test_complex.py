@@ -6,12 +6,13 @@ import pytest
 
 from graftkit import (
     BadConfiguration,
+    Component,
+    NotAdmissible,
     complex_graph,
     surface,
     UnknownSuite,
     build_complex,
     common_grafts,
-    cycle_rank,
     standard_configuration,
     standard_fan,
     suite_names,
@@ -25,7 +26,7 @@ class TestBuildComplex:
         graph = build_complex(standard_configuration(), 3, 0)
         assert len(graph.vertices) == 1
         assert len(graph.edges) == 0
-        assert cycle_rank(graph) == 0
+        assert graph.cycle_rank() == 0
 
     def test_depth_one_untwisted_generators(self):
         # twist bound 0 leaves the untwisted graft plus two elementary
@@ -68,28 +69,22 @@ class TestBuildComplex:
         with pytest.raises(BadConfiguration):
             build_complex(config, 2, -1)
 
-    def test_worker_counts_agree_bytewise(self):
-        config = standard_configuration()
-        blobs = {build_complex(config, 4, 2, workers=w).to_json_bytes()
-                 for w in (1, 2, 5)}
-        assert len(blobs) == 1
-
     def test_rank_monotone_in_twist_bound(self):
         config = standard_configuration()
-        ranks = [cycle_rank(build_complex(config, m, 2))
+        ranks = [build_complex(config, m, 2).cycle_rank()
                  for m in range(1, 5)]
         assert all(b > a for a, b in zip(ranks, ranks[1:]))
 
     def test_rank_monotone_in_depth(self):
         config = standard_configuration()
-        ranks = [cycle_rank(build_complex(config, 2, d))
+        ranks = [build_complex(config, 2, d).cycle_rank()
                  for d in range(4)]
         assert all(b >= a for a, b in zip(ranks, ranks[1:]))
 
     def test_rank_by_kind_consistent(self):
         graph = build_complex(standard_configuration(), 3, 2)
         ranks = graph.rank_by_kind()
-        assert ranks["all"] == cycle_rank(graph)
+        assert ranks["all"] == graph.cycle_rank()
         assert 0 <= ranks["graft"] <= ranks["all"]
         assert 0 <= ranks["elementary"] <= ranks["all"]
 
@@ -127,6 +122,53 @@ class TestComputedOnce:
         graph = build_complex(standard_configuration(2), 4, 3)
         assert len(keyed) >= len(graph.vertices)
         assert len({id(curve) for curve in keyed}) == len(keyed)
+
+    def test_witness_graph_grafts_once(self, monkeypatch):
+        # two grafts per m, one per pipeline; the graph reuses them
+        calls = []
+        original = complex_graph.graft_along
+
+        def counting(struct, gamma):
+            calls.append(gamma)
+            return original(struct, gamma)
+
+        monkeypatch.setattr(complex_graph, "graft_along", counting)
+        bound = 4
+        graph = witness_graph(standard_configuration(), 1, bound)
+        assert len(graph.edges) == 2 * (2 * bound + 1)
+        assert len(calls) == 2 * (2 * bound + 1)
+
+
+def reversed_curve(comp):
+    return Component(comp.content,
+                     tuple((name, -cls) for name, cls in comp.charts),
+                     comp.multiplicity)
+
+
+class TestOrientationFree:
+    """Edges are grafts along unoriented curves: a curve and its
+    reversal give the same move from every vertex."""
+
+    def test_reversed_curve_same_graft(self):
+        config = standard_configuration(2)
+        graph = build_complex(config, 2, 2)
+        grafts = complex_graph._grafts(config, 2)
+        assert (len(graph.vertices), len(grafts)) == (71, 9)
+
+        def landing(struct, gamma):
+            try:
+                return surface.graft_along(struct, gamma).key()
+            except NotAdmissible:
+                return None
+
+        admitted = 0
+        for vertex in graph.vertices:
+            for _, gamma in grafts:
+                key = landing(vertex.structure, gamma)
+                assert key == landing(vertex.structure,
+                                      reversed_curve(gamma))
+                admitted += key is not None
+        assert admitted > 0
 
 
 def _moves(config, struct, grafts):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from graftkit import (
     BadIntersectionPattern,
     Component,
-    NON_SPIRALING,
     NonSpiralingCurve,
     NotAdmissible,
     OddMultiplicity,
@@ -28,7 +27,6 @@ from graftkit import (
     is_admissible,
     multicurve,
     parse_configuration,
-    spiraling_class,
     structure,
     structure_to_json,
     twist_about_curve,
@@ -83,22 +81,65 @@ class TestValidation:
             validate_configuration(model, lam, bad)
 
 
+def reversed_curve(comp):
+    """The same unoriented curve with every chart class negated."""
+    return Component(comp.content,
+                     tuple((name, -cls) for name, cls in comp.charts),
+                     comp.multiplicity)
+
+
+def dehn_twist_instance(k):
+    """The dehn_twist suite's construction for a nonzero k: the real
+    curve twisted k - 1 times toward the sign of k, and the grafting
+    curve twisted k times."""
+    model, lam, gam = standard_pair()
+    sign = 1 if k > 0 else -1
+    start = structure(model, [twist_about_meridian(lam, "a", k - sign)])
+    return start, twist_about_meridian(gam, "a", k)
+
+
 class TestSpiralingClass:
+    """The spiral direction has one classifier, the one grafting uses;
+    these facts are stated through the public grafts."""
+
     def test_right_label(self):
-        assert spiraling_class((1, 2)) == ("right", 2)
-        assert spiraling_class((1, 2)).direction == "right"
+        # (1,2): positive meridian twisting spirals right, the twist +1
+        start, gam_k = dehn_twist_instance(2)
+        assert gam_k.chart_class("a") == (1, 2)
+        grafted = graft_spiraling(start, gam_k).key()
+        assert grafted == twist_about_curve(start, gam_k, 1).key()
+        assert grafted != twist_about_curve(start, gam_k, -1).key()
 
     def test_left_label(self):
-        assert spiraling_class((1, -3)) == ("left", 3)
+        # (1,-3) spirals left, the twist -1
+        start, gam_k = dehn_twist_instance(-3)
+        assert gam_k.chart_class("a") == (1, -3)
+        grafted = graft_spiraling(start, gam_k).key()
+        assert grafted == twist_about_curve(start, gam_k, -1).key()
+        assert grafted != twist_about_curve(start, gam_k, 1).key()
 
     def test_sign_normalization(self):
-        # a global orientation flip names the same unoriented curve
-        assert spiraling_class((-1, 3)) == spiraling_class((1, -3))
+        # a global orientation flip names the same unoriented curve:
+        # (-1,3) grafts as (1,-3) does, in the dehn_twist suite's range
+        for k in range(-6, 7):
+            if k == 0:
+                continue
+            start, gam_k = dehn_twist_instance(k)
+            flipped = reversed_curve(gam_k)
+            assert flipped.chart_class("a") == (-1, -k)
+            assert graft_spiraling(start, flipped).key() == \
+                twist_about_curve(start, gam_k, 1 if k > 0 else -1).key()
+            assert graft_along(start, flipped).key() == \
+                graft_along(start, gam_k).key()
 
     def test_non_spiraling_cases(self):
-        assert spiraling_class((1, 0)) is NON_SPIRALING
-        assert spiraling_class((2, 1)) is NON_SPIRALING
-        assert spiraling_class((0, 1)) is NON_SPIRALING
+        model, lam, gam = standard_pair()
+        base = structure(model, [lam])
+        assert is_admissible(gam, base).route == "disjoint"
+        for cls in ((2, 1), (0, 1)):
+            verdict = is_admissible(component("gamma", {"a": cls}), base)
+            assert not verdict
+            assert "not a single strand" in verdict.reason
 
 
 class TestSpiralingHypotheses:
