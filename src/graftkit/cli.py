@@ -157,16 +157,6 @@ def _destination(path: Optional[str], mode: str):
     return open(path, mode, encoding=None if "b" in mode else "utf-8")
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-
-
 def _cmd_torus(ns: argparse.Namespace) -> int:
     if ns.op == "intersect":
         print(f"geometric={geometric_intersection(ns.first, ns.second)} "
@@ -184,9 +174,11 @@ def _cmd_graft(ns: argparse.Namespace) -> int:
     curve = parse_curve_spec(ns.curve)
     for name, _cls in curve.charts:
         struct.model.require_chart(name)
-    result = graft_along(struct, curve)
-    text = json.dumps(structure_to_json(result), indent=2, sort_keys=True)
-    _emit(text + "\n", ns.output)
+    with _destination(ns.output, "w") as handle:
+        result = graft_along(struct, curve)
+        # print writes to standard output when handle is None
+        print(json.dumps(structure_to_json(result), indent=2,
+                         sort_keys=True), file=handle)
     return 0
 
 
@@ -197,8 +189,7 @@ def _cmd_complex(ns: argparse.Namespace) -> int:
     totals = {name: struct.real_curves.total_chart_class(name)
               for name in model.charts}
     lam_total = component(
-        "lambda", {n: c for n, c in totals.items() if c != (0, 0)} or
-        {model.charts[0]: (0, 0)})
+        "lambda", {n: c for n, c in totals.items() if c != (0, 0)})
     configuration = validate_configuration(model, lam_total, gamma)
     dot = ns.format == "dot"
     with _destination(ns.output, "w" if dot else "wb") as handle:
@@ -215,10 +206,9 @@ def _cmd_complex(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    offered = {key: getattr(ns, key)
-               for key in ("k_max", "sweep", "trials", "seed", "l0",
-                           "twist_bound")
-               if getattr(ns, key) is not None}
+    offered = {key: value for key, value in vars(ns).items()
+               if value is not None
+               and key not in ("subcommand", "suite", "json_path")}
     rejected = sorted(set(offered) - suite_parameters(ns.suite))
     if rejected:
         raise ValueError(f"suite {ns.suite!r} does not take: "

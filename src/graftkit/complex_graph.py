@@ -1,13 +1,14 @@
 """Enumeration of the structure graph and the identity verification suites.
 
-Vertices are canonical structure keys; edges are graft moves and
-elementary moves (meridian twists where the meridian meets the real
-curves exactly twice). The breadth-first closure under a bounded
-generator family is deterministic for fixed inputs: one serial loop
-expands the frontier in key order and merges each structure's moves as
-it goes, and exports sort everything by key, so repeated builds are
-byte-identical. A build twists the grafting curve once per generator,
-checks admissibility once per graft (inside graft_along), and keys each
+The graph's vertices map each canonical structure key to the first
+structure found with it; edges are graft moves and elementary moves
+(meridian twists where the meridian meets the real curves exactly
+twice). The breadth-first closure under a bounded generator family is
+deterministic for fixed inputs: one serial loop expands the frontier in
+key order and merges each structure's moves as it goes, and both exports
+number the vertices in key order, so repeated builds are byte-identical.
+A build twists the grafting curve once per generator, checks
+admissibility once per graft (inside graft_along), and keys each
 structure once (Structure.key() is kept on the object); an edge to a
 vertex already seen reuses its key string.
 """
@@ -51,12 +52,6 @@ log = logging.getLogger("graftkit")
 
 
 @dataclass(frozen=True)
-class Vertex:
-    key: str
-    structure: Structure
-
-
-@dataclass(frozen=True)
 class Edge:
     """One move: kind is "graft" or "elementary"; chart names the twisting
     chart ("" for the untwisted graft); n is the twist power."""
@@ -67,12 +62,14 @@ class Edge:
     src: str
     dst: str
 
-    def label(self) -> str:
-        if self.kind == "elementary":
-            return f"elem {self.chart} {'+' if self.n > 0 else ''}{self.n}"
-        if self.n == 0:
-            return "graft"
-        return f"graft T^{self.n}@{self.chart}"
+
+def _label(kind: str, chart: str, n: int) -> str:
+    """An edge's DOT label."""
+    if kind == "elementary":
+        return f"elem {chart} {'+' if n > 0 else ''}{n}"
+    if n == 0:
+        return "graft"
+    return f"graft T^{n}@{chart}"
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,10 @@ class Witness:
 
 @dataclass
 class ComplexGraph:
-    vertices: Tuple[Vertex, ...]
+    """vertices maps each key to its structure (vertices[k].key() == k);
+    edges name their endpoints by key."""
+
+    vertices: Dict[str, Structure]
     edges: Tuple[Edge, ...]
     twist_bound: int
     depth: int
@@ -108,10 +108,9 @@ class ComplexGraph:
         |E| - |V| + 1; a single-kind subgraph may be disconnected, so its
         rank counts components explicitly."""
         out = {"all": self.cycle_rank()}
-        keys = [v.key for v in self.vertices]
-        index = {k: i for i, k in enumerate(keys)}
+        index = {k: i for i, k in enumerate(self.vertices)}
         for kind in ("graft", "elementary"):
-            parent = list(range(len(keys)))
+            parent = list(range(len(index)))
 
             def find(i: int) -> int:
                 while parent[i] != i:
@@ -127,24 +126,28 @@ class ComplexGraph:
                 a, b = find(index[e.src]), find(index[e.dst])
                 if a != b:
                     parent[a] = b
-            components = sum(1 for i in range(len(keys)) if find(i) == i)
-            out[kind] = count - len(keys) + components
+            components = sum(1 for i in range(len(index)) if find(i) == i)
+            out[kind] = count - len(index) + components
         return out
 
+    def _numbered(self) -> Tuple[List[str], list]:
+        """The numbering both exports share: vertex ids follow sorted
+        keys, and edges are (src id, dst id, kind, chart, n) rows in
+        sorted order."""
+        keys = sorted(self.vertices)
+        ids = {k: i for i, k in enumerate(keys)}
+        return keys, sorted((ids[e.src], ids[e.dst], e.kind, e.chart, e.n)
+                            for e in self.edges)
+
     def to_json_obj(self) -> dict:
-        ordered = sorted(self.vertices, key=lambda v: v.key)
-        ids = {v.key: i for i, v in enumerate(ordered)}
-        edges = sorted(
-            (ids[e.src], ids[e.dst], e.kind, e.chart, e.n)
-            for e in self.edges)
+        keys, edges = self._numbered()
         return {
             "schema": 1,
             "kind": "grafting-complex",
             "twist_bound": self.twist_bound,
             "depth": self.depth,
             "seed": self.seed_key,
-            "vertices": [{"id": i, "key": v.key}
-                         for i, v in enumerate(ordered)],
+            "vertices": [{"id": i, "key": k} for i, k in enumerate(keys)],
             "edges": [{"src": s, "dst": d, "kind": k, "chart": c, "n": n}
                       for s, d, k, c, n in edges],
             "stats": {"vertices": len(self.vertices),
@@ -158,17 +161,14 @@ class ComplexGraph:
                           separators=(",", ":")).encode("ascii")
 
     def to_dot(self) -> str:
-        ordered = sorted(self.vertices, key=lambda v: v.key)
-        ids = {v.key: i for i, v in enumerate(ordered)}
+        keys, edges = self._numbered()
         lines = ["graph complex {"]
-        for i, v in enumerate(ordered):
-            digest = hashlib.sha256(v.key.encode()).hexdigest()[:12]
+        for i, k in enumerate(keys):
+            digest = hashlib.sha256(k.encode()).hexdigest()[:12]
             lines.append(f'  v{i} [label="{digest}"];')
-        for src, dst, kind, chart, n in sorted(
-                (ids[e.src], ids[e.dst], e.kind, e.chart, e.n)
-                for e in self.edges):
-            e = Edge(kind, chart, n, "", "")
-            lines.append(f'  v{src} -- v{dst} [label="{e.label()}"];')
+        for src, dst, kind, chart, n in edges:
+            lines.append(f'  v{src} -- v{dst} '
+                         f'[label="{_label(kind, chart, n)}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -243,7 +243,7 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
     if seed is None:
         seed = config.base_structure()
     seed_key = seed.key()
-    vertices: Dict[str, Vertex] = {seed_key: Vertex(seed_key, seed)}
+    vertices = {seed_key: seed}
     edges: List[Edge] = []
     seen_elementary = set()
     frontier = [seed]
@@ -255,13 +255,10 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
         for src in frontier:
             src_key = src.key()
             for (kind, chart, n), result in _expand(config, src, grafts):
-                dst_key = result.key()
-                seen = vertices.get(dst_key)
-                if seen is None:
-                    vertices[dst_key] = Vertex(dst_key, result)
+                seen = vertices.setdefault(result.key(), result)
+                if seen is result:
                     next_frontier.append(result)
-                else:
-                    dst_key = seen.key
+                dst_key = seen.key()  # one key string per vertex
                 if kind == "elementary":
                     pair = (min(src_key, dst_key), max(src_key, dst_key),
                             chart)
@@ -270,8 +267,8 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
                     seen_elementary.add(pair)
                 edges.append(Edge(kind, chart, n, src_key, dst_key))
         frontier = next_frontier
-    return ComplexGraph(tuple(vertices.values()), tuple(edges),
-                        twist_bound, depth, seed_key)
+    return ComplexGraph(vertices, tuple(edges), twist_bound, depth,
+                        seed_key)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +279,13 @@ def _twist_chart(config: Configuration) -> str:
     return config.model.charts[0]
 
 
-def _witnesses(config: Configuration, l0: int, twist_bound: int
+def _witnesses(config: Configuration, base: Structure, other: Structure,
+               l0: int, twist_bound: int
                ) -> Iterator[Tuple[Witness, Structure]]:
     """The common-graft search behind common_grafts and witness_graph:
-    each witness with the structure both pipelines reach."""
+    each witness with the structure both pipelines reach from base and
+    its l0-twisted copy other."""
     chart = _twist_chart(config)
-    base = config.base_structure()
-    other = twist_about_meridian(base, chart, l0)
     for m in range(-twist_bound, twist_bound + 1):
         k = 2 * m - l0
         one_step = graft_along(base, twist_about_meridian(
@@ -314,7 +311,9 @@ def common_grafts(config: Configuration, l0: int,
     trades against two units absorbed by the doubled grafting class. The
     expected hit count is the full range of m.
     """
-    return [w for w, _ in _witnesses(config, l0, twist_bound)]
+    base = config.base_structure()
+    other = twist_about_meridian(base, _twist_chart(config), l0)
+    return [w for w, _ in _witnesses(config, base, other, l0, twist_bound)]
 
 
 def witness_graph(config: Configuration, l0: int,
@@ -324,15 +323,14 @@ def witness_graph(config: Configuration, l0: int,
     chart = _twist_chart(config)
     base = config.base_structure()
     other = twist_about_meridian(base, chart, l0)
-    vertices = {base.key(): Vertex(base.key(), base)}
-    vertices.setdefault(other.key(), Vertex(other.key(), other))
+    vertices = {base.key(): base}
+    vertices.setdefault(other.key(), other)
     edges = []
-    for w, target in _witnesses(config, l0, twist_bound):
-        vertices.setdefault(w.key, Vertex(w.key, target))
+    for w, target in _witnesses(config, base, other, l0, twist_bound):
+        vertices.setdefault(w.key, target)
         edges.append(Edge("graft", chart, 2 * w.m, base.key(), w.key))
         edges.append(Edge("graft", chart, w.k, other.key(), w.key))
-    return ComplexGraph(tuple(vertices.values()), tuple(edges),
-                        twist_bound, 1, base.key())
+    return ComplexGraph(vertices, tuple(edges), twist_bound, 1, base.key())
 
 
 @dataclass
@@ -603,12 +601,17 @@ def suite_names() -> Tuple[str, ...]:
     return tuple(sorted(_SUITES))
 
 
+def _suite(name: str) -> Callable[..., Report]:
+    try:
+        return _SUITES[name]
+    except KeyError:
+        raise UnknownSuite(f"unknown suite {name!r}; known: "
+                           f"{', '.join(suite_names())}") from None
+
+
 def suite_parameters(name: str) -> set:
     """Names of the range parameters the given suite accepts."""
-    if name not in _SUITES:
-        raise UnknownSuite(
-            f"unknown suite {name!r}; known: {', '.join(suite_names())}")
-    return set(inspect.signature(_SUITES[name]).parameters)
+    return set(inspect.signature(_suite(name)).parameters)
 
 
 def verify_suite(name: str, **params) -> Report:
@@ -617,9 +620,4 @@ def verify_suite(name: str, **params) -> Report:
     Unknown names raise UnknownSuite; parameters not taken by the chosen
     suite raise TypeError (surfaced by the CLI as an input error).
     """
-    try:
-        fn = _SUITES[name]
-    except KeyError:
-        raise UnknownSuite(
-            f"unknown suite {name!r}; known: {', '.join(suite_names())}")
-    return fn(**params)
+    return _suite(name)(**params)

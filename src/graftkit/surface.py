@@ -412,18 +412,15 @@ def _twist_component(comp: Component, chart: str, n: int) -> Component:
 def twist_about_meridian(obj, chart: str, n: int):
     """Apply the n-fold Dehn twist about a chart's meridian.
 
-    Works on a Component, a SurfaceMulticurve, or a Structure and returns
-    the same kind. Only the named chart's classes change; content labels,
-    other charts, and the holonomy tag are untouched.
+    Works on a Component or a Structure and returns the same kind. Only
+    the named chart's classes change; content labels, other charts, and
+    the holonomy tag are untouched.
     """
     if isinstance(obj, Structure):
         obj.model.require_chart(chart)
         comps = [_twist_component(c, chart, n)
                  for c in obj.real_curves.components]
         return structure(obj.model, comps)
-    if isinstance(obj, SurfaceMulticurve):
-        return SurfaceMulticurve(tuple(
-            _twist_component(c, chart, n) for c in obj.components))
     if isinstance(obj, Component):
         return _twist_component(obj, chart, n)
     raise TypeError(f"cannot twist {type(obj).__name__}")
@@ -586,6 +583,11 @@ def goldman_decompose(curve: SurfaceMulticurve) -> SurfaceMulticurve:
 # JSON wire format (schema 1)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are ints to Python, but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _component_to_json(comp: Component) -> dict:
     if len(comp.content) == 1 and comp.content[0][1] == 1:
         label = comp.content[0][0]
@@ -608,7 +610,7 @@ def _component_from_json(data: dict) -> Component:
         for entry in label:
             if (not isinstance(entry, list) or len(entry) != 2
                     or not isinstance(entry[0], str)
-                    or not isinstance(entry[1], int)):
+                    or not _is_int(entry[1])):
                 raise ValueError(f"label entry needs a [name, integer "
                                  f"count] pair, got {entry!r}")
         content = tuple(sorted((lab, n) for lab, n in label))
@@ -619,13 +621,13 @@ def _component_from_json(data: dict) -> Component:
         raise ValueError("curve entry needs a nonempty 'charts' object")
     for name, v in charts.items():
         if (not isinstance(v, (list, tuple)) or len(v) != 2
-                or not all(isinstance(n, int) for n in v)):
+                or not all(_is_int(n) for n in v)):
             raise ValueError(f"chart {name!r} needs a pair of integers "
                              f"[p, q], got {v!r}")
     chart_map = tuple(sorted((str(name), TorusClass(*v))
                              for name, v in charts.items()))
     mult = data.get("multiplicity", 1)
-    if not isinstance(mult, int):
+    if not _is_int(mult):
         raise ValueError(f"'multiplicity' must be an integer, got {mult!r}")
     return Component(content, chart_map, mult)
 
@@ -640,10 +642,10 @@ def parse_configuration(data: dict) -> Tuple[SurfaceModel, Structure,
     """
     if not isinstance(data, dict):
         raise ValueError("configuration must be a JSON object")
-    if data.get("schema") != 1:
+    if not _is_int(data.get("schema")) or data["schema"] != 1:
         raise ValueError("unsupported or missing 'schema' (expected 1)")
     genus = data.get("genus")
-    if not isinstance(genus, int):
+    if not _is_int(genus):
         raise ValueError("'genus' must be an integer")
     charts = data.get("charts")
     if (not isinstance(charts, list) or not charts

@@ -181,8 +181,8 @@ class TestComplexCommand:
 
 class TestInputContract:
     @pytest.mark.parametrize("field", ["curves", "gamma"])
-    @pytest.mark.parametrize("value", [5, [1], [1, 2, 3], None],
-                             ids=["int", "short", "long", "null"])
+    @pytest.mark.parametrize("value", [5, [1], [1, 2, 3], None, [True, 0]],
+                             ids=["int", "short", "long", "null", "bool"])
     def test_malformed_chart_value_is_input_error(self, tmp_path, field,
                                                   value):
         config = json.loads(json.dumps(CONFIG))
@@ -198,8 +198,14 @@ class TestInputContract:
         (("gamma", "label"), [["gamma", 1.5]]),
         (("curves", 0, "multiplicity"), None),
         (("gamma", "multiplicity"), "2"),
+        (("schema",), True),
+        (("genus",), True),
+        (("curves", 0, "label"), [["lambda", True]]),
+        (("curves", 0, "multiplicity"), True),
     ], ids=["curve-int", "gamma-int", "label-short", "label-count-str",
-            "label-count-float", "multiplicity-null", "multiplicity-str"])
+            "label-count-float", "multiplicity-null", "multiplicity-str",
+            "schema-bool", "genus-bool", "label-count-bool",
+            "multiplicity-bool"])
     def test_malformed_curve_entry_is_input_error(self, tmp_path, path,
                                                   value):
         config = json.loads(json.dumps(CONFIG))
@@ -217,12 +223,16 @@ class TestInputContract:
             assert proc.returncode == 2
             assert "usage" in proc.stderr.lower()
 
-    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    @pytest.mark.parametrize("command", [
+        ("complex", "--depth", "2", "--twist-bound", "2", "--format", "json"),
+        ("complex", "--depth", "2", "--twist-bound", "2", "--format", "dot"),
+        # an inadmissible curve: the output path fails before the graft
+        ("graft", "--curve", "g@a=3,1"),
+    ], ids=["json", "dot", "graft"])
     def test_unwritable_graph_output_fails_before_work(self, config_path,
-                                                       tmp_path, fmt):
+                                                       tmp_path, command):
         out = tmp_path / "missing_dir" / "g.out"
-        proc = run_cli("complex", config_path, "--depth", "2",
-                       "--twist-bound", "2", "--format", fmt,
+        proc = run_cli(command[0], config_path, *command[1:],
                        "--output", str(out))
         assert proc.returncode == 2
         assert proc.stdout == ""

@@ -1,5 +1,6 @@
 """Graph enumeration, witness search, fan collapse, and named suites."""
 
+import hashlib
 import json
 
 import pytest
@@ -39,7 +40,7 @@ class TestBuildComplex:
 
     def test_every_vertex_reachable(self):
         graph = build_complex(standard_configuration(), 2, 2)
-        adjacency = {v.key: set() for v in graph.vertices}
+        adjacency = {key: set() for key in graph.vertices}
         for e in graph.edges:
             adjacency[e.src].add(e.dst)
             adjacency[e.dst].add(e.src)
@@ -162,11 +163,10 @@ class TestOrientationFree:
                 return None
 
         admitted = 0
-        for vertex in graph.vertices:
+        for struct in graph.vertices.values():
             for _, gamma in grafts:
-                key = landing(vertex.structure, gamma)
-                assert key == landing(vertex.structure,
-                                      reversed_curve(gamma))
+                key = landing(struct, gamma)
+                assert key == landing(struct, reversed_curve(gamma))
                 admitted += key is not None
         assert admitted > 0
 
@@ -191,12 +191,11 @@ class TestKeyCongruence:
         config = standard_configuration(charts)
         graph = build_complex(config, bound, depth)
         grafts = complex_graph._grafts(config, bound)
-        reps = {v.key: v.structure for v in graph.vertices}
         checked = 0
-        for vertex in graph.vertices:
-            for desc, result in complex_graph._expand(
-                    config, vertex.structure, grafts):
-                rep = reps.get(result.key())
+        for struct in graph.vertices.values():
+            for desc, result in complex_graph._expand(config, struct,
+                                                      grafts):
+                rep = graph.vertices.get(result.key())
                 if rep is None or (result.real_curves.components
                                    == rep.real_curves.components):
                     continue
@@ -207,6 +206,45 @@ class TestKeyCongruence:
 
 
 class TestExports:
+    @pytest.mark.parametrize("build,export,digest", [
+        ((1, 8, 4), "to_json_bytes", "5acfe63155a77960458a7e89644e6b7a"
+                                     "a1442647c8fac609b78abd715e9af1fe"),
+        ((1, 8, 4), "to_dot", "9f85646e8232d2d716a61895240c1886"
+                              "695308d423095578a8134a828b3e32c6"),
+        ((2, 4, 3), "to_json_bytes", "4836e84c66e2ef41be74243326974341"
+                                     "ab4f5da49f689cec5dae88851fb05df7"),
+        ((2, 4, 3), "to_dot", "aefabc87dfb021cc6a4da0b191575ed1"
+                              "ad4481117fc87fb20ea82d2fc5f59eaf"),
+        ((3, 2, 3), "to_json_bytes", "3ac7dbfd9cd176536e2659898919e6d5"
+                                     "21ad9b00e623a3cceaf130ac7e1ec983"),
+        ((3, 2, 3), "to_dot", "6a1b836d567e964550bd924ebb008e22"
+                              "54a612170b6f2f4d696a7caa39ba5b04"),
+        ("witness", "to_json_bytes", "1d9913939c7886c1f6bd4ae5523b753d"
+                                     "7f6e678ea9487f044f3ee42e3a6a5a03"),
+    ])
+    def test_pinned_export_digest(self, build, export, digest):
+        # (charts, twist bound, depth) of build_complex, or the witness
+        # graph at l0 = 1, twist bound 8
+        if build == "witness":
+            graph = witness_graph(standard_configuration(), 1, 8)
+        else:
+            charts, bound, depth = build
+            graph = build_complex(standard_configuration(charts), bound,
+                                  depth)
+        data = getattr(graph, export)()
+        if isinstance(data, str):
+            data = data.encode()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("witness", [False, True],
+                             ids=["complex", "witness"])
+    def test_vertex_map_keyed_by_structure_key(self, witness):
+        config = standard_configuration(1 if witness else 2)
+        graph = (witness_graph(config, 1, 3) if witness
+                 else build_complex(config, 2, 2))
+        assert graph.vertices
+        for key, struct in graph.vertices.items():
+            assert struct.key() == key
     def test_json_export_shape(self):
         graph = build_complex(standard_configuration(), 2, 1)
         data = json.loads(graph.to_json_bytes())
