@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import logging
 import os
@@ -148,13 +149,22 @@ def _load_configuration(path: str):
     return parse_configuration(data)
 
 
-def _destination(path: Optional[str], mode: str):
-    """Open an output file before the work that fills it, so that an
-    unwritable path fails at once with nothing printed; without a path,
-    a context that yields None."""
+@contextlib.contextmanager
+def _destination(path: Optional[str], binary: bool = False):
+    """Yield a buffer for an output file, written to the file only when
+    the work succeeds. The file is opened before the work but not
+    truncated, so an unwritable path fails at once with nothing printed
+    and a failed run leaves an existing file as it was. Without a path,
+    yield None."""
     if not path:
-        return contextlib.nullcontext()
-    return open(path, mode, encoding=None if "b" in mode else "utf-8")
+        yield None
+        return
+    with open(path, "ab" if binary else "a",
+              encoding=None if binary else "utf-8") as handle:
+        buffer = io.BytesIO() if binary else io.StringIO()
+        yield buffer
+        handle.truncate(0)
+        handle.write(buffer.getvalue())
 
 
 def _cmd_torus(ns: argparse.Namespace) -> int:
@@ -174,7 +184,7 @@ def _cmd_graft(ns: argparse.Namespace) -> int:
     curve = parse_curve_spec(ns.curve)
     for name, _cls in curve.charts:
         struct.model.require_chart(name)
-    with _destination(ns.output, "w") as handle:
+    with _destination(ns.output) as handle:
         result = graft_along(struct, curve)
         # print writes to standard output when handle is None
         print(json.dumps(structure_to_json(result), indent=2,
@@ -192,7 +202,7 @@ def _cmd_complex(ns: argparse.Namespace) -> int:
         "lambda", {n: c for n, c in totals.items() if c != (0, 0)})
     configuration = validate_configuration(model, lam_total, gamma)
     dot = ns.format == "dot"
-    with _destination(ns.output, "w" if dot else "wb") as handle:
+    with _destination(ns.output, binary=not dot) as handle:
         graph = build_complex(configuration, ns.twist_bound, ns.depth,
                               seed=struct)
         print(f"vertices={len(graph.vertices)} edges={len(graph.edges)} "
@@ -213,7 +223,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     if rejected:
         raise ValueError(f"suite {ns.suite!r} does not take: "
                          f"{', '.join(rejected)}")
-    with _destination(ns.json_path, "w") as handle:
+    with _destination(ns.json_path) as handle:
         report = verify_suite(ns.suite, **offered)
         for line in report.lines():
             print(line)

@@ -183,31 +183,12 @@ class Structure:
         return self.model.holonomy_tag
 
     def key(self) -> str:
-        """The canonical key, computed on first use and kept."""
+        """The canonical key, computed on first use and kept. The key
+        forgets how the totals split into components."""
         if self._key is None:
             object.__setattr__(self, "_key",
                                canonical_key(self.real_curves, self.model))
         return self._key
-
-    def __eq__(self, other) -> bool:
-        """Equal holonomy tag and canonical key.
-
-        The key is a projection: it keeps the content and chart totals,
-        not how they split into components, and admissibility can depend
-        on that split (in one chart, x@(1,2) + x@(1,-2) and a doubled
-        x@(2,0) share a key, yet only the second admits grafting (1,0)).
-        On the structures the grafting complex reaches from a standard
-        configuration, same-key representatives have the same moves to
-        the same keys, so the projection is sound there; the congruence
-        test in tests/test_complex.py checks this on enumerated graphs.
-        """
-        if not isinstance(other, Structure):
-            return NotImplemented
-        return (self.holonomy_tag == other.holonomy_tag
-                and self.key() == other.key())
-
-    def __hash__(self) -> int:
-        return hash((self.holonomy_tag, self.key()))
 
 
 def structure(model: SurfaceModel,
@@ -319,12 +300,19 @@ def _spiral_sign(lam_total: TorusClass, gamma_cls: TorusClass) -> int:
 
 @dataclass(frozen=True)
 class Admissibility:
-    ok: bool
+    """One graft decision: the route taken, or None and the failed
+    condition. A crossing decision also carries the real components the
+    curve crosses and their total class per chart, in model order; the
+    spiraling graft reads both, so it grafts against the totals the
+    spiral directions were checked on."""
+
     route: Optional[str]
     reason: str
+    crossed: Tuple[Component, ...] = field(default=(), repr=False)
+    totals: Tuple[TorusClass, ...] = field(default=(), repr=False)
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.route is not None
 
 
 def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
@@ -333,37 +321,40 @@ def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
     Disjoint route: no chart crossings with any real component (distinct
     exterior labels never meet outside charts). Spiraling route: every
     chart with crossings carries a single strand of gamma (|p| = 1) and a
-    well-defined spiral direction. Returns the route taken, or the failed
-    condition.
+    well-defined spiral direction against the total of the crossed
+    components there. Returns the route taken, or the failed condition.
     """
     model = struct.model
-    crossing_charts = []
-    for name in model.charts:
-        g = gamma.chart_class(name)
-        if g == (0, 0):
-            continue
-        total = sum(
-            comp.multiplicity * geometric_intersection(comp.chart_class(name), g)
-            for comp in struct.real_curves.components)
-        if total:
-            crossing_charts.append(name)
-    if not crossing_charts:
-        return Admissibility(True, "disjoint",
+    classes = dict(reversed(gamma.charts))  # first wins, as chart_class
+    live = [(name, classes[name]) for name in model.charts
+            if classes.get(name, (0, 0)) != (0, 0)]
+    crossed = []
+    hit = set()
+    for comp in struct.real_curves.components:
+        charts = {name for name, g in live
+                  if geometric_intersection(comp.chart_class(name), g)}
+        if charts:
+            crossed.append(comp)
+            hit |= charts
+    if not crossed:
+        return Admissibility("disjoint",
                              "disjoint from the real curves in every chart")
-    for name in crossing_charts:
-        g = gamma.chart_class(name)
+    lam = SurfaceMulticurve(tuple(crossed))
+    totals = tuple(lam.total_chart_class(name) for name in model.charts)
+    crossing = [(name, g) for name, g in live if name in hit]
+    for name, g in crossing:
         if abs(g.p) != 1:
             return Admissibility(
-                False, None,
-                f"chart {name!r}: grafting class {g} is not a single strand")
-        lam_total = struct.real_curves.total_chart_class(name)
+                None, f"chart {name!r}: grafting class {g} is not a single "
+                      f"strand")
+        lam_total = totals[model.charts.index(name)]
         if _spiral_sign(lam_total, g) == 0:
             return Admissibility(
-                False, None,
-                f"chart {name!r}: no spiral direction for {g} against "
-                f"{lam_total}")
-    return Admissibility(True, "spiraling",
-                         f"spiraling through {', '.join(crossing_charts)}")
+                None, f"chart {name!r}: no spiral direction for {g} "
+                      f"against {lam_total}")
+    names = ", ".join(name for name, _ in crossing)
+    return Admissibility("spiraling", f"spiraling through {names}",
+                         lam.components, totals)
 
 
 def check_spiraling_hypotheses(gamma_prime: Component, gamma: Component,
@@ -489,7 +480,7 @@ def graft_spiraling(struct: Structure, gamma: Component) -> Structure:
             "curve is disjoint from the real curves; nothing spirals")
     if not adm:
         raise NotAdmissible(adm.reason)
-    return _graft_spiraling(struct, gamma)
+    return _graft_spiraling(struct, gamma, adm)
 
 
 def graft_along(struct: Structure, gamma: Component) -> Structure:
@@ -501,11 +492,11 @@ def graft_along(struct: Structure, gamma: Component) -> Structure:
         raise NotAdmissible(adm.reason)
     if adm.route == "disjoint":
         return _graft_disjoint(struct, gamma)
-    return _graft_spiraling(struct, gamma)
+    return _graft_spiraling(struct, gamma, adm)
 
 
 # The graft cores assume the route is admissible; the public grafts above
-# check it first.
+# check it first and hand the spiraling core their decision.
 
 
 def _graft_disjoint(struct: Structure, gamma: Component) -> Structure:
@@ -514,32 +505,18 @@ def _graft_disjoint(struct: Structure, gamma: Component) -> Structure:
                      list(struct.real_curves.components) + [doubled])
 
 
-def _graft_spiraling(struct: Structure, gamma: Component) -> Structure:
+def _graft_spiraling(struct: Structure, gamma: Component,
+                     adm: Admissibility) -> Structure:
     model = struct.model
     # The graft depends on the unoriented curve: fix the orientation
     # whose first nonzero chart entry is positive.
     gamma = _normalized(gamma, model.charts)
-    crossed = []
-    rest = []
-    for comp in struct.real_curves.components:
-        hits = sum(
-            geometric_intersection(comp.chart_class(name),
-                                   gamma.chart_class(name))
-            for name in model.charts)
-        (crossed if hits else rest).append(comp)
-
-    content: Counter = Counter()
-    for comp in crossed:
-        for lab, n in comp.content:
-            content[lab] += n * comp.multiplicity
+    content = SurfaceMulticurve(adm.crossed).content_total()
     for lab, n in gamma.content:
         content[lab] += 2 * n * gamma.multiplicity
 
     charts: Dict[str, TorusClass] = {}
-    for name in model.charts:
-        lam_total = TorusClass(
-            sum(c.multiplicity * c.chart_class(name).p for c in crossed),
-            sum(c.multiplicity * c.chart_class(name).q for c in crossed))
+    for name, lam_total in zip(model.charts, adm.totals):
         g = gamma.chart_class(name)
         doubled = TorusClass(2 * gamma.multiplicity * g.p,
                              2 * gamma.multiplicity * g.q)
@@ -553,6 +530,8 @@ def _graft_spiraling(struct: Structure, gamma: Component) -> Structure:
         if merged != (0, 0):
             charts[name] = merged
     fused = _merged_component(content, charts, 1)
+    rest = [comp for comp in struct.real_curves.components
+            if comp not in adm.crossed]
     return structure(model, rest + [fused])
 
 
@@ -651,7 +630,9 @@ def parse_configuration(data: dict) -> Tuple[SurfaceModel, Structure,
     if (not isinstance(charts, list) or not charts
             or not all(isinstance(c, str) for c in charts)):
         raise ValueError("'charts' must be a nonempty list of names")
-    holonomy = str(data.get("holonomy", "rho"))
+    holonomy = data.get("holonomy", "rho")
+    if not isinstance(holonomy, str):
+        raise ValueError(f"'holonomy' must be a string, got {holonomy!r}")
     try:
         model = SurfaceModel(genus, holonomy, tuple(charts))
     except ValueError as exc:

@@ -202,10 +202,14 @@ class TestInputContract:
         (("genus",), True),
         (("curves", 0, "label"), [["lambda", True]]),
         (("curves", 0, "multiplicity"), True),
+        (("holonomy",), None),
+        (("holonomy",), False),
+        (("holonomy",), {"x": [1]}),
     ], ids=["curve-int", "gamma-int", "label-short", "label-count-str",
             "label-count-float", "multiplicity-null", "multiplicity-str",
             "schema-bool", "genus-bool", "label-count-bool",
-            "multiplicity-bool"])
+            "multiplicity-bool", "holonomy-null", "holonomy-bool",
+            "holonomy-object"])
     def test_malformed_curve_entry_is_input_error(self, tmp_path, path,
                                                   value):
         config = json.loads(json.dumps(CONFIG))
@@ -237,6 +241,20 @@ class TestInputContract:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
+
+    def test_failed_run_keeps_existing_output(self, config_path, tmp_path):
+        # an inadmissible curve: exit 1, and the old bytes stay
+        out = tmp_path / "keep.json"
+        out.write_bytes(b"keep")
+        proc = run_cli("graft", config_path, "--curve", "g@a=3,1",
+                       "--output", str(out))
+        assert proc.returncode == 1
+        assert out.read_bytes() == b"keep"
+        # a run that succeeds replaces them
+        proc = run_cli("graft", config_path, "--curve", "gamma@a=1,0",
+                       "--output", str(out))
+        assert proc.returncode == 0
+        assert json.loads(out.read_text())["schema"] == 1
 
     def test_unwritable_report_path_fails_before_work(self, tmp_path):
         out = tmp_path / "missing_dir" / "r.json"

@@ -1,6 +1,7 @@
 """Charted-surface layer: validation, spiraling, grafting, canonical keys."""
 
 import json
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -174,9 +175,12 @@ class TestAdmissibility:
         model = hopf_model()
         lam = component("lambda", {"a": (0, 2)})
         bad = component("gamma", {"a": (1, 0)})
-        verdict = is_admissible(bad, structure(model, [lam]))
-        assert not verdict
-        assert "spiral" in verdict.reason or "strand" in verdict.reason
+        # an uncrossed y@(1,0) leaves the crossed total (0,2) as it is
+        uncrossed = component("y", {"a": (1, 0)})
+        for real in ([lam], [lam, uncrossed]):
+            verdict = is_admissible(bad, structure(model, real))
+            assert not verdict
+            assert "spiral" in verdict.reason or "strand" in verdict.reason
 
 
 class TestMeridianTwist:
@@ -375,6 +379,56 @@ class TestKeyDefinition:
         first = struct.key()
         assert struct.key() is first
         assert first == canonical_key(struct.real_curves, model)
+
+
+small_classes = st.builds(TorusClass, st.integers(-2, 2), st.integers(-2, 2))
+charted_components = st.builds(
+    component, st.sampled_from("xyz"),
+    st.dictionaries(st.sampled_from(KEY_MODEL.charts), small_classes),
+    st.integers(1, 2))
+# Mostly single strands, so most curves reach the spiral-direction check.
+grafting_curves = st.builds(
+    component, st.just("g"),
+    st.dictionaries(st.sampled_from(KEY_MODEL.charts),
+                    st.builds(TorusClass, st.integers(-1, 1),
+                              st.integers(-1, 1))),
+    st.integers(1, 2))
+
+
+@st.composite
+def uncrossed_components(draw, gamma):
+    """A component the curve crosses in no chart: where the curve is
+    nonzero, a multiple of its primitive class."""
+    charts = {}
+    for name in KEY_MODEL.charts:
+        g = gamma.chart_class(name)
+        if g == (0, 0):
+            charts[name] = draw(small_classes)
+        else:
+            k = draw(st.integers(-2, 2))
+            d = gcd(g.p, g.q)
+            charts[name] = (k * g.p // d, k * g.q // d)
+    return component("e", charts, draw(st.integers(1, 2)))
+
+
+class TestOneDecision:
+    """Admissibility and the graft read the same crossed totals, so a
+    component the curve never crosses changes neither."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_uncrossed_component_changes_nothing(self, data):
+        comps = data.draw(st.lists(charted_components, max_size=3))
+        gamma = data.draw(grafting_curves)
+        extra = data.draw(uncrossed_components(gamma))
+        before = structure(KEY_MODEL, comps)
+        after = structure(KEY_MODEL, comps + [extra])
+        verdict = is_admissible(gamma, before)
+        assert is_admissible(gamma, after).route == verdict.route
+        if verdict:
+            grafted = graft_along(before, gamma).real_curves.components
+            assert graft_along(after, gamma).key() == \
+                structure(KEY_MODEL, grafted + (extra,)).key()
 
 
 class TestGoldman:
