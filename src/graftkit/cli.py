@@ -154,15 +154,21 @@ def _destination(path: Optional[str], binary: bool = False):
     """Yield a buffer for an output file, written to the file only when
     the work succeeds. The file is opened before the work but not
     truncated, so an unwritable path fails at once with nothing printed
-    and a failed run leaves an existing file as it was. Without a path,
-    yield None."""
+    and a failed run leaves an existing file as it was, and removes a
+    file it created. Without a path, yield None."""
     if not path:
         yield None
         return
+    created = not os.path.lexists(path)
     with open(path, "ab" if binary else "a",
               encoding=None if binary else "utf-8") as handle:
         buffer = io.BytesIO() if binary else io.StringIO()
-        yield buffer
+        try:
+            yield buffer
+        except BaseException:
+            if created:
+                os.remove(path)
+            raise
         handle.truncate(0)
         handle.write(buffer.getvalue())
 

@@ -39,8 +39,6 @@ from .surface import (
     component,
     goldman_decompose,
     graft_along,
-    graft_disjoint,
-    graft_spiraling,
     is_admissible,  # unused here, but bench/test_bench.py looks it up here
     structure,
     twist_about_curve,
@@ -468,7 +466,7 @@ def _suite_dehn_twist(k_max: int = 6) -> Report:
             lam_k = twist_about_meridian(config.lam, chart, sign * (k - 1))
             start = structure(config.model, [lam_k])
             gam_k = twist_about_meridian(config.gamma, chart, sign * k)
-            grafted = graft_spiraling(start, gam_k)
+            grafted = graft_along(start, gam_k)
             reference = twist_about_curve(start, gam_k, sign)
             report.add(
                 f"{name}-spiraling graft at k={k} matches the "
@@ -506,7 +504,7 @@ def _suite_goldman(trials: int = 100, seed: int = 7) -> Report:
         current = structure(model, [])
         try:
             for comp in sigma:
-                current = graft_disjoint(current, comp)
+                current = graft_along(current, comp)
             ok = current.key() == target
             detail = f"{current.key()} vs {target}"
         except NotAdmissible as exc:

@@ -30,10 +30,6 @@ class NotAdmissible(GraftError):
     """Grafting curve admits neither the disjoint nor the spiraling route."""
 
 
-class NonSpiralingCurve(GraftError):
-    """Spiral grafting requested for a curve with no spiraling chart."""
-
-
 class UnknownChart(GraftError):
     """Named chart does not exist in the surface model."""
 

@@ -16,6 +16,11 @@ is a finite set of components, each carrying
 Structure identity is the canonical key of the real multicurve: the
 sorted content totals together with per-chart homology totals of
 sign-normalized components. Operations reduce to chart torus arithmetic.
+
+There is one graft, graft_along. is_admissible decides its route and,
+for a curve that crosses the real curves, fixes the curve's orientation,
+the crossed components, and per chart their total and smoothing; the
+graft only does arithmetic on that decision.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     BadIntersectionPattern,
-    NonSpiralingCurve,
     NotAdmissible,
     OddMultiplicity,
     UnknownChart,
@@ -301,15 +305,18 @@ def _spiral_sign(lam_total: TorusClass, gamma_cls: TorusClass) -> int:
 @dataclass(frozen=True)
 class Admissibility:
     """One graft decision: the route taken, or None and the failed
-    condition. A crossing decision also carries the real components the
-    curve crosses and their total class per chart, in model order; the
-    spiraling graft reads both, so it grafts against the totals the
-    spiral directions were checked on."""
+    condition. A crossing decision also fixes all the graft needs: the
+    curve oriented so its first nonzero chart entry is positive, the real
+    components it crosses, and per chart in model order their total and
+    the smoothing (FLAT where the spiral turns left, else SHARP; where
+    nothing crosses, both give the plain sum)."""
 
     route: Optional[str]
-    reason: str
+    reason: str = ""
+    oriented: Optional[Component] = field(default=None, repr=False)
     crossed: Tuple[Component, ...] = field(default=(), repr=False)
     totals: Tuple[TorusClass, ...] = field(default=(), repr=False)
+    modes: Tuple[Mode, ...] = field(default=(), repr=False)
 
     def __bool__(self) -> bool:
         return self.route is not None
@@ -337,24 +344,31 @@ def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
             crossed.append(comp)
             hit |= charts
     if not crossed:
-        return Admissibility("disjoint",
-                             "disjoint from the real curves in every chart")
+        return Admissibility("disjoint")
     lam = SurfaceMulticurve(tuple(crossed))
     totals = tuple(lam.total_chart_class(name) for name in model.charts)
-    crossing = [(name, g) for name, g in live if name in hit]
-    for name, g in crossing:
+    # The graft depends on the unoriented curve: fix the orientation
+    # whose first nonzero chart entry is positive, and read each spiral
+    # direction on it.
+    oriented = _normalized(gamma, model.charts)
+    modes = []
+    for name, lam_total in zip(model.charts, totals):
+        if name not in hit:
+            modes.append(Mode.SHARP)
+            continue
+        g = classes[name]
         if abs(g.p) != 1:
             return Admissibility(
                 None, f"chart {name!r}: grafting class {g} is not a single "
                       f"strand")
-        lam_total = totals[model.charts.index(name)]
-        if _spiral_sign(lam_total, g) == 0:
+        sign = _spiral_sign(lam_total, oriented.chart_class(name))
+        if sign == 0:
             return Admissibility(
                 None, f"chart {name!r}: no spiral direction for {g} "
                       f"against {lam_total}")
-    names = ", ".join(name for name, _ in crossing)
-    return Admissibility("spiraling", f"spiraling through {names}",
-                         lam.components, totals)
+        modes.append(Mode.SHARP if sign > 0 else Mode.FLAT)
+    return Admissibility("spiraling", "", oriented, lam.components, totals,
+                         tuple(modes))
 
 
 def check_spiraling_hypotheses(gamma_prime: Component, gamma: Component,
@@ -451,88 +465,36 @@ def twist_about_curve(struct: Structure, curve: Component,
 # Grafting
 
 
-def graft_disjoint(struct: Structure, gamma: Component) -> Structure:
-    """Graft along a curve disjoint from the real curves.
-
-    The real multicurve gains two parallel leaves of the grafting curve;
-    nothing else changes.
-    """
-    adm = is_admissible(gamma, struct)
-    if not adm or adm.route != "disjoint":
-        raise NotAdmissible(adm.reason if not adm else
-                            "curve crosses the real curves; use the "
-                            "spiraling graft")
-    return _graft_disjoint(struct, gamma)
-
-
-def graft_spiraling(struct: Structure, gamma: Component) -> Structure:
-    """Graft along a spiraling curve that crosses the real curves.
-
-    Every crossed component fuses with two leaves of the grafting curve.
-    In each crossing chart the fused class is the crossing resolution of
-    the crossed total with the doubled grafting class, SHARP where the
-    spiral turns right (positive spiral sign) and FLAT where it turns
-    left; charts without crossings contribute the plain homology sum.
-    """
-    adm = is_admissible(gamma, struct)
-    if adm.route == "disjoint":
-        raise NonSpiralingCurve(
-            "curve is disjoint from the real curves; nothing spirals")
-    if not adm:
-        raise NotAdmissible(adm.reason)
-    return _graft_spiraling(struct, gamma, adm)
-
-
 def graft_along(struct: Structure, gamma: Component) -> Structure:
-    """Graft dispatcher: disjoint route when there are no chart crossings,
-    spiraling route otherwise. Checks admissibility once; an inadmissible
-    curve raises NotAdmissible whose message is the failed condition."""
+    """Graft along a curve by the route its admissibility decision took.
+
+    A disjoint curve adds two parallel leaves of itself. A crossing curve
+    fuses the crossed components with two of its leaves: per chart, the
+    crossed total resolved with the doubled oriented curve in the decided
+    smoothing. An inadmissible curve raises NotAdmissible whose message
+    is the failed condition.
+    """
     adm = is_admissible(gamma, struct)
     if not adm:
         raise NotAdmissible(adm.reason)
+    comps = struct.real_curves.components
     if adm.route == "disjoint":
-        return _graft_disjoint(struct, gamma)
-    return _graft_spiraling(struct, gamma, adm)
-
-
-# The graft cores assume the route is admissible; the public grafts above
-# check it first and hand the spiraling core their decision.
-
-
-def _graft_disjoint(struct: Structure, gamma: Component) -> Structure:
-    doubled = Component(gamma.content, gamma.charts, 2 * gamma.multiplicity)
-    return structure(struct.model,
-                     list(struct.real_curves.components) + [doubled])
-
-
-def _graft_spiraling(struct: Structure, gamma: Component,
-                     adm: Admissibility) -> Structure:
-    model = struct.model
-    # The graft depends on the unoriented curve: fix the orientation
-    # whose first nonzero chart entry is positive.
-    gamma = _normalized(gamma, model.charts)
+        doubled = Component(gamma.content, gamma.charts,
+                            2 * gamma.multiplicity)
+        return structure(struct.model, list(comps) + [doubled])
+    oriented = adm.oriented
+    twice = 2 * oriented.multiplicity
     content = SurfaceMulticurve(adm.crossed).content_total()
-    for lab, n in gamma.content:
-        content[lab] += 2 * n * gamma.multiplicity
-
-    charts: Dict[str, TorusClass] = {}
-    for name, lam_total in zip(model.charts, adm.totals):
-        g = gamma.chart_class(name)
-        doubled = TorusClass(2 * gamma.multiplicity * g.p,
-                             2 * gamma.multiplicity * g.q)
-        if geometric_intersection(lam_total, g) == 0:
-            merged = TorusClass(lam_total.p + doubled.p,
-                                lam_total.q + doubled.q)
-        else:
-            sign = _spiral_sign(lam_total, g)
-            mode = Mode.SHARP if sign > 0 else Mode.FLAT
-            merged = resolve(lam_total, doubled, mode)
-        if merged != (0, 0):
-            charts[name] = merged
+    for lab, n in oriented.content:
+        content[lab] += twice * n
+    charts = {}
+    for name, lam_total, mode in zip(struct.model.charts, adm.totals,
+                                     adm.modes):
+        p, q = oriented.chart_class(name)
+        charts[name] = resolve(lam_total, (twice * p, twice * q), mode)
     fused = _merged_component(content, charts, 1)
-    rest = [comp for comp in struct.real_curves.components
-            if comp not in adm.crossed]
-    return structure(model, rest + [fused])
+    rest = [comp for comp in comps if comp not in adm.crossed]
+    return structure(struct.model, rest + [fused])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Command-line contract: pinned output strings and the exit-code table."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graftkit import Report, cli
+from graftkit import Report, cli, suite_names
 
 
 CONFIG = {
@@ -256,6 +262,14 @@ class TestInputContract:
         assert proc.returncode == 0
         assert json.loads(out.read_text())["schema"] == 1
 
+    def test_failed_run_leaves_no_new_output(self, config_path, tmp_path):
+        # an inadmissible curve: exit 1, and no file appears
+        out = tmp_path / "new.json"
+        proc = run_cli("graft", config_path, "--curve", "g@a=3,1",
+                       "--output", str(out))
+        assert proc.returncode == 1
+        assert not out.exists()
+
     def test_unwritable_report_path_fails_before_work(self, tmp_path):
         out = tmp_path / "missing_dir" / "r.json"
         proc = run_cli("verify", "--suite", "flatsharp", "--json", str(out))
@@ -297,3 +311,208 @@ class TestVerifyCommand:
         code = cli.main(["verify", "--suite", "flatsharp"])
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed exit-code contract: main(argv) in-process, small sizes only.
+
+SMALL = st.integers(-3, 3)
+ODD_VALUES = st.sampled_from([None, True, False, 0, -1, 5, 1.5, "", "x",
+                              [], {}, [1], [True, 0], [1, 2, 3], ["a"],
+                              [["x", 1]], {"a": [1, 0]}])
+
+
+def _mostly(likely, rarely):
+    """Draws from `likely` 19 times in 20, else from `rarely`."""
+    return st.integers(0, 19).flatmap(
+        lambda roll: rarely if roll == 10 else likely)
+
+
+CHART_SETS = _mostly(st.sampled_from(["a", "ab", "abc"]).map(list),
+                     st.lists(st.sampled_from(["a", "b", ""]), max_size=3))
+LABELS = _mostly(st.sampled_from(["lambda", "x", "y"]),
+                 st.one_of(st.just(""),
+                           st.lists(st.tuples(st.sampled_from(["x", "y"]),
+                                              st.integers(-1, 2)).map(list),
+                                    max_size=2)))
+MULTIPLICITIES = _mostly(st.integers(1, 2), st.integers(-1, 3))
+
+
+def _chart_values(real):
+    """A chart class: the shape `complex` accepts (|p| = 2 for a real
+    curve, 1 for gamma, meridian-twisted), or any small pair."""
+    shaped = st.tuples(st.sampled_from([2, -2] if real else [1, -1]),
+                       SMALL).map(lambda pq: [pq[0], pq[0] * pq[1]])
+    return _mostly(shaped, st.tuples(SMALL, SMALL).map(list))
+
+
+def _curve_entry(charts, real):
+    names = st.sampled_from(charts + ["z"]) if charts else st.just("z")
+    return st.fixed_dictionaries(
+        {"label": LABELS if real else st.just("gamma"),
+         "charts": st.dictionaries(_mostly(st.sampled_from(charts), names)
+                                   if charts else names,
+                                   _chart_values(real), min_size=1,
+                                   max_size=3)},
+        optional={"multiplicity": MULTIPLICITIES})
+
+
+def _slots(value):
+    """Every (container, key) that holds a value inside a JSON value."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield value, key
+        yield from _slots(child)
+
+
+@st.composite
+def config_texts(draw):
+    """A configuration file's text: a valid shape, one with a value
+    replaced or dropped, or text that is not a JSON object."""
+    if draw(st.integers(0, 19)) == 10:
+        return draw(st.sampled_from(["", "{", "[1, 2]", "null", "7"]))
+    charts = draw(CHART_SETS)
+    config = {"schema": 1, "genus": draw(_mostly(st.integers(2, 3),
+                                                 st.integers(0, 1))),
+              "charts": charts}
+    if draw(st.booleans()):
+        # the standard shape: one real curve and gamma, twisted alike
+        twists = [draw(SMALL) for _ in charts]
+        config["curves"] = [{"label": "lambda", "charts": {
+            name: [2, 2 * k] for name, k in zip(charts, twists)}}]
+        config["gamma"] = {"label": "gamma", "charts": {
+            name: [1, k] for name, k in zip(charts, twists)}}
+    else:
+        config["curves"] = draw(st.lists(_curve_entry(charts, True),
+                                         max_size=2))
+        if draw(_mostly(st.just(True), st.just(False))):
+            config["gamma"] = draw(_curve_entry(charts, False))
+    if draw(st.booleans()):
+        config["holonomy"] = "rho"
+    if draw(st.integers(0, 3)) == 2:
+        container, key = draw(st.sampled_from(list(_slots(config))))
+        if draw(st.booleans()):
+            container[key] = draw(ODD_VALUES)
+        else:
+            del container[key]
+    return json.dumps(config)
+
+
+INTS = _mostly(SMALL.map(str), st.sampled_from(["", "x", "1.5", "9" * 30]))
+CLASS_TEXTS = _mostly(st.tuples(SMALL, SMALL).map("{0[0]},{0[1]}".format),
+                      st.text("0123456789,-x ", max_size=6))
+CURVE_SPECS = _mostly(
+    st.builds("{}@{}={},{}{}".format,
+              st.sampled_from(["g", "gamma"]), st.sampled_from(["a", "b"]),
+              st.sampled_from([1, -1]), SMALL,
+              _mostly(st.sampled_from(["", ":1", ":2"]),
+                      st.sampled_from([":0", ":x", ":"]))),
+    st.one_of(st.builds("g@a={},{}@b={},{}".format, SMALL, SMALL, SMALL,
+                        SMALL),
+              st.text("ga@=,:-01bz", max_size=12)))
+
+
+def _optional(flag, values):
+    """The flag with a drawn value, or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _required(flag, values):
+    """The flag with a drawn value, left out one time in 20."""
+    return _mostly(values.map(lambda v: [flag, v]), st.just([]))
+
+
+@st.composite
+def invocations(draw):
+    """argv for one of the four subcommands, with {config} and {out}
+    standing for file paths the test fills in."""
+    command = draw(st.sampled_from(["torus", "graft", "complex", "verify"]))
+    if command == "torus":
+        op = draw(st.sampled_from(["intersect", "resolve", "twist"]))
+        argv = ["torus", op, draw(CLASS_TEXTS)]
+        if op == "resolve":
+            argv += draw(_required("--mode", _mostly(
+                st.sampled_from(["sharp", "flat"]), st.just("round"))))
+        if op == "twist":
+            argv += draw(_required("--about", CLASS_TEXTS))
+            argv += draw(_optional("-k", INTS))
+        else:
+            argv.append(draw(CLASS_TEXTS))
+        return argv
+    out = draw(_optional("--output" if command != "verify" else "--json",
+                         st.just("{out}")))
+    if command == "graft":
+        return (["graft", "{config}"] + draw(_required("--curve",
+                                                       CURVE_SPECS)) + out)
+    if command == "complex":
+        sizes = _mostly(st.integers(0, 2).map(str),
+                        st.sampled_from(["-1", "x"]))
+        return (["complex", "{config}"] + draw(_required("--depth", sizes))
+                + draw(_required("--twist-bound", sizes))
+                + draw(_optional("--format", _mostly(
+                    st.sampled_from(["json", "dot"]), st.just("png"))))
+                + out)
+    suite = draw(_mostly(st.sampled_from(suite_names()), st.just("bogus")))
+    argv = ["verify", "--suite", suite] + out
+    # the size flags a suite takes are always given small values, so no
+    # suite runs at its (large) default size
+    sizes = {"--k-max": ("k_max", 3), "--range": ("sweep", 1),
+             "--trials": ("trials", 3), "--twist-bound": ("twist_bound", 2)}
+    taken = (cli.suite_parameters(suite) if suite in suite_names()
+             else set())
+    for flag, (name, top) in sizes.items():
+        value = st.integers(0, top).map(str)
+        if name in taken:
+            argv += [flag, draw(value)]
+        elif draw(st.integers(0, 9)) == 0:
+            argv += [flag, draw(value)]
+    for flag, name in (("--seed", "seed"), ("--l0", "l0")):
+        if name in taken or draw(st.integers(0, 9)) == 0:
+            argv += draw(_optional(flag, INTS))
+    return argv
+
+
+class TestFuzzedContract:
+    """Any input exits 0, 1 or 2 (argparse's usage errors included) with
+    no traceback; exit 2 prints one `error:` line or a usage error, and a
+    failed run leaves no new output file and an existing one as it was."""
+
+    @given(argv=invocations(), config=config_texts(),
+           output=st.sampled_from(["new", "existing", "missing_dir"]))
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_contract(self, argv, config, output):
+        with tempfile.TemporaryDirectory() as tmp:
+            config_path = os.path.join(tmp, "config.json")
+            with open(config_path, "w", encoding="utf-8") as handle:
+                handle.write(config)
+            out = os.path.join(tmp, {"new": "new.out",
+                                     "existing": "keep.out",
+                                     "missing_dir": "missing/x.out"}[output])
+            if output == "existing":
+                with open(out, "w", encoding="utf-8") as handle:
+                    handle.write("keep")
+            argv = [arg.format(config=config_path, out=out) for arg in argv]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                try:
+                    code = cli.main(argv)
+                    usage_error = False
+                except SystemExit as exc:
+                    code = exc.code
+                    usage_error = True
+            errors = stderr.getvalue()
+            if usage_error:
+                assert code == 2
+                assert "usage:" in errors and "error:" in errors
+            else:
+                assert code in (0, 1, 2)
+                if code == 2:
+                    assert errors.startswith("error:")
+                    assert len(errors.splitlines()) == 1
+            if code != 0 and output == "new":
+                assert not os.path.exists(out)
+            if code != 0 and output == "existing":
+                with open(out, encoding="utf-8") as handle:
+                    assert handle.read() == "keep"

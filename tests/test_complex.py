@@ -139,6 +139,27 @@ class TestComputedOnce:
         assert len(graph.edges) == 2 * (2 * bound + 1)
         assert len(calls) == 2 * (2 * bound + 1)
 
+    def test_one_spiral_classification_per_crossing_chart(self,
+                                                           monkeypatch):
+        # the decision reads each crossing chart's spiral direction once;
+        # the graft only applies the smoothing it recorded
+        calls = []
+        original = surface._spiral_sign
+
+        def counting(lam_total, gamma_cls):
+            calls.append(gamma_cls)
+            return original(lam_total, gamma_cls)
+
+        monkeypatch.setattr(surface, "_spiral_sign", counting)
+        config = standard_configuration(2)
+        surface.graft_along(config.base_structure(),
+                            surface.twist_about_meridian(config.gamma, "a",
+                                                         1))
+        assert len(calls) == 1
+        calls.clear()
+        build_complex(config, 4, 3)
+        assert len(calls) == 4732
+
 
 def reversed_curve(comp):
     return Component(comp.content,

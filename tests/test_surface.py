@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from graftkit import (
     BadIntersectionPattern,
     Component,
-    NonSpiralingCurve,
     NotAdmissible,
     OddMultiplicity,
     SurfaceModel,
@@ -23,8 +22,6 @@ from graftkit import (
     component,
     goldman_decompose,
     graft_along,
-    graft_disjoint,
-    graft_spiraling,
     is_admissible,
     multicurve,
     parse_configuration,
@@ -101,13 +98,13 @@ def dehn_twist_instance(k):
 
 class TestSpiralingClass:
     """The spiral direction has one classifier, the one grafting uses;
-    these facts are stated through the public grafts."""
+    these facts are stated through the graft."""
 
     def test_right_label(self):
         # (1,2): positive meridian twisting spirals right, the twist +1
         start, gam_k = dehn_twist_instance(2)
         assert gam_k.chart_class("a") == (1, 2)
-        grafted = graft_spiraling(start, gam_k).key()
+        grafted = graft_along(start, gam_k).key()
         assert grafted == twist_about_curve(start, gam_k, 1).key()
         assert grafted != twist_about_curve(start, gam_k, -1).key()
 
@@ -115,7 +112,7 @@ class TestSpiralingClass:
         # (1,-3) spirals left, the twist -1
         start, gam_k = dehn_twist_instance(-3)
         assert gam_k.chart_class("a") == (1, -3)
-        grafted = graft_spiraling(start, gam_k).key()
+        grafted = graft_along(start, gam_k).key()
         assert grafted == twist_about_curve(start, gam_k, -1).key()
         assert grafted != twist_about_curve(start, gam_k, 1).key()
 
@@ -128,7 +125,7 @@ class TestSpiralingClass:
             start, gam_k = dehn_twist_instance(k)
             flipped = reversed_curve(gam_k)
             assert flipped.chart_class("a") == (-1, -k)
-            assert graft_spiraling(start, flipped).key() == \
+            assert graft_along(start, flipped).key() == \
                 twist_about_curve(start, gam_k, 1 if k > 0 else -1).key()
             assert graft_along(start, flipped).key() == \
                 graft_along(start, gam_k).key()
@@ -211,33 +208,22 @@ class TestMeridianTwist:
 class TestGrafting:
     def test_disjoint_adds_doubled_leaves(self):
         model, lam, gam = standard_pair()
-        out = graft_disjoint(structure(model, [lam]), gam)
+        out = graft_along(structure(model, [lam]), gam)
         assert out.key() == ('{"charts":{"a":[4,0]},'
                              '"content":[["gamma",2],["lambda",1]]}')
-
-    def test_disjoint_rejects_crossing_curve(self):
-        model, lam, gam = standard_pair()
-        twisted = twist_about_meridian(gam, "a", 1)
-        with pytest.raises(NotAdmissible):
-            graft_disjoint(structure(model, [lam]), twisted)
-
-    def test_spiraling_rejects_disjoint_curve(self):
-        model, lam, gam = standard_pair()
-        with pytest.raises(NonSpiralingCurve):
-            graft_spiraling(structure(model, [lam]), gam)
 
     def test_right_spiral_realizes_positive_twist(self):
         model, lam, gam = standard_pair()
         base = structure(model, [lam])
         twisted = twist_about_meridian(gam, "a", 1)
-        assert graft_spiraling(base, twisted).key() == \
+        assert graft_along(base, twisted).key() == \
             twist_about_curve(base, twisted, 1).key()
 
     def test_left_spiral_realizes_negative_twist(self):
         model, lam, gam = standard_pair()
         base = structure(model, [lam])
         twisted = twist_about_meridian(gam, "a", -1)
-        assert graft_spiraling(base, twisted).key() == \
+        assert graft_along(base, twisted).key() == \
             twist_about_curve(base, twisted, -1).key()
 
     def test_meridian_chart_spiral_values(self):
@@ -247,22 +233,26 @@ class TestGrafting:
         lam = component("lambda", {"a": (0, 2)})
         base = structure(model, [lam])
         right = component("gamma", {"a": (1, -1)})
-        out = graft_spiraling(base, right)
+        out = graft_along(base, right)
         comp = out.real_curves.components[0]
         assert comp.chart_class("a") == (2, 0)
         assert dict(comp.content) == {"gamma": 2, "lambda": 1}
         steeper = component("gamma", {"a": (1, -2)})
-        out2 = graft_spiraling(base, steeper)
+        out2 = graft_along(base, steeper)
         assert out2.real_curves.components[0].chart_class("a") == (2, -2)
 
     def test_dispatcher_picks_route(self):
         model, lam, gam = standard_pair()
         base = structure(model, [lam])
+        assert is_admissible(gam, base).route == "disjoint"
         assert graft_along(base, gam).key() == \
-            graft_disjoint(base, gam).key()
-        twisted = twist_about_meridian(gam, "a", 2)
-        assert graft_along(base, twisted).key() == \
-            graft_spiraling(base, twisted).key()
+            '{"charts":{"a":[4,0]},"content":[["gamma",2],["lambda",1]]}'
+        for n, fused in ((2, "[4,4]"), (-2, "[4,-4]")):
+            twisted = twist_about_meridian(gam, "a", n)
+            assert is_admissible(twisted, base).route == "spiraling"
+            assert graft_along(base, twisted).key() == \
+                '{"charts":{"a":%s},"content":[["gamma",2],' \
+                '["lambda",1]]}' % fused
 
     def test_twisting_curve_must_be_single_leaf(self):
         model, lam, gam = standard_pair()
@@ -445,7 +435,7 @@ class TestGoldman:
                          component("y", {"b": (1, -1)}, 2))
         current = structure(model, [])
         for comp in goldman_decompose(lam).components:
-            current = graft_disjoint(current, comp)
+            current = graft_along(current, comp)
         assert current.key() == canonical_key(lam, model)
 
     def test_odd_multiplicity_named(self):
