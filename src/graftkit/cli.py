@@ -19,10 +19,11 @@ import io
 import json
 import logging
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
-from .errors import GraftError, UnknownChart, UnknownSuite
+from .errors import GraftError
 from .torus import Mode, TorusClass, algebraic_intersection, dehn_twist, \
     geometric_intersection, resolve
 from .surface import Component, component, graft_along, parse_configuration, \
@@ -103,6 +104,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="P,Q", help="twisting class (nonzero)")
     twist.add_argument("-k", type=int, default=1, help="twist power")
     twist.add_argument("target", type=_torus_class)
+    for op in (intersect, res, twist):
+        # argparse takes "-p,q" for an option: before Python 3.13 only
+        # -N and -N.N count as negative numbers. Count -p,q too.
+        op._negative_number_matcher = re.compile(
+            op._negative_number_matcher.pattern + r"|^-\d+,-?\d+$")
 
     graft = sub.add_parser(
         "graft", help="graft one curve onto a configuration's structure")
@@ -248,9 +254,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "complex": _cmd_complex, "verify": _cmd_verify}
     try:
         return handlers[ns.subcommand](ns)
-    except (UnknownSuite, UnknownChart) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GraftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -171,12 +171,14 @@ class ComplexGraph:
         return "\n".join(lines) + "\n"
 
 
-def standard_configuration(num_charts: int = 1,
-                           genus: int = 2) -> Configuration:
-    """The base setup used by the suites: real curve reading (2,0) and
-    grafting curve (1,0) in each chart."""
+_STANDARD_GENUS = 2
+
+
+def standard_configuration(num_charts: int = 1) -> Configuration:
+    """The base setup used by the suites: a genus-2 surface, real curve
+    reading (2,0) and grafting curve (1,0) in each chart."""
     names = tuple(chr(ord("a") + i) for i in range(num_charts))
-    model = SurfaceModel(genus, "rho", names)
+    model = SurfaceModel(_STANDARD_GENUS, "rho", names)
     lam = component("lambda", {name: (2, 0) for name in names})
     gam = component("gamma", {name: (1, 0) for name in names})
     return validate_configuration(model, lam, gam)

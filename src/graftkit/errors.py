@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Every domain error derives from GraftError so callers (and the CLI exit-code
-mapping) can catch one base class. Input/schema problems use ValueError
-subclasses where parsing context matters.
+Every domain error derives from GraftError, and every input error is a
+ValueError; the CLI maps the first to exit code 1 and the second to 2.
+UnknownChart and UnknownSuite name input the caller got wrong, so they
+are input errors (ValueError), not domain errors.
 """
 
 
@@ -30,7 +31,7 @@ class NotAdmissible(GraftError):
     """Grafting curve admits neither the disjoint nor the spiraling route."""
 
 
-class UnknownChart(GraftError):
+class UnknownChart(ValueError):
     """Named chart does not exist in the surface model."""
 
 
@@ -46,5 +47,5 @@ class BadConfiguration(GraftError):
     """Complex construction was given an invalid base configuration."""
 
 
-class UnknownSuite(GraftError):
+class UnknownSuite(ValueError):
     """Verification suite name is not one of the known suites."""

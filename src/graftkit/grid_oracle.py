@@ -28,6 +28,8 @@ from .torus import Mode, TorusClass
 _DEN_X = 97
 _DEN_Y = 89
 _R = _DEN_X * _DEN_Y
+# Rungs of the offset ladder tried before a pair is declared degenerate.
+_ATTEMPTS = 8
 
 
 class _CopyLine(NamedTuple):
@@ -120,7 +122,7 @@ def oracle_draw(cls: Sequence[int], copies: int = 1, role: int = 0,
     role and attempt select the offset family; distinct roles keep two
     curves of one comparison apart, attempts step the deterministic retry.
     """
-    p, q = int(cls[0]), int(cls[1])
+    p, q = cls
     if gcd(abs(p), abs(q)) != 1:
         raise NonPrimitive(f"({p},{q}) is not primitive")
     if copies < 1:
@@ -315,15 +317,14 @@ class ProbedPair(NamedTuple):
 
 
 def probe_pair(first_cls: Sequence[int], first_copies: int,
-               second_cls: Sequence[int], second_copies: int,
-               max_attempts: int = 8) -> ProbedPair:
+               second_cls: Sequence[int], second_copies: int) -> ProbedPair:
     """Draw two curves in verified general position.
 
     Retries the deterministic offset ladder until the configuration is
     degeneracy-free for both orientations of the second curve.
     """
     last: Exception | None = None
-    for attempt in range(max_attempts):
+    for attempt in range(_ATTEMPTS):
         a = oracle_draw(first_cls, first_copies, role=0, attempt=attempt)
         b = oracle_draw(second_cls, second_copies, role=1, attempt=attempt)
         try:
@@ -335,9 +336,8 @@ def probe_pair(first_cls: Sequence[int], first_copies: int,
 
 
 def draw_pair(first_cls: Sequence[int], first_copies: int,
-              second_cls: Sequence[int], second_copies: int,
-              max_attempts: int = 8) -> Tuple[GridCurve, GridCurve]:
+              second_cls: Sequence[int], second_copies: int
+              ) -> Tuple[GridCurve, GridCurve]:
     """The two curves of probe_pair, without their crossing lists."""
-    pair = probe_pair(first_cls, first_copies, second_cls, second_copies,
-                      max_attempts)
+    pair = probe_pair(first_cls, first_copies, second_cls, second_copies)
     return pair.first, pair.second

@@ -8,9 +8,9 @@ is a finite set of components, each carrying
 * a content multiset of base-curve labels recording which exterior routes
   the component follows (distinct labels, and parallel copies of one
   label, never meet outside the annuli),
-* one torus class per chart it enters, in the chart basis where the base
-  real curve reads (2,0), the meridian (0,1), the base grafting curve
-  (1,0),
+* one torus class per chart it enters (each chart named once), in the
+  chart basis where the base real curve reads (2,0), the meridian (0,1),
+  the base grafting curve (1,0),
 * a positive multiplicity counting parallel leaves.
 
 Structure identity is the canonical key of the real multicurve: the
@@ -87,6 +87,8 @@ class Component:
             raise ValueError("multiplicity must be positive")
         if not self.content:
             raise ValueError("content must name at least one label")
+        if len(dict(self.charts)) != len(self.charts):
+            raise ValueError("a component names each chart at most once")
 
     def chart_class(self, name: str) -> TorusClass:
         for chart, cls in self.charts:
@@ -102,7 +104,7 @@ def component(label: str, charts: Mapping[str, Sequence[int]],
               multiplicity: int = 1) -> Component:
     """Build a simple (single-label) component from plain chart pairs."""
     chart_map = tuple(sorted(
-        (name, TorusClass(int(v[0]), int(v[1]))) for name, v in charts.items()
+        (name, TorusClass(*v)) for name, v in charts.items()
     ))
     return Component(((label, 1),), chart_map, multiplicity)
 
@@ -116,20 +118,20 @@ def _merged_component(content: Counter, charts: Mapping[str, TorusClass],
     return Component(cont, chart_map, multiplicity)
 
 
-def _normalized(comp: Component, chart_order: Sequence[str]) -> Component:
-    """Quotient the component's global orientation: flip every chart class
-    together so the first nonzero entry, scanning charts in model order,
-    is positive."""
-    flip = 0
+def _orientation(comp: Component, chart_order: Sequence[str]) -> int:
+    """The orientation rule for unoriented curves: the sign (-1 or 1) that
+    makes the first nonzero entry, charts in the given order, positive."""
+    classes = dict(comp.charts)
     for name in chart_order:
-        cls = comp.chart_class(name)
-        for entry in cls:
-            if entry:
-                flip = -1 if entry < 0 else 1
-                break
-        if flip:
-            break
-    if flip >= 0:
+        p, q = classes.get(name, (0, 0))
+        if p or q:
+            return -1 if (p or q) < 0 else 1
+    return 1
+
+
+def _normalized(comp: Component, chart_order: Sequence[str]) -> Component:
+    """The component in its canonical orientation (see _orientation)."""
+    if _orientation(comp, chart_order) > 0:
         return comp
     charts = tuple((name, -cls) for name, cls in comp.charts)
     return Component(comp.content, charts, comp.multiplicity)
@@ -217,16 +219,8 @@ def canonical_key(curve: SurfaceMulticurve, model: SurfaceModel) -> str:
         mult = comp.multiplicity
         for lab, n in comp.content:
             content[lab] = content.get(lab, 0) + n * mult
-        classes = dict(reversed(comp.charts))  # first wins, as chart_class
-        # Orientation normalization as in _normalized: the sign of the
-        # first nonzero entry, scanning charts in model order.
-        sign = mult
-        for name in model.charts:
-            p, q = classes.get(name, (0, 0))
-            if p or q:
-                sign = -mult if (p or q) < 0 else mult
-                break
-        for name, (p, q) in classes.items():
+        sign = mult * _orientation(comp, model.charts)
+        for name, (p, q) in comp.charts:
             total = totals.get(name)
             if total is not None:
                 total[0] += sign * p
@@ -332,7 +326,7 @@ def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
     components there. Returns the route taken, or the failed condition.
     """
     model = struct.model
-    classes = dict(reversed(gamma.charts))  # first wins, as chart_class
+    classes = dict(gamma.charts)
     live = [(name, classes[name]) for name in model.charts
             if classes.get(name, (0, 0)) != (0, 0)]
     crossed = []
@@ -407,7 +401,7 @@ def check_spiraling_hypotheses(gamma_prime: Component, gamma: Component,
 
 def _twist_component(comp: Component, chart: str, n: int) -> Component:
     charts = dict(comp.charts)
-    cls = comp.chart_class(chart)
+    cls = charts.get(chart, (0, 0))
     if cls != (0, 0):
         charts[chart] = dehn_twist(cls, MERIDIAN, n)
     return Component(comp.content, tuple(sorted(charts.items())),
@@ -541,7 +535,7 @@ def _component_to_json(comp: Component) -> dict:
     }
 
 
-def _component_from_json(data: dict) -> Component:
+def _component_from_json(data: dict, model: SurfaceModel) -> Component:
     if not isinstance(data, dict):
         raise ValueError(f"curve entry must be an object, got {data!r}")
     label = data.get("label")
@@ -565,6 +559,7 @@ def _component_from_json(data: dict) -> Component:
                 or not all(_is_int(n) for n in v)):
             raise ValueError(f"chart {name!r} needs a pair of integers "
                              f"[p, q], got {v!r}")
+        model.require_chart(name)
     chart_map = tuple(sorted((str(name), TorusClass(*v))
                              for name, v in charts.items()))
     mult = data.get("multiplicity", 1)
@@ -595,24 +590,14 @@ def parse_configuration(data: dict) -> Tuple[SurfaceModel, Structure,
     holonomy = data.get("holonomy", "rho")
     if not isinstance(holonomy, str):
         raise ValueError(f"'holonomy' must be a string, got {holonomy!r}")
-    try:
-        model = SurfaceModel(genus, holonomy, tuple(charts))
-    except ValueError as exc:
-        raise ValueError(str(exc)) from exc
+    model = SurfaceModel(genus, holonomy, tuple(charts))
     curves = data.get("curves", [])
     if not isinstance(curves, list):
         raise ValueError("'curves' must be a list")
-    comps = [_component_from_json(entry) for entry in curves]
-    for comp in comps:
-        for name, _ in comp.charts:
-            if name not in model.charts:
-                raise ValueError(f"curve uses unknown chart {name!r}")
+    comps = [_component_from_json(entry, model) for entry in curves]
     gamma = None
     if "gamma" in data:
-        gamma = _component_from_json(data["gamma"])
-        for name, _ in gamma.charts:
-            if name not in model.charts:
-                raise ValueError(f"gamma uses unknown chart {name!r}")
+        gamma = _component_from_json(data["gamma"], model)
     return model, structure(model, comps), gamma
 
 

@@ -3,7 +3,9 @@
 A class is an ordered pair (p, q) of integers. Connected simple closed
 curves are exactly the primitive pairs (gcd 1); a pair m*(p0, q0) with
 gcd m stands for m parallel copies of the primitive curve (p0, q0).
-All arithmetic is exact; Python integers never overflow.
+All arithmetic is exact; Python integers never overflow. Entries are
+taken as given: the command line and the JSON reader admit only
+integers, so nothing here converts them.
 
 Orientation conventions are pinned once and used everywhere downstream:
 
@@ -63,11 +65,6 @@ class TorusMulticurve(NamedTuple):
         )
 
 
-def _pair(a: Pair) -> TorusClass:
-    p, q = a
-    return TorusClass(int(p), int(q))
-
-
 def algebraic_intersection(a: Pair, b: Pair) -> int:
     """Signed intersection number of oriented classes a=(p,q), b=(r,s).
 
@@ -96,12 +93,12 @@ def dehn_twist(target: Pair, twister: Pair, k: int = 1) -> TorusClass:
     (2,0) gives (2,2k). T^0 is the identity and powers add for a fixed
     twisting class.
     """
-    b = _pair(target)
-    a = _pair(twister)
-    if a == (0, 0):
+    p, q = target
+    r, s = twister
+    if r == s == 0:
         raise ZeroTwister("cannot twist about the zero class")
-    c = k * algebraic_intersection(b, a)
-    return TorusClass(b.p + c * a.p, b.q + c * a.q)
+    c = k * algebraic_intersection(target, twister)
+    return TorusClass(p + c * r, q + c * s)
 
 
 def resolve(first: Pair, second: Pair, mode: Mode) -> TorusClass:
@@ -113,9 +110,9 @@ def resolve(first: Pair, second: Pair, mode: Mode) -> TorusClass:
     the mirror image), and for d = 0 the curves are disjoint so both
     modes return the union, whose class is the sum.
     """
-    a = _pair(first)
-    b = _pair(second)
-    d = algebraic_intersection(a, b)
+    p, q = first
+    r, s = second
+    d = algebraic_intersection(first, second)
     if d == 0:
         take_sum = True
     elif mode is Mode.SHARP:
@@ -123,8 +120,8 @@ def resolve(first: Pair, second: Pair, mode: Mode) -> TorusClass:
     else:
         take_sum = d < 0
     if take_sum:
-        return TorusClass(a.p + b.p, a.q + b.q)
-    return TorusClass(a.p - b.p, a.q - b.q)
+        return TorusClass(p + r, q + s)
+    return TorusClass(p - r, q - s)
 
 
 def normalize(raw: Pair) -> TorusMulticurve:
@@ -135,7 +132,7 @@ def normalize(raw: Pair) -> TorusMulticurve:
     quotienting the two orientations of the underlying curve. Idempotent
     on already-normalized input.
     """
-    p, q = _pair(raw)
+    p, q = raw
     m = gcd(abs(p), abs(q))
     if m == 0:
         return TorusMulticurve(0, None)

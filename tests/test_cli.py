@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graftkit import Report, cli, suite_names
+from graftkit import GraftError, Report, UnknownChart, UnknownSuite, cli, \
+    suite_names
 
 
 CONFIG = {
@@ -73,6 +74,33 @@ class TestTorusCommands:
     def test_zero_twister_is_domain_error(self):
         proc = run_cli("torus", "twist", "--about", "0,0", "1,0")
         assert proc.returncode == 1
+
+
+class TestNegativeClasses:
+    """A class whose first entry is negative is a value, not an option,
+    both as a positional and after --about."""
+
+    @pytest.mark.parametrize("argv, out", [
+        (["intersect", "-1,2", "1,0"], "geometric=2 algebraic=-2"),
+        (["intersect", "1,0", "-1,-2"], "geometric=2 algebraic=-2"),
+        (["resolve", "--mode", "sharp", "-1,2", "-1,-3"], "-2,-1"),
+        (["resolve", "-1,2", "--mode", "flat", "1,0"], "0,2"),
+        (["twist", "--about", "-1,2", "1,0"], "-1,4"),
+        (["twist", "--about", "0,1", "-1,0"], "-1,-1"),
+        (["twist", "-k", "-3", "--about", "-1,2", "-1,0"], "-7,12"),
+    ])
+    def test_negative_first_entry(self, capsys, argv, out):
+        assert cli.main(["torus", *argv]) == 0
+        assert capsys.readouterr().out.strip() == out
+
+
+class TestErrorKinds:
+    """Exit codes follow the error class: GraftError is 1, ValueError 2."""
+
+    @pytest.mark.parametrize("kind", [UnknownChart, UnknownSuite])
+    def test_unknown_name_is_input_error(self, kind):
+        assert issubclass(kind, ValueError)
+        assert not issubclass(kind, GraftError)
 
 
 class TestGraftCommand:

@@ -57,6 +57,13 @@ class TestModel:
         with pytest.raises(UnknownChart):
             hopf_model().require_chart("z")
 
+    def test_repeated_chart_rejected(self):
+        # a component carries one class per chart
+        with pytest.raises(ValueError, match="chart"):
+            Component((("x", 1),), (("a", TorusClass(2, 0)),
+                                    ("b", TorusClass(1, 0)),
+                                    ("b", TorusClass(3, 0))))
+
 
 class TestValidation:
     def test_standard_pattern_accepted(self):
@@ -311,10 +318,10 @@ raw_components = st.builds(
     Component,
     content=st.lists(st.tuples(st.sampled_from("xyz"), st.integers(0, 3)),
                      min_size=1, max_size=3).map(tuple),
-    # Unsorted, and a chart may repeat: the first entry is the class.
+    # Unsorted; each chart at most once, as Component requires.
     charts=st.lists(st.tuples(st.sampled_from(KEY_MODEL.charts),
                               st.builds(TorusClass, entries, entries)),
-                    max_size=4).map(tuple),
+                    max_size=3, unique_by=lambda entry: entry[0]).map(tuple),
     multiplicity=st.integers(1, 4),
 )
 

@@ -69,6 +69,13 @@ class TestDehnTwist:
     def test_zero_power_is_identity(self):
         assert dehn_twist((4, -3), (1, 2), 0) == (4, -3)
 
+    def test_lists_accepted(self):
+        # pairs are unpacked, not compared as tuples: a list twister of
+        # zero is still the zero class
+        assert dehn_twist([1, 0], [0, 1], 2) == (1, 2)
+        with pytest.raises(ZeroTwister):
+            dehn_twist([1, 0], [0, 0])
+
     @given(classes, nonzero_classes, powers)
     def test_formula(self, b, a, k):
         d = algebraic_intersection(b, a)
@@ -99,6 +106,10 @@ class TestResolve:
     def test_disjoint_union(self):
         assert resolve((1, 0), (2, 0), Mode.SHARP) == (3, 0)
         assert resolve((1, 0), (2, 0), Mode.FLAT) == (3, 0)
+
+    def test_lists_accepted(self):
+        assert resolve([0, 2], [2, -2], Mode.FLAT) == (2, 0)
+        assert resolve([0, 2], [2, -2], Mode.SHARP) == (-2, 4)
 
     @given(classes, classes)
     def test_totals_by_sign(self, a, b):
