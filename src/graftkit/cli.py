@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 from .errors import GraftError
 from .torus import Mode, TorusClass, algebraic_intersection, dehn_twist, \
     geometric_intersection, resolve
-from .surface import Component, component, graft_along, parse_configuration, \
-    structure_to_json, validate_configuration
+from .surface import Component, SurfaceModel, component, graft_along, \
+    parse_configuration, structure_to_json, validate_configuration
 from .complex_graph import build_complex, suite_names, suite_parameters, \
     verify_suite
 
@@ -56,29 +56,27 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def parse_curve_spec(text: str) -> Component:
-    """Parse `label@chart=p,q[:mult]`; extra @chart=p,q segments add
-    charts to the same curve."""
+def parse_curve_spec(text: str, model: SurfaceModel) -> Component:
+    """Parse `label@chart=p,q[:mult]` on the model's charts; extra
+    @chart=p,q segments add charts to the same curve."""
     parts = text.split("@")
     label = parts[0]
     if not label or len(parts) < 2:
         raise ValueError(f"curve spec needs label@chart=p,q (got {text!r})")
-    mult = 1
-    if ":" in parts[-1]:
-        parts[-1], mult_text = parts[-1].rsplit(":", 1)
-        mult = int(mult_text)
-    charts = {}
+    parts[-1], colon, mult_text = parts[-1].partition(":")
+    mult = int(mult_text) if colon else 1
+    charts = []
     for segment in parts[1:]:
-        if "=" not in segment:
-            raise ValueError(f"bad chart segment {segment!r} in {text!r}")
-        name, cls_text = segment.split("=", 1)
+        name, eq, cls_text = segment.partition("=")
         p_text, _, q_text = cls_text.partition(",")
-        if not name or not q_text:
+        if not (name and eq and q_text):
             raise ValueError(f"bad chart segment {segment!r} in {text!r}")
-        if name in charts:
-            raise ValueError(f"chart {name!r} repeated in {text!r}")
-        charts[name] = (int(p_text), int(q_text))
-    return component(label, charts, mult)
+        model.require_chart(name)
+        charts.append((name, TorusClass(int(p_text), int(q_text))))
+    curve = Component(((label, 1),), tuple(charts), mult)
+    if not curve.charts:
+        raise ValueError(f"{text!r} needs a nonzero class in some chart")
+    return curve
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -193,9 +191,7 @@ def _cmd_torus(ns: argparse.Namespace) -> int:
 
 def _cmd_graft(ns: argparse.Namespace) -> int:
     _, struct, _ = _load_configuration(ns.config)
-    curve = parse_curve_spec(ns.curve)
-    for name, _cls in curve.charts:
-        struct.model.require_chart(name)
+    curve = parse_curve_spec(ns.curve, struct.model)
     with _destination(ns.output) as handle:
         result = graft_along(struct, curve)
         # print writes to standard output when handle is None
@@ -208,10 +204,9 @@ def _cmd_complex(ns: argparse.Namespace) -> int:
     model, struct, gamma = _load_configuration(ns.config)
     if gamma is None:
         raise ValueError("configuration lacks a 'gamma' grafting curve")
-    totals = {name: struct.real_curves.total_chart_class(name)
-              for name in model.charts}
-    lam_total = component(
-        "lambda", {n: c for n, c in totals.items() if c != (0, 0)})
+    lam_total = component("lambda", {
+        name: struct.real_curves.total_chart_class(name)
+        for name in model.charts})
     configuration = validate_configuration(model, lam_total, gamma)
     dot = ns.format == "dot"
     with _destination(ns.output, binary=not dot) as handle:

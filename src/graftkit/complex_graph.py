@@ -165,8 +165,9 @@ class ComplexGraph:
             digest = hashlib.sha256(k.encode()).hexdigest()[:12]
             lines.append(f'  v{i} [label="{digest}"];')
         for src, dst, kind, chart, n in edges:
-            lines.append(f'  v{src} -- v{dst} '
-                         f'[label="{_label(kind, chart, n)}"];')
+            label = _label(kind, chart, n)
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  v{src} -- v{dst} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 

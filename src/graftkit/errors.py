@@ -2,8 +2,8 @@
 
 Every domain error derives from GraftError, and every input error is a
 ValueError; the CLI maps the first to exit code 1 and the second to 2.
-UnknownChart and UnknownSuite name input the caller got wrong, so they
-are input errors (ValueError), not domain errors.
+UnknownChart, UnknownSuite and BadConfiguration name input the caller
+got wrong, so they are input errors (ValueError), not domain errors.
 """
 
 
@@ -43,7 +43,7 @@ class OddMultiplicity(GraftError):
         super().__init__(f"component {label!r} has odd multiplicity")
 
 
-class BadConfiguration(GraftError):
+class BadConfiguration(ValueError):
     """Complex construction was given an invalid base configuration."""
 
 

@@ -7,14 +7,16 @@ is a finite set of components, each carrying
 
 * a content multiset of base-curve labels recording which exterior routes
   the component follows (distinct labels, and parallel copies of one
-  label, never meet outside the annuli),
-* one torus class per chart it enters (each chart named once), in the
-  chart basis where the base real curve reads (2,0), the meridian (0,1),
-  the base grafting curve (1,0),
+  label, never meet outside the annuli), sorted, each label named once,
+* one torus class per chart it enters, sorted, each chart named once, in
+  the chart basis where the base real curve reads (2,0), the meridian
+  (0,1), the base grafting curve (1,0); a (0,0) class is left out,
 * a positive multiplicity counting parallel leaves.
 
-Structure identity is the canonical key of the real multicurve: the
-sorted content totals together with per-chart homology totals of
+Component fixes this spelling when it is built (a zero label count is kept;
+a label or chart named twice is a ValueError), so canonicalize only orients
+and merges. Structure identity is the canonical key of the real multicurve:
+the sorted content totals together with per-chart homology totals of
 sign-normalized components. Operations reduce to chart torus arithmetic.
 
 There is one graft, graft_along. is_admissible decides its route and,
@@ -74,9 +76,21 @@ class SurfaceModel:
             raise UnknownChart(f"no chart named {name!r}")
 
 
+def _by_name(entries, what: str):
+    """The entries in name order, each name once; as given if they are."""
+    for i in range(1, len(entries)):
+        if entries[i - 1][0] >= entries[i][0]:
+            entries = tuple(sorted(entries))
+            if len(dict(entries)) < len(entries):
+                raise ValueError(f"a component names each {what} at most once")
+            return entries
+    return entries
+
+
 @dataclass(frozen=True)
 class Component:
-    """One isotopy class of leaves: content labels, chart classes, count."""
+    """One isotopy class of leaves: content labels, chart classes, count.
+    A field is respelled (see the module docstring) only if it must be."""
 
     content: Content
     charts: ChartMap
@@ -87,8 +101,14 @@ class Component:
             raise ValueError("multiplicity must be positive")
         if not self.content:
             raise ValueError("content must name at least one label")
-        if len(dict(self.charts)) != len(self.charts):
-            raise ValueError("a component names each chart at most once")
+        content = _by_name(self.content, "label")
+        charts = _by_name(self.charts, "chart")
+        if any(cls == (0, 0) for _, cls in charts):
+            charts = tuple(e for e in charts if e[1] != (0, 0))
+        if content is not self.content:
+            object.__setattr__(self, "content", content)
+        if charts is not self.charts:
+            object.__setattr__(self, "charts", charts)
 
     def chart_class(self, name: str) -> TorusClass:
         for chart, cls in self.charts:
@@ -96,26 +116,12 @@ class Component:
                 return cls
         return TorusClass(0, 0)
 
-    def content_counter(self) -> Counter:
-        return Counter(dict(self.content))
-
 
 def component(label: str, charts: Mapping[str, Sequence[int]],
               multiplicity: int = 1) -> Component:
     """Build a simple (single-label) component from plain chart pairs."""
-    chart_map = tuple(sorted(
-        (name, TorusClass(*v)) for name, v in charts.items()
-    ))
-    return Component(((label, 1),), chart_map, multiplicity)
-
-
-def _merged_component(content: Counter, charts: Mapping[str, TorusClass],
-                      multiplicity: int = 1) -> Component:
-    chart_map = tuple(sorted(
-        (name, cls) for name, cls in charts.items() if cls != (0, 0)
-    ))
-    cont = tuple(sorted((lab, n) for lab, n in content.items() if n))
-    return Component(cont, chart_map, multiplicity)
+    return Component(((label, 1),), tuple(
+        (name, TorusClass(*v)) for name, v in charts.items()), multiplicity)
 
 
 def _orientation(comp: Component, chart_order: Sequence[str]) -> int:
@@ -160,18 +166,17 @@ def multicurve(*components: Component) -> SurfaceMulticurve:
 
 def canonicalize(curve: SurfaceMulticurve,
                  model: SurfaceModel) -> SurfaceMulticurve:
-    """Sorted normal form: orientation-normalized components, identical
-    ones merged by adding multiplicities."""
-    merged: Dict[Tuple[Content, ChartMap], int] = {}
-    for comp in curve.components:
-        norm = _normalized(comp, model.charts)
-        key = (norm.content, norm.charts)
-        merged[key] = merged.get(key, 0) + norm.multiplicity
-    comps = tuple(
-        Component(content, charts, mult)
-        for (content, charts), mult in sorted(merged.items())
-    )
-    return SurfaceMulticurve(comps)
+    """Sorted normal form: each component in its canonical orientation,
+    equal ones merged by adding multiplicities. Components already
+    oriented and met once are kept as they are; spelling is Component's."""
+    merged: Dict[Tuple[Content, ChartMap], Component] = {}
+    for c in curve.components:
+        c = _normalized(c, model.charts)
+        key = (c.content, c.charts)
+        if key in merged:
+            c = Component(*key, merged[key].multiplicity + c.multiplicity)
+        merged[key] = c
+    return SurfaceMulticurve(tuple(merged[key] for key in sorted(merged)))
 
 
 @dataclass(frozen=True)
@@ -327,8 +332,7 @@ def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
     """
     model = struct.model
     classes = dict(gamma.charts)
-    live = [(name, classes[name]) for name in model.charts
-            if classes.get(name, (0, 0)) != (0, 0)]
+    live = [(name, classes[name]) for name in model.charts if name in classes]
     crossed = []
     hit = set()
     for comp in struct.real_curves.components:
@@ -374,8 +378,7 @@ def check_spiraling_hypotheses(gamma_prime: Component, gamma: Component,
     i(gamma', lam)/2, and every chart strand must be single. Curves not
     of that twist-generated shape are rejected conservatively.
     """
-    charts = {name for name, _ in gamma_prime.charts}
-    charts.update(name for name, _ in gamma.charts)
+    charts = dict(gamma_prime.charts).keys() | dict(gamma.charts).keys()
     alg = 0
     geo = 0
     against_lam = 0
@@ -401,11 +404,11 @@ def check_spiraling_hypotheses(gamma_prime: Component, gamma: Component,
 
 def _twist_component(comp: Component, chart: str, n: int) -> Component:
     charts = dict(comp.charts)
-    cls = charts.get(chart, (0, 0))
-    if cls != (0, 0):
-        charts[chart] = dehn_twist(cls, MERIDIAN, n)
-    return Component(comp.content, tuple(sorted(charts.items())),
-                     comp.multiplicity)
+    cls = charts.get(chart)
+    if cls is None:
+        return comp
+    charts[chart] = dehn_twist(cls, MERIDIAN, n)
+    return Component(comp.content, tuple(charts.items()), comp.multiplicity)
 
 
 def twist_about_meridian(obj, chart: str, n: int):
@@ -438,20 +441,18 @@ def twist_about_curve(struct: Structure, curve: Component,
         raise ValueError("twisting curve must be a single leaf")
     out = []
     for comp in struct.real_curves.components:
-        crossings = sum(
-            geometric_intersection(comp.chart_class(name),
-                                   curve.chart_class(name))
-            for name, _ in curve.charts)
         charts = dict(comp.charts)
+        crossings = 0
         for name, cls in curve.charts:
-            base = comp.chart_class(name)
-            twisted = dehn_twist(base, cls, k)
-            if twisted != (0, 0) or base != (0, 0):
-                charts[name] = twisted
-        content = comp.content_counter()
-        for lab, cnt in curve.content:
-            content[lab] += abs(k) * crossings * cnt
-        out.append(_merged_component(content, charts, comp.multiplicity))
+            base = charts.get(name, TorusClass(0, 0))
+            crossings += geometric_intersection(base, cls)
+            charts[name] = dehn_twist(base, cls, k)
+        content = Counter(dict(comp.content))
+        if k and crossings:
+            content.update({lab: abs(k) * crossings * n
+                            for lab, n in curve.content})
+        out.append(Component(tuple(content.items()), tuple(charts.items()),
+                             comp.multiplicity))
     return structure(struct.model, out)
 
 
@@ -479,14 +480,13 @@ def graft_along(struct: Structure, gamma: Component) -> Structure:
     oriented = adm.oriented
     twice = 2 * oriented.multiplicity
     content = SurfaceMulticurve(adm.crossed).content_total()
-    for lab, n in oriented.content:
-        content[lab] += twice * n
+    content.update({lab: twice * n for lab, n in oriented.content})
     charts = {}
     for name, lam_total, mode in zip(struct.model.charts, adm.totals,
                                      adm.modes):
         p, q = oriented.chart_class(name)
         charts[name] = resolve(lam_total, (twice * p, twice * q), mode)
-    fused = _merged_component(content, charts, 1)
+    fused = Component(tuple(content.items()), tuple(charts.items()))
     rest = [comp for comp in comps if comp not in adm.crossed]
     return structure(struct.model, rest + [fused])
 
@@ -548,24 +548,26 @@ def _component_from_json(data: dict, model: SurfaceModel) -> Component:
                     or not _is_int(entry[1])):
                 raise ValueError(f"label entry needs a [name, integer "
                                  f"count] pair, got {entry!r}")
-        content = tuple(sorted((lab, n) for lab, n in label))
+        content = tuple(map(tuple, label))
     else:
         raise ValueError("curve entry needs a 'label'")
     charts = data.get("charts")
-    if not isinstance(charts, dict) or not charts:
-        raise ValueError("curve entry needs a nonempty 'charts' object")
+    if not isinstance(charts, dict):
+        raise ValueError("curve entry needs a 'charts' object")
     for name, v in charts.items():
         if (not isinstance(v, (list, tuple)) or len(v) != 2
                 or not all(_is_int(n) for n in v)):
             raise ValueError(f"chart {name!r} needs a pair of integers "
                              f"[p, q], got {v!r}")
         model.require_chart(name)
-    chart_map = tuple(sorted((str(name), TorusClass(*v))
-                             for name, v in charts.items()))
     mult = data.get("multiplicity", 1)
     if not _is_int(mult):
         raise ValueError(f"'multiplicity' must be an integer, got {mult!r}")
-    return Component(content, chart_map, mult)
+    comp = Component(content, tuple((name, TorusClass(*v))
+                                    for name, v in charts.items()), mult)
+    if not comp.charts:
+        raise ValueError("curve entry needs a nonzero class in some chart")
+    return comp
 
 
 def parse_configuration(data: dict) -> Tuple[SurfaceModel, Structure,

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graftkit import GraftError, Report, UnknownChart, UnknownSuite, cli, \
-    suite_names
+from graftkit import BadConfiguration, GraftError, Report, UnknownChart, \
+    UnknownSuite, cli, parse_configuration, suite_names
 
 
 CONFIG = {
@@ -97,7 +97,8 @@ class TestNegativeClasses:
 class TestErrorKinds:
     """Exit codes follow the error class: GraftError is 1, ValueError 2."""
 
-    @pytest.mark.parametrize("kind", [UnknownChart, UnknownSuite])
+    @pytest.mark.parametrize("kind", [UnknownChart, UnknownSuite,
+                                      BadConfiguration])
     def test_unknown_name_is_input_error(self, kind):
         assert issubclass(kind, ValueError)
         assert not issubclass(kind, GraftError)
@@ -133,6 +134,34 @@ class TestGraftCommand:
     def test_unknown_chart_is_input_error(self, config_path):
         proc = run_cli("graft", config_path, "--curve", "g@z=1,0")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("spec", ["g@a=0,0", "g@a=1,0@z=0,0"],
+                             ids=["zero-class", "unknown-zero-class"])
+    def test_zero_class_spec_is_input_error(self, config_path, spec):
+        proc = run_cli("graft", config_path, "--curve", spec)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("charts, spec", [
+        (["a"], "gamma@a=1,0"),
+        (["a"], "gamma@a=1,1:2"),
+        (["b", "a"], "gamma@a=-1,-1@b=0,0"),
+        (["b", "a"], "gamma@b=0,1"),
+    ], ids=["disjoint", "spiraling", "two-charts", "two-charts-disjoint"])
+    def test_output_reads_back(self, tmp_path, capsys, charts, spec):
+        config = json.loads(json.dumps(CONFIG))
+        config["charts"] = charts
+        config["curves"][0]["charts"] = {"a": [2, 0], "b": [0, 0]} \
+            if "b" in charts else {"a": [2, 0]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["graft", str(path), "--curve", spec]) == 0
+        written = json.loads(capsys.readouterr().out)
+        _, struct, _ = parse_configuration(written)
+        assert struct.key() == written["key"]
+        assert all([0, 0] not in c["charts"].values()
+                   for c in written["curves"])
 
     def test_multiplicity_suffix(self, config_path):
         proc = run_cli("graft", config_path, "--curve", "gamma@a=1,0:3")
@@ -239,11 +268,15 @@ class TestInputContract:
         (("holonomy",), None),
         (("holonomy",), False),
         (("holonomy",), {"x": [1]}),
+        (("curves", 0, "label"), [["lambda", 1], ["lambda", 2]]),
+        (("curves", 0, "charts"), {"a": [0, 0]}),
+        (("gamma", "charts"), {"a": [0, 0]}),
     ], ids=["curve-int", "gamma-int", "label-short", "label-count-str",
             "label-count-float", "multiplicity-null", "multiplicity-str",
             "schema-bool", "genus-bool", "label-count-bool",
             "multiplicity-bool", "holonomy-null", "holonomy-bool",
-            "holonomy-object"])
+            "holonomy-object", "label-repeated", "curve-zero-class",
+            "gamma-zero-class"])
     def test_malformed_curve_entry_is_input_error(self, tmp_path, path,
                                                   value):
         config = json.loads(json.dumps(CONFIG))

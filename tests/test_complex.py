@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -290,6 +291,26 @@ class TestExports:
         assert len(vertex_lines) == len(graph.vertices)
         assert len(edge_lines) == len(graph.edges)
         assert dot.count("{") == dot.count("}")
+
+    @pytest.mark.parametrize("chart", ['a"b', "a\\b"],
+                             ids=["quote", "backslash"])
+    def test_dot_labels_escaped(self, chart):
+        model = surface.SurfaceModel(2, "rho", (chart,))
+        config = surface.validate_configuration(
+            model, surface.component("lambda", {chart: (2, 0)}),
+            surface.component("gamma", {chart: (1, 0)}))
+        graph = build_complex(config, 1, 1)
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        labels = []
+        for line in graph.to_dot().splitlines()[1:-1]:
+            match = re.fullmatch(
+                rf"  v\d+ (?:-- v\d+ )?\[label={quoted}\];", line)
+            assert match, line
+            if " -- " in line:
+                labels.append(re.sub(r"\\(.)", r"\1", match.group(1)))
+        assert sorted(labels) == sorted(
+            complex_graph._label(e.kind, e.chart, e.n) for e in graph.edges)
+        assert any(chart in label for label in labels)
 
     def test_repeat_builds_identical(self):
         config = standard_configuration()

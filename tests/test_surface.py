@@ -64,6 +64,55 @@ class TestModel:
                                     ("b", TorusClass(1, 0)),
                                     ("b", TorusClass(3, 0))))
 
+    def test_repeated_label_rejected(self):
+        # a component names each content label once
+        with pytest.raises(ValueError, match="label"):
+            Component((("x", 1), ("x", 2)), (("a", TorusClass(2, 0)),))
+
+
+class TestSpelling:
+    """A curve has one spelling, so a structure has one identity."""
+
+    model = SurfaceModel(2, "rho", ("a", "b"))
+    meridian = component("g", {"a": (0, 1)})
+
+    def zero_count_structure(self):
+        return structure(self.model, [Component(
+            (("x", 0), ("y", 1)), (("a", TorusClass(2, 0)),))])
+
+    def test_zero_twist_keeps_zero_count(self):
+        struct = self.zero_count_structure()
+        twisted = twist_about_curve(struct, self.meridian, 0)
+        assert twisted.key() == struct.key()
+        assert json.loads(twisted.key())["content"] == [["x", 0], ["y", 1]]
+
+    def test_spiraling_graft_keeps_zero_count(self):
+        struct = self.zero_count_structure()
+        grafted = graft_along(struct, component("g", {"a": (1, 1)}))
+        assert json.loads(grafted.key())["content"] == \
+            [["g", 2], ["x", 0], ["y", 1]]
+
+    @pytest.mark.parametrize("charts", [
+        (("a", TorusClass(1, 0)), ("b", TorusClass(0, 0))),
+        (("b", TorusClass(0, 0)), ("a", TorusClass(1, 0))),
+    ], ids=["zero-class", "zero-class-first"])
+    def test_spellings_merge(self, charts):
+        plain = component("x", {"a": (1, 0)})
+        struct = structure(self.model, [plain, Component((("x", 1),), charts)])
+        assert struct.real_curves.components == (
+            Component(plain.content, plain.charts, 2),)
+        assert structure_to_json(struct)["curves"] == [
+            {"label": "x", "charts": {"a": [1, 0]}, "multiplicity": 2}]
+
+    def test_unsorted_charts_merge(self):
+        first = Component((("x", 1),), (("a", TorusClass(1, 0)),
+                                        ("b", TorusClass(0, 1))))
+        second = Component((("x", 1),), (("b", TorusClass(0, 1)),
+                                         ("a", TorusClass(1, 0))))
+        assert first == second
+        merged = structure(self.model, [first, second]).real_curves
+        assert [c.multiplicity for c in merged.components] == [2]
+
 
 class TestValidation:
     def test_standard_pattern_accepted(self):
@@ -316,9 +365,11 @@ KEY_MODEL = SurfaceModel(2, "rho", ("a", "b", "c"))
 entries = st.integers(-4, 4)
 raw_components = st.builds(
     Component,
+    # Unsorted; each label and each chart at most once, as Component
+    # requires.
     content=st.lists(st.tuples(st.sampled_from("xyz"), st.integers(0, 3)),
-                     min_size=1, max_size=3).map(tuple),
-    # Unsorted; each chart at most once, as Component requires.
+                     min_size=1, max_size=3,
+                     unique_by=lambda entry: entry[0]).map(tuple),
     charts=st.lists(st.tuples(st.sampled_from(KEY_MODEL.charts),
                               st.builds(TorusClass, entries, entries)),
                     max_size=3, unique_by=lambda entry: entry[0]).map(tuple),
@@ -479,6 +530,16 @@ class TestJsonInterface:
     def test_schema_version_required(self):
         with pytest.raises(ValueError, match="schema"):
             parse_configuration({"genus": 2, "charts": ["a"], "curves": []})
+
+    @pytest.mark.parametrize("entry, match", [
+        ({"label": "x", "charts": {"a": [0, 0]}}, "nonzero class"),
+        ({"label": "x", "charts": {}}, "nonzero class"),
+        ({"label": [["x", 1], ["x", 2]], "charts": {"a": [1, 0]}}, "label"),
+    ], ids=["zero-class", "no-chart", "repeated-label"])
+    def test_curve_spelling_rejected(self, entry, match):
+        data = {"schema": 1, "genus": 2, "charts": ["a"], "curves": [entry]}
+        with pytest.raises(ValueError, match=match):
+            parse_configuration(data)
 
     def test_unknown_chart_rejected(self):
         data = {"schema": 1, "genus": 2, "charts": ["a"],
