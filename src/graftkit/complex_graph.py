@@ -7,10 +7,11 @@ twice). The breadth-first closure under a bounded generator family is
 deterministic for fixed inputs: one serial loop expands the frontier in
 key order and merges each structure's moves as it goes, and both exports
 number the vertices in key order, so repeated builds are byte-identical.
-A build twists the grafting curve once per generator, checks
-admissibility once per graft (inside graft_along), and keys each
-structure once (Structure.key() is kept on the object); an edge to a
-vertex already seen reuses its key string.
+A build twists the grafting curve once per generator and decides each
+graft once (is_admissible per structure and generator). A move's
+destination is identified by arithmetic (the decision's identity, or a
+meridian twist's) and looked up; only a new identity is built into a
+structure and keyed, so an edge to a vertex already seen builds nothing.
 """
 
 from __future__ import annotations
@@ -25,21 +26,25 @@ from math import gcd
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, \
     Tuple
 
-from .errors import BadConfiguration, NotAdmissible, OddMultiplicity, UnknownSuite
+from .errors import BadConfiguration, NotAdmissible, OddMultiplicity, \
+    UnknownSuite
 from .torus import Mode, TorusClass, algebraic_intersection, dehn_twist, \
     geometric_intersection, normalize, resolve
 from . import grid_oracle
 from .surface import (
+    Admissibility,
     Component,
     Configuration,
+    Identity,
     Structure,
     SurfaceModel,
     SurfaceMulticurve,
+    _graft,
     canonical_key,
     component,
     goldman_decompose,
     graft_along,
-    is_admissible,  # unused here, but bench/test_bench.py looks it up here
+    is_admissible,
     structure,
     twist_about_curve,
     twist_about_meridian,
@@ -199,32 +204,48 @@ def _grafts(config: Configuration, twist_bound: int
     return out
 
 
-def _elementary_applicable(struct: Structure, chart: str) -> bool:
-    # An elementary move needs the meridian to cross the real curves
-    # exactly twice in its chart.
-    hits = sum(c.multiplicity * abs(c.chart_class(chart).p)
-               for c in struct.real_curves.components)
-    return hits == 2
+Move = Tuple[Tuple[str, str, int], Identity, Optional[Admissibility]]
 
 
 def _expand(config: Configuration, struct: Structure,
             grafts: Sequence[Tuple[Tuple[str, str, int], Component]]
-            ) -> List[Tuple[Tuple[str, str, int], Structure]]:
-    """Apply every generator to one structure; inadmissible grafts are
-    skipped (logged at debug level)."""
-    out = []
-    for chart in config.model.charts:
-        if _elementary_applicable(struct, chart):
+            ) -> List[Move]:
+    """Every move from one structure, as (move, the destination's
+    identity, the graft decision or None for an elementary move);
+    inadmissible grafts are skipped (logged at debug level)."""
+    content, totals = struct.identity()
+    # the meridian's crossings with the real curves, per chart
+    hits = [0] * len(totals)
+    for _, entered in struct.table():
+        for i, (p, _) in entered:
+            hits[i] += abs(p)
+    out: List[Move] = []
+    for i, chart in enumerate(config.model.charts):
+        # An elementary move needs the meridian to cross the real curves
+        # exactly twice in its chart. The twist maps the chart's total
+        # (P, Q) to (P, Q + nP) and keeps every orientation.
+        if hits[i] == 2:
+            p, q = totals[i]
             for n in (1, -1):
-                out.append((("elementary", chart, n),
-                            twist_about_meridian(struct, chart, n)))
+                twisted = totals[:i] + ((p, q + n * p),) + totals[i + 1:]
+                out.append((("elementary", chart, n), (content, twisted),
+                            None))
     for desc, gamma in grafts:
-        try:
-            out.append((desc, graft_along(struct, gamma)))
-        except NotAdmissible as exc:
-            if log.isEnabledFor(logging.DEBUG):
-                log.debug("skipping %s at %s: %s", desc, struct.key(), exc)
+        adm = is_admissible(gamma, struct)
+        if adm:
+            out.append((desc, adm.identity, adm))
+        elif log.isEnabledFor(logging.DEBUG):
+            log.debug("skipping %s at %s: %s", desc, struct.key(),
+                      adm.reason)
     return out
+
+
+def _destination(struct: Structure, move: Move) -> Structure:
+    """The structure a move of _expand lands on."""
+    (_, chart, n), _, adm = move
+    if adm is None:
+        return twist_about_meridian(struct, chart, n)
+    return _graft(adm)
 
 
 def build_complex(config: Configuration, twist_bound: int, depth: int,
@@ -245,6 +266,7 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
         seed = config.base_structure()
     seed_key = seed.key()
     vertices = {seed_key: seed}
+    keys = {seed.identity(): seed_key}  # identity -> vertex key
     edges: List[Edge] = []
     seen_elementary = set()
     frontier = [seed]
@@ -255,11 +277,14 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
         next_frontier: List[Structure] = []
         for src in frontier:
             src_key = src.key()
-            for (kind, chart, n), result in _expand(config, src, grafts):
-                seen = vertices.setdefault(result.key(), result)
-                if seen is result:
+            for move in _expand(config, src, grafts):
+                (kind, chart, n), identity, _ = move
+                dst_key = keys.get(identity)
+                if dst_key is None:
+                    result = _destination(src, move)
+                    dst_key = keys[identity] = result.key()
+                    vertices[dst_key] = result
                     next_frontier.append(result)
-                dst_key = seen.key()  # one key string per vertex
                 if kind == "elementary":
                     pair = (min(src_key, dst_key), max(src_key, dst_key),
                             chart)
@@ -267,6 +292,7 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
                         continue
                     seen_elementary.add(pair)
                 edges.append(Edge(kind, chart, n, src_key, dst_key))
+            src.forget()  # the graph keeps each vertex's key, no more
         frontier = next_frontier
     return ComplexGraph(vertices, tuple(edges), twist_bound, depth,
                         seed_key)

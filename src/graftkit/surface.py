@@ -15,14 +15,19 @@ is a finite set of components, each carrying
 
 Component fixes this spelling when it is built (a zero label count is kept;
 a label or chart named twice is a ValueError), so canonicalize only orients
-and merges. Structure identity is the canonical key of the real multicurve:
-the sorted content totals together with per-chart homology totals of
-sign-normalized components. Operations reduce to chart torus arithmetic.
+and merges. A Structure keeps its real multicurve in that canonical form.
+Structure identity is the canonical key of the real multicurve, the
+rendering of its identity: the sorted content totals together with
+per-chart homology totals of sign-normalized components. Operations
+reduce to chart torus arithmetic.
 
-There is one graft, graft_along. is_admissible decides its route and,
-for a curve that crosses the real curves, fixes the curve's orientation,
-the crossed components, and per chart their total and smoothing; the
-graft only does arithmetic on that decision.
+There is one graft, graft_along. is_admissible decides its route from
+the structure's integer table. For a curve that crosses the real curves
+it fixes the crossed components and per chart their total and fused
+class. The decision also gives the destination's identity by arithmetic
+on the structure's, so a search can tell whether a graft lands on a
+structure it has seen without building it. The graft only assembles the
+destination from the decision.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, \
+    Tuple
 
 from .errors import (
     BadIntersectionPattern,
@@ -48,9 +54,13 @@ from .torus import (
 )
 
 MERIDIAN = TorusClass(0, 1)
+ZERO = TorusClass(0, 0)
 
 Content = Tuple[Tuple[str, int], ...]
 ChartMap = Tuple[Tuple[str, TorusClass], ...]
+# What the key renders: the sorted content totals and, per chart in model
+# order, the homology total of the orientation-normalized components.
+Identity = Tuple[Content, Tuple[Tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -64,12 +74,17 @@ class SurfaceModel:
     genus: int
     holonomy_tag: str
     charts: Tuple[str, ...]
+    # each chart's position in charts
+    chart_index: Mapping[str, int] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         if self.genus < 2:
             raise ValueError("genus must be at least 2")
         if not self.charts or len(set(self.charts)) != len(self.charts):
             raise ValueError("charts must be nonempty and distinct")
+        object.__setattr__(self, "chart_index",
+                           {name: i for i, name in enumerate(self.charts)})
 
     def require_chart(self, name: str) -> None:
         if name not in self.charts:
@@ -102,8 +117,16 @@ class Component:
         if not self.content:
             raise ValueError("content must name at least one label")
         content = _by_name(self.content, "label")
-        charts = _by_name(self.charts, "chart")
-        if any(cls == (0, 0) for _, cls in charts):
+        charts = self.charts
+        normal = True
+        for _, cls in charts:
+            if type(cls) is not TorusClass or cls == (0, 0):
+                normal = False
+                break
+        if not normal:
+            charts = tuple((name, TorusClass(*cls)) for name, cls in charts)
+        charts = _by_name(charts, "chart")
+        if not normal:
             charts = tuple(e for e in charts if e[1] != (0, 0))
         if content is not self.content:
             object.__setattr__(self, "content", content)
@@ -114,7 +137,7 @@ class Component:
         for chart, cls in self.charts:
             if chart == name:
                 return cls
-        return TorusClass(0, 0)
+        return ZERO
 
 
 def component(label: str, charts: Mapping[str, Sequence[int]],
@@ -124,14 +147,23 @@ def component(label: str, charts: Mapping[str, Sequence[int]],
         (name, TorusClass(*v)) for name, v in charts.items()), multiplicity)
 
 
-def _orientation(comp: Component, chart_order: Sequence[str]) -> int:
+def _sign(classes: Iterable[Sequence[int]]) -> int:
     """The orientation rule for unoriented curves: the sign (-1 or 1) that
-    makes the first nonzero entry, charts in the given order, positive."""
-    classes = dict(comp.charts)
-    for name in chart_order:
-        p, q = classes.get(name, (0, 0))
+    makes the first nonzero entry of the classes, in order, positive."""
+    for p, q in classes:
         if p or q:
             return -1 if (p or q) < 0 else 1
+    return 1
+
+
+def _orientation(comp: Component, chart_order: Sequence[str]) -> int:
+    """The sign _sign gives a component's classes, charts in the given
+    order: its class in the first of them it enters decides, since a
+    component's classes are nonzero."""
+    classes = dict(comp.charts)
+    for name in chart_order:
+        if name in classes:
+            return _sign((classes[name],))
     return 1
 
 
@@ -151,13 +183,6 @@ class SurfaceMulticurve:
         p = sum(c.multiplicity * c.chart_class(name).p for c in self.components)
         q = sum(c.multiplicity * c.chart_class(name).q for c in self.components)
         return TorusClass(p, q)
-
-    def content_total(self) -> Counter:
-        total: Counter = Counter()
-        for c in self.components:
-            for lab, n in c.content:
-                total[lab] += n * c.multiplicity
-        return total
 
 
 def multicurve(*components: Component) -> SurfaceMulticurve:
@@ -179,59 +204,118 @@ def canonicalize(curve: SurfaceMulticurve,
     return SurfaceMulticurve(tuple(merged[key] for key in sorted(merged)))
 
 
-@dataclass(frozen=True)
+# A structure's table, what a graft decision reads: per component, the
+# component and the charts it enters as (position in model order, class
+# times the multiplicity). The components are oriented (see Structure),
+# so a row adds up to the component's share of the identity's totals.
+Table = Tuple[Tuple[Component, Tuple[Tuple[int, Tuple[int, int]], ...]], ...]
+
+
+@dataclass(frozen=True, slots=True)
 class Structure:
     """A projective structure with the fixed holonomy: identified by the
-    canonical form of its real multicurve."""
+    canonical form of its real multicurve, which is what it keeps. The
+    key, identity and table are computed on first use and kept."""
 
     model: SurfaceModel
     real_curves: SurfaceMulticurve
     _key: Optional[str] = field(default=None, init=False, repr=False,
                                 compare=False)
+    _identity: Optional[Identity] = field(default=None, init=False,
+                                          repr=False, compare=False)
+    _table: Optional[Table] = field(default=None, init=False, repr=False,
+                                    compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "real_curves",
+                           canonicalize(self.real_curves, self.model))
 
     @property
     def holonomy_tag(self) -> str:
         return self.model.holonomy_tag
 
     def key(self) -> str:
-        """The canonical key, computed on first use and kept. The key
-        forgets how the totals split into components."""
+        """The canonical key. It forgets how the totals split into
+        components."""
         if self._key is None:
             object.__setattr__(self, "_key",
                                canonical_key(self.real_curves, self.model))
         return self._key
 
+    def identity(self) -> Identity:
+        """The integers the key renders."""
+        if self._identity is None:
+            object.__setattr__(self, "_identity",
+                               _identity_of(self.real_curves, self.model))
+        return self._identity
+
+    def table(self) -> Table:
+        """What a graft decision reads (see Table)."""
+        if self._table is None:
+            index = self.model.chart_index
+            object.__setattr__(self, "_table", tuple([
+                (comp, tuple([
+                    (index[name], cls if comp.multiplicity == 1 else (
+                        comp.multiplicity * cls[0],
+                        comp.multiplicity * cls[1]))
+                    for name, cls in comp.charts if name in index]))
+                for comp in self.real_curves.components]))
+        return self._table
+
+    def forget(self) -> None:
+        """Drop the kept identity and table, not the key: whoever holds
+        many structures (a built graph) need not hold those too."""
+        object.__setattr__(self, "_identity", None)
+        object.__setattr__(self, "_table", None)
+
 
 def structure(model: SurfaceModel,
               components: Iterable[Component] = ()) -> Structure:
-    return Structure(model, canonicalize(SurfaceMulticurve(tuple(components)),
-                                         model))
+    return Structure(model, SurfaceMulticurve(tuple(components)))
 
 
-def canonical_key(curve: SurfaceMulticurve, model: SurfaceModel) -> str:
-    """Deterministic identity key of a multicurve.
+def _add_classes(totals: Sequence[list], charts: Iterable, weight: int,
+                 index: Mapping[str, int]) -> None:
+    """Add weight times each (chart, class) to the per-chart totals,
+    skipping charts the model lacks."""
+    for name, (p, q) in charts:
+        i = index.get(name)
+        if i is not None:
+            totals[i][0] += weight * p
+            totals[i][1] += weight * q
 
-    Flattens to what classifies the structure: the content-label totals
-    and, per chart, the homology total of the orientation-normalized
-    components. Component order, orientations, and how parallel leaves
-    are split across equal components cannot affect the key, so the
-    totals are summed straight from the components, canonical or not.
-    Content labels whose total is zero are kept.
-    """
-    totals = {name: [0, 0] for name in model.charts}
+
+def _identity_of(curve: SurfaceMulticurve, model: SurfaceModel) -> Identity:
+    """What classifies a multicurve: the content-label totals, sorted,
+    and per chart in model order the homology total of the
+    orientation-normalized components. Component order, orientations, and
+    how parallel leaves are split across equal components cannot affect
+    it, so the totals are summed straight from the components, canonical
+    or not. Content labels whose total is zero are kept."""
+    totals = [[0, 0] for _ in model.charts]
     content: Dict[str, int] = {}
     for comp in curve.components:
         mult = comp.multiplicity
         for lab, n in comp.content:
             content[lab] = content.get(lab, 0) + n * mult
-        sign = mult * _orientation(comp, model.charts)
-        for name, (p, q) in comp.charts:
-            total = totals.get(name)
-            if total is not None:
-                total[0] += sign * p
-                total[1] += sign * q
-    payload = {"content": sorted(content.items()), "charts": totals}
+        _add_classes(totals, comp.charts,
+                     mult * _orientation(comp, model.charts),
+                     model.chart_index)
+    return (tuple(sorted(content.items())),
+            tuple([(p, q) for p, q in totals]))
+
+
+def _render(identity: Identity, model: SurfaceModel) -> str:
+    """The key string of an identity."""
+    content, totals = identity
+    payload = {"content": content, "charts": dict(zip(model.charts, totals))}
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_key(curve: SurfaceMulticurve, model: SurfaceModel) -> str:
+    """Deterministic identity key of a multicurve: its identity (see
+    _identity_of) rendered as JSON."""
+    return _render(_identity_of(curve, model), model)
 
 
 # ---------------------------------------------------------------------------
@@ -290,35 +374,67 @@ def validate_configuration(
 # Spiraling classification and admissibility
 
 
-def _spiral_sign(lam_total: TorusClass, gamma_cls: TorusClass) -> int:
+def _spiral_sign(lam_total: Sequence[int], gamma_cls: Sequence[int]) -> int:
     """Orientation of the spiral in one chart: for a real-curve class with
     horizontal strands the sign of the algebraic intersection, otherwise
-    (doubled vertical class) the sign of the grafting class's twist."""
-    if lam_total.p != 0:
+    (doubled vertical class) the sign of the grafting class's twist. A
+    positive multiple of the grafting class gives the same sign."""
+    p, q = gamma_cls
+    if lam_total[0] != 0:
         d = algebraic_intersection(lam_total, gamma_cls)
     else:
-        d = gamma_cls.q if gamma_cls.p >= 0 else -gamma_cls.q
+        d = q if p >= 0 else -q
     return (d > 0) - (d < 0)
 
 
-@dataclass(frozen=True)
-class Admissibility:
-    """One graft decision: the route taken, or None and the failed
-    condition. A crossing decision also fixes all the graft needs: the
-    curve oriented so its first nonzero chart entry is positive, the real
-    components it crosses, and per chart in model order their total and
-    the smoothing (FLAT where the spiral turns left, else SHARP; where
-    nothing crosses, both give the plain sum)."""
+class Admissibility(NamedTuple):
+    """One graft decision of a curve on a source structure: the route
+    taken, or None and the failed condition. A crossing decision also
+    fixes all the graft needs: the real components the curve crosses and,
+    per chart in model order, their total and the fused class, that total
+    resolved with the doubled curve (oriented so its first nonzero chart
+    entry is positive) in the smoothing the spiral picks (FLAT where it
+    turns left, else SHARP; where nothing crosses, both give the plain
+    sum)."""
 
     route: Optional[str]
     reason: str = ""
-    oriented: Optional[Component] = field(default=None, repr=False)
-    crossed: Tuple[Component, ...] = field(default=(), repr=False)
-    totals: Tuple[TorusClass, ...] = field(default=(), repr=False)
-    modes: Tuple[Mode, ...] = field(default=(), repr=False)
+    source: Optional[Structure] = None
+    curve: Optional[Component] = None
+    crossed: Tuple[Component, ...] = ()
+    totals: Tuple[Tuple[int, int], ...] = ()
+    fused: Tuple[TorusClass, ...] = ()
 
     def __bool__(self) -> bool:
         return self.route is not None
+
+    @property
+    def identity(self) -> Identity:
+        """An admitted decision's destination identity, by arithmetic on
+        the source's; it is worked out on each access, so a graft alone
+        never pays for it. Either route adds two leaves' worth of the
+        curve's content. The disjoint route adds the doubled oriented
+        curve to the chart totals; the spiraling route replaces the
+        crossed totals (the components' share, as they are oriented) by
+        the fused class in its own orientation."""
+        model = self.source.model
+        content, base = self.source.identity()
+        twice = 2 * self.curve.multiplicity
+        gained = dict(content)
+        for lab, n in self.curve.content:
+            gained[lab] = gained.get(lab, 0) + twice * n
+        content = tuple(sorted(gained.items()))
+        if self.route == "disjoint":
+            grafted = [list(total) for total in base]
+            _add_classes(grafted, self.curve.charts,
+                         twice * _orientation(self.curve, model.charts),
+                         model.chart_index)
+            return content, tuple([(p, q) for p, q in grafted])
+        turn = _sign(self.fused)
+        return content, tuple([
+            (p - lp + turn * fp, q - lq + turn * fq)
+            for (p, q), (lp, lq), (fp, fq) in zip(base, self.totals,
+                                                   self.fused)])
 
 
 def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
@@ -328,45 +444,54 @@ def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
     exterior labels never meet outside charts). Spiraling route: every
     chart with crossings carries a single strand of gamma (|p| = 1) and a
     well-defined spiral direction against the total of the crossed
-    components there. Returns the route taken, or the failed condition.
+    components there. Returns the route taken, or the failed condition;
+    an admitted decision also gives the destination's identity.
     """
-    model = struct.model
-    classes = dict(gamma.charts)
-    live = [(name, classes[name]) for name in model.charts if name in classes]
+    charts = struct.model.charts
+    index = struct.model.chart_index
+    given = {index[name]: g for name, g in gamma.charts if name in index}
     crossed = []
-    hit = set()
-    for comp in struct.real_curves.components:
-        charts = {name for name, g in live
-                  if geometric_intersection(comp.chart_class(name), g)}
-        if charts:
-            crossed.append(comp)
-            hit |= charts
+    hit = [False] * len(charts)
+    for row in struct.table():
+        crosses = False
+        for i, (p, q) in row[1]:
+            g = given.get(i)
+            if g is not None and p * g.q != q * g.p:
+                hit[i] = crosses = True
+        if crosses:
+            crossed.append(row)
     if not crossed:
-        return Admissibility("disjoint")
-    lam = SurfaceMulticurve(tuple(crossed))
-    totals = tuple(lam.total_chart_class(name) for name in model.charts)
+        return Admissibility("disjoint", "", struct, gamma)
     # The graft depends on the unoriented curve: fix the orientation
     # whose first nonzero chart entry is positive, and read each spiral
     # direction on it.
-    oriented = _normalized(gamma, model.charts)
-    modes = []
-    for name, lam_total in zip(model.charts, totals):
-        if name not in hit:
-            modes.append(Mode.SHARP)
-            continue
-        g = classes[name]
-        if abs(g.p) != 1:
-            return Admissibility(
-                None, f"chart {name!r}: grafting class {g} is not a single "
-                      f"strand")
-        sign = _spiral_sign(lam_total, oriented.chart_class(name))
-        if sign == 0:
-            return Admissibility(
-                None, f"chart {name!r}: no spiral direction for {g} "
-                      f"against {lam_total}")
-        modes.append(Mode.SHARP if sign > 0 else Mode.FLAT)
-    return Admissibility("spiraling", "", oriented, lam.components, totals,
-                         tuple(modes))
+    twice = 2 * gamma.multiplicity * _orientation(gamma, charts)
+    lam = [[0, 0] for _ in charts]
+    for _, entered in crossed:
+        for i, (p, q) in entered:
+            lam[i][0] += p
+            lam[i][1] += q
+    fused = []
+    for i, lam_total in enumerate(lam):
+        g = given.get(i)
+        doubled = ZERO if g is None else (twice * g.p, twice * g.q)
+        mode = Mode.SHARP
+        if hit[i]:
+            if abs(g.p) != 1:
+                return Admissibility(
+                    None, f"chart {charts[i]!r}: grafting class {g} is not "
+                          f"a single strand")
+            sign = _spiral_sign(lam_total, doubled)
+            if sign == 0:
+                return Admissibility(
+                    None, f"chart {charts[i]!r}: no spiral direction for "
+                          f"{g} against {TorusClass(*lam_total)}")
+            if sign < 0:
+                mode = Mode.FLAT
+        fused.append(resolve(lam_total, doubled, mode))
+    return Admissibility("spiraling", "", struct, gamma,
+                         tuple([comp for comp, _ in crossed]),
+                         tuple([(p, q) for p, q in lam]), tuple(fused))
 
 
 def check_spiraling_hypotheses(gamma_prime: Component, gamma: Component,
@@ -435,10 +560,13 @@ def twist_about_curve(struct: Structure, curve: Component,
     Chart classes transform by the chart Dehn twist; each real component
     additionally picks up |k| * (crossing count) copies of the twisting
     curve's content per leaf, since every crossing drags one full copy of
-    the curve into the component.
+    the curve into the component. A chart the model lacks raises
+    UnknownChart.
     """
     if curve.multiplicity != 1:
         raise ValueError("twisting curve must be a single leaf")
+    for name, _ in curve.charts:
+        struct.model.require_chart(name)
     out = []
     for comp in struct.real_curves.components:
         charts = dict(comp.charts)
@@ -472,23 +600,27 @@ def graft_along(struct: Structure, gamma: Component) -> Structure:
     adm = is_admissible(gamma, struct)
     if not adm:
         raise NotAdmissible(adm.reason)
-    comps = struct.real_curves.components
+    return _graft(adm)
+
+
+def _graft(adm: Admissibility) -> Structure:
+    """The structure an admitted decision describes."""
+    model = adm.source.model
+    comps = adm.source.real_curves.components
+    curve = adm.curve
+    twice = 2 * curve.multiplicity
     if adm.route == "disjoint":
-        doubled = Component(gamma.content, gamma.charts,
-                            2 * gamma.multiplicity)
-        return structure(struct.model, list(comps) + [doubled])
-    oriented = adm.oriented
-    twice = 2 * oriented.multiplicity
-    content = SurfaceMulticurve(adm.crossed).content_total()
-    content.update({lab: twice * n for lab, n in oriented.content})
-    charts = {}
-    for name, lam_total, mode in zip(struct.model.charts, adm.totals,
-                                     adm.modes):
-        p, q = oriented.chart_class(name)
-        charts[name] = resolve(lam_total, (twice * p, twice * q), mode)
-    fused = Component(tuple(content.items()), tuple(charts.items()))
+        doubled = Component(curve.content, curve.charts, twice)
+        return structure(model, comps + (doubled,))
+    content: Counter = Counter()
+    for comp in adm.crossed:
+        for lab, n in comp.content:
+            content[lab] += n * comp.multiplicity
+    content.update({lab: twice * n for lab, n in curve.content})
+    fused = Component(tuple(content.items()),
+                      tuple([*zip(model.charts, adm.fused)]))
     rest = [comp for comp in comps if comp not in adm.crossed]
-    return structure(struct.model, rest + [fused])
+    return structure(model, rest + [fused])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import re
 
 import pytest
@@ -91,26 +92,65 @@ class TestBuildComplex:
         assert 0 <= ranks["elementary"] <= ranks["all"]
 
 
+def _levels(graph):
+    """Each vertex's BFS level: its move distance from the seed."""
+    out = {graph.seed_key: 0}
+    frontier = [graph.seed_key]
+    while frontier:
+        step = {e.dst for e in graph.edges if e.src in frontier} - set(out)
+        out.update((key, out[frontier[0]] + 1) for key in step)
+        frontier = sorted(step)
+    return out
+
+
 class TestComputedOnce:
-    """The BFS computes each fact once: one admissibility check per
-    graft and one canonical key per structure object."""
+    """The BFS computes each fact once: one graft decision per structure
+    and generator, a structure built and keyed only for a new vertex."""
 
     def test_one_admissibility_check_per_graft(self, monkeypatch):
-        counts = {"is_admissible": 0, "graft_along": 0}
+        decided, grafted, twisted = [], [], []
+        decide, graft = surface.is_admissible, complex_graph._graft
+        twist = complex_graph.twist_about_meridian
 
-        def counting(name, fn):
-            def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
-            return wrapper
+        def deciding(gamma, struct):
+            decided.append((struct, gamma))
+            return decide(gamma, struct)
 
-        monkeypatch.setattr(surface, "is_admissible",
-                            counting("is_admissible", surface.is_admissible))
-        monkeypatch.setattr(complex_graph, "graft_along",
-                            counting("graft_along", surface.graft_along))
-        build_complex(standard_configuration(2), 4, 3)
-        assert counts["graft_along"] > 0
-        assert counts["is_admissible"] == counts["graft_along"]
+        def grafting(adm):
+            grafted.append(adm.source)
+            return graft(adm)
+
+        def twisting(obj, chart, n):
+            if isinstance(obj, surface.Structure):
+                twisted.append(obj)
+            return twist(obj, chart, n)
+
+        # both names, so a second decision anywhere would be counted
+        monkeypatch.setattr(surface, "is_admissible", deciding)
+        monkeypatch.setattr(complex_graph, "is_admissible", deciding)
+        monkeypatch.setattr(complex_graph, "_graft", grafting)
+        monkeypatch.setattr(complex_graph, "twist_about_meridian", twisting)
+        config = standard_configuration(2)
+        depth = 3
+        graph = build_complex(config, 4, depth)
+        grafts = complex_graph._grafts(config, 4)
+        levels = _levels(graph)
+        assert set(levels) == set(graph.vertices)
+        expanded = {id(graph.vertices[key]) for key, level in levels.items()
+                    if level < depth}
+        assert len(decided) == len(expanded) * len(grafts)
+        assert {id(struct) for struct, _ in decided} == expanded
+        assert len({(id(s), id(g)) for s, g in decided}) == len(decided)
+        # a destination is built only for a new vertex: the edge that
+        # first reaches a vertex is the move that built it
+        first = {}
+        for e in graph.edges:
+            first.setdefault(e.dst, e.kind)
+        first.pop(graph.seed_key, None)
+        assert len(first) == len(graph.vertices) - 1
+        kinds = sorted(first.values())
+        assert len(grafted) == kinds.count("graft") > 0
+        assert len(twisted) == kinds.count("elementary") > 0
 
     def test_one_key_per_structure(self, monkeypatch):
         keyed = []
@@ -122,8 +162,9 @@ class TestComputedOnce:
 
         monkeypatch.setattr(surface, "canonical_key", recording)
         graph = build_complex(standard_configuration(2), 4, 3)
-        assert len(keyed) >= len(graph.vertices)
-        assert len({id(curve) for curve in keyed}) == len(keyed)
+        assert len(keyed) == len(graph.vertices)
+        assert {id(curve) for curve in keyed} == {
+            id(struct.real_curves) for struct in graph.vertices.values()}
 
     def test_witness_graph_grafts_once(self, monkeypatch):
         # two grafts per m, one per pipeline; the graph reuses them
@@ -168,6 +209,95 @@ def reversed_curve(comp):
                      comp.multiplicity)
 
 
+class TestFusedPass:
+    """The decision identifies each destination by arithmetic: its
+    identity, rendered, is the key of the structure the graft builds, and
+    a meridian twist's identity is the key of the twisted structure."""
+
+    @pytest.mark.parametrize("charts,bound,depth", [
+        (1, 3, 3), (2, 2, 2), (3, 1, 2)])
+    def test_identity_is_the_built_key(self, charts, bound, depth):
+        config = standard_configuration(charts)
+        model = config.model
+        graph = build_complex(config, bound, depth)
+        grafts = complex_graph._grafts(config, bound)
+        twists = 0
+        for struct in graph.vertices.values():
+            for _, gamma in grafts:
+                # every graft is admitted at these sizes
+                # (test_rejection_reasons covers rejections)
+                adm = surface.is_admissible(gamma, struct)
+                assert surface._render(adm.identity, model) == \
+                    surface.graft_along(struct, gamma).key()
+            for (kind, chart, n), identity, adm in complex_graph._expand(
+                    config, struct, grafts):
+                if kind == "elementary":
+                    twists += 1
+                    assert adm is None
+                    assert surface._render(identity, model) == \
+                        surface.twist_about_meridian(struct, chart, n).key()
+        assert twists > 0
+
+    # (real curves, grafting curve, reason); each reason is pinned as the
+    # graft decision has always worded it
+    @pytest.mark.parametrize("real,gamma,reason", [
+        ([("lambda", (0, 2))], (1, 0),
+         "chart 'a': no spiral direction for 1,0 against 0,2"),
+        ([("lambda", (2, 0))], (2, 1),
+         "chart 'a': grafting class 2,1 is not a single strand"),
+        ([("lambda", (2, 0))], (-2, 1),
+         "chart 'a': grafting class -2,1 is not a single strand"),
+        ([("x", (1, 2)), ("x", (1, -2))], (1, 0),
+         "chart 'a': no spiral direction for 1,0 against 2,0"),
+        ([("x", (1, 2)), ("x", (1, -2))], (-1, 0),
+         "chart 'a': no spiral direction for -1,0 against 2,0"),
+    ])
+    def test_rejection_reasons(self, real, gamma, reason):
+        model = surface.SurfaceModel(2, "rho", ("a",))
+        struct = surface.structure(model, [
+            surface.component(label, {"a": cls}) for label, cls in real])
+        curve = surface.component("g", {"a": gamma})
+        adm = surface.is_admissible(curve, struct)
+        assert not adm and adm.reason == reason
+        with pytest.raises(NotAdmissible, match=re.escape(reason)):
+            surface.graft_along(struct, curve)
+
+    @staticmethod
+    def skipping_build():
+        """A build that skips grafts for both reasons: the configuration
+        is left unvalidated, so its curve is a double strand in chart b,
+        and the seed's crossed total in chart a can be parallel to it."""
+        model = surface.SurfaceModel(2, "rho", ("a", "b"))
+        config = surface.Configuration(
+            model, surface.component("lambda", {"a": (2, 0), "b": (2, 0)}),
+            surface.component("g", {"a": (1, 0), "b": (2, 1)}))
+        seed = surface.structure(model, [
+            surface.component("x", {"a": (1, 2), "b": (2, 0)}),
+            surface.component("y", {"a": (1, -2)})])
+        return build_complex(config, 1, 2, seed=seed)
+
+    def test_skips_logged_only_when_enabled(self, caplog, monkeypatch):
+        keyed = []
+        original = surface.canonical_key
+        monkeypatch.setattr(surface, "canonical_key",
+                            lambda curve, model: keyed.append(curve)
+                            or original(curve, model))
+        caplog.set_level(logging.WARNING, logger="graftkit")
+        quiet = self.skipping_build()
+        # logging off: no record, and no key rendered for a skip
+        assert not caplog.records
+        assert len(keyed) == len(quiet.vertices)
+        caplog.set_level(logging.DEBUG, logger="graftkit")
+        data = self.skipping_build().to_json_bytes()
+        assert data == quiet.to_json_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "d34f49a15e6faafb9c35ea5ea81a4ba1ac41852ee2a2e273105223a9801b69fc")
+        skips = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("skipping ")]
+        assert any("is not a single strand" in m for m in skips)
+        assert any("no spiral direction" in m for m in skips)
+
+
 class TestOrientationFree:
     """Edges are grafts along unoriented curves: a curve and its
     reversal give the same move from every vertex."""
@@ -193,9 +323,15 @@ class TestOrientationFree:
         assert admitted > 0
 
 
+def _destinations(config, struct, grafts):
+    """Each move of struct with the structure it builds."""
+    return [(move[0], complex_graph._destination(struct, move))
+            for move in complex_graph._expand(config, struct, grafts)]
+
+
 def _moves(config, struct, grafts):
     return {(desc, result.key())
-            for desc, result in complex_graph._expand(config, struct, grafts)}
+            for desc, result in _destinations(config, struct, grafts)}
 
 
 class TestKeyCongruence:
@@ -215,8 +351,7 @@ class TestKeyCongruence:
         grafts = complex_graph._grafts(config, bound)
         checked = 0
         for struct in graph.vertices.values():
-            for desc, result in complex_graph._expand(config, struct,
-                                                      grafts):
+            for desc, result in _destinations(config, struct, grafts):
                 rep = graph.vertices.get(result.key())
                 if rep is None or (result.real_curves.components
                                    == rep.real_curves.components):

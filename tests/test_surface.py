@@ -104,6 +104,20 @@ class TestSpelling:
         assert structure_to_json(struct)["curves"] == [
             {"label": "x", "charts": {"a": [1, 0]}, "multiplicity": 2}]
 
+    @pytest.mark.parametrize("cls", [(-1, 2), [-1, 2], (1, -2), (0, 0)])
+    def test_plain_pair_classes(self, cls):
+        # a class given as a plain pair is spelled as a TorusClass, so it
+        # orients, keys and grafts like one
+        comp = Component((("x", 1),), (("a", cls),))
+        typed = component("x", {"a": cls})
+        assert comp == typed
+        assert all(type(c) is TorusClass for _, c in comp.charts)
+        struct = structure(self.model, [comp])
+        assert struct.key() == structure(self.model, [typed]).key()
+        gamma = Component((("g", 1),), (("a", (1, 1)), ("b", [0, 1])))
+        assert graft_along(struct, gamma).key() == graft_along(
+            struct, component("g", {"a": (1, 1), "b": (0, 1)})).key()
+
     def test_unsorted_charts_merge(self):
         first = Component((("x", 1),), (("a", TorusClass(1, 0)),
                                         ("b", TorusClass(0, 1))))
@@ -254,6 +268,16 @@ class TestMeridianTwist:
         assert comp.chart_class("a") == (2, 10)
         assert comp.chart_class("b") == (2, 2)
 
+    def test_twisting_curve_chart_checked(self):
+        # twisting about a curve in a chart the model lacks is an input
+        # error, as it is for a meridian
+        model, lam, _ = standard_pair()
+        base = structure(model, [lam])
+        with pytest.raises(UnknownChart):
+            twist_about_curve(base, component("g", {"z": (0, 1)}), 1)
+        with pytest.raises(UnknownChart):
+            twist_about_meridian(base, "z", 1)
+
     def test_structure_key_changes_iff_twist_nontrivial(self):
         model, lam, _ = standard_pair()
         base = structure(model, [lam])
@@ -354,8 +378,12 @@ def reference_key(curve, model):
     for name in model.charts:
         cls = canon.total_chart_class(name)
         chart_totals[name] = [cls.p, cls.q]
+    content = {}
+    for comp in canon.components:
+        for lab, n in comp.content:
+            content[lab] = content.get(lab, 0) + n * comp.multiplicity
     payload = {
-        "content": sorted(canon.content_total().items()),
+        "content": sorted(content.items()),
         "charts": chart_totals,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
