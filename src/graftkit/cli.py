@@ -7,8 +7,8 @@ enumeration with DOT/JSON export, and `verify` for the identity suites.
 Exit codes are a stable contract: 0 success, 1 domain error (an
 inadmissible graft, odd multiplicity, degenerate input), 2 input error
 (bad flags, malformed JSON or curve spec, unknown chart or suite), 3
-verification failure. Set GRAFTKIT_LOG=debug|info|warning to adjust log
-verbosity.
+verification failure. Set GRAFTKIT_LOG=debug|info|warning|error|critical
+to adjust log verbosity; any other value means warning.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from .complex_graph import build_complex, suite_names, suite_parameters, \
     verify_suite
 
 log = logging.getLogger("graftkit")
+_LOG_LEVELS = {name: getattr(logging, name.upper()) for name in
+               ("debug", "info", "warning", "error", "critical")}
 
 
 def _torus_class(text: str) -> TorusClass:
@@ -241,8 +243,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    level = os.environ.get("GRAFTKIT_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("GRAFTKIT_LOG", "warning").lower()
+    logging.basicConfig(level=_LOG_LEVELS.get(level, logging.WARNING))
     parser = _build_parser()
     ns = parser.parse_args(argv)
     handlers = {"torus": _cmd_torus, "graft": _cmd_graft,

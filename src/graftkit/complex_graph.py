@@ -7,11 +7,12 @@ twice). The breadth-first closure under a bounded generator family is
 deterministic for fixed inputs: one serial loop expands the frontier in
 key order and merges each structure's moves as it goes, and both exports
 number the vertices in key order, so repeated builds are byte-identical.
-A build twists the grafting curve once per generator and decides each
-graft once (is_admissible per structure and generator). A move's
-destination is identified by arithmetic (the decision's identity, or a
-meridian twist's) and looked up; only a new identity is built into a
-structure and keyed, so an edge to a vertex already seen builds nothing.
+A build twists and prepares each generator's curve once (see
+surface._prepare) and decides each graft once (is_admissible per
+structure and generator). A move's destination is identified by
+arithmetic (the decision's identity, or a meridian twist's) and looked
+up; only a new identity is built into a structure and keyed, so an edge
+to a vertex already seen builds nothing.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .surface import (
     SurfaceModel,
     SurfaceMulticurve,
     _graft,
+    _prepare,
     canonical_key,
     component,
     goldman_decompose,
@@ -192,15 +194,16 @@ def standard_configuration(num_charts: int = 1) -> Configuration:
 
 def _grafts(config: Configuration, twist_bound: int
             ) -> List[Tuple[Tuple[str, str, int], Component]]:
-    """The graft generators with their curves, built once per build: the
-    untwisted grafting curve, then per chart its meridian twists up to
-    the twist bound."""
-    out = [(("graft", "", 0), config.gamma)]
+    """The graft generators with their curves, built and prepared for
+    the model (see surface._prepare) once per build: the untwisted
+    grafting curve, then per chart its meridian twists up to the twist
+    bound. config.gamma is left as it is."""
+    out = [(("graft", "", 0), _prepare(config.gamma, config.model))]
     for chart in config.model.charts:
         for n in range(-twist_bound, twist_bound + 1):
             if n != 0:
-                out.append((("graft", chart, n),
-                            twist_about_meridian(config.gamma, chart, n)))
+                out.append((("graft", chart, n), _prepare(twist_about_meridian(
+                    config.gamma, chart, n), config.model)))
     return out
 
 

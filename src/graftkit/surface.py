@@ -27,7 +27,9 @@ it fixes the crossed components and per chart their total and fused
 class. The decision also gives the destination's identity by arithmetic
 on the structure's, so a search can tell whether a graft lands on a
 structure it has seen without building it. The graft only assembles the
-destination from the decision.
+destination from the decision. A decision reads the curve's classes by
+chart position and doubled class as kept on a copy _prepare made for the
+structure's chart order, and works them out for any other curve.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .torus import (
 
 MERIDIAN = TorusClass(0, 1)
 ZERO = TorusClass(0, 0)
+_SHARP, _FLAT = Mode.SHARP, Mode.FLAT  # globals read faster than members
 
 Content = Tuple[Tuple[str, int], ...]
 ChartMap = Tuple[Tuple[str, TorusClass], ...]
@@ -110,6 +113,8 @@ class Component:
     content: Content
     charts: ChartMap
     multiplicity: int = 1
+    # not a field: only the copies _prepare makes carry decision data
+    _prepared = None
 
     def __post_init__(self):
         if self.multiplicity < 1:
@@ -124,10 +129,11 @@ class Component:
                 normal = False
                 break
         if not normal:
-            charts = tuple((name, TorusClass(*cls)) for name, cls in charts)
+            charts = tuple([(name, TorusClass(*cls))
+                            for name, cls in charts])
         charts = _by_name(charts, "chart")
         if not normal:
-            charts = tuple(e for e in charts if e[1] != (0, 0))
+            charts = tuple([e for e in charts if e[1] != (0, 0)])
         if content is not self.content:
             object.__setattr__(self, "content", content)
         if charts is not self.charts:
@@ -143,8 +149,8 @@ class Component:
 def component(label: str, charts: Mapping[str, Sequence[int]],
               multiplicity: int = 1) -> Component:
     """Build a simple (single-label) component from plain chart pairs."""
-    return Component(((label, 1),), tuple(
-        (name, TorusClass(*v)) for name, v in charts.items()), multiplicity)
+    return Component(((label, 1),), tuple([
+        (name, TorusClass(*v)) for name, v in charts.items()]), multiplicity)
 
 
 def _sign(classes: Iterable[Sequence[int]]) -> int:
@@ -171,7 +177,7 @@ def _normalized(comp: Component, chart_order: Sequence[str]) -> Component:
     """The component in its canonical orientation (see _orientation)."""
     if _orientation(comp, chart_order) > 0:
         return comp
-    charts = tuple((name, -cls) for name, cls in comp.charts)
+    charts = tuple([(name, -cls) for name, cls in comp.charts])
     return Component(comp.content, charts, comp.multiplicity)
 
 
@@ -201,7 +207,7 @@ def canonicalize(curve: SurfaceMulticurve,
         if key in merged:
             c = Component(*key, merged[key].multiplicity + c.multiplicity)
         merged[key] = c
-    return SurfaceMulticurve(tuple(merged[key] for key in sorted(merged)))
+    return SurfaceMulticurve(tuple([merged[key] for key in sorted(merged)]))
 
 
 # A structure's table, what a graft decision reads: per component, the
@@ -215,7 +221,7 @@ Table = Tuple[Tuple[Component, Tuple[Tuple[int, Tuple[int, int]], ...]], ...]
 class Structure:
     """A projective structure with the fixed holonomy: identified by the
     canonical form of its real multicurve, which is what it keeps. The
-    key, identity and table are computed on first use and kept."""
+    key, identity, table and grafted content are kept once computed."""
 
     model: SurfaceModel
     real_curves: SurfaceMulticurve
@@ -225,6 +231,8 @@ class Structure:
                                           repr=False, compare=False)
     _table: Optional[Table] = field(default=None, init=False, repr=False,
                                     compare=False)
+    _grafted: Optional[Tuple[Content, int, Content]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "real_curves",
@@ -262,11 +270,27 @@ class Structure:
                 for comp in self.real_curves.components]))
         return self._table
 
+    def grafted_content(self, curve: Component) -> Content:
+        """The content totals after grafting two leaves of the curve,
+        kept for the last curve content and multiplicity asked for."""
+        kept = self._grafted
+        if (kept is None or kept[0] != curve.content
+                or kept[1] != curve.multiplicity):
+            twice = 2 * curve.multiplicity
+            gained = dict(self.identity()[0])
+            for lab, n in curve.content:
+                gained[lab] = gained.get(lab, 0) + twice * n
+            kept = (curve.content, curve.multiplicity,
+                    tuple(sorted(gained.items())))
+            object.__setattr__(self, "_grafted", kept)
+        return kept[2]
+
     def forget(self) -> None:
-        """Drop the kept identity and table, not the key: whoever holds
-        many structures (a built graph) need not hold those too."""
+        """Drop all that is kept but the key: whoever holds many
+        structures (a built graph) need not hold the rest."""
         object.__setattr__(self, "_identity", None)
         object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_grafted", None)
 
 
 def structure(model: SurfaceModel,
@@ -413,18 +437,16 @@ class Admissibility(NamedTuple):
         """An admitted decision's destination identity, by arithmetic on
         the source's; it is worked out on each access, so a graft alone
         never pays for it. Either route adds two leaves' worth of the
-        curve's content. The disjoint route adds the doubled oriented
-        curve to the chart totals; the spiraling route replaces the
-        crossed totals (the components' share, as they are oriented) by
-        the fused class in its own orientation."""
-        model = self.source.model
-        content, base = self.source.identity()
-        twice = 2 * self.curve.multiplicity
-        gained = dict(content)
-        for lab, n in self.curve.content:
-            gained[lab] = gained.get(lab, 0) + twice * n
-        content = tuple(sorted(gained.items()))
+        curve's content (see grafted_content). The disjoint route adds the
+        doubled oriented curve to the chart totals; the spiraling route
+        replaces the crossed totals (the components' share, as they are
+        oriented) by the fused class in its own orientation."""
+        source = self.source
+        content = source.grafted_content(self.curve)
+        base = source.identity()[1]
         if self.route == "disjoint":
+            model = source.model
+            twice = 2 * self.curve.multiplicity
             grafted = [list(total) for total in base]
             _add_classes(grafted, self.curve.charts,
                          twice * _orientation(self.curve, model.charts),
@@ -435,6 +457,32 @@ class Admissibility(NamedTuple):
             (p - lp + turn * fp, q - lq + turn * fq)
             for (p, q), (lp, lq), (fp, fq) in zip(base, self.totals,
                                                    self.fused)])
+
+
+def _by_position(gamma: Component, charts: Sequence[str]) -> list:
+    """The curve's class per chart, in the given order; None where it
+    does not enter."""
+    classes = dict(gamma.charts)
+    return [classes.get(name) for name in charts]
+
+
+def _doubled(gamma: Component, given: Sequence[Optional[TorusClass]],
+             charts: Sequence[str]) -> Tuple[Tuple[int, int], ...]:
+    """Two leaves of the curve per chart position (see _by_position) in
+    its canonical orientation, ZERO where it does not enter."""
+    twice = 2 * gamma.multiplicity * _orientation(gamma, charts)
+    return tuple([ZERO if g is None else (twice * g.p, twice * g.q)
+                  for g in given])
+
+
+def _prepare(gamma: Component, model: SurfaceModel) -> Component:
+    """A copy of the curve keeping what a decision reads of it for the
+    model's chart order; the given curve is left as it is."""
+    given = _by_position(gamma, model.charts)
+    copy = Component(gamma.content, gamma.charts, gamma.multiplicity)
+    object.__setattr__(copy, "_prepared", (
+        model.charts, given, _doubled(gamma, given, model.charts)))
+    return copy
 
 
 def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
@@ -448,50 +496,50 @@ def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
     an admitted decision also gives the destination's identity.
     """
     charts = struct.model.charts
-    index = struct.model.chart_index
-    given = {index[name]: g for name, g in gamma.charts if name in index}
+    kept = gamma._prepared
+    if kept is not None and kept[0] == charts:
+        _, given, doubled = kept
+    else:
+        given, doubled = _by_position(gamma, charts), None
     crossed = []
     hit = [False] * len(charts)
     for row in struct.table():
         crosses = False
         for i, (p, q) in row[1]:
-            g = given.get(i)
+            g = given[i]
             if g is not None and p * g.q != q * g.p:
                 hit[i] = crosses = True
         if crosses:
             crossed.append(row)
     if not crossed:
         return Admissibility("disjoint", "", struct, gamma)
-    # The graft depends on the unoriented curve: fix the orientation
-    # whose first nonzero chart entry is positive, and read each spiral
-    # direction on it.
-    twice = 2 * gamma.multiplicity * _orientation(gamma, charts)
-    lam = [[0, 0] for _ in charts]
+    if doubled is None:
+        doubled = _doubled(gamma, given, charts)
+    lam = [(0, 0)] * len(charts)
     for _, entered in crossed:
         for i, (p, q) in entered:
-            lam[i][0] += p
-            lam[i][1] += q
+            lp, lq = lam[i]
+            lam[i] = (lp + p, lq + q)
     fused = []
     for i, lam_total in enumerate(lam):
-        g = given.get(i)
-        doubled = ZERO if g is None else (twice * g.p, twice * g.q)
-        mode = Mode.SHARP
+        mode = _SHARP
         if hit[i]:
+            g = given[i]
             if abs(g.p) != 1:
                 return Admissibility(
                     None, f"chart {charts[i]!r}: grafting class {g} is not "
                           f"a single strand")
-            sign = _spiral_sign(lam_total, doubled)
+            sign = _spiral_sign(lam_total, doubled[i])
             if sign == 0:
                 return Admissibility(
                     None, f"chart {charts[i]!r}: no spiral direction for "
                           f"{g} against {TorusClass(*lam_total)}")
             if sign < 0:
-                mode = Mode.FLAT
-        fused.append(resolve(lam_total, doubled, mode))
+                mode = _FLAT
+        fused.append(resolve(lam_total, doubled[i], mode))
     return Admissibility("spiraling", "", struct, gamma,
-                         tuple([comp for comp, _ in crossed]),
-                         tuple([(p, q) for p, q in lam]), tuple(fused))
+                         tuple([comp for comp, _ in crossed]), tuple(lam),
+                         tuple(fused))
 
 
 def check_spiraling_hypotheses(gamma_prime: Component, gamma: Component,

@@ -47,6 +47,9 @@ class Mode(enum.Enum):
     FLAT = "flat"
 
 
+_SHARP = Mode.SHARP  # a module global reads faster than an Enum member
+
+
 class TorusMulticurve(NamedTuple):
     """Unoriented multicurve: multiplicity copies of one primitive class.
 
@@ -115,7 +118,7 @@ def resolve(first: Pair, second: Pair, mode: Mode) -> TorusClass:
     d = algebraic_intersection(first, second)
     if d == 0:
         take_sum = True
-    elif mode is Mode.SHARP:
+    elif mode is _SHARP:
         take_sum = d > 0
     else:
         take_sum = d < 0

@@ -338,6 +338,21 @@ class TestInputContract:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
 
+    # Only level names set the level; a logging attribute that is not one
+    # (the format string BASIC_FORMAT) used to end in a traceback, exit 1.
+    @pytest.mark.parametrize("value", [
+        "basic_format", "BASIC_FORMAT", "bogus", "", "debug", "ERROR"])
+    def test_log_setting_never_tracebacks(self, value):
+        args = [sys.executable, "-m", "graftkit", "torus", "intersect",
+                "1,0", "0,1"]
+        quiet = subprocess.run(args, capture_output=True, text=True,
+                               env={**os.environ, "GRAFTKIT_LOG": "warning"})
+        proc = subprocess.run(args, capture_output=True, text=True,
+                              env={**os.environ, "GRAFTKIT_LOG": value})
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == quiet.stdout
+
 
 class TestVerifyCommand:
     def test_flatsharp_passes(self):

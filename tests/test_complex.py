@@ -202,6 +202,42 @@ class TestComputedOnce:
         build_complex(config, 4, 3)
         assert len(calls) == 4732
 
+    def test_generators_prepared_once_per_build(self, monkeypatch):
+        config = standard_configuration(2)
+        generators = len(complex_graph._grafts(config, 4))
+        prepared, computed = [], []
+        prepare = complex_graph._prepare
+        grafted_content = surface.Structure.grafted_content
+
+        def preparing(curve, model):
+            prepared.append(curve)
+            return prepare(curve, model)
+
+        def recording(struct, curve):
+            kept = struct._grafted
+            out = grafted_content(struct, curve)
+            if struct._grafted is not kept:
+                computed.append(struct)
+            return out
+
+        monkeypatch.setattr(complex_graph, "_prepare", preparing)
+        monkeypatch.setattr(surface.Structure, "grafted_content", recording)
+        gamma = vars(config.gamma).copy()
+        depth = 3
+        graph = build_complex(config, 4, depth)
+        assert len(prepared) == generators
+        # the grafted content is worked out once per expanded structure
+        expanded = {id(graph.vertices[key])
+                    for key, level in _levels(graph).items() if level < depth}
+        assert len(computed) == len(expanded)
+        assert {id(struct) for struct in computed} == expanded
+        # nothing is kept on a caller's curve
+        assert vars(config.gamma) == gamma
+        curve = surface.twist_about_meridian(config.gamma, "a", 1)
+        before = vars(curve).copy()
+        assert surface.is_admissible(curve, config.base_structure())
+        assert vars(curve) == before
+
 
 def reversed_curve(comp):
     return Component(comp.content,
@@ -263,10 +299,11 @@ class TestFusedPass:
             surface.graft_along(struct, curve)
 
     @staticmethod
-    def skipping_build():
-        """A build that skips grafts for both reasons: the configuration
-        is left unvalidated, so its curve is a double strand in chart b,
-        and the seed's crossed total in chart a can be parallel to it."""
+    def skipping_setup():
+        """The configuration and seed of a build that skips grafts for
+        both reasons: the configuration is left unvalidated, so its curve
+        is a double strand in chart b, and the seed's crossed total in
+        chart a can be parallel to it."""
         model = surface.SurfaceModel(2, "rho", ("a", "b"))
         config = surface.Configuration(
             model, surface.component("lambda", {"a": (2, 0), "b": (2, 0)}),
@@ -274,6 +311,11 @@ class TestFusedPass:
         seed = surface.structure(model, [
             surface.component("x", {"a": (1, 2), "b": (2, 0)}),
             surface.component("y", {"a": (1, -2)})])
+        return config, seed
+
+    @classmethod
+    def skipping_build(cls):
+        config, seed = cls.skipping_setup()
         return build_complex(config, 1, 2, seed=seed)
 
     def test_skips_logged_only_when_enabled(self, caplog, monkeypatch):
@@ -296,6 +338,62 @@ class TestFusedPass:
                  if r.getMessage().startswith("skipping ")]
         assert any("is not a single strand" in m for m in skips)
         assert any("no spiral direction" in m for m in skips)
+
+
+class TestPreparedCurves:
+    """A build prepares each generator once (surface._prepare); deciding
+    the prepared curve gives the decision of the curve itself."""
+
+    FIELDS = ("route", "reason", "crossed", "totals", "fused")
+
+    def assert_fresh_decision(self, prepared, struct):
+        fresh = Component(prepared.content, prepared.charts,
+                          prepared.multiplicity)
+        assert fresh._prepared is None
+        got = surface.is_admissible(prepared, struct)
+        want = surface.is_admissible(fresh, struct)
+        for name in self.FIELDS:
+            assert getattr(got, name) == getattr(want, name), name
+        if want:
+            assert got.identity == want.identity
+        return want
+
+    @pytest.mark.parametrize("charts,bound,depth", [
+        (1, 3, 3), (2, 2, 2), (3, 1, 2), (None, 1, 2)], ids=[
+        "1-3-3", "2-2-2", "3-1-2", "skipping"])
+    def test_bfs_decision_is_the_fresh_decision(self, charts, bound,
+                                                depth):
+        if charts is None:
+            config, seed = TestFusedPass.skipping_setup()
+            graph = build_complex(config, bound, depth, seed=seed)
+        else:
+            config = standard_configuration(charts)
+            graph = build_complex(config, bound, depth)
+        grafts = complex_graph._grafts(config, bound)
+        outcomes = set()
+        for struct in graph.vertices.values():
+            for _, gamma in grafts:
+                assert gamma._prepared is not None
+                want = self.assert_fresh_decision(gamma, struct)
+                outcomes.add(want.route or re.sub(r".*: (grafting class"
+                                                  r"|no spiral).*", r"\1",
+                                                  want.reason))
+        if charts is None:  # it skips every graft, for both reasons
+            assert outcomes == {"grafting class", "no spiral"}
+        else:
+            assert "spiraling" in outcomes
+
+    def test_prepared_for_another_chart_order(self):
+        # the curve's orientation and chart positions depend on the order
+        ab = surface.SurfaceModel(2, "rho", ("a", "b"))
+        ba = surface.SurfaceModel(2, "rho", ("b", "a"))
+        curve = surface.component("g", {"a": (1, 1), "b": (-1, 0)})
+        prepared = surface._prepare(curve, ab)
+        assert curve._prepared is None
+        struct = surface.structure(ba, [
+            surface.component("lambda", {"a": (2, 0), "b": (2, 0)})])
+        assert self.assert_fresh_decision(prepared, struct).route == \
+            "spiraling"
 
 
 class TestOrientationFree:

@@ -340,6 +340,22 @@ class TestGrafting:
         with pytest.raises(ValueError):
             twist_about_curve(structure(model, [lam]), wide, 1)
 
+    def test_kept_grafted_content_follows_the_curve(self):
+        # one entry is kept per structure; another curve's content or
+        # multiplicity replaces it, and forget() drops it
+        model, lam, gam = standard_pair()
+        base = structure(model, [lam])
+        other = component("delta", {"a": (1, 0)})
+        wide = component("gamma", {"a": (1, 0)}, 2)
+        for curve, content in ((gam, (("gamma", 2), ("lambda", 1))),
+                               (other, (("delta", 2), ("lambda", 1))),
+                               (wide, (("gamma", 4), ("lambda", 1))),
+                               (gam, (("gamma", 2), ("lambda", 1)))):
+            assert base.grafted_content(curve) == content
+            assert is_admissible(curve, base).identity[0] == content
+        base.forget()
+        assert base._grafted is None
+
 
 class TestCanonicalKey:
     def test_component_order_irrelevant(self):
