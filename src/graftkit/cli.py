@@ -206,9 +206,8 @@ def _cmd_complex(ns: argparse.Namespace) -> int:
     model, struct, gamma = _load_configuration(ns.config)
     if gamma is None:
         raise ValueError("configuration lacks a 'gamma' grafting curve")
-    lam_total = component("lambda", {
-        name: struct.real_curves.total_chart_class(name)
-        for name in model.charts})
+    lam_total = component("lambda", dict(zip(model.charts,
+                                             struct.identity()[1])))
     configuration = validate_configuration(model, lam_total, gamma)
     dot = ns.format == "dot"
     with _destination(ns.output, binary=not dot) as handle:

@@ -9,10 +9,12 @@ key order and merges each structure's moves as it goes, and both exports
 number the vertices in key order, so repeated builds are byte-identical.
 A build twists and prepares each generator's curve once (see
 surface._prepare) and decides each graft once (is_admissible per
-structure and generator). A move's destination is identified by
-arithmetic (the decision's identity, or a meridian twist's) and looked
-up; only a new identity is built into a structure and keyed, so an edge
-to a vertex already seen builds nothing.
+structure and generator). Every generator is a meridian twist of the
+grafting curve and shares its content, so the grafted content is worked
+out once per expanded structure. A move's destination is identified by
+arithmetic (the decision's chart totals with that content, or a meridian
+twist's) and looked up; only a new identity is built into a structure and
+keyed, so an edge to a vertex already seen builds nothing.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import logging
 import random
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, \
-    Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, \
+    Sequence, Tuple
 
 from .errors import BadConfiguration, NotAdmissible, OddMultiplicity, \
     UnknownSuite
@@ -39,8 +41,9 @@ from .surface import (
     Identity,
     Structure,
     SurfaceModel,
-    SurfaceMulticurve,
     _graft,
+    _graft_content,
+    _graft_totals,
     _prepare,
     canonical_key,
     component,
@@ -56,8 +59,7 @@ from .surface import (
 log = logging.getLogger("graftkit")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """One move: kind is "graft" or "elementary"; chart names the twisting
     chart ("" for the untwisted graft); n is the twist power."""
 
@@ -217,6 +219,7 @@ def _expand(config: Configuration, struct: Structure,
     identity, the graft decision or None for an elementary move);
     inadmissible grafts are skipped (logged at debug level)."""
     content, totals = struct.identity()
+    grafted = _graft_content(content, config.gamma)
     # the meridian's crossings with the real curves, per chart
     hits = [0] * len(totals)
     for _, entered in struct.table():
@@ -236,7 +239,7 @@ def _expand(config: Configuration, struct: Structure,
     for desc, gamma in grafts:
         adm = is_admissible(gamma, struct)
         if adm:
-            out.append((desc, adm.identity, adm))
+            out.append((desc, (grafted, _graft_totals(adm)), adm))
         elif log.isEnabledFor(logging.DEBUG):
             log.debug("skipping %s at %s: %s", desc, struct.key(),
                       adm.reason)
@@ -509,7 +512,7 @@ def _suite_dehn_twist(k_max: int = 6) -> Report:
 
 
 def _random_even_multicurve(rng: random.Random,
-                            model: SurfaceModel) -> SurfaceMulticurve:
+                            model: SurfaceModel) -> Tuple[Component, ...]:
     n = rng.randint(1, len(model.charts))
     charts = rng.sample(list(model.charts), n)
     comps = []
@@ -521,7 +524,7 @@ def _random_even_multicurve(rng: random.Random,
                 break
         comps.append(component(f"w{i}", {chart: (p, q)},
                                2 * rng.randint(1, 4)))
-    return SurfaceMulticurve(tuple(comps))
+    return tuple(comps)
 
 
 def _suite_goldman(trials: int = 100, seed: int = 7) -> Report:
@@ -531,7 +534,7 @@ def _suite_goldman(trials: int = 100, seed: int = 7) -> Report:
     for t in range(trials):
         lam = _random_even_multicurve(rng, model)
         target = canonical_key(lam, model)
-        sigma = list(goldman_decompose(lam).components)
+        sigma = list(goldman_decompose(lam))
         rng.shuffle(sigma)
         current = structure(model, [])
         try:
@@ -543,7 +546,7 @@ def _suite_goldman(trials: int = 100, seed: int = 7) -> Report:
             ok = False
             detail = str(exc)
         report.add(f"round trip #{t}", ok, detail)
-    odd = SurfaceMulticurve((component("w0", {"c0": (1, 0)}, 3),))
+    odd = (component("w0", {"c0": (1, 0)}, 3),)
     try:
         goldman_decompose(odd)
         report.add("odd multiplicity rejected", False, "no error raised")

@@ -13,13 +13,14 @@ is a finite set of components, each carrying
   (0,1), the base grafting curve (1,0); a (0,0) class is left out,
 * a positive multiplicity counting parallel leaves.
 
-Component fixes this spelling when it is built (a zero label count is kept;
-a label or chart named twice is a ValueError), so canonicalize only orients
-and merges. A Structure keeps its real multicurve in that canonical form.
-Structure identity is the canonical key of the real multicurve, the
-rendering of its identity: the sorted content totals together with
-per-chart homology totals of sign-normalized components. Operations
-reduce to chart torus arithmetic.
+A multicurve is a tuple of components. Component fixes this spelling when
+it is built (a zero label count is kept; a label or chart named twice is a
+ValueError), so canonicalize only orients and merges. A Structure is its
+model and the canonical form of its real multicurve, which by Goldman's
+theorem determines it. Structure identity is the canonical key of the real
+multicurve, the rendering of its identity: the sorted content totals
+together with per-chart homology totals of sign-normalized components.
+Operations reduce to chart torus arithmetic.
 
 There is one graft, graft_along. is_admissible decides its route from
 the structure's integer table. For a curve that crosses the real curves
@@ -29,7 +30,8 @@ on the structure's, so a search can tell whether a graft lands on a
 structure it has seen without building it. The graft only assembles the
 destination from the decision. A decision reads the curve's classes by
 chart position and doubled class as kept on a copy _prepare made for the
-structure's chart order, and works them out for any other curve.
+structure's chart order, and works them out for any other curve; a curve
+that names a chart the model lacks is an UnknownChart either way.
 """
 
 from __future__ import annotations
@@ -181,33 +183,19 @@ def _normalized(comp: Component, chart_order: Sequence[str]) -> Component:
     return Component(comp.content, charts, comp.multiplicity)
 
 
-@dataclass(frozen=True)
-class SurfaceMulticurve:
-    components: Tuple[Component, ...] = ()
-
-    def total_chart_class(self, name: str) -> TorusClass:
-        p = sum(c.multiplicity * c.chart_class(name).p for c in self.components)
-        q = sum(c.multiplicity * c.chart_class(name).q for c in self.components)
-        return TorusClass(p, q)
-
-
-def multicurve(*components: Component) -> SurfaceMulticurve:
-    return SurfaceMulticurve(tuple(components))
-
-
-def canonicalize(curve: SurfaceMulticurve,
-                 model: SurfaceModel) -> SurfaceMulticurve:
+def canonicalize(curve: Iterable[Component],
+                 model: SurfaceModel) -> Tuple[Component, ...]:
     """Sorted normal form: each component in its canonical orientation,
     equal ones merged by adding multiplicities. Components already
     oriented and met once are kept as they are; spelling is Component's."""
     merged: Dict[Tuple[Content, ChartMap], Component] = {}
-    for c in curve.components:
+    for c in curve:
         c = _normalized(c, model.charts)
         key = (c.content, c.charts)
         if key in merged:
             c = Component(*key, merged[key].multiplicity + c.multiplicity)
         merged[key] = c
-    return SurfaceMulticurve(tuple([merged[key] for key in sorted(merged)]))
+    return tuple([merged[key] for key in sorted(merged)])
 
 
 # A structure's table, what a graft decision reads: per component, the
@@ -221,18 +209,16 @@ Table = Tuple[Tuple[Component, Tuple[Tuple[int, Tuple[int, int]], ...]], ...]
 class Structure:
     """A projective structure with the fixed holonomy: identified by the
     canonical form of its real multicurve, which is what it keeps. The
-    key, identity, table and grafted content are kept once computed."""
+    key, identity and table are kept once computed."""
 
     model: SurfaceModel
-    real_curves: SurfaceMulticurve
+    real_curves: Tuple[Component, ...]
     _key: Optional[str] = field(default=None, init=False, repr=False,
                                 compare=False)
     _identity: Optional[Identity] = field(default=None, init=False,
                                           repr=False, compare=False)
     _table: Optional[Table] = field(default=None, init=False, repr=False,
                                     compare=False)
-    _grafted: Optional[Tuple[Content, int, Content]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "real_curves",
@@ -267,35 +253,19 @@ class Structure:
                         comp.multiplicity * cls[0],
                         comp.multiplicity * cls[1]))
                     for name, cls in comp.charts if name in index]))
-                for comp in self.real_curves.components]))
+                for comp in self.real_curves]))
         return self._table
-
-    def grafted_content(self, curve: Component) -> Content:
-        """The content totals after grafting two leaves of the curve,
-        kept for the last curve content and multiplicity asked for."""
-        kept = self._grafted
-        if (kept is None or kept[0] != curve.content
-                or kept[1] != curve.multiplicity):
-            twice = 2 * curve.multiplicity
-            gained = dict(self.identity()[0])
-            for lab, n in curve.content:
-                gained[lab] = gained.get(lab, 0) + twice * n
-            kept = (curve.content, curve.multiplicity,
-                    tuple(sorted(gained.items())))
-            object.__setattr__(self, "_grafted", kept)
-        return kept[2]
 
     def forget(self) -> None:
         """Drop all that is kept but the key: whoever holds many
         structures (a built graph) need not hold the rest."""
         object.__setattr__(self, "_identity", None)
         object.__setattr__(self, "_table", None)
-        object.__setattr__(self, "_grafted", None)
 
 
 def structure(model: SurfaceModel,
               components: Iterable[Component] = ()) -> Structure:
-    return Structure(model, SurfaceMulticurve(tuple(components)))
+    return Structure(model, components)
 
 
 def _add_classes(totals: Sequence[list], charts: Iterable, weight: int,
@@ -309,7 +279,8 @@ def _add_classes(totals: Sequence[list], charts: Iterable, weight: int,
             totals[i][1] += weight * q
 
 
-def _identity_of(curve: SurfaceMulticurve, model: SurfaceModel) -> Identity:
+def _identity_of(curve: Iterable[Component],
+                 model: SurfaceModel) -> Identity:
     """What classifies a multicurve: the content-label totals, sorted,
     and per chart in model order the homology total of the
     orientation-normalized components. Component order, orientations, and
@@ -318,7 +289,7 @@ def _identity_of(curve: SurfaceMulticurve, model: SurfaceModel) -> Identity:
     or not. Content labels whose total is zero are kept."""
     totals = [[0, 0] for _ in model.charts]
     content: Dict[str, int] = {}
-    for comp in curve.components:
+    for comp in curve:
         mult = comp.multiplicity
         for lab, n in comp.content:
             content[lab] = content.get(lab, 0) + n * mult
@@ -336,7 +307,7 @@ def _render(identity: Identity, model: SurfaceModel) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def canonical_key(curve: SurfaceMulticurve, model: SurfaceModel) -> str:
+def canonical_key(curve: Iterable[Component], model: SurfaceModel) -> str:
     """Deterministic identity key of a multicurve: its identity (see
     _identity_of) rendered as JSON."""
     return _render(_identity_of(curve, model), model)
@@ -436,34 +407,49 @@ class Admissibility(NamedTuple):
     def identity(self) -> Identity:
         """An admitted decision's destination identity, by arithmetic on
         the source's; it is worked out on each access, so a graft alone
-        never pays for it. Either route adds two leaves' worth of the
-        curve's content (see grafted_content). The disjoint route adds the
-        doubled oriented curve to the chart totals; the spiraling route
-        replaces the crossed totals (the components' share, as they are
-        oriented) by the fused class in its own orientation."""
-        source = self.source
-        content = source.grafted_content(self.curve)
-        base = source.identity()[1]
-        if self.route == "disjoint":
-            model = source.model
-            twice = 2 * self.curve.multiplicity
-            grafted = [list(total) for total in base]
-            _add_classes(grafted, self.curve.charts,
-                         twice * _orientation(self.curve, model.charts),
-                         model.chart_index)
-            return content, tuple([(p, q) for p, q in grafted])
-        turn = _sign(self.fused)
-        return content, tuple([
-            (p - lp + turn * fp, q - lq + turn * fq)
-            for (p, q), (lp, lq), (fp, fq) in zip(base, self.totals,
-                                                   self.fused)])
+        never pays for it."""
+        return (_graft_content(self.source.identity()[0], self.curve),
+                _graft_totals(self))
 
 
-def _by_position(gamma: Component, charts: Sequence[str]) -> list:
-    """The curve's class per chart, in the given order; None where it
-    does not enter."""
+def _graft_content(content: Content, curve: Component) -> Content:
+    """The content totals after either route grafts two leaves of the
+    curve onto a structure with the given totals. Meridian twists keep a
+    curve's content and multiplicity, so one result serves them all."""
+    twice = 2 * curve.multiplicity
+    gained = dict(content)
+    for lab, n in curve.content:
+        gained[lab] = gained.get(lab, 0) + twice * n
+    return tuple(sorted(gained.items()))
+
+
+def _graft_totals(adm: Admissibility) -> Tuple[Tuple[int, int], ...]:
+    """An admitted decision's destination chart totals. The disjoint
+    route adds the doubled oriented curve to the source's; the spiraling
+    route replaces the crossed totals (the components' share, as they are
+    oriented) by the fused class in its own orientation."""
+    base = adm.source.identity()[1]
+    if adm.route == "disjoint":
+        model = adm.source.model
+        twice = 2 * adm.curve.multiplicity
+        grafted = [list(total) for total in base]
+        _add_classes(grafted, adm.curve.charts,
+                     twice * _orientation(adm.curve, model.charts),
+                     model.chart_index)
+        return tuple([(p, q) for p, q in grafted])
+    turn = _sign(adm.fused)
+    return tuple([(p - lp + turn * fp, q - lq + turn * fq)
+                  for (p, q), (lp, lq), (fp, fq) in zip(base, adm.totals,
+                                                        adm.fused)])
+
+
+def _by_position(gamma: Component, model: SurfaceModel) -> list:
+    """The curve's class per chart, in model order; None where it does
+    not enter. A chart the model lacks raises UnknownChart."""
+    for name, _ in gamma.charts:
+        model.require_chart(name)
     classes = dict(gamma.charts)
-    return [classes.get(name) for name in charts]
+    return [classes.get(name) for name in model.charts]
 
 
 def _doubled(gamma: Component, given: Sequence[Optional[TorusClass]],
@@ -478,7 +464,7 @@ def _doubled(gamma: Component, given: Sequence[Optional[TorusClass]],
 def _prepare(gamma: Component, model: SurfaceModel) -> Component:
     """A copy of the curve keeping what a decision reads of it for the
     model's chart order; the given curve is left as it is."""
-    given = _by_position(gamma, model.charts)
+    given = _by_position(gamma, model)
     copy = Component(gamma.content, gamma.charts, gamma.multiplicity)
     object.__setattr__(copy, "_prepared", (
         model.charts, given, _doubled(gamma, given, model.charts)))
@@ -500,7 +486,7 @@ def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
     if kept is not None and kept[0] == charts:
         _, given, doubled = kept
     else:
-        given, doubled = _by_position(gamma, charts), None
+        given, doubled = _by_position(gamma, struct.model), None
     crossed = []
     hit = [False] * len(charts)
     for row in struct.table():
@@ -594,7 +580,7 @@ def twist_about_meridian(obj, chart: str, n: int):
     if isinstance(obj, Structure):
         obj.model.require_chart(chart)
         comps = [_twist_component(c, chart, n)
-                 for c in obj.real_curves.components]
+                 for c in obj.real_curves]
         return structure(obj.model, comps)
     if isinstance(obj, Component):
         return _twist_component(obj, chart, n)
@@ -616,7 +602,7 @@ def twist_about_curve(struct: Structure, curve: Component,
     for name, _ in curve.charts:
         struct.model.require_chart(name)
     out = []
-    for comp in struct.real_curves.components:
+    for comp in struct.real_curves:
         charts = dict(comp.charts)
         crossings = 0
         for name, cls in curve.charts:
@@ -654,7 +640,7 @@ def graft_along(struct: Structure, gamma: Component) -> Structure:
 def _graft(adm: Admissibility) -> Structure:
     """The structure an admitted decision describes."""
     model = adm.source.model
-    comps = adm.source.real_curves.components
+    comps = adm.source.real_curves
     curve = adm.curve
     twice = 2 * curve.multiplicity
     if adm.route == "disjoint":
@@ -675,7 +661,7 @@ def _graft(adm: Admissibility) -> Structure:
 # Goldman decomposition
 
 
-def goldman_decompose(curve: SurfaceMulticurve) -> SurfaceMulticurve:
+def goldman_decompose(curve: Iterable[Component]) -> Tuple[Component, ...]:
     """Halve every multiplicity of an all-even multicurve.
 
     Grafting a standard structure with empty real curves along the result
@@ -684,14 +670,14 @@ def goldman_decompose(curve: SurfaceMulticurve) -> SurfaceMulticurve:
     OddMultiplicity naming it.
     """
     halved = []
-    for comp in curve.components:
+    for comp in curve:
         if comp.multiplicity % 2:
             label = "+".join(f"{lab}x{n}" if n > 1 else lab
                              for lab, n in comp.content)
             raise OddMultiplicity(label)
         halved.append(Component(comp.content, comp.charts,
                                 comp.multiplicity // 2))
-    return SurfaceMulticurve(tuple(halved))
+    return tuple(halved)
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +777,6 @@ def structure_to_json(struct: Structure) -> dict:
         "holonomy": struct.holonomy_tag,
         "charts": list(struct.model.charts),
         "curves": [_component_to_json(c)
-                   for c in struct.real_curves.components],
+                   for c in struct.real_curves],
         "key": struct.key(),
     }

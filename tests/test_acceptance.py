@@ -17,7 +17,6 @@ from graftkit import (
     dehn_twist,
     geometric_intersection,
     goldman_decompose,
-    multicurve,
     standard_configuration,
     standard_fan,
     verify_suite,
@@ -136,7 +135,7 @@ def test_criterion_09_goldman_round_trip():
     outcome = verify_suite("goldman", trials=100, seed=7)
     ok = outcome.passed
     try:
-        goldman_decompose(multicurve(component("odd", {"a": (1, 0)}, 5)))
+        goldman_decompose((component("odd", {"a": (1, 0)}, 5),))
         ok = False
     except OddMultiplicity:
         pass

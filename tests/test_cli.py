@@ -227,19 +227,28 @@ class TestComplexCommand:
         assert proc.returncode == 2
 
     def test_reversed_gamma_same_export(self, tmp_path):
-        # the grafting curve is unoriented: [-1,0] names [1,0]
+        # curves are unoriented: a grafting curve read [-1,0] names [1,0],
+        # and a seed read [-2,0] names [2,0]
         outs = []
-        for p in (1, -1):
+        for i, (seed, p) in enumerate([
+                ([("lambda", [2, 0])], 1),
+                ([("lambda", [2, 0])], -1),
+                ([("lambda", [-2, 0])], 1),
+                # the seed's chart totals add up its two components
+                ([("x", [1, 2]), ("x", [1, -2])], 1)]):
             config = json.loads(json.dumps(CONFIG))
+            config["curves"] = [{"label": label, "charts": {"a": cls}}
+                                for label, cls in seed]
             config["gamma"]["charts"]["a"] = [p, 0]
-            path = tmp_path / f"config{p}.json"
+            path = tmp_path / f"config{i}.json"
             path.write_text(json.dumps(config))
-            out = tmp_path / f"graph{p}.json"
+            out = tmp_path / f"graph{i}.json"
             proc = run_cli("complex", str(path), "--depth", "2",
                            "--twist-bound", "2", "--output", str(out))
             assert proc.returncode == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
+        assert proc.stdout.startswith("vertices=21 edges=34 ")
 
 
 class TestInputContract:

@@ -11,6 +11,7 @@ from graftkit import (
     BadConfiguration,
     Component,
     NotAdmissible,
+    UnknownChart,
     complex_graph,
     surface,
     UnknownSuite,
@@ -71,6 +72,16 @@ class TestBuildComplex:
             build_complex(config, -1, 2)
         with pytest.raises(BadConfiguration):
             build_complex(config, 2, -1)
+
+    def test_gamma_chart_outside_the_model_rejected(self):
+        # validation reads only the model's charts; the build checks the
+        # curve when it prepares the generators
+        config = standard_configuration()
+        gamma = surface.component("g", {"a": (1, 0), "zz": (1, 3)})
+        config = surface.validate_configuration(config.model, config.lam,
+                                                gamma)
+        with pytest.raises(UnknownChart, match="'zz'"):
+            build_complex(config, 1, 1)
 
     def test_rank_monotone_in_twist_bound(self):
         config = standard_configuration()
@@ -207,30 +218,28 @@ class TestComputedOnce:
         generators = len(complex_graph._grafts(config, 4))
         prepared, computed = [], []
         prepare = complex_graph._prepare
-        grafted_content = surface.Structure.grafted_content
+        graft_content = surface._graft_content
 
         def preparing(curve, model):
             prepared.append(curve)
             return prepare(curve, model)
 
-        def recording(struct, curve):
-            kept = struct._grafted
-            out = grafted_content(struct, curve)
-            if struct._grafted is not kept:
-                computed.append(struct)
-            return out
+        def recording(content, curve):
+            computed.append(content)
+            return graft_content(content, curve)
 
         monkeypatch.setattr(complex_graph, "_prepare", preparing)
-        monkeypatch.setattr(surface.Structure, "grafted_content", recording)
+        for module in (surface, complex_graph):
+            monkeypatch.setattr(module, "_graft_content", recording)
         gamma = vars(config.gamma).copy()
         depth = 3
         graph = build_complex(config, 4, depth)
         assert len(prepared) == generators
-        # the grafted content is worked out once per expanded structure
-        expanded = {id(graph.vertices[key])
-                    for key, level in _levels(graph).items() if level < depth}
-        assert len(computed) == len(expanded)
-        assert {id(struct) for struct in computed} == expanded
+        # the grafted content is worked out once per expanded structure,
+        # from that structure's content
+        expanded = [graph.vertices[key].identity()[0]
+                    for key, level in _levels(graph).items() if level < depth]
+        assert sorted(computed) == sorted(expanded)
         # nothing is kept on a caller's curve
         assert vars(config.gamma) == gamma
         curve = surface.twist_about_meridian(config.gamma, "a", 1)
@@ -451,8 +460,7 @@ class TestKeyCongruence:
         for struct in graph.vertices.values():
             for desc, result in _destinations(config, struct, grafts):
                 rep = graph.vertices.get(result.key())
-                if rep is None or (result.real_curves.components
-                                   == rep.real_curves.components):
+                if rep is None or result.real_curves == rep.real_curves:
                     continue
                 checked += 1
                 assert _moves(config, result, grafts) == \

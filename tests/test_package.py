@@ -1,6 +1,16 @@
-"""The package's export list: every listed name exists, once."""
+"""The package's export list: every listed name exists, once; and no
+module imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
 
 import graftkit
+
+# __init__.py imports names to export them, so it is left out
+MODULES = sorted(path for path in Path(graftkit.__file__).parent.glob("*.py")
+                 if path.name != "__init__.py")
 
 
 class TestExportList:
@@ -16,3 +26,17 @@ class TestExportList:
         namespace = {}
         exec("from graftkit import *", namespace)
         assert set(graftkit.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -13,7 +13,6 @@ from graftkit import (
     NotAdmissible,
     OddMultiplicity,
     SurfaceModel,
-    SurfaceMulticurve,
     TorusClass,
     UnknownChart,
     canonical_key,
@@ -23,7 +22,6 @@ from graftkit import (
     goldman_decompose,
     graft_along,
     is_admissible,
-    multicurve,
     parse_configuration,
     structure,
     structure_to_json,
@@ -99,7 +97,7 @@ class TestSpelling:
     def test_spellings_merge(self, charts):
         plain = component("x", {"a": (1, 0)})
         struct = structure(self.model, [plain, Component((("x", 1),), charts)])
-        assert struct.real_curves.components == (
+        assert struct.real_curves == (
             Component(plain.content, plain.charts, 2),)
         assert structure_to_json(struct)["curves"] == [
             {"label": "x", "charts": {"a": [1, 0]}, "multiplicity": 2}]
@@ -125,7 +123,7 @@ class TestSpelling:
                                          ("a", TorusClass(1, 0))))
         assert first == second
         merged = structure(self.model, [first, second]).real_curves
-        assert [c.multiplicity for c in merged.components] == [2]
+        assert [c.multiplicity for c in merged] == [2]
 
 
 class TestValidation:
@@ -134,7 +132,7 @@ class TestValidation:
         config = validate_configuration(model, lam, gam)
         assert (config.lam, config.gamma) == (lam, gam)
         assert config.base_structure().key() == \
-            canonical_key(multicurve(lam), model)
+            canonical_key((lam,), model)
 
     def test_real_curve_count_enforced(self):
         model, _, gam = standard_pair()
@@ -264,7 +262,7 @@ class TestMeridianTwist:
         model = SurfaceModel(2, "rho", ("a", "b"))
         lam = component("lambda", {"a": (2, 0), "b": (2, 2)})
         out = twist_about_meridian(structure(model, [lam]), "a", 5)
-        comp = out.real_curves.components[0]
+        comp = out.real_curves[0]
         assert comp.chart_class("a") == (2, 10)
         assert comp.chart_class("b") == (2, 2)
 
@@ -314,12 +312,12 @@ class TestGrafting:
         base = structure(model, [lam])
         right = component("gamma", {"a": (1, -1)})
         out = graft_along(base, right)
-        comp = out.real_curves.components[0]
+        comp = out.real_curves[0]
         assert comp.chart_class("a") == (2, 0)
         assert dict(comp.content) == {"gamma": 2, "lambda": 1}
         steeper = component("gamma", {"a": (1, -2)})
         out2 = graft_along(base, steeper)
-        assert out2.real_curves.components[0].chart_class("a") == (2, -2)
+        assert out2.real_curves[0].chart_class("a") == (2, -2)
 
     def test_dispatcher_picks_route(self):
         model, lam, gam = standard_pair()
@@ -334,15 +332,26 @@ class TestGrafting:
                 '{"charts":{"a":%s},"content":[["gamma",2],' \
                 '["lambda",1]]}' % fused
 
+    def test_curve_chart_outside_the_model(self):
+        # the key reads only the model's charts, so a graft must not keep
+        # another; both routes reject it, as twisting about the curve does
+        model, lam, _ = standard_pair()
+        base = structure(model, [lam])
+        for cls in ((1, 0), (1, 1)):
+            curve = component("g", {"a": cls, "zz": (1, 3)})
+            with pytest.raises(UnknownChart, match="'zz'"):
+                is_admissible(curve, base)
+            with pytest.raises(UnknownChart, match="'zz'"):
+                graft_along(base, curve)
+
     def test_twisting_curve_must_be_single_leaf(self):
         model, lam, gam = standard_pair()
         wide = component("gamma", {"a": (1, 1)}, 2)
         with pytest.raises(ValueError):
             twist_about_curve(structure(model, [lam]), wide, 1)
 
-    def test_kept_grafted_content_follows_the_curve(self):
-        # one entry is kept per structure; another curve's content or
-        # multiplicity replaces it, and forget() drops it
+    def test_destination_content_follows_the_curve(self):
+        # either route adds two leaves' worth of the curve's content
         model, lam, gam = standard_pair()
         base = structure(model, [lam])
         other = component("delta", {"a": (1, 0)})
@@ -351,10 +360,7 @@ class TestGrafting:
                                (other, (("delta", 2), ("lambda", 1))),
                                (wide, (("gamma", 4), ("lambda", 1))),
                                (gam, (("gamma", 2), ("lambda", 1)))):
-            assert base.grafted_content(curve) == content
             assert is_admissible(curve, base).identity[0] == content
-        base.forget()
-        assert base._grafted is None
 
 
 class TestCanonicalKey:
@@ -362,26 +368,24 @@ class TestCanonicalKey:
         model = SurfaceModel(2, "rho", ("a", "b"))
         x = component("x", {"a": (1, 0)}, 2)
         y = component("y", {"b": (0, 1)}, 2)
-        assert canonical_key(multicurve(x, y), model) == \
-            canonical_key(multicurve(y, x), model)
+        assert canonical_key((x, y), model) == canonical_key((y, x), model)
 
     def test_orientation_flip_irrelevant(self):
         model = hopf_model()
         pos = component("x", {"a": (1, -2)}, 2)
         neg = component("x", {"a": (-1, 2)}, 2)
-        assert canonical_key(multicurve(pos), model) == \
-            canonical_key(multicurve(neg), model)
+        assert canonical_key((pos,), model) == canonical_key((neg,), model)
 
     def test_parallel_leaves_merge(self):
         model = hopf_model()
-        split = multicurve(component("x", {"a": (1, 0)}, 2),
-                           component("x", {"a": (1, 0)}, 2))
-        joined = multicurve(component("x", {"a": (1, 0)}, 4))
+        split = (component("x", {"a": (1, 0)}, 2),
+                 component("x", {"a": (1, 0)}, 2))
+        joined = (component("x", {"a": (1, 0)}, 4),)
         assert canonical_key(split, model) == canonical_key(joined, model)
 
     def test_key_is_canonical_json(self):
         model, lam, _ = standard_pair()
-        key = canonical_key(multicurve(lam), model)
+        key = canonical_key((lam,), model)
         assert json.loads(key) == {"charts": {"a": [2, 0]},
                                    "content": [["lambda", 1]]}
 
@@ -392,10 +396,11 @@ def reference_key(curve, model):
     canon = canonicalize(curve, model)
     chart_totals = {}
     for name in model.charts:
-        cls = canon.total_chart_class(name)
-        chart_totals[name] = [cls.p, cls.q]
+        chart_totals[name] = [
+            sum(c.multiplicity * c.chart_class(name).p for c in canon),
+            sum(c.multiplicity * c.chart_class(name).q for c in canon)]
     content = {}
-    for comp in canon.components:
+    for comp in canon:
         for lab, n in comp.content:
             content[lab] = content.get(lab, 0) + n * comp.multiplicity
     payload = {
@@ -445,7 +450,7 @@ def split_multicurves(draw):
         else:
             split.append(_flipped(comp) if draw(st.booleans()) else comp)
     split = draw(st.permutations(split))
-    return SurfaceMulticurve(tuple(comps)), SurfaceMulticurve(tuple(split))
+    return tuple(comps), tuple(split)
 
 
 class TestKeyDefinition:
@@ -459,8 +464,7 @@ class TestKeyDefinition:
         assert reference_key(split, KEY_MODEL) == want
 
     def test_zero_count_content_kept(self):
-        curve = multicurve(Component((("x", 0), ("y", 1)),
-                                     (("a", TorusClass(1, 0)),)))
+        curve = (Component((("x", 0), ("y", 1)), (("a", TorusClass(1, 0)),)),)
         key = canonical_key(curve, KEY_MODEL)
         assert json.loads(key)["content"] == [["x", 0], ["y", 1]]
         assert key == reference_key(curve, KEY_MODEL)
@@ -518,7 +522,7 @@ class TestOneDecision:
         verdict = is_admissible(gamma, before)
         assert is_admissible(gamma, after).route == verdict.route
         if verdict:
-            grafted = graft_along(before, gamma).real_curves.components
+            grafted = graft_along(before, gamma).real_curves
             assert graft_along(after, gamma).key() == \
                 structure(KEY_MODEL, grafted + (extra,)).key()
 
@@ -526,23 +530,23 @@ class TestOneDecision:
 class TestGoldman:
     def test_even_multicurve_splits(self):
         model = SurfaceModel(2, "rho", ("a", "b"))
-        lam = multicurve(component("x", {"a": (1, 0)}, 4),
-                         component("y", {"b": (1, -1)}, 2))
+        lam = (component("x", {"a": (1, 0)}, 4),
+               component("y", {"b": (1, -1)}, 2))
         sigma = goldman_decompose(lam)
-        assert sorted(c.multiplicity for c in sigma.components) == [1, 2]
+        assert sorted(c.multiplicity for c in sigma) == [1, 2]
 
     def test_decomposition_regrafts_to_original(self):
         model = SurfaceModel(2, "rho", ("a", "b"))
-        lam = multicurve(component("x", {"a": (1, 0)}, 4),
-                         component("y", {"b": (1, -1)}, 2))
+        lam = (component("x", {"a": (1, 0)}, 4),
+               component("y", {"b": (1, -1)}, 2))
         current = structure(model, [])
-        for comp in goldman_decompose(lam).components:
+        for comp in goldman_decompose(lam):
             current = graft_along(current, comp)
         assert current.key() == canonical_key(lam, model)
 
     def test_odd_multiplicity_named(self):
-        lam = multicurve(component("x", {"a": (1, 0)}, 2),
-                         component("bad", {"a": (0, 1)}, 3))
+        lam = (component("x", {"a": (1, 0)}, 2),
+               component("bad", {"a": (0, 1)}, 3))
         with pytest.raises(OddMultiplicity) as info:
             goldman_decompose(lam)
         assert info.value.label == "bad"
