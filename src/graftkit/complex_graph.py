@@ -13,8 +13,12 @@ structure and generator). Every generator is a meridian twist of the
 grafting curve and shares its content, so the grafted content is worked
 out once per expanded structure. A move's destination is identified by
 arithmetic (the decision's chart totals with that content, or a meridian
-twist's) and looked up; only a new identity is built into a structure and
-keyed, so an edge to a vertex already seen builds nothing.
+twist's) and looked up; only a new identity is built into a structure,
+and its key is that identity rendered, so an edge to a vertex already
+seen builds nothing and no key is worked out from curves but the seed's.
+The graph keeps its ranks once computed, and the JSON export is written
+in one pass over the numbered rows, byte for byte what json.dumps with
+sorted keys gives.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import json
 import logging
 import random
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, \
     Sequence, Tuple
@@ -45,6 +50,7 @@ from .surface import (
     _graft_content,
     _graft_totals,
     _prepare,
+    _render,
     canonical_key,
     component,
     goldman_decompose,
@@ -92,16 +98,18 @@ class Witness:
     key: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComplexGraph:
     """vertices maps each key to its structure (vertices[k].key() == k);
-    edges name their endpoints by key."""
+    edges name their endpoints by key. The ranks are kept once computed."""
 
     vertices: Dict[str, Structure]
     edges: Tuple[Edge, ...]
     twist_bound: int
     depth: int
     seed_key: str
+    _ranks: Optional[Dict[str, int]] = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def cycle_rank(self) -> int:
         """First Betti number, |E| - |V| + 1; parallel edges count
@@ -109,9 +117,14 @@ class ComplexGraph:
         return len(self.edges) - len(self.vertices) + 1
 
     def rank_by_kind(self) -> Dict[str, int]:
-        """First Betti number for each edge-set choice.
+        """First Betti number for each edge-set choice, as a copy of the
+        counts worked out on the first call."""
+        if self._ranks is None:
+            object.__setattr__(self, "_ranks", self._count_ranks())
+        return dict(self._ranks)
 
-        The full graph is connected by construction, so its rank is
+    def _count_ranks(self) -> Dict[str, int]:
+        """The full graph is connected by construction, so its rank is
         |E| - |V| + 1; a single-kind subgraph may be disconnected, so its
         rank counts components explicitly."""
         out = {"all": self.cycle_rank()}
@@ -147,25 +160,29 @@ class ComplexGraph:
                             for e in self.edges)
 
     def to_json_obj(self) -> dict:
-        keys, edges = self._numbered()
-        return {
-            "schema": 1,
-            "kind": "grafting-complex",
-            "twist_bound": self.twist_bound,
-            "depth": self.depth,
-            "seed": self.seed_key,
-            "vertices": [{"id": i, "key": k} for i, k in enumerate(keys)],
-            "edges": [{"src": s, "dst": d, "kind": k, "chart": c, "n": n}
-                      for s, d, k, c, n in edges],
-            "stats": {"vertices": len(self.vertices),
-                      "edges": len(self.edges),
-                      "cycle_rank": self.cycle_rank(),
-                      "rank_by_kind": self.rank_by_kind()},
-        }
+        return json.loads(self.to_json_bytes())
 
     def to_json_bytes(self) -> bytes:
-        return json.dumps(self.to_json_obj(), sort_keys=True,
-                          separators=(",", ":")).encode("ascii")
+        """The export as json.dumps(..., sort_keys=True, separators=(",",
+        ":")) spells it, written row by row: objects list their keys in
+        sorted order and strings are quoted as JSON quotes them."""
+        keys, edges = self._numbered()
+        ranks = self.rank_by_kind()
+        rows = ",".join([
+            f'{{"chart":{_quote(c)},"dst":{d},"kind":{_quote(k)},"n":{n},'
+            f'"src":{s}}}' for s, d, k, c, n in edges])
+        vertices = ",".join([f'{{"id":{i},"key":{_quote(k)}}}'
+                             for i, k in enumerate(keys)])
+        return (
+            f'{{"depth":{self.depth},"edges":[{rows}],'
+            f'"kind":"grafting-complex","schema":1,'
+            f'"seed":{_quote(self.seed_key)},"stats":{{'
+            f'"cycle_rank":{self.cycle_rank()},"edges":{len(self.edges)},'
+            f'"rank_by_kind":{{"all":{ranks["all"]},'
+            f'"elementary":{ranks["elementary"]},"graft":{ranks["graft"]}}},'
+            f'"vertices":{len(self.vertices)}}},'
+            f'"twist_bound":{self.twist_bound},"vertices":[{vertices}]}}'
+        ).encode("ascii")
 
     def to_dot(self) -> str:
         keys, edges = self._numbered()
@@ -287,8 +304,9 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
                 (kind, chart, n), identity, _ = move
                 dst_key = keys.get(identity)
                 if dst_key is None:
+                    dst_key = keys[identity] = _render(identity, src.model)
                     result = _destination(src, move)
-                    dst_key = keys[identity] = result.key()
+                    result._keep(identity, dst_key)
                     vertices[dst_key] = result
                     next_frontier.append(result)
                 if kind == "elementary":
@@ -300,6 +318,8 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
                 edges.append(Edge(kind, chart, n, src_key, dst_key))
             src.forget()  # the graph keeps each vertex's key, no more
         frontier = next_frontier
+    for struct in frontier:
+        struct.forget()
     return ComplexGraph(vertices, tuple(edges), twist_bound, depth,
                         seed_key)
 

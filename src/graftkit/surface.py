@@ -15,12 +15,13 @@ is a finite set of components, each carrying
 
 A multicurve is a tuple of components. Component fixes this spelling when
 it is built (a zero label count is kept; a label or chart named twice is a
-ValueError), so canonicalize only orients and merges. A Structure is its
-model and the canonical form of its real multicurve, which by Goldman's
-theorem determines it. Structure identity is the canonical key of the real
-multicurve, the rendering of its identity: the sorted content totals
-together with per-chart homology totals of sign-normalized components.
-Operations reduce to chart torus arithmetic.
+ValueError), so canonicalize only orients and merges; it rejects a chart
+the model lacks. A Structure is its model and the canonical form of its
+real multicurve, which by Goldman's theorem determines it. Structure
+identity is the canonical key of the real multicurve, the rendering of its
+identity: the sorted content totals together with per-chart homology
+totals of sign-normalized components. Operations reduce to chart torus
+arithmetic.
 
 There is one graft, graft_along. is_admissible decides its route from
 the structure's integer table. For a curve that crosses the real curves
@@ -187,9 +188,14 @@ def canonicalize(curve: Iterable[Component],
                  model: SurfaceModel) -> Tuple[Component, ...]:
     """Sorted normal form: each component in its canonical orientation,
     equal ones merged by adding multiplicities. Components already
-    oriented and met once are kept as they are; spelling is Component's."""
+    oriented and met once are kept as they are; spelling is Component's.
+    A chart the model lacks raises UnknownChart."""
     merged: Dict[Tuple[Content, ChartMap], Component] = {}
+    index = model.chart_index
     for c in curve:
+        for name, _ in c.charts:
+            if name not in index:
+                raise UnknownChart(f"no chart named {name!r}")
         c = _normalized(c, model.charts)
         key = (c.content, c.charts)
         if key in merged:
@@ -209,7 +215,7 @@ Table = Tuple[Tuple[Component, Tuple[Tuple[int, Tuple[int, int]], ...]], ...]
 class Structure:
     """A projective structure with the fixed holonomy: identified by the
     canonical form of its real multicurve, which is what it keeps. The
-    key, identity and table are kept once computed."""
+    key, identity and table are kept once computed or given."""
 
     model: SurfaceModel
     real_curves: Tuple[Component, ...]
@@ -252,9 +258,14 @@ class Structure:
                     (index[name], cls if comp.multiplicity == 1 else (
                         comp.multiplicity * cls[0],
                         comp.multiplicity * cls[1]))
-                    for name, cls in comp.charts if name in index]))
+                    for name, cls in comp.charts]))
                 for comp in self.real_curves]))
         return self._table
+
+    def _keep(self, identity: Identity, key: str) -> None:
+        """Keep an identity worked out by arithmetic and its rendering."""
+        object.__setattr__(self, "_identity", identity)
+        object.__setattr__(self, "_key", key)
 
     def forget(self) -> None:
         """Drop all that is kept but the key: whoever holds many
@@ -270,13 +281,11 @@ def structure(model: SurfaceModel,
 
 def _add_classes(totals: Sequence[list], charts: Iterable, weight: int,
                  index: Mapping[str, int]) -> None:
-    """Add weight times each (chart, class) to the per-chart totals,
-    skipping charts the model lacks."""
+    """Add weight times each (chart, class) to the per-chart totals."""
     for name, (p, q) in charts:
-        i = index.get(name)
-        if i is not None:
-            totals[i][0] += weight * p
-            totals[i][1] += weight * q
+        total = totals[index[name]]
+        total[0] += weight * p
+        total[1] += weight * q
 
 
 def _identity_of(curve: Iterable[Component],
@@ -309,8 +318,13 @@ def _render(identity: Identity, model: SurfaceModel) -> str:
 
 def canonical_key(curve: Iterable[Component], model: SurfaceModel) -> str:
     """Deterministic identity key of a multicurve: its identity (see
-    _identity_of) rendered as JSON."""
-    return _render(_identity_of(curve, model), model)
+    _identity_of) rendered as JSON. A chart the model lacks raises
+    UnknownChart."""
+    try:
+        identity = _identity_of(curve, model)
+    except KeyError as exc:  # only a chart lookup can miss
+        raise UnknownChart(f"no chart named {exc.args[0]!r}") from None
+    return _render(identity, model)
 
 
 # ---------------------------------------------------------------------------

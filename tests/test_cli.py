@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graftkit import BadConfiguration, GraftError, Report, UnknownChart, \
-    UnknownSuite, cli, parse_configuration, suite_names
+    UnknownSuite, build_complex, cli, parse_configuration, \
+    standard_configuration, suite_names
 
 
 CONFIG = {
@@ -212,6 +213,28 @@ class TestComplexCommand:
         second = proc.stdout.splitlines()[1]
         assert second.startswith("rank[all]=")
         assert "rank[graft]=" in second and "rank[elementary]=" in second
+
+    def test_output_is_the_library_export(self, tmp_path):
+        # the file holds the export of the same build in process, and the
+        # printed ranks are its stats
+        config = {"schema": 1, "genus": 2, "charts": ["a", "b"],
+                  "curves": [{"label": "lambda",
+                              "charts": {"a": [2, 0], "b": [2, 0]}}],
+                  "gamma": {"label": "gamma",
+                            "charts": {"a": [1, 0], "b": [1, 0]}}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "graph.json"
+        proc = run_cli("complex", str(path), "--depth", "2",
+                       "--twist-bound", "2", "--output", str(out))
+        assert proc.returncode == 0
+        graph = build_complex(standard_configuration(2), 2, 2)
+        assert out.read_bytes() == graph.to_json_bytes()
+        ranks = json.loads(out.read_bytes())["stats"]["rank_by_kind"]
+        assert ranks["elementary"] > 0
+        assert proc.stdout.splitlines()[1] == (
+            f"rank[all]={ranks['all']} rank[graft]={ranks['graft']} "
+            f"rank[elementary]={ranks['elementary']}")
 
     def test_negative_flag_is_input_error(self, config_path):
         proc = run_cli("complex", config_path, "--depth", "-2",

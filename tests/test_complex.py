@@ -1,5 +1,6 @@
 """Graph enumeration, witness search, fan collapse, and named suites."""
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -16,6 +17,7 @@ from graftkit import (
     surface,
     UnknownSuite,
     build_complex,
+    canonical_key,
     common_grafts,
     standard_configuration,
     standard_fan,
@@ -114,6 +116,21 @@ def _levels(graph):
     return out
 
 
+def _record_renderings(monkeypatch) -> list:
+    """Every key rendered from here on, under both names it is called
+    by."""
+    rendered = []
+    render = surface._render
+
+    def recording(identity, model):
+        rendered.append(render(identity, model))
+        return rendered[-1]
+
+    for module in (surface, complex_graph):
+        monkeypatch.setattr(module, "_render", recording)
+    return rendered
+
+
 class TestComputedOnce:
     """The BFS computes each fact once: one graft decision per structure
     and generator, a structure built and keyed only for a new vertex."""
@@ -164,18 +181,47 @@ class TestComputedOnce:
         assert len(twisted) == kinds.count("elementary") > 0
 
     def test_one_key_per_structure(self, monkeypatch):
-        keyed = []
+        # a new vertex's key renders the identity the BFS looked up, so
+        # only the seed is keyed from its curves
+        rendered = _record_renderings(monkeypatch)
+        from_curves = []
         original = surface.canonical_key
-
-        def recording(curve, model):
-            keyed.append(curve)  # keeps each curve alive, so ids stay unique
-            return original(curve, model)
-
-        monkeypatch.setattr(surface, "canonical_key", recording)
+        monkeypatch.setattr(surface, "canonical_key",
+                            lambda curve, model: from_curves.append(curve)
+                            or original(curve, model))
         graph = build_complex(standard_configuration(2), 4, 3)
-        assert len(keyed) == len(graph.vertices)
-        assert {id(curve) for curve in keyed} == {
-            id(struct.real_curves) for struct in graph.vertices.values()}
+        assert sorted(rendered) == sorted(graph.vertices)
+        assert len(from_curves) == 1
+
+    @pytest.mark.parametrize("charts,bound,depth", [
+        (1, 8, 4), (2, 4, 3), (3, 2, 3)])
+    def test_rendered_key_is_the_curves_key(self, charts, bound, depth):
+        # and a built graph holds each vertex's key, no more
+        config = standard_configuration(charts)
+        graph = build_complex(config, bound, depth)
+        for key, struct in graph.vertices.items():
+            assert key == canonical_key(struct.real_curves, config.model)
+            assert struct._identity is None and struct._table is None
+
+    def test_ranks_computed_once_per_graph(self, monkeypatch):
+        counted = []
+        count = complex_graph.ComplexGraph._count_ranks
+        monkeypatch.setattr(complex_graph.ComplexGraph, "_count_ranks",
+                            lambda graph: counted.append(graph)
+                            or count(graph))
+        graph = build_complex(standard_configuration(2), 2, 2)
+        ranks = graph.rank_by_kind()
+        kept = dict(ranks)
+        data = graph.to_json_bytes()
+        assert graph.to_json_obj()["stats"]["rank_by_kind"] == ranks
+        assert len(counted) == 1
+        # each call hands out a copy
+        ranks["graft"] += 1
+        assert graph.rank_by_kind() == kept
+        assert graph.to_json_bytes() == data
+        assert len(counted) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.edges = ()
 
     def test_witness_graph_grafts_once(self, monkeypatch):
         # two grafts per m, one per pipeline; the graph reuses them
@@ -328,18 +374,18 @@ class TestFusedPass:
         return build_complex(config, 1, 2, seed=seed)
 
     def test_skips_logged_only_when_enabled(self, caplog, monkeypatch):
-        keyed = []
-        original = surface.canonical_key
-        monkeypatch.setattr(surface, "canonical_key",
-                            lambda curve, model: keyed.append(curve)
-                            or original(curve, model))
+        rendered = _record_renderings(monkeypatch)
         caplog.set_level(logging.WARNING, logger="graftkit")
         quiet = self.skipping_build()
-        # logging off: no record, and no key rendered for a skip
+        # logging off: no record; one key rendered per vertex, none for a
+        # skip
         assert not caplog.records
-        assert len(keyed) == len(quiet.vertices)
+        assert sorted(rendered) == sorted(quiet.vertices)
+        rendered.clear()
         caplog.set_level(logging.DEBUG, logger="graftkit")
         data = self.skipping_build().to_json_bytes()
+        # a logged skip names the source by the key it keeps
+        assert sorted(rendered) == sorted(quiet.vertices)
         assert data == quiet.to_json_bytes()
         assert hashlib.sha256(data).hexdigest() == (
             "d34f49a15e6faafb9c35ea5ea81a4ba1ac41852ee2a2e273105223a9801b69fc")
@@ -552,6 +598,42 @@ class TestExports:
         assert sorted(labels) == sorted(
             complex_graph._label(e.kind, e.chart, e.n) for e in graph.edges)
         assert any(chart in label for label in labels)
+
+    @pytest.mark.parametrize("chart", ['a"b', "a\\b", "é", None],
+                             ids=["quote", "backslash", "accent", "witness"])
+    def test_json_export_is_the_dumped_reference(self, chart):
+        if chart is None:
+            graph = witness_graph(standard_configuration(), 1, 8)
+        else:
+            model = surface.SurfaceModel(2, "rho", (chart,))
+            config = surface.validate_configuration(
+                model, surface.component("lambda", {chart: (2, 0)}),
+                surface.component("gamma", {chart: (1, 0)}))
+            graph = build_complex(config, 2, 2)
+        keys = sorted(graph.vertices)
+        ids = {k: i for i, k in enumerate(keys)}
+        reference = {
+            "schema": 1,
+            "kind": "grafting-complex",
+            "twist_bound": graph.twist_bound,
+            "depth": graph.depth,
+            "seed": graph.seed_key,
+            "vertices": [{"id": i, "key": k} for i, k in enumerate(keys)],
+            "edges": [{"src": s, "dst": d, "kind": k, "chart": c, "n": n}
+                      for s, d, k, c, n in sorted(
+                          (ids[e.src], ids[e.dst], e.kind, e.chart, e.n)
+                          for e in graph.edges)],
+            "stats": {"vertices": len(graph.vertices),
+                      "edges": len(graph.edges),
+                      "cycle_rank": graph.cycle_rank(),
+                      "rank_by_kind": graph.rank_by_kind()},
+        }
+        data = graph.to_json_bytes()
+        assert data == json.dumps(reference, sort_keys=True,
+                                  separators=(",", ":")).encode("ascii")
+        assert graph.to_json_obj() == json.loads(data)
+        if chart is not None:
+            assert any(e.chart == chart for e in graph.edges)
 
     def test_repeat_builds_identical(self):
         config = standard_configuration()

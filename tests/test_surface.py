@@ -15,6 +15,7 @@ from graftkit import (
     SurfaceModel,
     TorusClass,
     UnknownChart,
+    build_complex,
     canonical_key,
     canonicalize,
     check_spiraling_hypotheses,
@@ -23,6 +24,7 @@ from graftkit import (
     graft_along,
     is_admissible,
     parse_configuration,
+    standard_configuration,
     structure,
     structure_to_json,
     twist_about_curve,
@@ -595,3 +597,22 @@ class TestJsonInterface:
                             "multiplicity": 1}]}
         with pytest.raises(ValueError, match="chart"):
             parse_configuration(data)
+
+    def test_structure_chart_outside_the_model(self):
+        # a structure's curves name only the model's charts, so what
+        # structure_to_json writes, parse_configuration reads back
+        curve = component("x", {"a": (2, 0), "zz": (1, 3)})
+        with pytest.raises(UnknownChart, match="zz"):
+            structure(hopf_model(), [curve])
+        with pytest.raises(UnknownChart, match="zz"):
+            canonical_key((curve,), hopf_model())
+
+    def test_enumerated_structures_round_trip(self):
+        graph = build_complex(standard_configuration(2), 2, 2)
+        assert len(graph.vertices) > 1
+        for key, struct in graph.vertices.items():
+            model, back, gamma = parse_configuration(
+                structure_to_json(struct))
+            assert model == struct.model and gamma is None
+            assert back.real_curves == struct.real_curves
+            assert back.key() == key
