@@ -16,6 +16,9 @@ arithmetic (the decision's chart totals with that content, or a meridian
 twist's) and looked up; only a new identity is built into a structure,
 and its key is that identity rendered, so an edge to a vertex already
 seen builds nothing and no key is worked out from curves but the seed's.
+The frontier carries each vertex's key and the identity it was looked up
+by, so no identity is derived from curves but the seed's either; the
+structures themselves keep only their curves and keys.
 The graph keeps its ranks once computed, and the JSON export is written
 in one pass over the numbered rows, byte for byte what json.dumps with
 sorted keys gives.
@@ -229,19 +232,20 @@ def _grafts(config: Configuration, twist_bound: int
 Move = Tuple[Tuple[str, str, int], Identity, Optional[Admissibility]]
 
 
-def _expand(config: Configuration, struct: Structure,
+def _expand(config: Configuration, struct: Structure, identity: Identity,
             grafts: Sequence[Tuple[Tuple[str, str, int], Component]]
             ) -> List[Move]:
-    """Every move from one structure, as (move, the destination's
-    identity, the graft decision or None for an elementary move);
-    inadmissible grafts are skipped (logged at debug level)."""
-    content, totals = struct.identity()
+    """Every move from one structure of the given identity, as (move, the
+    destination's identity, the graft decision or None for an elementary
+    move); inadmissible grafts are skipped (logged at debug level)."""
+    content, totals = identity
     grafted = _graft_content(content, config.gamma)
     # the meridian's crossings with the real curves, per chart
+    index = config.model.chart_index
     hits = [0] * len(totals)
-    for _, entered in struct.table():
-        for i, (p, _) in entered:
-            hits[i] += abs(p)
+    for comp in struct.real_curves:
+        for name, (p, _) in comp.charts:
+            hits[index[name]] += abs(p) * comp.multiplicity
     out: List[Move] = []
     for i, chart in enumerate(config.model.charts):
         # An elementary move needs the meridian to cross the real curves
@@ -256,7 +260,7 @@ def _expand(config: Configuration, struct: Structure,
     for desc, gamma in grafts:
         adm = is_admissible(gamma, struct)
         if adm:
-            out.append((desc, (grafted, _graft_totals(adm)), adm))
+            out.append((desc, (grafted, _graft_totals(adm, totals)), adm))
         elif log.isEnabledFor(logging.DEBUG):
             log.debug("skipping %s at %s: %s", desc, struct.key(),
                       adm.reason)
@@ -287,28 +291,28 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
     grafts = _grafts(config, twist_bound)
     if seed is None:
         seed = config.base_structure()
-    seed_key = seed.key()
+    seed_key, seed_identity = seed.key(), seed.identity()
     vertices = {seed_key: seed}
-    keys = {seed.identity(): seed_key}  # identity -> vertex key
+    keys = {seed_identity: seed_key}  # identity -> vertex key
     edges: List[Edge] = []
     seen_elementary = set()
-    frontier = [seed]
+    # (key, identity, structure) per vertex to expand
+    frontier = [(seed_key, seed_identity, seed)]
     for _ in range(depth):
         if not frontier:
             break
-        frontier.sort(key=lambda s: s.key())
-        next_frontier: List[Structure] = []
-        for src in frontier:
-            src_key = src.key()
-            for move in _expand(config, src, grafts):
+        frontier.sort(key=lambda entry: entry[0])
+        next_frontier = []
+        for src_key, src_identity, src in frontier:
+            for move in _expand(config, src, src_identity, grafts):
                 (kind, chart, n), identity, _ = move
                 dst_key = keys.get(identity)
                 if dst_key is None:
                     dst_key = keys[identity] = _render(identity, src.model)
                     result = _destination(src, move)
-                    result._keep(identity, dst_key)
+                    result._keep(dst_key)
                     vertices[dst_key] = result
-                    next_frontier.append(result)
+                    next_frontier.append((dst_key, identity, result))
                 if kind == "elementary":
                     pair = (min(src_key, dst_key), max(src_key, dst_key),
                             chart)
@@ -316,10 +320,7 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
                         continue
                     seen_elementary.add(pair)
                 edges.append(Edge(kind, chart, n, src_key, dst_key))
-            src.forget()  # the graph keeps each vertex's key, no more
         frontier = next_frontier
-    for struct in frontier:
-        struct.forget()
     return ComplexGraph(vertices, tuple(edges), twist_bound, depth,
                         seed_key)
 

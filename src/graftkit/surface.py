@@ -17,22 +17,23 @@ A multicurve is a tuple of components. Component fixes this spelling when
 it is built (a zero label count is kept; a label or chart named twice is a
 ValueError), so canonicalize only orients and merges; it rejects a chart
 the model lacks. A Structure is its model and the canonical form of its
-real multicurve, which by Goldman's theorem determines it. Structure
-identity is the canonical key of the real multicurve, the rendering of its
-identity: the sorted content totals together with per-chart homology
-totals of sign-normalized components. Operations reduce to chart torus
-arithmetic.
+real multicurve, which by Goldman's theorem determines it, and keeps
+nothing else but its key once computed. Structure identity is the
+canonical key of the real multicurve, the rendering of its identity: the
+sorted content totals together with per-chart homology totals of
+sign-normalized components. Operations reduce to chart torus arithmetic.
 
 There is one graft, graft_along. is_admissible decides its route from
-the structure's integer table. For a curve that crosses the real curves
-it fixes the crossed components and per chart their total and fused
-class. The decision also gives the destination's identity by arithmetic
-on the structure's, so a search can tell whether a graft lands on a
-structure it has seen without building it. The graft only assembles the
-destination from the decision. A decision reads the curve's classes by
-chart position and doubled class as kept on a copy _prepare made for the
-structure's chart order, and works them out for any other curve; a curve
-that names a chart the model lacks is an UnknownChart either way.
+the structure's canonical components. For a curve that crosses the real
+curves it fixes the crossed components and per chart their total and
+fused class. The decision also gives the destination's identity by
+arithmetic on the structure's, so a search can tell whether a graft
+lands on a structure it has seen without building it. The graft only
+assembles the destination from the decision. A decision reads the
+curve's classes by chart position and doubled class as kept on a copy
+_prepare made for the structure's chart order, and works them out for
+any other curve; a curve that names a chart the model lacks is an
+UnknownChart either way.
 """
 
 from __future__ import annotations
@@ -204,27 +205,16 @@ def canonicalize(curve: Iterable[Component],
     return tuple([merged[key] for key in sorted(merged)])
 
 
-# A structure's table, what a graft decision reads: per component, the
-# component and the charts it enters as (position in model order, class
-# times the multiplicity). The components are oriented (see Structure),
-# so a row adds up to the component's share of the identity's totals.
-Table = Tuple[Tuple[Component, Tuple[Tuple[int, Tuple[int, int]], ...]], ...]
-
-
 @dataclass(frozen=True, slots=True)
 class Structure:
     """A projective structure with the fixed holonomy: identified by the
     canonical form of its real multicurve, which is what it keeps. The
-    key, identity and table are kept once computed or given."""
+    key is kept once computed or given."""
 
     model: SurfaceModel
     real_curves: Tuple[Component, ...]
     _key: Optional[str] = field(default=None, init=False, repr=False,
                                 compare=False)
-    _identity: Optional[Identity] = field(default=None, init=False,
-                                          repr=False, compare=False)
-    _table: Optional[Table] = field(default=None, init=False, repr=False,
-                                    compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "real_curves",
@@ -244,34 +234,11 @@ class Structure:
 
     def identity(self) -> Identity:
         """The integers the key renders."""
-        if self._identity is None:
-            object.__setattr__(self, "_identity",
-                               _identity_of(self.real_curves, self.model))
-        return self._identity
+        return _identity_of(self.real_curves, self.model)
 
-    def table(self) -> Table:
-        """What a graft decision reads (see Table)."""
-        if self._table is None:
-            index = self.model.chart_index
-            object.__setattr__(self, "_table", tuple([
-                (comp, tuple([
-                    (index[name], cls if comp.multiplicity == 1 else (
-                        comp.multiplicity * cls[0],
-                        comp.multiplicity * cls[1]))
-                    for name, cls in comp.charts]))
-                for comp in self.real_curves]))
-        return self._table
-
-    def _keep(self, identity: Identity, key: str) -> None:
-        """Keep an identity worked out by arithmetic and its rendering."""
-        object.__setattr__(self, "_identity", identity)
+    def _keep(self, key: str) -> None:
+        """Keep a key rendered from an identity worked out by arithmetic."""
         object.__setattr__(self, "_key", key)
-
-    def forget(self) -> None:
-        """Drop all that is kept but the key: whoever holds many
-        structures (a built graph) need not hold the rest."""
-        object.__setattr__(self, "_identity", None)
-        object.__setattr__(self, "_table", None)
 
 
 def structure(model: SurfaceModel,
@@ -422,8 +389,9 @@ class Admissibility(NamedTuple):
         """An admitted decision's destination identity, by arithmetic on
         the source's; it is worked out on each access, so a graft alone
         never pays for it."""
-        return (_graft_content(self.source.identity()[0], self.curve),
-                _graft_totals(self))
+        content, totals = self.source.identity()
+        return (_graft_content(content, self.curve),
+                _graft_totals(self, totals))
 
 
 def _graft_content(content: Content, curve: Component) -> Content:
@@ -437,12 +405,13 @@ def _graft_content(content: Content, curve: Component) -> Content:
     return tuple(sorted(gained.items()))
 
 
-def _graft_totals(adm: Admissibility) -> Tuple[Tuple[int, int], ...]:
-    """An admitted decision's destination chart totals. The disjoint
-    route adds the doubled oriented curve to the source's; the spiraling
-    route replaces the crossed totals (the components' share, as they are
-    oriented) by the fused class in its own orientation."""
-    base = adm.source.identity()[1]
+def _graft_totals(adm: Admissibility, base: Sequence[Tuple[int, int]]
+                  ) -> Tuple[Tuple[int, int], ...]:
+    """An admitted decision's destination chart totals, given the
+    source's. The disjoint route adds the doubled oriented curve to them;
+    the spiraling route replaces the crossed totals (the components'
+    share, as they are oriented) by the fused class in its own
+    orientation."""
     if adm.route == "disjoint":
         model = adm.source.model
         twice = 2 * adm.curve.multiplicity
@@ -495,31 +464,37 @@ def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
     components there. Returns the route taken, or the failed condition;
     an admitted decision also gives the destination's identity.
     """
-    charts = struct.model.charts
+    model = struct.model
+    charts, index = model.charts, model.chart_index
     kept = gamma._prepared
     if kept is not None and kept[0] == charts:
         _, given, doubled = kept
     else:
-        given, doubled = _by_position(gamma, struct.model), None
+        given, doubled = _by_position(gamma, model), None
     crossed = []
     hit = [False] * len(charts)
-    for row in struct.table():
+    for comp in struct.real_curves:
         crosses = False
-        for i, (p, q) in row[1]:
+        for name, (p, q) in comp.charts:
+            i = index[name]
             g = given[i]
             if g is not None and p * g.q != q * g.p:
                 hit[i] = crosses = True
         if crosses:
-            crossed.append(row)
+            crossed.append(comp)
     if not crossed:
         return Admissibility("disjoint", "", struct, gamma)
     if doubled is None:
         doubled = _doubled(gamma, given, charts)
+    # the crossed components are canonical, so oriented: per chart they
+    # add up to their share of the identity's totals
     lam = [(0, 0)] * len(charts)
-    for _, entered in crossed:
-        for i, (p, q) in entered:
+    for comp in crossed:
+        mult = comp.multiplicity
+        for name, (p, q) in comp.charts:
+            i = index[name]
             lp, lq = lam[i]
-            lam[i] = (lp + p, lq + q)
+            lam[i] = (lp + mult * p, lq + mult * q)
     fused = []
     for i, lam_total in enumerate(lam):
         mode = _SHARP
@@ -537,38 +512,8 @@ def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
             if sign < 0:
                 mode = _FLAT
         fused.append(resolve(lam_total, doubled[i], mode))
-    return Admissibility("spiraling", "", struct, gamma,
-                         tuple([comp for comp, _ in crossed]), tuple(lam),
-                         tuple(fused))
-
-
-def check_spiraling_hypotheses(gamma_prime: Component, gamma: Component,
-                               lam: Component) -> bool:
-    """Verify the intersection-count hypotheses for a twisted curve.
-
-    For a curve obtained from the base grafting curve by meridian twists
-    the counts must satisfy |i^(gamma, gamma')| = i(gamma, gamma') =
-    i(gamma', lam)/2, and every chart strand must be single. Curves not
-    of that twist-generated shape are rejected conservatively.
-    """
-    charts = dict(gamma_prime.charts).keys() | dict(gamma.charts).keys()
-    alg = 0
-    geo = 0
-    against_lam = 0
-    for name in sorted(charts):
-        g1 = gamma.chart_class(name)
-        g2 = gamma_prime.chart_class(name)
-        if (g1 != (0, 0) and abs(g1.p) != 1) or \
-           (g2 != (0, 0) and abs(g2.p) != 1):
-            return False
-        if g1.p != g2.p:
-            return False
-        alg += algebraic_intersection(g1, g2)
-        geo += geometric_intersection(g1, g2)
-        against_lam += geometric_intersection(g2, lam.chart_class(name))
-    if against_lam % 2:
-        return False
-    return abs(alg) == geo == against_lam // 2
+    return Admissibility("spiraling", "", struct, gamma, tuple(crossed),
+                         tuple(lam), tuple(fused))
 
 
 # ---------------------------------------------------------------------------
@@ -728,6 +673,9 @@ def _component_from_json(data: dict, model: SurfaceModel) -> Component:
                     or not _is_int(entry[1])):
                 raise ValueError(f"label entry needs a [name, integer "
                                  f"count] pair, got {entry!r}")
+            if entry[1] < 0:
+                raise ValueError(f"label count must not be negative, "
+                                 f"got {entry!r}")
         content = tuple(map(tuple, label))
     else:
         raise ValueError("curve entry needs a 'label'")

@@ -303,12 +303,13 @@ class TestInputContract:
         (("curves", 0, "label"), [["lambda", 1], ["lambda", 2]]),
         (("curves", 0, "charts"), {"a": [0, 0]}),
         (("gamma", "charts"), {"a": [0, 0]}),
+        (("curves", 0, "label"), [["lambda", -3]]),
     ], ids=["curve-int", "gamma-int", "label-short", "label-count-str",
             "label-count-float", "multiplicity-null", "multiplicity-str",
             "schema-bool", "genus-bool", "label-count-bool",
             "multiplicity-bool", "holonomy-null", "holonomy-bool",
             "holonomy-object", "label-repeated", "curve-zero-class",
-            "gamma-zero-class"])
+            "gamma-zero-class", "label-count-negative"])
     def test_malformed_curve_entry_is_input_error(self, tmp_path, path,
                                                   value):
         config = json.loads(json.dumps(CONFIG))

@@ -196,12 +196,13 @@ class TestComputedOnce:
     @pytest.mark.parametrize("charts,bound,depth", [
         (1, 8, 4), (2, 4, 3), (3, 2, 3)])
     def test_rendered_key_is_the_curves_key(self, charts, bound, depth):
-        # and a built graph holds each vertex's key, no more
+        # and a structure holds its curves and key, no search state
         config = standard_configuration(charts)
         graph = build_complex(config, bound, depth)
         for key, struct in graph.vertices.items():
             assert key == canonical_key(struct.real_curves, config.model)
-            assert struct._identity is None and struct._table is None
+        assert [f.name for f in dataclasses.fields(surface.Structure)] == \
+            ["model", "real_curves", "_key"]
 
     def test_ranks_computed_once_per_graph(self, monkeypatch):
         counted = []
@@ -321,7 +322,7 @@ class TestFusedPass:
                 assert surface._render(adm.identity, model) == \
                     surface.graft_along(struct, gamma).key()
             for (kind, chart, n), identity, adm in complex_graph._expand(
-                    config, struct, grafts):
+                    config, struct, struct.identity(), grafts):
                 if kind == "elementary":
                     twists += 1
                     assert adm is None
@@ -352,6 +353,21 @@ class TestFusedPass:
         assert not adm and adm.reason == reason
         with pytest.raises(NotAdmissible, match=re.escape(reason)):
             surface.graft_along(struct, curve)
+
+    @pytest.mark.parametrize("multiplicity,twists", [(2, 2), (1, 0)])
+    def test_meridian_crosses_each_leaf(self, multiplicity, twists):
+        # the meridian crosses two leaves of x@(1,0) twice, so the chart
+        # has its two elementary moves; one leaf it crosses once
+        config = standard_configuration(1)
+        model = config.model
+        struct = surface.structure(model, [
+            surface.component("x", {"a": (1, 0)}, multiplicity)])
+        moves = complex_graph._expand(config, struct, struct.identity(), [])
+        assert len(moves) == twists
+        for (kind, chart, n), identity, adm in moves:
+            assert kind == "elementary" and adm is None
+            assert surface._render(identity, model) == \
+                surface.twist_about_meridian(struct, chart, n).key()
 
     @staticmethod
     def skipping_setup():
@@ -479,7 +495,8 @@ class TestOrientationFree:
 def _destinations(config, struct, grafts):
     """Each move of struct with the structure it builds."""
     return [(move[0], complex_graph._destination(struct, move))
-            for move in complex_graph._expand(config, struct, grafts)]
+            for move in complex_graph._expand(config, struct,
+                                              struct.identity(), grafts)]
 
 
 def _moves(config, struct, grafts):

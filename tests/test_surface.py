@@ -18,7 +18,6 @@ from graftkit import (
     build_complex,
     canonical_key,
     canonicalize,
-    check_spiraling_hypotheses,
     component,
     goldman_decompose,
     graft_along,
@@ -29,6 +28,7 @@ from graftkit import (
     structure_to_json,
     twist_about_curve,
     twist_about_meridian,
+    surface,
     validate_configuration,
 )
 
@@ -210,22 +210,6 @@ class TestSpiralingClass:
             assert "not a single strand" in verdict.reason
 
 
-class TestSpiralingHypotheses:
-    def test_triple_twist_accepted(self):
-        _, lam, gam = standard_pair()
-        twisted = twist_about_meridian(gam, "a", 3)
-        assert check_spiraling_hypotheses(twisted, gam, lam)
-
-    def test_untwisted_self_pairing_accepted(self):
-        _, lam, gam = standard_pair()
-        assert check_spiraling_hypotheses(gam, gam, lam)
-
-    def test_multi_strand_rejected(self):
-        _, lam, gam = standard_pair()
-        wide = component("gamma", {"a": (2, 1)})
-        assert not check_spiraling_hypotheses(wide, gam, lam)
-
-
 class TestAdmissibility:
     def test_disjoint_route(self):
         model, lam, gam = standard_pair()
@@ -248,6 +232,21 @@ class TestAdmissibility:
             verdict = is_admissible(bad, structure(model, real))
             assert not verdict
             assert "spiral" in verdict.reason or "strand" in verdict.reason
+
+    def test_crossed_multiplicity_counts(self):
+        # g@(1,1) crosses two parallel leaves of x@(1,0): the crossed
+        # total is the doubled class, and the fused class and the
+        # destination's identity follow from it
+        model = hopf_model()
+        source = structure(model, [component("x", {"a": (1, 0)}, 2)])
+        gamma = component("g", {"a": (1, 1)})
+        adm = is_admissible(gamma, source)
+        assert adm.route == "spiraling"
+        assert adm.totals == ((2, 0),)
+        assert adm.fused == ((4, 2),)
+        key = '{"charts":{"a":[4,2]},"content":[["g",2],["x",2]]}'
+        assert surface._render(adm.identity, model) == key
+        assert graft_along(source, gamma).key() == key
 
 
 class TestMeridianTwist:
@@ -585,7 +584,8 @@ class TestJsonInterface:
         ({"label": "x", "charts": {"a": [0, 0]}}, "nonzero class"),
         ({"label": "x", "charts": {}}, "nonzero class"),
         ({"label": [["x", 1], ["x", 2]], "charts": {"a": [1, 0]}}, "label"),
-    ], ids=["zero-class", "no-chart", "repeated-label"])
+        ({"label": [["x", -3]], "charts": {"a": [1, 0]}}, "negative"),
+    ], ids=["zero-class", "no-chart", "repeated-label", "negative-count"])
     def test_curve_spelling_rejected(self, entry, match):
         data = {"schema": 1, "genus": 2, "charts": ["a"], "curves": [entry]}
         with pytest.raises(ValueError, match=match):
