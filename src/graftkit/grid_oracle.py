@@ -13,6 +13,14 @@ denominator per crossing list, R * |det| with R = 97 * 89. probe_pair
 draws a pair in general position and keeps the two crossing lists its
 probe computes, against the second curve and against its reversal, so
 the counts and both resolutions of a pair need no further list.
+
+The work follows the crossings, not the box of translates. For each
+horizontal translate, a crossing's parameter numerator is linear in the
+vertical translate, so the vertical translates that can give a crossing
+form one interval, solved by floor division (and a parallel coincidence
+allows at most one, found by a divisibility test). The trace numbers the
+arcs side by side, copy by copy and in parameter order, and keeps each
+arc's displacement and successor in lists indexed by those numbers.
 """
 
 from __future__ import annotations
@@ -103,15 +111,23 @@ def _audit_edge_counts(curve: GridCurve) -> None:
 
 def _parallel_coincident(l1: _CopyLine, l2: _CopyLine) -> bool:
     """True when two parallel copies land on the same torus geodesic:
-    (dx + sx)*q = (dy + sy)*p for a translate (sx, sy), scaled by R."""
+    (dx + sx)*q = (dy + sy)*p for a translate (sx, sy), scaled by R, with
+    both entries in [-span, span]. For each sx this fixes sy: p*R must
+    divide (dx + R*sx)*q - dy*p, and the quotient is the one sy. A
+    vertical class (p = 0) leaves sy free, so there dx + R*sx = 0 is
+    the whole condition."""
     p, q = l1.direction
     dx = (l2.offset[0] - l1.offset[0]) * _DEN_Y
     dy = (l2.offset[1] - l1.offset[1]) * _DEN_X
     span = abs(p) + abs(q) + 2
+    step = _R * p
     for sx in range(-span, span + 1):
-        for sy in range(-span, span + 1):
-            if (dx + _R * sx) * q - (dy + _R * sy) * p == 0:
+        rest = (dx + _R * sx) * q - dy * p
+        if step == 0:
+            if rest == 0:
                 return True
+        elif rest % step == 0 and -span <= rest // step <= span:
+            return True
     return False
 
 
@@ -121,6 +137,10 @@ def oracle_draw(cls: Sequence[int], copies: int = 1, role: int = 0,
 
     role and attempt select the offset family; distinct roles keep two
     curves of one comparison apart, attempts step the deterministic retry.
+    An offset numerator of 0 in a direction the class crosses puts the
+    copy's start on a grid line, where the edge audit cannot count it;
+    that draw raises DegeneratePosition, so probe_pair tries the next
+    rung.
     """
     p, q = cls
     if gcd(abs(p), abs(q)) != 1:
@@ -133,6 +153,10 @@ def oracle_draw(cls: Sequence[int], copies: int = 1, role: int = 0,
         sub = 0
         while True:
             cand = _CopyLine(_offset(role, j + 5 * sub, attempt), direction)
+            if (p and cand.offset[0] == 0) or (q and cand.offset[1] == 0):
+                raise DegeneratePosition(
+                    f"offset {cand.offset} lies on a grid line ({p},{q}) "
+                    f"crosses")
             if all(not _parallel_coincident(cand, other) for other in lines):
                 break
             sub += 1
@@ -152,6 +176,16 @@ def _reverse(curve: GridCurve) -> GridCurve:
     return GridCurve(-curve.class_hint, curve.copies, rev)
 
 
+def _translates(c: int, step: int, bound: int, span: int) -> range:
+    """The sy in [-span, span] with 0 <= c + step*sy < bound, ascending;
+    step is nonzero, and the ends come from floor division."""
+    if step > 0:
+        lo, hi = -(c // step), -((c - bound) // step)
+    else:
+        lo, hi = (c - bound) // -step + 1, c // -step + 1
+    return range(max(lo, -span), min(hi, span + 1))
+
+
 def _copy_crossings(ia: int, la: _CopyLine, ib: int,
                     lb: _CopyLine) -> List[Crossing]:
     """All torus intersection points of two copy lines, exactly.
@@ -160,6 +194,13 @@ def _copy_crossings(ia: int, la: _CopyLine, ib: int,
     denominators cleared by R; t = tn/D and u = un/D with D = R*det, and
     only solutions with both parameters in [0,1) are real crossings. The
     parameters are kept as numerators over |D|.
+
+    For each sx in [-span_x, span_x], tn = c + step*sy is linear in sy,
+    so the sy that put tn in [0, |D|) form one interval, solved by floor
+    division and clipped to [-span_y, span_y]; when b.p = 0, tn does not
+    depend on sy and un does, so the interval is solved for un instead.
+    Both numerators are still checked on each sy of the interval, so the
+    crossings come out in the order of the full (sx, sy) scan.
     """
     a, b = la.direction, lb.direction
     det = a.p * (-b.q) - (-b.p) * a.q
@@ -175,9 +216,13 @@ def _copy_crossings(ia: int, la: _CopyLine, ib: int,
     out: List[Crossing] = []
     span_x = abs(a.p) + abs(b.p) + 2
     span_y = abs(a.q) + abs(b.q) + 2
+    # the numerator whose range is solved, at sy = 0 and per unit of sy
+    solved = b if b.p else a
+    step = solved.p * _R * sign
     for sx in range(-span_x, span_x + 1):
         rx = nx + _R * sx
-        for sy in range(-span_y, span_y + 1):
+        c = (solved.p * ny - solved.q * rx) * sign
+        for sy in _translates(c, step, bound, span_y):
             ry = ny + _R * sy
             tn = (b.p * ry - b.q * rx) * sign
             if not 0 <= tn < bound:
@@ -222,53 +267,53 @@ def _trace(first: GridCurve, second: GridCurve,
     Components come back as exact homology classes via cover
     displacements, summed as numerators over the list's denominator;
     crossing-free copies pass through unchanged.
+
+    Arcs are numbered side by side (first curve, then second), copy by
+    copy, and along each copy in parameter order: the arc numbered at a
+    crossing runs from it to the copy's next crossing (cyclically), so
+    each side has one arc per crossing. Displacements and successors are
+    lists indexed by arc number.
     """
-    curves = (first, second)
-    per_copy = {}
-    for c in crossings.crossings:
-        per_copy.setdefault((0, c.first_at[0]), []).append(
-            (c.first_at[1], c))
-        per_copy.setdefault((1, c.second_at[0]), []).append(
-            (c.second_at[1], c))
-    for items in per_copy.values():
-        items.sort(key=lambda item: item[0])
-
-    components: List[TorusClass] = []
-    for side in (0, 1):
-        for j in range(curves[side].copies):
-            if (side, j) not in per_copy:
-                components.append(curves[side].lines[j].direction)
-
-    # Arc (side, copy, i) runs from crossing i to crossing i+1 (cyclic).
     den = crossings.denominator
-    slot_of = {}
-    displacement = {}
-    for (side, j), items in per_copy.items():
-        m = len(items)
-        direction = curves[side].lines[j].direction
-        for i, (t0, c) in enumerate(items):
-            slot_of[(side, c.first_at if side == 0 else c.second_at)] = \
-                (side, j, i)
-            dt = items[i + 1][0] - t0 if i + 1 < m else items[0][0] - t0 + den
-            displacement[(side, j, i)] = (dt * direction.p, dt * direction.q)
+    count = len(crossings.crossings)
+    # per side, by crossing: the arc that leaves it and the arc that ends
+    # at it
+    leaving = ([0] * count, [0] * count)
+    ending = ([0] * count, [0] * count)
+    displacement: List[Tuple[int, int]] = []
+    components: List[TorusClass] = []
+    for side, curve in enumerate((first, second)):
+        on_copy: List[List[Tuple[int, int]]] = [[] for _ in curve.lines]
+        for k, c in enumerate(crossings.crossings):
+            copy, t = c.second_at if side else c.first_at
+            on_copy[copy].append((t, k))
+        for line, items in zip(curve.lines, on_copy):
+            if not items:
+                components.append(line.direction)
+                continue
+            items.sort()
+            p, q = line.direction
+            base, m = len(displacement), len(items)
+            for i, (t0, k) in enumerate(items):
+                dt = items[i + 1][0] - t0 if i + 1 < m else \
+                    items[0][0] - t0 + den
+                displacement.append((dt * p, dt * q))
+                leaving[side][k] = base + i
+                ending[side][k] = base + (i - 1) % m
 
-    successor = {}
-    for c in crossings.crossings:
-        a_slot = slot_of[(0, c.first_at)]
-        b_slot = slot_of[(1, c.second_at)]
-        m_a = len(per_copy[(0, a_slot[1])])
-        m_b = len(per_copy[(1, b_slot[1])])
-        successor[(0, a_slot[1], (a_slot[2] - 1) % m_a)] = b_slot
-        successor[(1, b_slot[1], (b_slot[2] - 1) % m_b)] = a_slot
+    successor = [0] * len(displacement)
+    for k in range(count):
+        successor[ending[0][k]] = leaving[1][k]
+        successor[ending[1][k]] = leaving[0][k]
 
-    visited = set()
-    for start in sorted(successor):
-        if start in visited:
+    visited = [False] * len(displacement)
+    for start in range(len(displacement)):
+        if visited[start]:
             continue
         dx = dy = 0
         arc = start
-        while arc not in visited:
-            visited.add(arc)
+        while not visited[arc]:
+            visited[arc] = True
             d = displacement[arc]
             dx += d[0]
             dy += d[1]
@@ -320,14 +365,16 @@ def probe_pair(first_cls: Sequence[int], first_copies: int,
                second_cls: Sequence[int], second_copies: int) -> ProbedPair:
     """Draw two curves in verified general position.
 
-    Retries the deterministic offset ladder until the configuration is
-    degeneracy-free for both orientations of the second curve.
+    Retries the deterministic offset ladder until both drawings and the
+    configuration are degeneracy-free for both orientations of the second
+    curve.
     """
     last: Exception | None = None
     for attempt in range(_ATTEMPTS):
-        a = oracle_draw(first_cls, first_copies, role=0, attempt=attempt)
-        b = oracle_draw(second_cls, second_copies, role=1, attempt=attempt)
         try:
+            a = oracle_draw(first_cls, first_copies, role=0, attempt=attempt)
+            b = oracle_draw(second_cls, second_copies, role=1,
+                            attempt=attempt)
             return ProbedPair(a, b, crossing_list(a, b),
                               crossing_list(a, _reverse(b)))
         except DegeneratePosition as exc:

@@ -177,3 +177,198 @@ class TestInvariants:
             json.dumps(obj, sort_keys=True).encode()).hexdigest()
         assert digest == ("7c0e045af2b9fa6e96b8add60bc59d31"
                           "3137cdeaea2e6ab6a8ed956df5372e3a")
+
+
+def _box_copy_crossings(ia, la, ib, lb):
+    """The full (sx, sy) box scan that _copy_crossings replaced, kept as
+    its reference."""
+    a, b = la.direction, lb.direction
+    det = a.p * (-b.q) - (-b.p) * a.q
+    if det == 0:
+        if _box_parallel_coincident(la, lb):
+            raise DegeneratePosition("parallel curves share a geodesic")
+        return []
+    R = grid_oracle._R
+    nx = (lb.offset[0] - la.offset[0]) * grid_oracle._DEN_Y
+    ny = (lb.offset[1] - la.offset[1]) * grid_oracle._DEN_X
+    sign = 1 if det > 0 else -1
+    bound = R * abs(det)
+    index = 1 if a.p * b.q - a.q * b.p > 0 else -1
+    out = []
+    span_x = abs(a.p) + abs(b.p) + 2
+    span_y = abs(a.q) + abs(b.q) + 2
+    for sx in range(-span_x, span_x + 1):
+        rx = nx + R * sx
+        for sy in range(-span_y, span_y + 1):
+            ry = ny + R * sy
+            tn = (b.p * ry - b.q * rx) * sign
+            if not 0 <= tn < bound:
+                continue
+            un = (a.p * ry - a.q * rx) * sign
+            if 0 <= un < bound:
+                out.append(grid_oracle.Crossing(index, (ia, tn), (ib, un)))
+    if len(out) != abs(det):
+        raise AssertionError(
+            f"crossing count {len(out)} differs from |det| {abs(det)}")
+    return out
+
+
+def _box_parallel_coincident(l1, l2):
+    """The full (sx, sy) box scan that _parallel_coincident replaced."""
+    R = grid_oracle._R
+    p, q = l1.direction
+    dx = (l2.offset[0] - l1.offset[0]) * grid_oracle._DEN_Y
+    dy = (l2.offset[1] - l1.offset[1]) * grid_oracle._DEN_X
+    span = abs(p) + abs(q) + 2
+    return any((dx + R * sx) * q - (dy + R * sy) * p == 0
+               for sx in range(-span, span + 1)
+               for sy in range(-span, span + 1))
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _solved_branch(la, lb):
+    """(b.p == 0, sign of step) of _copy_crossings on two copy lines."""
+    a, b = la.direction, lb.direction
+    solved = b if b.p else a
+    return b.p == 0, _sign(solved.p) * _sign(b.p * a.q - a.p * b.q)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegeneratePosition:
+        return DegeneratePosition
+    except AssertionError as exc:
+        return str(exc)
+
+
+class TestTranslateSolve:
+    """The solved translate ranges against the box scan they replaced."""
+
+    def test_copy_crossings_match_the_box_scan(self):
+        steps = set()
+        checked = 0
+        for a in primitives(3):
+            for b in primitives(3):
+                first = grid_oracle.oracle_draw(a, 2, role=0)
+                second = grid_oracle.oracle_draw(b, 3, role=1)
+                for lb_curve in (second, grid_oracle._reverse(second)):
+                    for ia, la in enumerate(first.lines):
+                        for ib, lb in enumerate(lb_curve.lines):
+                            assert _outcome(grid_oracle._copy_crossings,
+                                            ia, la, ib, lb) == \
+                                _outcome(_box_copy_crossings,
+                                         ia, la, ib, lb), (la, lb)
+                            steps.add(_solved_branch(la, lb))
+                            checked += 1
+        assert checked == 32 * 32 * 2 * 2 * 3
+        # both signs of step, on both branches (b.p == 0 solves for u)
+        assert steps >= set(product((False, True), (-1, 1)))
+
+    def test_parallel_coincident_matches_the_box_scan(self):
+        # drawn offsets, and offsets sharing a coordinate so that
+        # horizontal and vertical copies coincide
+        offsets = sorted({grid_oracle._offset(role, copy, attempt)
+                          for role in (0, 1) for copy in (0, 1)
+                          for attempt in (0, 3)}
+                         | set(product((0, 5, 96), (0, 7, 88))))
+        coincident = 0
+        for d in primitives(3):
+            direction = grid_oracle.TorusClass(*d)
+            for o1 in offsets:
+                for o2 in offsets:
+                    l1 = grid_oracle._CopyLine(o1, direction)
+                    l2 = grid_oracle._CopyLine(o2, direction)
+                    got = grid_oracle._parallel_coincident(l1, l2)
+                    assert got == _box_parallel_coincident(l1, l2), \
+                        (d, o1, o2)
+                    coincident += got and o1 != o2
+        assert coincident > 0
+
+    def test_far_offsets_keep_the_box(self):
+        # offsets whole periods away put solutions outside the box of
+        # translates; the solved ranges are clipped to the same box, so
+        # the two agree there too, short counts and all
+        far = [(97 * k, 89 * l) for k in (-9, 0, 9) for l in (-9, 0, 9)]
+        clipped = 0
+        for a in primitives(2):
+            for b in primitives(2):
+                for shift in far:
+                    la = grid_oracle._CopyLine(
+                        (0, 0), grid_oracle.TorusClass(*a))
+                    lb = grid_oracle._CopyLine(
+                        (3 + shift[0], 5 + shift[1]),
+                        grid_oracle.TorusClass(*b))
+                    got = _outcome(grid_oracle._copy_crossings,
+                                   0, la, 0, lb)
+                    assert got == _outcome(_box_copy_crossings,
+                                           0, la, 0, lb), (a, b, shift)
+                    clipped += isinstance(got, str)
+                    l2 = grid_oracle._CopyLine(shift, la.direction)
+                    assert grid_oracle._parallel_coincident(la, l2) == \
+                        _box_parallel_coincident(la, l2), (a, shift)
+        assert clipped > 0
+
+
+class TestPinnedProbes:
+    def test_radius_three_digest(self):
+        # crossing order and parameters, both lists and both resolutions,
+        # of every ordered primitive pair at radius 3
+        digest = hashlib.sha256()
+        probes = 0
+        for a in primitives(3):
+            for b in primitives(3):
+                for m, n in ((1, 1), (2, 1), (1, 3)):
+                    pair = grid_oracle.probe_pair(a, m, b, n)
+                    digest.update(repr((
+                        pair.forward, pair.backward,
+                        pair.resolve(Mode.SHARP),
+                        pair.resolve(Mode.FLAT))).encode())
+                    probes += 1
+        assert probes == 3072
+        assert digest.hexdigest() == ("64715845003862d9b88e6a8cdc221fd6"
+                                      "b9c94487c9aff2f5aedcb1c16b615aa2")
+
+    @pytest.mark.parametrize("a,m,b,n,crossings", [
+        ((15, 1), 1, (1, -14), 1, 211),
+        ((11, -3), 1, (2, 9), 3, 315),
+    ])
+    def test_large_determinant(self, a, m, b, n, crossings):
+        pair = grid_oracle.probe_pair(a, m, b, n)
+        total_a = (m * a[0], m * a[1])
+        total_b = (n * b[0], n * b[1])
+        assert pair.forward.geometric == crossings == \
+            geometric_intersection(total_a, total_b)
+        assert pair.forward.algebraic == \
+            algebraic_intersection(total_a, total_b)
+        for mode in (Mode.SHARP, Mode.FLAT):
+            comps = pair.resolve(mode)
+            assert (sum(c.p for c in comps), sum(c.q for c in comps)) == \
+                resolve(total_a, total_b, mode)
+
+
+class TestOffsetLadder:
+    def test_offset_on_a_crossed_grid_line_is_degenerate(self):
+        assert grid_oracle._offset(0, 0, 3) == (70, 0)
+        with pytest.raises(DegeneratePosition):
+            grid_oracle.oracle_draw((1, 1), 1, 0, 3)
+        # a class parallel to that grid line never crosses it
+        assert grid_oracle.oracle_draw((1, 0), 1, 0, 3).lines[0].offset \
+            == (70, 0)
+
+    def test_ladder_steps_past_a_grid_line_offset(self, monkeypatch):
+        # rungs 0-2 draw both curves on one geodesic; rung 3 puts the
+        # first curve on the grid line y = 0; rung 4 is in general position
+        original = grid_oracle._offset
+
+        def offset(role, copy, attempt):
+            return original(0 if attempt < 3 else role, copy, attempt)
+
+        monkeypatch.setattr(grid_oracle, "_offset", offset)
+        pair = grid_oracle.probe_pair((1, 1), 1, (1, 1), 1)
+        assert pair.first.lines[0].offset == original(0, 0, 4)
+        assert pair.second.lines[0].offset == original(1, 0, 4)
+        assert pair.forward.geometric == 0

@@ -40,3 +40,23 @@ def test_no_unused_imports(path):
                             for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_oracle_imports_no_closed_form():
+    """grid_oracle is an independent check: from the package it imports
+    only the error classes and torus's Mode and TorusClass, never a
+    closed form of torus, nor surface or complex_graph."""
+    path = Path(graftkit.__file__).parent / "grid_oracle.py"
+    package = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "graftkit"
+                           for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                assert node.module.split(".")[0] != "graftkit"
+            else:
+                package.setdefault(node.module, set()).update(
+                    alias.name for alias in node.names)
+    assert set(package) <= {"errors", "torus"}
+    assert package.get("torus", set()) <= {"Mode", "TorusClass"}
