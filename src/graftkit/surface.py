@@ -14,14 +14,15 @@ is a finite set of components, each carrying
 * a positive multiplicity counting parallel leaves.
 
 A multicurve is a tuple of components. Component fixes this spelling when
-it is built (a zero label count is kept; a label or chart named twice is a
-ValueError), so canonicalize only orients and merges; it rejects a chart
-the model lacks. A Structure is its model and the canonical form of its
-real multicurve, which by Goldman's theorem determines it, and keeps
-nothing else but its key once computed. Structure identity is the
-canonical key of the real multicurve, the rendering of its identity: the
-sorted content totals together with per-chart homology totals of
-sign-normalized components. Operations reduce to chart torus arithmetic.
+it is built (a zero label count is kept; a label or chart named twice,
+or by anything but a string, is a ValueError), so canonicalize only
+orients and merges; it rejects a chart the model lacks. A Structure is
+its model and the canonical form of its real multicurve, which by
+Goldman's theorem determines it, and keeps nothing else but its key once
+computed. Structure identity is the canonical key of the real
+multicurve, the rendering of its identity: the sorted content totals
+together with per-chart homology totals of sign-normalized components.
+Operations reduce to chart torus arithmetic.
 
 There is one graft, graft_along. is_admissible decides its route from
 the structure's canonical components. For a curve that crosses the real
@@ -38,9 +39,9 @@ UnknownChart either way.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, \
     Tuple
 
@@ -88,6 +89,8 @@ class SurfaceModel:
     def __post_init__(self):
         if self.genus < 2:
             raise ValueError("genus must be at least 2")
+        if not all(isinstance(name, str) for name in self.charts):
+            raise ValueError("chart names must be strings")
         if not self.charts or len(set(self.charts)) != len(self.charts):
             raise ValueError("charts must be nonempty and distinct")
         object.__setattr__(self, "chart_index",
@@ -99,13 +102,20 @@ class SurfaceModel:
 
 
 def _by_name(entries, what: str):
-    """The entries in name order, each name once; as given if they are."""
-    for i in range(1, len(entries)):
-        if entries[i - 1][0] >= entries[i][0]:
-            entries = tuple(sorted(entries))
-            if len(dict(entries)) < len(entries):
-                raise ValueError(f"a component names each {what} at most once")
-            return entries
+    """The entries in name order, each name a string and named once; as
+    given if they are."""
+    ordered, last = True, None
+    for name, _ in entries:
+        if not isinstance(name, str):
+            raise ValueError(f"a {what} name must be a string, got {name!r}")
+        if last is not None and last >= name:
+            ordered = False
+        last = name
+    if ordered:
+        return entries
+    entries = tuple(sorted(entries))
+    if len(dict(entries)) < len(entries):
+        raise ValueError(f"a component names each {what} at most once")
     return entries
 
 
@@ -166,20 +176,28 @@ def _sign(classes: Iterable[Sequence[int]]) -> int:
     return 1
 
 
-def _orientation(comp: Component, chart_order: Sequence[str]) -> int:
-    """The sign _sign gives a component's classes, charts in the given
-    order: its class in the first of them it enters decides, since a
+def _orientation(comp: Component, model: SurfaceModel) -> int:
+    """The one orientation rule: the sign _sign gives a component's
+    classes, charts in model order. Its class in the first chart it
+    enters, by position in model.chart_index, decides, since a
     component's classes are nonzero."""
-    classes = dict(comp.charts)
-    for name in chart_order:
-        if name in classes:
-            return _sign((classes[name],))
-    return 1
+    charts = comp.charts
+    if not charts:
+        return 1
+    first = charts[0]
+    if len(charts) > 1:
+        index = model.chart_index
+        at = index[first[0]]
+        for entry in charts:
+            i = index[entry[0]]
+            if i < at:
+                at, first = i, entry
+    return _sign((first[1],))
 
 
-def _normalized(comp: Component, chart_order: Sequence[str]) -> Component:
+def _normalized(comp: Component, model: SurfaceModel) -> Component:
     """The component in its canonical orientation (see _orientation)."""
-    if _orientation(comp, chart_order) > 0:
+    if _orientation(comp, model) > 0:
         return comp
     charts = tuple([(name, -cls) for name, cls in comp.charts])
     return Component(comp.content, charts, comp.multiplicity)
@@ -197,7 +215,7 @@ def canonicalize(curve: Iterable[Component],
         for name, _ in c.charts:
             if name not in index:
                 raise UnknownChart(f"no chart named {name!r}")
-        c = _normalized(c, model.charts)
+        c = _normalized(c, model)
         key = (c.content, c.charts)
         if key in merged:
             c = Component(*key, merged[key].multiplicity + c.multiplicity)
@@ -269,24 +287,29 @@ def _identity_of(curve: Iterable[Component],
         mult = comp.multiplicity
         for lab, n in comp.content:
             content[lab] = content.get(lab, 0) + n * mult
-        _add_classes(totals, comp.charts,
-                     mult * _orientation(comp, model.charts),
+        _add_classes(totals, comp.charts, mult * _orientation(comp, model),
                      model.chart_index)
     return (tuple(sorted(content.items())),
             tuple([(p, q) for p, q in totals]))
 
 
 def _render(identity: Identity, model: SurfaceModel) -> str:
-    """The key string of an identity."""
+    """The key string of an identity, written directly: byte for byte
+    json.dumps({"content": content, "charts": {chart: total}},
+    sort_keys=True, separators=(",", ":")), the charts in name order and
+    every label and chart name ASCII-escaped as json quotes it. Names are
+    strings (SurfaceModel and Component check), so the order is str's."""
     content, totals = identity
-    payload = {"content": content, "charts": dict(zip(model.charts, totals))}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    charts = ",".join([f"{_quote(name)}:[{p},{q}]" for name, (p, q)
+                       in sorted(zip(model.charts, totals))])
+    labels = ",".join([f"[{_quote(lab)},{n}]" for lab, n in content])
+    return f'{{"charts":{{{charts}}},"content":[{labels}]}}'
 
 
 def canonical_key(curve: Iterable[Component], model: SurfaceModel) -> str:
     """Deterministic identity key of a multicurve: its identity (see
-    _identity_of) rendered as JSON. A chart the model lacks raises
-    UnknownChart."""
+    _identity_of) rendered by _render as compact, sorted, ASCII-escaped
+    JSON. A chart the model lacks raises UnknownChart."""
     try:
         identity = _identity_of(curve, model)
     except KeyError as exc:  # only a chart lookup can miss
@@ -417,7 +440,7 @@ def _graft_totals(adm: Admissibility, base: Sequence[Tuple[int, int]]
         twice = 2 * adm.curve.multiplicity
         grafted = [list(total) for total in base]
         _add_classes(grafted, adm.curve.charts,
-                     twice * _orientation(adm.curve, model.charts),
+                     twice * _orientation(adm.curve, model),
                      model.chart_index)
         return tuple([(p, q) for p, q in grafted])
     turn = _sign(adm.fused)
@@ -429,17 +452,20 @@ def _graft_totals(adm: Admissibility, base: Sequence[Tuple[int, int]]
 def _by_position(gamma: Component, model: SurfaceModel) -> list:
     """The curve's class per chart, in model order; None where it does
     not enter. A chart the model lacks raises UnknownChart."""
-    for name, _ in gamma.charts:
-        model.require_chart(name)
-    classes = dict(gamma.charts)
-    return [classes.get(name) for name in model.charts]
+    index = model.chart_index
+    given = [None] * len(index)
+    for name, cls in gamma.charts:
+        if name not in index:
+            raise UnknownChart(f"no chart named {name!r}")
+        given[index[name]] = cls
+    return given
 
 
 def _doubled(gamma: Component, given: Sequence[Optional[TorusClass]],
-             charts: Sequence[str]) -> Tuple[Tuple[int, int], ...]:
+             model: SurfaceModel) -> Tuple[Tuple[int, int], ...]:
     """Two leaves of the curve per chart position (see _by_position) in
     its canonical orientation, ZERO where it does not enter."""
-    twice = 2 * gamma.multiplicity * _orientation(gamma, charts)
+    twice = 2 * gamma.multiplicity * _orientation(gamma, model)
     return tuple([ZERO if g is None else (twice * g.p, twice * g.q)
                   for g in given])
 
@@ -450,7 +476,7 @@ def _prepare(gamma: Component, model: SurfaceModel) -> Component:
     given = _by_position(gamma, model)
     copy = Component(gamma.content, gamma.charts, gamma.multiplicity)
     object.__setattr__(copy, "_prepared", (
-        model.charts, given, _doubled(gamma, given, model.charts)))
+        model.charts, given, _doubled(gamma, given, model)))
     return copy
 
 
@@ -485,7 +511,7 @@ def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
     if not crossed:
         return Admissibility("disjoint", "", struct, gamma)
     if doubled is None:
-        doubled = _doubled(gamma, given, charts)
+        doubled = _doubled(gamma, given, model)
     # the crossed components are canonical, so oriented: per chart they
     # add up to their share of the identity's totals
     lam = [(0, 0)] * len(charts)

@@ -562,6 +562,37 @@ class TestExports:
             data = data.encode()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    @pytest.mark.parametrize("output,digest", [
+        ("goldman", "11bda563896b85eb18190c9af6b0ee5e"
+                    "2ea79d1ff7ae294245d04cb573c49998"),
+        ("iterated", "e5a1fcbc0584f6e18734fa455b25e527"
+                     "bf9a195cc29c911a2589b2a75b4bff8c"),
+        ("two_meridian", "837f53694ed6bf29fdfe956acd460ee1"
+                         "efbc76a463a2284ef4eb0101c5d06137"),
+        ("dehn_twist", "466d856557ac67af1a93e98707eaf662"
+                       "55a65f58b32e74a8ccfb99294a230cea"),
+        ("fan", "f50426e27015c2bf6d9c71d942779fef"
+                "d7afad961ba8409c9aea15c15d6a72c5"),
+        ("witness", "08d37d25f923c3aa640e4dfd49227ab5"
+                    "bbe582f06439093a936b681a11baa020"),
+    ])
+    def test_pinned_identity_digest(self, output, digest):
+        # the identity suites at the sizes the benchmark runs them
+        suites = {"goldman": {"trials": 400, "seed": 7},
+                  "iterated": {"l0": 1, "twist_bound": 30},
+                  "two_meridian": {"k_max": 10},
+                  "dehn_twist": {"k_max": 30}}
+        config = standard_configuration()
+        if output == "fan":
+            fan = standard_fan(config, "a", 30, 7)
+            data = repr((fan.common_key, fan.rows, fan.passed)).encode()
+        elif output == "witness":
+            data = witness_graph(config, 1, 30).to_json_bytes()
+        else:
+            report = verify_suite(output, **suites[output])
+            data = json.dumps(report.to_json_obj(), sort_keys=True).encode()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     @pytest.mark.parametrize("witness", [False, True],
                              ids=["complex", "witness"])
     def test_vertex_map_keyed_by_structure_key(self, witness):

@@ -1,5 +1,6 @@
 """Charted-surface layer: validation, spiraling, grafting, canonical keys."""
 
+import itertools
 import json
 from math import gcd
 
@@ -68,6 +69,33 @@ class TestModel:
         # a component names each content label once
         with pytest.raises(ValueError, match="label"):
             Component((("x", 1), ("x", 2)), (("a", TorusClass(2, 0)),))
+
+    @pytest.mark.parametrize("charts", [(1, "1"), ("a", 1), (None,),
+                                        (b"a",), (["a"],)],
+                             ids=["int-first", "int-last", "none", "bytes",
+                                  "unhashable"])
+    def test_chart_names_are_strings(self, charts):
+        # a key sorts and quotes chart names, so only strings are names
+        with pytest.raises(ValueError, match="string"):
+            SurfaceModel(2, "rho", charts)
+
+    @pytest.mark.parametrize("content, charts", [
+        ((("x", 1), (2, 1)), (("a", (1, 0)),)),
+        (((5, 1),), (("a", (1, 0)),)),
+        ((("x", 1),), ((1, (1, 0)),)),
+        ((("x", 1),), (("b", (1, 0)), (0, (1, 0)))),
+        ((("x", 1),), ((None, (0, 0)),)),
+    ], ids=["mixed-labels", "int-label", "int-chart", "mixed-charts",
+            "zero-class-chart"])
+    def test_component_names_are_strings(self, content, charts):
+        # the JSON reader reads string labels only, so no other label
+        # can be keyed
+        with pytest.raises(ValueError, match="string"):
+            Component(content, charts)
+
+    def test_simple_component_label_is_a_string(self):
+        with pytest.raises(ValueError, match="label name must be a string"):
+            component(5, {"a": (1, 0)})
 
 
 class TestSpelling:
@@ -476,6 +504,127 @@ class TestKeyDefinition:
         first = struct.key()
         assert struct.key() is first
         assert first == canonical_key(struct.real_curves, model)
+
+
+# Names that exercise every escape json.dumps makes with ensure_ascii.
+names = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9'
+                                          '\u2028\ud800\U0001f600ab'),
+                          st.characters()), max_size=6)
+
+
+@st.composite
+def rendered_identities(draw):
+    """A model whose chart order need not be name order, and an identity
+    for it: sorted content totals (zero counts included), any totals."""
+    charts = draw(st.lists(names, min_size=1, max_size=5, unique=True))
+    model = SurfaceModel(2, "rho", tuple(charts))
+    content = draw(st.lists(st.tuples(names, st.integers()), max_size=4,
+                            unique_by=lambda entry: entry[0]))
+    totals = draw(st.lists(st.tuples(st.integers(), st.integers()),
+                           min_size=len(charts), max_size=len(charts)))
+    return model, (tuple(sorted(content)), tuple(totals))
+
+
+def dumps_key(identity, model):
+    """The key as json.dumps writes it, the spelling _render replaces."""
+    content, totals = identity
+    return json.dumps({"content": content,
+                       "charts": dict(zip(model.charts, totals))},
+                      sort_keys=True, separators=(",", ":"))
+
+
+class TestKeyWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(rendered_identities())
+    def test_bytes_are_json_dumps(self, drawn):
+        model, identity = drawn
+        assert surface._render(identity, model) == dumps_key(identity, model)
+
+    def test_chart_order_is_not_name_order(self):
+        model = SurfaceModel(2, "rho", ("z", "\u00e9", "a\"b", "A"))
+        identity = ((("", 0), ("x\ny", -3), ("\U0001f600", 10 ** 30)),
+                    ((0, 0), (-1, 2), (7, -(10 ** 25)), (3, 0)))
+        key = surface._render(identity, model)
+        assert key == dumps_key(identity, model)
+        assert key.isascii()
+        assert list(json.loads(key)["charts"]) == ["A", "a\"b", "z",
+                                                   "\u00e9"]
+
+
+def dict_orientation(comp, chart_order):
+    """_orientation as it was: a dict of the component's classes, read in
+    the given chart order."""
+    classes = dict(comp.charts)
+    for name in chart_order:
+        if name in classes:
+            p, q = classes[name]
+            return -1 if (p or q) < 0 else 1
+    return 1
+
+
+def dict_by_position(gamma, model):
+    """_by_position as it was: require each chart, then a dict read in
+    model order."""
+    for name, _ in gamma.charts:
+        model.require_chart(name)
+    classes = dict(gamma.charts)
+    return [classes.get(name) for name in model.charts]
+
+
+position_classes = st.builds(TorusClass, st.integers(-3, 3),
+                             st.integers(-3, 3))
+position_components = st.builds(
+    Component, st.just((("x", 1),)),
+    st.lists(st.tuples(st.sampled_from("abc"), position_classes),
+             min_size=2, max_size=3, unique_by=lambda entry: entry[0]
+             ).map(tuple),
+    st.integers(1, 3))
+
+
+class TestPositionRules:
+    """The orientation and the curve slots read chart positions from the
+    model, and agree with the dict rules they replace on every chart
+    order."""
+
+    models = [SurfaceModel(2, "rho", order)
+              for order in itertools.permutations("abc")]
+
+    @pytest.mark.parametrize("charts", [
+        (("a", (-1, 2)), ("b", (1, 0)), ("c", (2, 1))),
+        (("a", (0, -1)), ("b", (0, 1)), ("c", (-2, 0))),
+        (("a", (0, 3)), ("c", (-1, -1))),
+        (("b", (-2, 0)), ("c", (0, 2))),
+    ], ids=["negative-first", "zero-p-classes", "two-charts", "b-and-c"])
+    def test_every_chart_order(self, charts):
+        comp = Component((("x", 1),), charts, 2)
+        signs = set()
+        for model in self.models:
+            sign = surface._orientation(comp, model)
+            assert sign == dict_orientation(comp, model.charts)
+            assert surface._by_position(comp, model) == \
+                dict_by_position(comp, model)
+            signs.add(sign)
+        # each case has classes of both signs, so the order decides
+        assert signs == {-1, 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(position_components)
+    def test_matches_dict_rules(self, comp):
+        for model in self.models:
+            assert surface._orientation(comp, model) == \
+                dict_orientation(comp, model.charts)
+            assert surface._by_position(comp, model) == \
+                dict_by_position(comp, model)
+
+    def test_unknown_curve_chart(self):
+        model = self.models[0]
+        base = structure(model, [component("lambda", {"a": (2, 0)})])
+        for charts in ({"zz": (1, 0)}, {"a": (1, 1), "zz": (1, 0)}):
+            curve = component("g", charts)
+            with pytest.raises(UnknownChart, match="'zz'"):
+                surface._by_position(curve, model)
+            with pytest.raises(UnknownChart, match="'zz'"):
+                is_admissible(curve, base)
 
 
 small_classes = st.builds(TorusClass, st.integers(-2, 2), st.integers(-2, 2))
