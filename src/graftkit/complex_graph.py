@@ -13,12 +13,15 @@ structure and generator). Every generator is a meridian twist of the
 grafting curve and shares its content, so the grafted content is worked
 out once per expanded structure. A move's destination is identified by
 arithmetic (the decision's chart totals with that content, or a meridian
-twist's) and looked up; only a new identity is built into a structure,
-and its key is that identity rendered, so an edge to a vertex already
-seen builds nothing and no key is worked out from curves but the seed's.
-The frontier carries each vertex's key and the identity it was looked up
-by, so no identity is derived from curves but the seed's either; the
-structures themselves keep only their curves and keys.
+twist's) and looked up. A new identity's key is that identity rendered,
+and the vertex map records the move that first reached it; its structure
+is built once, when the BFS expands it or a caller reads it, so an edge
+to a vertex already seen builds nothing, the last level's structures are
+built only on request, and no key is worked out from curves but the
+seed's. The frontier carries each vertex's key and the identity it was
+looked up by, so no identity is derived from curves but the seed's
+either; the structures themselves keep only their curves and keys.
+Counts, ranks and both exports read keys and edges only.
 The graph keeps its ranks once computed, and the JSON export is written
 in one pass over the numbered rows, byte for byte what json.dumps with
 sorted keys gives.
@@ -31,6 +34,7 @@ import inspect
 import json
 import logging
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
@@ -104,9 +108,12 @@ class Witness:
 @dataclass(frozen=True)
 class ComplexGraph:
     """vertices maps each key to its structure (vertices[k].key() == k);
-    edges name their endpoints by key. The ranks are kept once computed."""
+    edges name their endpoints by key. The ranks are kept once computed.
+    A built complex's vertex map is read-only and builds a last-level
+    structure on its first read; counts, ranks and exports read keys
+    only."""
 
-    vertices: Dict[str, Structure]
+    vertices: Mapping[str, Structure]
     edges: Tuple[Edge, ...]
     twist_bound: int
     depth: int
@@ -267,12 +274,46 @@ def _expand(config: Configuration, struct: Structure, identity: Identity,
     return out
 
 
-def _destination(struct: Structure, move: Move) -> Structure:
-    """The structure a move of _expand lands on."""
-    (_, chart, n), _, adm = move
+def _destination(struct: Structure, desc: Tuple[str, str, int],
+                 adm: Optional[Admissibility]) -> Structure:
+    """The structure a move of _expand lands on: the graft the decision
+    describes, or for an elementary move (adm None) the meridian twist
+    desc names."""
     if adm is None:
+        _, chart, n = desc
         return twist_about_meridian(struct, chart, n)
     return _graft(adm)
+
+
+class _Vertices(Mapping):
+    """The read-only vertex map of a built graph. Each entry is a
+    structure or, for a vertex nothing has read yet, the move that first
+    reached it as (source structure, generator, decision). Its length,
+    membership and iteration read keys only; reading a value builds a
+    deferred entry once, keeps its key on it and stores it in place, so
+    key order stays discovery order."""
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries: Dict[str, object]):
+        self._entries = entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._entries
+
+    def __getitem__(self, key: str) -> Structure:
+        entry = self._entries[key]
+        if isinstance(entry, tuple):
+            entry = _destination(*entry)
+            entry._keep(key)
+            self._entries[key] = entry
+        return entry
 
 
 def build_complex(config: Configuration, twist_bound: int, depth: int,
@@ -284,35 +325,43 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
     to the twist bound, per chart. Vertices deduplicate by canonical key.
     An elementary move and its inverse between the same two vertices are
     one edge; distinct generators landing on the same vertex pair stay
-    parallel. The seed defaults to the configuration's base structure.
+    parallel. The seed defaults to the configuration's base structure; a
+    seed on another model raises BadConfiguration. A vertex's structure
+    is built when it is expanded or read from graph.vertices, so the last
+    level's structures are built only for a caller that reads them.
     """
     if twist_bound < 0 or depth < 0:
         raise BadConfiguration("twist bound and depth must be nonnegative")
-    grafts = _grafts(config, twist_bound)
     if seed is None:
         seed = config.base_structure()
+    elif seed.model != config.model:
+        raise BadConfiguration("the seed structure is on another surface "
+                               "model than the configuration")
+    grafts = _grafts(config, twist_bound)
     seed_key, seed_identity = seed.key(), seed.identity()
-    vertices = {seed_key: seed}
+    entries = {seed_key: seed}
+    vertices = _Vertices(entries)
     keys = {seed_identity: seed_key}  # identity -> vertex key
     edges: List[Edge] = []
     seen_elementary = set()
-    # (key, identity, structure) per vertex to expand
-    frontier = [(seed_key, seed_identity, seed)]
-    for _ in range(depth):
+    # (key, identity) per vertex to expand
+    frontier = [(seed_key, seed_identity)]
+    for level in range(depth):
         if not frontier:
             break
-        frontier.sort(key=lambda entry: entry[0])
+        frontier.sort()  # by key: keys are distinct
         next_frontier = []
-        for src_key, src_identity, src in frontier:
-            for move in _expand(config, src, src_identity, grafts):
-                (kind, chart, n), identity, _ = move
+        for src_key, src_identity in frontier:
+            src = vertices[src_key]
+            for desc, identity, adm in _expand(config, src, src_identity,
+                                               grafts):
+                kind, chart, n = desc
                 dst_key = keys.get(identity)
                 if dst_key is None:
                     dst_key = keys[identity] = _render(identity, src.model)
-                    result = _destination(src, move)
-                    result._keep(dst_key)
-                    vertices[dst_key] = result
-                    next_frontier.append((dst_key, identity, result))
+                    entries[dst_key] = (src, desc, adm)
+                    if level < depth - 1:  # the last level stays unexpanded
+                        next_frontier.append((dst_key, identity))
                 if kind == "elementary":
                     pair = (min(src_key, dst_key), max(src_key, dst_key),
                             chart)

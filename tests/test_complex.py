@@ -18,6 +18,7 @@ from graftkit import (
     UnknownSuite,
     build_complex,
     canonical_key,
+    cli,
     common_grafts,
     standard_configuration,
     standard_fan,
@@ -84,6 +85,14 @@ class TestBuildComplex:
                                                 gamma)
         with pytest.raises(UnknownChart, match="'zz'"):
             build_complex(config, 1, 1)
+
+    @pytest.mark.parametrize("charts", [("x",), ("a", "b")])
+    def test_seed_on_another_model_rejected(self, charts):
+        model = surface.SurfaceModel(2, "rho", charts)
+        seed = surface.structure(model, [surface.component(
+            "lambda", {name: (2, 0) for name in charts})])
+        with pytest.raises(BadConfiguration, match="another surface model"):
+            build_complex(standard_configuration(1), 1, 1, seed=seed)
 
     def test_rank_monotone_in_twist_bound(self):
         config = standard_configuration()
@@ -161,6 +170,7 @@ class TestComputedOnce:
         config = standard_configuration(2)
         depth = 3
         graph = build_complex(config, 4, depth)
+        built = len(grafted), len(twisted)
         grafts = complex_graph._grafts(config, 4)
         levels = _levels(graph)
         assert set(levels) == set(graph.vertices)
@@ -169,16 +179,23 @@ class TestComputedOnce:
         assert len(decided) == len(expanded) * len(grafts)
         assert {id(struct) for struct, _ in decided} == expanded
         assert len({(id(s), id(g)) for s, g in decided}) == len(decided)
-        # a destination is built only for a new vertex: the edge that
-        # first reaches a vertex is the move that built it
+        # a destination is built only for a new vertex, by the edge that
+        # first reaches it, and the last level's only when read
         first = {}
         for e in graph.edges:
             first.setdefault(e.dst, e.kind)
         first.pop(graph.seed_key, None)
         assert len(first) == len(graph.vertices) - 1
+        inner = [kind for key, kind in first.items() if levels[key] < depth]
+        assert built == (inner.count("graft"), inner.count("elementary"))
+        assert min(built) > 0
         kinds = sorted(first.values())
-        assert len(grafted) == kinds.count("graft") > 0
-        assert len(twisted) == kinds.count("elementary") > 0
+        for _ in range(2):
+            for key in graph.vertices:
+                graph.vertices[key]
+            assert len(grafted) == kinds.count("graft") > inner.count("graft")
+            assert len(twisted) == kinds.count("elementary") > \
+                inner.count("elementary")
 
     def test_one_key_per_structure(self, monkeypatch):
         # a new vertex's key renders the identity the BFS looked up, so
@@ -293,6 +310,143 @@ class TestComputedOnce:
         before = vars(curve).copy()
         assert surface.is_admissible(curve, config.base_structure())
         assert vars(curve) == before
+
+
+def _count_builds(monkeypatch) -> list:
+    """Every structure a move builds from here on: grafts and meridian
+    twists of structures, under the names the BFS calls them by."""
+    built = []
+    graft, twist = complex_graph._graft, complex_graph.twist_about_meridian
+
+    def grafting(adm):
+        built.append(adm.source)
+        return graft(adm)
+
+    def twisting(obj, chart, n):
+        if isinstance(obj, surface.Structure):
+            built.append(obj)
+        return twist(obj, chart, n)
+
+    monkeypatch.setattr(complex_graph, "_graft", grafting)
+    monkeypatch.setattr(complex_graph, "twist_about_meridian", twisting)
+    return built
+
+
+def _replay(config, graph, edge):
+    """The structure an edge's move gives from its source, by the public
+    moves."""
+    src = graph.vertices[edge.src]
+    if edge.kind == "elementary":
+        return surface.twist_about_meridian(src, edge.chart, edge.n)
+    gamma = config.gamma
+    if edge.chart:
+        gamma = surface.twist_about_meridian(gamma, edge.chart, edge.n)
+    return surface.graft_along(src, gamma)
+
+
+SIZES = [(1, 3, 0), (1, 3, 1), (1, 8, 4), (2, 4, 3), (3, 2, 3)]
+
+
+class TestDeferredVertices:
+    """A last-level vertex's structure is built on its first read of
+    graph.vertices; keys, counts, ranks and exports read none."""
+
+    @pytest.mark.parametrize("charts,bound,depth", SIZES)
+    def test_keys_only_reads_build_nothing(self, charts, bound, depth,
+                                           monkeypatch):
+        built = _count_builds(monkeypatch)
+        graph = build_complex(standard_configuration(charts), bound, depth)
+        levels = _levels(graph)
+        assert len(built) == sum(0 < level < depth
+                                 for level in levels.values())
+        del built[:]
+        assert len(graph.vertices) == len(levels)
+        assert list(graph.vertices) == list(graph.vertices.keys())
+        assert all(key in graph.vertices for key in levels)
+        assert "not a key" not in graph.vertices
+        graph.rank_by_kind()
+        graph.to_json_bytes()
+        graph.to_dot()
+        graph.cycle_rank()
+        assert built == []
+
+    @pytest.mark.parametrize("charts,bound,depth", SIZES)
+    def test_read_once_exports_unchanged(self, charts, bound, depth,
+                                         monkeypatch):
+        built = _count_builds(monkeypatch)
+        graph = build_complex(standard_configuration(charts), bound, depth)
+        before = graph.to_json_bytes(), graph.to_dot()
+        vertices = graph.vertices
+        # each destination is built once, on the first read at the latest
+        for key in vertices:
+            assert vertices[key] is vertices[key]
+            assert vertices[key].key() == key
+        assert len(built) == len(vertices) - 1
+        assert dict(vertices.items()) == {k: vertices[k] for k in vertices}
+        assert len(built) == len(vertices) - 1
+        assert (graph.to_json_bytes(), graph.to_dot()) == before
+        with pytest.raises(KeyError):
+            vertices["not a key"]
+        with pytest.raises(TypeError):
+            vertices[graph.seed_key] = vertices[graph.seed_key]
+        assert type(vertices) is type(build_complex(
+            standard_configuration(charts), bound, 0).vertices)
+
+    @pytest.mark.parametrize("charts,bound,depth", SIZES)
+    def test_first_edge_replays(self, charts, bound, depth):
+        # the edge that first reaches a vertex is the move that built it
+        config = standard_configuration(charts)
+        graph = build_complex(config, bound, depth)
+        first = {}
+        for e in graph.edges:
+            first.setdefault(e.dst, e)
+        first.pop(graph.seed_key, None)
+        assert len(first) == len(graph.vertices) - 1
+        for key, edge in first.items():
+            assert _replay(config, graph, edge).real_curves == \
+                graph.vertices[key].real_curves
+
+    @pytest.mark.parametrize("charts,bound,depth,digest", [
+        (1, 8, 4, "e093d26830e82cc8c2631be7b971a7bb"
+                  "8c6a1f227296846e61ef134ee825a55d"),
+        (2, 4, 3, "b12bdc289f417b5dd91776a1d88c96dc"
+                  "3275771f4d974970b6fe14f5d5ee18c9"),
+        (3, 2, 3, "a8f77615712b4b66e81a8ac8b6d67dff"
+                  "ca1ae355b5b15058299f726983310837"),
+    ])
+    def test_materialized_vertices_digest(self, charts, bound, depth,
+                                          digest):
+        # the structures an eager build made, in discovery order
+        graph = build_complex(standard_configuration(charts), bound, depth)
+        h = hashlib.sha256()
+        for key, struct in graph.vertices.items():
+            h.update(repr((key, struct.real_curves)).encode())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt,export", [("json", "to_json_bytes"),
+                                            ("dot", "to_dot")])
+    def test_cli_builds_only_expanded(self, fmt, export, tmp_path,
+                                      monkeypatch, capsys):
+        config = {"schema": 1, "genus": 2, "charts": ["a", "b"],
+                  "curves": [{"label": "lambda",
+                              "charts": {"a": [2, 0], "b": [2, 0]}}],
+                  "gamma": {"label": "gamma",
+                            "charts": {"a": [1, 0], "b": [1, 0]}}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / f"graph.{fmt}"
+        graph = build_complex(standard_configuration(2), 2, 2)
+        data = getattr(graph, export)()
+        level_one = sum(level == 1 for level in _levels(graph).values())
+        built = _count_builds(monkeypatch)
+        assert cli.main(["complex", str(path), "--depth", "2",
+                         "--twist-bound", "2", "--format", fmt,
+                         "--output", str(out)]) == 0
+        assert len(built) == level_one
+        assert out.read_bytes() == (data if fmt == "json"
+                                    else data.encode())
+        assert capsys.readouterr().out.startswith(
+            f"vertices={len(graph.vertices)} edges={len(graph.edges)} ")
 
 
 def reversed_curve(comp):
@@ -494,9 +648,9 @@ class TestOrientationFree:
 
 def _destinations(config, struct, grafts):
     """Each move of struct with the structure it builds."""
-    return [(move[0], complex_graph._destination(struct, move))
-            for move in complex_graph._expand(config, struct,
-                                              struct.identity(), grafts)]
+    return [(desc, complex_graph._destination(struct, desc, adm))
+            for desc, _, adm in complex_graph._expand(
+                config, struct, struct.identity(), grafts)]
 
 
 def _moves(config, struct, grafts):
