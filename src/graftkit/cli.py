@@ -152,6 +152,8 @@ def _load_configuration(path: str):
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     return parse_configuration(data)
 
 

@@ -8,12 +8,13 @@ deterministic for fixed inputs: one serial loop expands the frontier in
 key order and merges each structure's moves as it goes, and both exports
 number the vertices in key order, so repeated builds are byte-identical.
 A build twists and prepares each generator's curve once (see
-surface._prepare) and decides each graft once (is_admissible per
-structure and generator). Every generator is a meridian twist of the
-grafting curve and shares its content, so the grafted content is worked
-out once per expanded structure. A move's destination is identified by
-arithmetic (the decision's chart totals with that content, or a meridian
-twist's) and looked up. A new identity's key is that identity rendered,
+surface._prepare), at depth 0 only the untwisted one, and decides each
+graft once (is_admissible per structure and generator). Every generator
+is a meridian twist of the grafting curve and shares its content, so the
+grafted content is worked out once per expanded structure. Only _expand
+identifies a move's destination, by arithmetic (the decision's chart
+totals with that content, or a meridian twist's), and the search looks
+it up. A new identity's key is that identity rendered,
 and the vertex map records the move that first reached it; its structure
 is built once, when the BFS expands it or a caller reads it, so an edge
 to a vertex already seen builds nothing, the last level's structures are
@@ -109,9 +110,8 @@ class Witness:
 class ComplexGraph:
     """vertices maps each key to its structure (vertices[k].key() == k);
     edges name their endpoints by key. The ranks are kept once computed.
-    A built complex's vertex map is read-only and builds a last-level
-    structure on its first read; counts, ranks and exports read keys
-    only."""
+    The vertex map is read-only and builds a last-level structure on its
+    first read; counts, ranks and exports read keys only."""
 
     vertices: Mapping[str, Structure]
     edges: Tuple[Edge, ...]
@@ -337,7 +337,7 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
     elif seed.model != config.model:
         raise BadConfiguration("the seed structure is on another surface "
                                "model than the configuration")
-    grafts = _grafts(config, twist_bound)
+    grafts = _grafts(config, twist_bound if depth else 0)
     seed_key, seed_identity = seed.key(), seed.identity()
     entries = {seed_key: seed}
     vertices = _Vertices(entries)
@@ -433,7 +433,8 @@ def witness_graph(config: Configuration, l0: int,
         vertices.setdefault(w.key, target)
         edges.append(Edge("graft", chart, 2 * w.m, base.key(), w.key))
         edges.append(Edge("graft", chart, w.k, other.key(), w.key))
-    return ComplexGraph(vertices, tuple(edges), twist_bound, 1, base.key())
+    return ComplexGraph(_Vertices(vertices), tuple(edges), twist_bound, 1,
+                        base.key())
 
 
 @dataclass

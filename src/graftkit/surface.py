@@ -27,14 +27,14 @@ Operations reduce to chart torus arithmetic.
 There is one graft, graft_along. is_admissible decides its route from
 the structure's canonical components. For a curve that crosses the real
 curves it fixes the crossed components and per chart their total and
-fused class. The decision also gives the destination's identity by
-arithmetic on the structure's, so a search can tell whether a graft
-lands on a structure it has seen without building it. The graft only
-assembles the destination from the decision. A decision reads the
-curve's classes by chart position and doubled class as kept on a copy
-_prepare made for the structure's chart order, and works them out for
-any other curve; a curve that names a chart the model lacks is an
-UnknownChart either way.
+fused class. From it and the structure's identity, _graft_content and
+_graft_totals give the destination's, which is how a search tells
+without building it whether a graft lands on a structure it has seen.
+The graft only assembles the destination from the decision. A decision
+reads the curve's classes by chart position and doubled class as kept
+on a copy _prepare made for the structure's chart order, and works them
+out for any other curve; a curve that names a chart the model lacks is
+an UnknownChart either way.
 """
 
 from __future__ import annotations
@@ -97,8 +97,9 @@ class SurfaceModel:
                            {name: i for i, name in enumerate(self.charts)})
 
     def require_chart(self, name: str) -> None:
-        if name not in self.charts:
-            raise UnknownChart(f"no chart named {name!r}")
+        """The one raiser of UnknownChart: a name the model lacks."""
+        if name not in self.chart_index:
+            raise UnknownChart(f"no chart named {name!r}") from None
 
 
 def _by_name(entries, what: str):
@@ -214,7 +215,7 @@ def canonicalize(curve: Iterable[Component],
     for c in curve:
         for name, _ in c.charts:
             if name not in index:
-                raise UnknownChart(f"no chart named {name!r}")
+                model.require_chart(name)
         c = _normalized(c, model)
         key = (c.content, c.charts)
         if key in merged:
@@ -313,7 +314,8 @@ def canonical_key(curve: Iterable[Component], model: SurfaceModel) -> str:
     try:
         identity = _identity_of(curve, model)
     except KeyError as exc:  # only a chart lookup can miss
-        raise UnknownChart(f"no chart named {exc.args[0]!r}") from None
+        model.require_chart(exc.args[0])
+        raise
     return _render(identity, model)
 
 
@@ -407,15 +409,6 @@ class Admissibility(NamedTuple):
     def __bool__(self) -> bool:
         return self.route is not None
 
-    @property
-    def identity(self) -> Identity:
-        """An admitted decision's destination identity, by arithmetic on
-        the source's; it is worked out on each access, so a graft alone
-        never pays for it."""
-        content, totals = self.source.identity()
-        return (_graft_content(content, self.curve),
-                _graft_totals(self, totals))
-
 
 def _graft_content(content: Content, curve: Component) -> Content:
     """The content totals after either route grafts two leaves of the
@@ -456,7 +449,7 @@ def _by_position(gamma: Component, model: SurfaceModel) -> list:
     given = [None] * len(index)
     for name, cls in gamma.charts:
         if name not in index:
-            raise UnknownChart(f"no chart named {name!r}")
+            model.require_chart(name)
         given[index[name]] = cls
     return given
 
@@ -488,7 +481,7 @@ def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
     chart with crossings carries a single strand of gamma (|p| = 1) and a
     well-defined spiral direction against the total of the crossed
     components there. Returns the route taken, or the failed condition;
-    an admitted decision also gives the destination's identity.
+    an admitted decision is what _graft_totals reads.
     """
     model = struct.model
     charts, index = model.charts, model.chart_index

@@ -27,9 +27,25 @@ CONFIG = {
 }
 
 
-def run_cli(*args):
+def run_process(*args):
+    """`python -m graftkit` in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "graftkit", *args],
                           capture_output=True, text=True)
+
+
+def run_cli(*args):
+    """cli.main in this process, its exit code and output returned as
+    run_process returns them. An uncaught exception is not caught here,
+    so it fails the test as a traceback on stderr would."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(),
+                                       stderr.getvalue())
 
 
 def assert_input_error(tmp_path, config):
@@ -53,7 +69,8 @@ def config_path(tmp_path):
 
 class TestTorusCommands:
     def test_resolve_flat(self):
-        proc = run_cli("torus", "resolve", "--mode", "flat", "0,2", "2,-2")
+        proc = run_process("torus", "resolve", "--mode", "flat", "0,2",
+                           "2,-2")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "2,0"
 
@@ -107,7 +124,7 @@ class TestErrorKinds:
 
 class TestGraftCommand:
     def test_disjoint_graft_emits_union(self, config_path):
-        proc = run_cli("graft", config_path, "--curve", "gamma@a=1,0")
+        proc = run_process("graft", config_path, "--curve", "gamma@a=1,0")
         assert proc.returncode == 0
         data = json.loads(proc.stdout)
         assert data["key"] == ('{"charts":{"a":[4,0]},'
@@ -188,8 +205,8 @@ class TestComplexCommand:
 
     def test_json_export(self, config_path, tmp_path):
         out = tmp_path / "graph.json"
-        proc = run_cli("complex", config_path, "--depth", "2",
-                       "--twist-bound", "2", "--output", str(out))
+        proc = run_process("complex", config_path, "--depth", "2",
+                           "--twist-bound", "2", "--output", str(out))
         assert proc.returncode == 0
         data = json.loads(out.read_text())
         line = proc.stdout.splitlines()[0]
@@ -319,6 +336,20 @@ class TestInputContract:
         target[path[-1]] = value
         assert_input_error(tmp_path, config)
 
+    @pytest.mark.parametrize("command", [["graft", "--curve", "g@a=1,0"],
+                                         ["complex", "--depth", "1",
+                                          "--twist-bound", "1"]],
+                             ids=["graft", "complex"])
+    def test_deeply_nested_json_is_input_error(self, tmp_path, command):
+        # the JSON reader gives up on deep nesting by recursion
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        proc = run_cli(command[0], str(path), *command[1:])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_zero_workers_is_usage_error(self, config_path):
         # the BFS is serial: --workers is no longer a flag, for any count
         for workers in ("0", "1"):
@@ -389,7 +420,7 @@ class TestInputContract:
 
 class TestVerifyCommand:
     def test_flatsharp_passes(self):
-        proc = run_cli("verify", "--suite", "flatsharp")
+        proc = run_process("verify", "--suite", "flatsharp")
         assert proc.returncode == 0
         assert proc.stdout.strip().splitlines()[-1] == \
             "suite flatsharp: pass (10 instances)"

@@ -78,13 +78,15 @@ class TestBuildComplex:
 
     def test_gamma_chart_outside_the_model_rejected(self):
         # validation reads only the model's charts; the build checks the
-        # curve when it prepares the generators
+        # curve when it prepares the generators, even at depth 0, where it
+        # prepares the untwisted curve alone
         config = standard_configuration()
         gamma = surface.component("g", {"a": (1, 0), "zz": (1, 3)})
         config = surface.validate_configuration(config.model, config.lam,
                                                 gamma)
-        with pytest.raises(UnknownChart, match="'zz'"):
-            build_complex(config, 1, 1)
+        for depth in (0, 1):
+            with pytest.raises(UnknownChart, match="'zz'"):
+                build_complex(config, 1, depth)
 
     @pytest.mark.parametrize("charts", [("x",), ("a", "b")])
     def test_seed_on_another_model_rejected(self, charts):
@@ -311,6 +313,23 @@ class TestComputedOnce:
         assert surface.is_admissible(curve, config.base_structure())
         assert vars(curve) == before
 
+    def test_depth_zero_prepares_one_curve(self, monkeypatch):
+        # nothing is expanded at depth 0, so no twisted curve is prepared
+        # however large the twist bound
+        prepared = []
+        prepare = complex_graph._prepare
+
+        def preparing(curve, model):
+            prepared.append(curve)
+            return prepare(curve, model)
+
+        monkeypatch.setattr(complex_graph, "_prepare", preparing)
+        config = standard_configuration(2)
+        graph = build_complex(config, 50, 0)
+        assert len(prepared) <= 1
+        assert list(graph.vertices) == [config.base_structure().key()]
+        assert graph.edges == () and graph.twist_bound == 50
+
 
 def _count_builds(monkeypatch) -> list:
     """Every structure a move builds from here on: grafts and meridian
@@ -467,21 +486,24 @@ class TestFusedPass:
         model = config.model
         graph = build_complex(config, bound, depth)
         grafts = complex_graph._grafts(config, bound)
+        curves = dict(grafts)
         twists = 0
         for struct in graph.vertices.values():
-            for _, gamma in grafts:
-                # every graft is admitted at these sizes
-                # (test_rejection_reasons covers rejections)
-                adm = surface.is_admissible(gamma, struct)
-                assert surface._render(adm.identity, model) == \
-                    surface.graft_along(struct, gamma).key()
-            for (kind, chart, n), identity, adm in complex_graph._expand(
-                    config, struct, struct.identity(), grafts):
+            moves = complex_graph._expand(config, struct, struct.identity(),
+                                          grafts)
+            # every graft is admitted at these sizes
+            # (test_rejection_reasons covers rejections)
+            assert [desc for desc, _, adm in moves if adm] == \
+                [desc for desc, _ in grafts]
+            for (kind, chart, n), identity, adm in moves:
                 if kind == "elementary":
                     twists += 1
                     assert adm is None
-                    assert surface._render(identity, model) == \
-                        surface.twist_about_meridian(struct, chart, n).key()
+                    built = surface.twist_about_meridian(struct, chart, n)
+                else:
+                    built = surface.graft_along(struct,
+                                                curves[kind, chart, n])
+                assert surface._render(identity, model) == built.key()
         assert twists > 0
 
     # (real curves, grafting curve, reason); each reason is pinned as the
@@ -580,7 +602,9 @@ class TestPreparedCurves:
         for name in self.FIELDS:
             assert getattr(got, name) == getattr(want, name), name
         if want:
-            assert got.identity == want.identity
+            totals = struct.identity()[1]
+            assert surface._graft_totals(got, totals) == \
+                surface._graft_totals(want, totals)
         return want
 
     @pytest.mark.parametrize("charts,bound,depth", [
@@ -875,6 +899,18 @@ class TestWitnesses:
         assert len(graph.edges) == 2 * 7
         assert graph.to_json_bytes() == witness_graph(
             config, 1, 3).to_json_bytes()
+
+    def test_witness_vertices_read_only(self):
+        # a witness graph's vertex map is the built graph's kind, so it is
+        # frozen too: a write fails and leaves the counts and export alone
+        graph = witness_graph(standard_configuration(), 1, 2)
+        before = graph.cycle_rank(), graph.to_json_bytes()
+        assert type(graph.vertices) is complex_graph._Vertices
+        assert type(graph.vertices) is type(build_complex(
+            standard_configuration(), 1, 1).vertices)
+        with pytest.raises(TypeError):
+            graph.vertices["junk"] = None
+        assert (graph.cycle_rank(), graph.to_json_bytes()) == before
 
 
 class TestFan:

@@ -273,8 +273,34 @@ class TestAdmissibility:
         assert adm.totals == ((2, 0),)
         assert adm.fused == ((4, 2),)
         key = '{"charts":{"a":[4,2]},"content":[["g",2],["x",2]]}'
-        assert surface._render(adm.identity, model) == key
+        content, totals = source.identity()
+        identity = (surface._graft_content(content, gamma),
+                    surface._graft_totals(adm, totals))
+        assert surface._render(identity, model) == key
         assert graft_along(source, gamma).key() == key
+
+
+@pytest.mark.parametrize("call", [
+    lambda model, base: structure(model, [component("x", {"zz": (1, 0)})]),
+    lambda model, base: canonicalize([component("x", {"zz": (1, 0)})],
+                                     model),
+    lambda model, base: canonical_key([component("x", {"zz": (1, 0)})],
+                                      model),
+    lambda model, base: is_admissible(component("g", {"zz": (1, 0)}), base),
+    lambda model, base: twist_about_curve(
+        base, component("g", {"zz": (0, 1)}), 1),
+    lambda model, base: twist_about_meridian(base, "zz", 1),
+    lambda model, base: parse_configuration({
+        "schema": 1, "genus": 2, "charts": list(model.charts),
+        "curves": [{"label": "x", "charts": {"zz": [1, 0]}}]}),
+], ids=["structure", "canonicalize", "canonical_key", "is_admissible",
+        "twist_about_curve", "twist_about_meridian", "parse_configuration"])
+def test_unknown_chart_message(call):
+    # every reader of a chart name words the miss alike
+    model, lam, _ = standard_pair()
+    with pytest.raises(UnknownChart) as caught:
+        call(model, structure(model, [lam]))
+    assert caught.value.args == ("no chart named 'zz'",)
 
 
 class TestMeridianTwist:
@@ -389,7 +415,9 @@ class TestGrafting:
                                (other, (("delta", 2), ("lambda", 1))),
                                (wide, (("gamma", 4), ("lambda", 1))),
                                (gam, (("gamma", 2), ("lambda", 1)))):
-            assert is_admissible(curve, base).identity[0] == content
+            assert is_admissible(curve, base)
+            assert surface._graft_content(base.identity()[0], curve) == \
+                content
 
 
 class TestCanonicalKey:
