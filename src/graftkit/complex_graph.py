@@ -37,6 +37,7 @@ import logging
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, \
@@ -671,19 +672,19 @@ def _suite_oracle(sweep: int = 5) -> Report:
              if gcd(abs(p), abs(q)) == 1]
     mismatches = 0
     checked = 0
-    for a in prims:
-        for b in prims:
-            pair = grid_oracle.probe_pair(a, 1, b, 1)
-            ok = (pair.forward.algebraic == algebraic_intersection(a, b)
-                  and pair.forward.geometric == geometric_intersection(a, b))
-            for mode in (Mode.SHARP, Mode.FLAT):
-                comps = pair.resolve(mode)
-                total = (sum(c.p for c in comps), sum(c.q for c in comps))
-                ok = ok and TorusClass(*total) == resolve(a, b, mode)
-            checked += 1
-            if not ok:
-                mismatches += 1
-                report.add(f"oracle agreement for {a} vs {b}", False)
+    probes = grid_oracle.probe_pairs(
+        (a, 1, b, 1) for a, b in product(prims, repeat=2))
+    for (a, b), pair in zip(product(prims, repeat=2), probes):
+        ok = (pair.forward.algebraic == algebraic_intersection(a, b)
+              and pair.forward.geometric == geometric_intersection(a, b))
+        for mode in (Mode.SHARP, Mode.FLAT):
+            comps = pair.resolve(mode)
+            total = (sum(c.p for c in comps), sum(c.q for c in comps))
+            ok = ok and TorusClass(*total) == resolve(a, b, mode)
+        checked += 1
+        if not ok:
+            mismatches += 1
+            report.add(f"oracle agreement for {a} vs {b}", False)
     report.add(f"oracle agreement on {checked} primitive pairs "
                f"(radius {sweep})", mismatches == 0,
                f"{mismatches} mismatches")

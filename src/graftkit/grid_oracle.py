@@ -9,10 +9,7 @@ closed-form torus formulas except the final comparisons done by callers.
 
 All arithmetic is on integers: offsets are numerators on the fixed
 97 x 89 lattice, and crossing parameters are numerators over one
-denominator per crossing list, R * |det| with R = 97 * 89. probe_pair
-draws a pair in general position and keeps the two crossing lists its
-probe computes, against the second curve and against its reversal, so
-the counts and both resolutions of a pair need no further list.
+denominator per crossing list, R * |det| with R = 97 * 89.
 
 The work follows the crossings, not the box of translates. For each
 horizontal translate, a crossing's parameter numerator is linear in the
@@ -21,12 +18,29 @@ form one interval, solved by floor division (and a parallel coincidence
 allows at most one, found by a divisibility test). The trace numbers the
 arcs side by side, copy by copy and in parameter order, and keeps each
 arc's displacement and successor in lists indexed by those numbers.
+
+Each copy pair is solved once, and that one solve gives the crossing
+lists against the second curve and against its reversal. Reversing a
+copy keeps its points, so it meets the first copy in the same places: a
+crossing at translate s with second parameter u > 0 lies, on the
+reversed copy, at 1 - u and translate s + b (b the copy's direction),
+and one at u = 0 stays at 0 and s; the index changes sign. The reversed
+solve scans translates in ascending order, so sorting by the new
+translate gives its order. The parameter change u -> (1 - u) mod 1 is a
+bijection and keeps the first parameters, so the reversed list has the
+forward list's count and its coincident parameters exactly when the
+forward list does: the forward checks cover both lists, and a reversed
+copy is parallel-coincident with a line exactly when the copy is.
+probe_pairs draws every (class, copies, role, rung) once per call and
+keeps both lists of each pair, so the counts and both resolutions of a
+pair need no further solve.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, \
+    Tuple, Union
 
 from .errors import DegeneratePosition, NonPrimitive
 from .torus import Mode, TorusClass
@@ -186,9 +200,10 @@ def _translates(c: int, step: int, bound: int, span: int) -> range:
     return range(max(lo, -span), min(hi, span + 1))
 
 
-def _copy_crossings(ia: int, la: _CopyLine, ib: int,
-                    lb: _CopyLine) -> List[Crossing]:
-    """All torus intersection points of two copy lines, exactly.
+def _copy_crossings(ia: int, la: _CopyLine, ib: int, lb: _CopyLine
+                    ) -> Tuple[List[Crossing], List[Crossing]]:
+    """All torus intersection points of two copy lines, exactly, as the
+    crossings with lb and the crossings with lb reversed.
 
     Solves t*a - u*b = (oB - oA) + s over integer translates s with
     denominators cleared by R; t = tn/D and u = un/D with D = R*det, and
@@ -201,19 +216,26 @@ def _copy_crossings(ia: int, la: _CopyLine, ib: int,
     depend on sy and un does, so the interval is solved for un instead.
     Both numerators are still checked on each sy of the interval, so the
     crossings come out in the order of the full (sx, sy) scan.
+
+    The reversed copy's crossings are the same points (see the module
+    docstring): index -index, second parameter (|D| - un) mod |D|, at
+    translate s + b, or s when un = 0; sorted by that translate they are
+    in the order the scan of lb reversed finds them.
     """
     a, b = la.direction, lb.direction
     det = a.p * (-b.q) - (-b.p) * a.q
     if det == 0:
         if _parallel_coincident(la, lb):
             raise DegeneratePosition("parallel curves share a geodesic")
-        return []
+        return [], []
     nx = (lb.offset[0] - la.offset[0]) * _DEN_Y
     ny = (lb.offset[1] - la.offset[1]) * _DEN_X
     sign = 1 if det > 0 else -1
     bound = _R * abs(det)
     index = 1 if a.p * b.q - a.q * b.p > 0 else -1
     out: List[Crossing] = []
+    # (translate on the reversed copy, crossing with it)
+    back: List[Tuple[int, int, Crossing]] = []
     span_x = abs(a.p) + abs(b.p) + 2
     span_y = abs(a.q) + abs(b.q) + 2
     # the numerator whose range is solved, at sy = 0 and per unit of sy
@@ -229,11 +251,42 @@ def _copy_crossings(ia: int, la: _CopyLine, ib: int,
                 continue
             un = (a.p * ry - a.q * rx) * sign
             if 0 <= un < bound:
-                out.append(Crossing(index, (ia, tn), (ib, un)))
+                at = (ia, tn)
+                out.append(Crossing(index, at, (ib, un)))
+                if un:
+                    back.append((sx + b.p, sy + b.q,
+                                 Crossing(-index, at, (ib, bound - un))))
+                else:
+                    back.append((sx, sy, Crossing(-index, at, (ib, 0))))
     if len(out) != abs(det):
         raise AssertionError(
             f"crossing count {len(out)} differs from |det| {abs(det)}")
-    return out
+    back.sort()
+    return out, [c for _, _, c in back]
+
+
+def _lists(first: GridCurve,
+           second: GridCurve) -> Tuple[CrossingList, CrossingList]:
+    """The crossing lists of first against second and against second
+    reversed, from one solve per copy pair.
+
+    Raises DegeneratePosition on coincident geodesics or when two
+    crossings collide along one copy (the arc order would be ambiguous);
+    either holds for both orientations of second or for neither.
+    """
+    found: List[Crossing] = []
+    back: List[Crossing] = []
+    for ia, la in enumerate(first.lines):
+        for ib, lb in enumerate(second.lines):
+            forward, backward = _copy_crossings(ia, la, ib, lb)
+            found.extend(forward)
+            back.extend(backward)
+    if (len({c.first_at for c in found}) != len(found)
+            or len({c.second_at for c in found}) != len(found)):
+        raise DegeneratePosition("coincident crossing parameters")
+    a, b = first.class_hint, second.class_hint
+    den = _R * abs(a.p * b.q - a.q * b.p)
+    return CrossingList(tuple(found), den), CrossingList(tuple(back), den)
 
 
 def crossing_list(first: GridCurve, second: GridCurve) -> CrossingList:
@@ -242,15 +295,7 @@ def crossing_list(first: GridCurve, second: GridCurve) -> CrossingList:
     Raises DegeneratePosition on coincident geodesics or when two
     crossings collide along one copy (the arc order would be ambiguous).
     """
-    found: List[Crossing] = []
-    for ia, la in enumerate(first.lines):
-        for ib, lb in enumerate(second.lines):
-            found.extend(_copy_crossings(ia, la, ib, lb))
-    if (len({c.first_at for c in found}) != len(found)
-            or len({c.second_at for c in found}) != len(found)):
-        raise DegeneratePosition("coincident crossing parameters")
-    a, b = first.class_hint, second.class_hint
-    return CrossingList(tuple(found), _R * abs(a.p * b.q - a.q * b.p))
+    return _lists(first, second)[0]
 
 
 def oracle_intersection(first: GridCurve,
@@ -337,28 +382,68 @@ def oracle_resolve(first: GridCurve, second: GridCurve,
     traced index sum, matching the local orientation frame at each
     crossing; the oracle computes that sign from its crossing list alone.
     """
-    return ProbedPair(first, second, crossing_list(first, second)) \
-        .resolve(mode)
+    return ProbedPair(first, second, *_lists(first, second)).resolve(mode)
 
 
 class ProbedPair(NamedTuple):
-    """Two drawn curves, their crossing list and, when the probe has
-    computed it, the list against the reversed second curve."""
+    """Two drawn curves and their crossing lists, against the second
+    curve and against its reversal."""
 
     first: GridCurve
     second: GridCurve
     forward: CrossingList
-    backward: Optional[CrossingList] = None
+    backward: CrossingList
 
     def resolve(self, mode: Mode) -> Tuple[TorusClass, ...]:
         """What oracle_resolve(first, second, mode) returns."""
         d = self.forward.algebraic
         if (mode is Mode.SHARP and d < 0) or (mode is Mode.FLAT and d > 0):
-            second = _reverse(self.second)
-            crossings = (self.backward if self.backward is not None
-                         else crossing_list(self.first, second))
-            return tuple(sorted(_trace(self.first, second, crossings)))
+            return tuple(sorted(_trace(self.first, _reverse(self.second),
+                                       self.backward)))
         return tuple(sorted(_trace(self.first, self.second, self.forward)))
+
+
+def probe_pairs(pairs: Iterable[Tuple[Sequence[int], int, Sequence[int], int]]
+                ) -> Iterator[ProbedPair]:
+    """Probe each (first class, first copies, second class, second
+    copies) in turn, as probe_pair does.
+
+    Each (class, copies, role, rung) is drawn once: its drawing, or the
+    DegeneratePosition its draw raised, is kept in a dict that lives as
+    long as this iterator.
+    """
+    drawn: Dict[Tuple[Tuple[int, ...], int, int, int],
+                Union[GridCurve, DegeneratePosition]] = {}
+
+    def draw(cls: Sequence[int], copies: int, role: int,
+             attempt: int) -> GridCurve:
+        key = (tuple(cls), copies, role, attempt)
+        curve = drawn.get(key)
+        if curve is None:
+            try:
+                curve = oracle_draw(cls, copies, role, attempt)
+            except DegeneratePosition as exc:
+                curve = exc
+            drawn[key] = curve
+        if isinstance(curve, DegeneratePosition):
+            # raised afresh, without the tracebacks of earlier raises
+            raise curve.with_traceback(None)
+        return curve
+
+    for first_cls, first_copies, second_cls, second_copies in pairs:
+        last: Exception | None = None
+        for attempt in range(_ATTEMPTS):
+            try:
+                a = draw(first_cls, first_copies, 0, attempt)
+                b = draw(second_cls, second_copies, 1, attempt)
+                probed = ProbedPair(a, b, *_lists(a, b))
+            except DegeneratePosition as exc:
+                last = exc
+            else:
+                yield probed
+                break
+        else:
+            raise DegeneratePosition(f"no general position found: {last}")
 
 
 def probe_pair(first_cls: Sequence[int], first_copies: int,
@@ -369,17 +454,8 @@ def probe_pair(first_cls: Sequence[int], first_copies: int,
     configuration are degeneracy-free for both orientations of the second
     curve.
     """
-    last: Exception | None = None
-    for attempt in range(_ATTEMPTS):
-        try:
-            a = oracle_draw(first_cls, first_copies, role=0, attempt=attempt)
-            b = oracle_draw(second_cls, second_copies, role=1,
-                            attempt=attempt)
-            return ProbedPair(a, b, crossing_list(a, b),
-                              crossing_list(a, _reverse(b)))
-        except DegeneratePosition as exc:
-            last = exc
-    raise DegeneratePosition(f"no general position found: {last}")
+    return next(probe_pairs(
+        [(first_cls, first_copies, second_cls, second_copies)]))
 
 
 def draw_pair(first_cls: Sequence[int], first_copies: int,

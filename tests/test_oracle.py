@@ -128,17 +128,34 @@ def primitives(radius):
 
 
 class TestInvariants:
-    def test_sweep_computes_two_crossing_lists_per_pair(self, monkeypatch):
-        calls = []
-        original = grid_oracle.crossing_list
+    def test_sweep_solves_once_per_pair_and_draws_once_per_curve(
+            self, monkeypatch):
+        # the sweep calls crossing_list no more: one solve per copy pair
+        # gives both lists, and each curve is drawn once per sweep
+        solves, draws, lists = [], [], []
+        solve = grid_oracle._copy_crossings
+        draw_curve = grid_oracle.oracle_draw
+        crossing_list = grid_oracle.crossing_list
 
-        def counted(first, second):
-            calls.append(1)
-            return original(first, second)
+        def counted_solve(*args):
+            solves.append(args)
+            return solve(*args)
 
-        monkeypatch.setattr(grid_oracle, "crossing_list", counted)
+        def counted_draw(cls, copies=1, role=0, attempt=0):
+            draws.append((tuple(cls), copies, role, attempt))
+            return draw_curve(cls, copies, role, attempt)
+
+        def counted_list(first, second):
+            lists.append(1)
+            return crossing_list(first, second)
+
+        monkeypatch.setattr(grid_oracle, "_copy_crossings", counted_solve)
+        monkeypatch.setattr(grid_oracle, "oracle_draw", counted_draw)
+        monkeypatch.setattr(grid_oracle, "crossing_list", counted_list)
         assert verify_suite("oracle", sweep=2).passed
-        assert len(calls) == 2 * len(primitives(2)) ** 2 == 512
+        assert len(solves) == len(primitives(2)) ** 2 == 256
+        assert len(draws) == len(set(draws)) == 2 * len(primitives(2)) == 32
+        assert lists == []
 
     def test_multi_copy_agreement(self):
         # parallel copies give several copy pairs per crossing list, all
@@ -225,6 +242,10 @@ def _box_parallel_coincident(l1, l2):
                for sy in range(-span, span + 1))
 
 
+def _reversed(line):
+    return grid_oracle._CopyLine(line.offset, -line.direction)
+
+
 def _sign(x):
     return (x > 0) - (x < 0)
 
@@ -249,22 +270,29 @@ class TestTranslateSolve:
     """The solved translate ranges against the box scan they replaced."""
 
     def test_copy_crossings_match_the_box_scan(self):
+        # the forward list against the box scan of the copy line, the
+        # derived list against the box scan of the reversed copy line
         steps = set()
         checked = 0
         for a in primitives(3):
             for b in primitives(3):
                 first = grid_oracle.oracle_draw(a, 2, role=0)
                 second = grid_oracle.oracle_draw(b, 3, role=1)
-                for lb_curve in (second, grid_oracle._reverse(second)):
-                    for ia, la in enumerate(first.lines):
-                        for ib, lb in enumerate(lb_curve.lines):
-                            assert _outcome(grid_oracle._copy_crossings,
-                                            ia, la, ib, lb) == \
-                                _outcome(_box_copy_crossings,
-                                         ia, la, ib, lb), (la, lb)
-                            steps.add(_solved_branch(la, lb))
-                            checked += 1
-        assert checked == 32 * 32 * 2 * 2 * 3
+                for ia, la in enumerate(first.lines):
+                    for ib, lb in enumerate(second.lines):
+                        forward = _outcome(_box_copy_crossings,
+                                           ia, la, ib, lb)
+                        backward = _outcome(_box_copy_crossings,
+                                            ia, la, ib, _reversed(lb))
+                        got = _outcome(grid_oracle._copy_crossings,
+                                       ia, la, ib, lb)
+                        if isinstance(forward, list):
+                            assert got == (forward, backward), (la, lb)
+                        else:
+                            assert got == forward == backward, (la, lb)
+                        steps.add(_solved_branch(la, lb))
+                        checked += 1
+        assert checked == 32 * 32 * 2 * 3
         # both signs of step, on both branches (b.p == 0 solves for u)
         assert steps >= set(product((False, True), (-1, 1)))
 
@@ -293,7 +321,7 @@ class TestTranslateSolve:
         # translates; the solved ranges are clipped to the same box, so
         # the two agree there too, short counts and all
         far = [(97 * k, 89 * l) for k in (-9, 0, 9) for l in (-9, 0, 9)]
-        clipped = 0
+        clipped = derived = 0
         for a in primitives(2):
             for b in primitives(2):
                 for shift in far:
@@ -304,13 +332,80 @@ class TestTranslateSolve:
                         grid_oracle.TorusClass(*b))
                     got = _outcome(grid_oracle._copy_crossings,
                                    0, la, 0, lb)
-                    assert got == _outcome(_box_copy_crossings,
-                                           0, la, 0, lb), (a, b, shift)
+                    forward = _outcome(_box_copy_crossings, 0, la, 0, lb)
+                    backward = _outcome(_box_copy_crossings,
+                                        0, la, 0, _reversed(lb))
+                    if isinstance(got, tuple):
+                        assert got[0] == forward, (a, b, shift)
+                        # the reversed box is the same size, but its
+                        # translates are shifted by b, so it can miss
+                        # crossings that the forward box holds
+                        if isinstance(backward, list):
+                            assert got[1] == backward, (a, b, shift)
+                            derived += 1
+                    else:
+                        assert got == forward, (a, b, shift)
                     clipped += isinstance(got, str)
                     l2 = grid_oracle._CopyLine(shift, la.direction)
                     assert grid_oracle._parallel_coincident(la, l2) == \
                         _box_parallel_coincident(la, l2), (a, shift)
         assert clipped > 0
+        assert derived > 0
+
+
+class TestReversedList:
+    """The reversed list derived from the forward solve against a direct
+    solve of the reversed curve."""
+
+    def test_probes_match_the_reversed_solve(self):
+        at_start = 0
+        degenerate = set()
+        for a in primitives(3):
+            for b in primitives(3):
+                for m, n in ((1, 1), (2, 1), (1, 3), (7, 1), (1, 7)):
+                    try:
+                        pair = grid_oracle.probe_pair(a, m, b, n)
+                    except DegeneratePosition:
+                        degenerate.add((a, m, b, n))
+                        continue
+                    assert pair.backward == grid_oracle.crossing_list(
+                        pair.first, grid_oracle._reverse(pair.second)), \
+                        (a, m, b, n)
+                    at_start += sum(c.second_at[1] == 0
+                                    for c in pair.forward.crossings)
+        # crossings at the start of a second copy (u = 0) keep their
+        # translate instead of shifting; the 7-copy cases reach them
+        assert at_start > 0
+        # the seventh horizontal copy of role 0 sits on the horizontal
+        # copy of role 1 on every rung of the ladder
+        assert degenerate == {(a, 7, b, 1) for a in ((1, 0), (-1, 0))
+                              for b in ((1, 0), (-1, 0))}
+
+    def test_crossing_at_the_start_reorders(self):
+        # the second copy starts on the first line, so its crossing at
+        # u = 0 keeps its translate and moves ahead of the other
+        first = grid_oracle.GridCurve(
+            grid_oracle.TorusClass(1, 0), 1,
+            (grid_oracle._CopyLine((5, 10), grid_oracle.TorusClass(1, 0)),))
+        second = grid_oracle.GridCurve(
+            grid_oracle.TorusClass(1, 2), 1,
+            (grid_oracle._CopyLine((40, 10), grid_oracle.TorusClass(1, 2)),))
+        forward, backward = grid_oracle._lists(first, second)
+        assert forward == grid_oracle.crossing_list(first, second)
+        assert backward == grid_oracle.crossing_list(
+            first, grid_oracle._reverse(second))
+        assert any(c.second_at[1] == 0 for c in forward.crossings)
+        assert [c.first_at for c in backward.crossings] != \
+            [c.first_at for c in forward.crossings]
+
+    def test_parallel_coincidence_in_both_orientations(self):
+        line = grid_oracle._CopyLine((5, 10), grid_oracle.TorusClass(1, 2))
+        curve = grid_oracle.GridCurve(line.direction, 1, (line,))
+        for second in (curve, grid_oracle._reverse(curve)):
+            with pytest.raises(DegeneratePosition):
+                grid_oracle._lists(curve, second)
+            with pytest.raises(DegeneratePosition):
+                grid_oracle.crossing_list(curve, second)
 
 
 class TestPinnedProbes:
@@ -372,3 +467,39 @@ class TestOffsetLadder:
         assert pair.first.lines[0].offset == original(0, 0, 4)
         assert pair.second.lines[0].offset == original(1, 0, 4)
         assert pair.forward.geometric == 0
+
+    def test_drawings_do_not_outlive_a_call(self, monkeypatch):
+        # a sweep draws (1,1) at rung 0 for both roles; a later probe
+        # under a changed ladder must draw afresh and land on rung 4
+        assert verify_suite("oracle", sweep=1).passed
+        original = grid_oracle._offset
+
+        def offset(role, copy, attempt):
+            return original(0 if attempt < 3 else role, copy, attempt)
+
+        monkeypatch.setattr(grid_oracle, "_offset", offset)
+        pair = grid_oracle.probe_pair((1, 1), 1, (1, 1), 1)
+        assert pair.first.lines[0].offset == original(0, 0, 4)
+        assert pair.second.lines[0].offset == original(1, 0, 4)
+
+    def test_a_degenerate_drawing_is_kept_for_the_call(self, monkeypatch):
+        # the second probe of one call reuses every drawing of the first,
+        # the rung-3 drawing that raised included
+        original = grid_oracle._offset
+        draw_curve = grid_oracle.oracle_draw
+        draws = []
+
+        def offset(role, copy, attempt):
+            return original(0 if attempt < 3 else role, copy, attempt)
+
+        def counted_draw(cls, copies=1, role=0, attempt=0):
+            draws.append((tuple(cls), copies, role, attempt))
+            return draw_curve(cls, copies, role, attempt)
+
+        monkeypatch.setattr(grid_oracle, "_offset", offset)
+        monkeypatch.setattr(grid_oracle, "oracle_draw", counted_draw)
+        first, second = grid_oracle.probe_pairs([((1, 1), 1, (1, 1), 1)] * 2)
+        assert first == second
+        assert first.first.lines[0].offset == original(0, 0, 4)
+        # rungs 0-2 draw both curves, rung 3 only the first, rung 4 both
+        assert len(draws) == len(set(draws)) == 9
