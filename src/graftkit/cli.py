@@ -8,7 +8,8 @@ Exit codes are a stable contract: 0 success, 1 domain error (an
 inadmissible graft, odd multiplicity, degenerate input), 2 input error
 (bad flags, malformed JSON or curve spec, unknown chart or suite), 3
 verification failure. Set GRAFTKIT_LOG=debug|info|warning|error|critical
-to adjust log verbosity; any other value means warning.
+to adjust log verbosity; any other value means warning. Only a set
+GRAFTKIT_LOG loads and configures logging.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import contextlib
 import io
 import json
-import logging
 import os
 import re
 import sys
@@ -31,9 +31,7 @@ from .surface import Component, SurfaceModel, component, graft_along, \
 from .complex_graph import build_complex, suite_names, suite_parameters, \
     verify_suite
 
-log = logging.getLogger("graftkit")
-_LOG_LEVELS = {name: getattr(logging, name.upper()) for name in
-               ("debug", "info", "warning", "error", "critical")}
+_LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 
 def _torus_class(text: str) -> TorusClass:
@@ -244,8 +242,13 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    level = os.environ.get("GRAFTKIT_LOG", "warning").lower()
-    logging.basicConfig(level=_LOG_LEVELS.get(level, logging.WARNING))
+    level = os.environ.get("GRAFTKIT_LOG")
+    if level is not None:  # unset, nothing is configured or imported
+        import logging
+
+        name = level.lower()
+        logging.basicConfig(
+            level=name.upper() if name in _LOG_LEVELS else "WARNING")
     parser = _build_parser()
     ns = parser.parse_args(argv)
     handlers = {"torus": _cmd_torus, "graft": _cmd_graft,

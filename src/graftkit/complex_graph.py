@@ -30,11 +30,10 @@ sorted keys gives.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
-import logging
 import random
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product
@@ -71,7 +70,16 @@ from .surface import (
     validate_configuration,
 )
 
-log = logging.getLogger("graftkit")
+
+def _debug_log():
+    """The "graftkit" logger if it logs at debug level, else None. A
+    program that never imported logging cannot have turned that on, so
+    the library does not import it either."""
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger("graftkit")
+    return log if log.isEnabledFor(logging.DEBUG) else None
 
 
 class Edge(NamedTuple):
@@ -94,8 +102,7 @@ def _label(kind: str, chart: str, n: int) -> str:
     return f"graft T^{n}@{chart}"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A verified coincidence of the two graft pipelines.
 
     The doubled twist on the one-step side pairs with k + l = 2m on the
@@ -196,6 +203,8 @@ class ComplexGraph:
         ).encode("ascii")
 
     def to_dot(self) -> str:
+        import hashlib  # only the DOT export uses it
+
         keys, edges = self._numbered()
         lines = ["graph complex {"]
         for i, k in enumerate(keys):
@@ -269,7 +278,7 @@ def _expand(config: Configuration, struct: Structure, identity: Identity,
         adm = is_admissible(gamma, struct)
         if adm:
             out.append((desc, (grafted, _graft_totals(adm, totals)), adm))
-        elif log.isEnabledFor(logging.DEBUG):
+        elif (log := _debug_log()) is not None:
             log.debug("skipping %s at %s: %s", desc, struct.key(),
                       adm.reason)
     return out
@@ -398,7 +407,7 @@ def _witnesses(config: Configuration, base: Structure, other: Structure,
             config.gamma, chart, k))
         if one_step.key() == two_step.key():
             yield Witness(m, k, l0, one_step.key()), one_step
-        else:
+        elif (log := _debug_log()) is not None:
             log.debug("no witness at m=%d (keys %s vs %s)", m,
                       one_step.key(), two_step.key())
 
@@ -438,11 +447,17 @@ def witness_graph(config: Configuration, l0: int,
                         base.key())
 
 
-@dataclass
 class FanReport:
-    common_key: Optional[str]
-    rows: List[Tuple[int, int, str]]  # (l, k, key)
-    passed: bool
+    """What standard_fan found: the one key every member lands on (None
+    if they differ) and one (l, k, key) row per member."""
+
+    __slots__ = ("common_key", "rows", "passed")
+
+    def __init__(self, common_key: Optional[str],
+                 rows: List[Tuple[int, int, str]], passed: bool):
+        self.common_key = common_key
+        self.rows = rows
+        self.passed = passed
 
 
 def standard_fan(config: Configuration, chart: str, fan_size: int,
@@ -471,17 +486,29 @@ def standard_fan(config: Configuration, chart: str, fan_size: int,
 # Verification suites
 
 
-@dataclass
 class Instance:
-    desc: str
-    ok: bool
-    detail: str = ""
+    """One checked case of a suite, with what was found when it fails."""
+
+    __slots__ = ("desc", "ok", "detail")
+
+    def __init__(self, desc: str, ok: bool, detail: str = ""):
+        self.desc = desc
+        self.ok = ok
+        self.detail = detail
+
+    def __repr__(self) -> str:
+        return f"Instance({self.desc!r}, {self.ok!r}, {self.detail!r})"
 
 
-@dataclass
 class Report:
-    suite: str
-    instances: List[Instance] = field(default_factory=list)
+    """A suite's checked cases, in the order they ran."""
+
+    __slots__ = ("suite", "instances")
+
+    def __init__(self, suite: str,
+                 instances: Optional[List[Instance]] = None):
+        self.suite = suite
+        self.instances = [] if instances is None else instances
 
     @property
     def passed(self) -> bool:

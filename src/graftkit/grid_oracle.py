@@ -99,8 +99,12 @@ class CrossingList(NamedTuple):
 
 
 def _offset(role: int, copy: int, attempt: int) -> Tuple[int, int]:
-    return ((1 + 7 * role + 11 * copy + 23 * attempt) % _DEN_X,
-            (2 + 13 * role + 17 * copy + 29 * attempt) % _DEN_Y)
+    """A copy's offset numerators on a rung of the ladder. Each (role,
+    copy) steps by its own amount per rung, so two copies that coincide on
+    one rung come apart on the next."""
+    return ((1 + 7 * role + 11 * copy + (23 + 2 * copy) * attempt) % _DEN_X,
+            (2 + 13 * role + 17 * copy
+             + (29 + 3 * copy + 5 * role) * attempt) % _DEN_Y)
 
 
 def _audit_edge_counts(curve: GridCurve) -> None:

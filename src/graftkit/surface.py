@@ -323,8 +323,7 @@ def canonical_key(curve: Iterable[Component], model: SurfaceModel) -> str:
 # Configuration checking
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Validated base data for grafting pipelines: the base real curve
     and the base grafting curve."""
 

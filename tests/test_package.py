@@ -1,7 +1,12 @@
-"""The package's export list: every listed name exists, once; and no
-module imports a name it never uses."""
+"""The package's export list: every listed name exists, once; no module
+imports a name it never uses; and importing the package loads only what
+a caller needs."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +65,60 @@ def test_oracle_imports_no_closed_form():
                     alias.name for alias in node.names)
     assert set(package) <= {"errors", "torus"}
     assert package.get("torus", set()) <= {"Mode", "TorusClass"}
+
+
+def _run(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports graftkit from here."""
+    src = str(Path(graftkit.__file__).parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path
+                                              else "")}
+    env.pop("GRAFTKIT_LOG", None)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+
+
+class TestColdImport:
+    def test_import_loads_neither_logging_nor_hashlib(self):
+        proc = _run("import sys\n"
+                    "before = set(sys.modules)\n"
+                    "import graftkit\n"
+                    "print(sorted(set(sys.modules) - before))\n")
+        loaded = ast.literal_eval(proc.stdout)
+        assert "graftkit.complex_graph" in loaded
+        assert not {"logging", "hashlib"} & set(loaded)
+
+    def test_debug_turned_on_after_import_logs_skips(self):
+        # the skipping build of test_complex's TestFusedPass
+        proc = _run(
+            "import graftkit, logging\n"
+            "logging.basicConfig(level=logging.DEBUG)\n"
+            "from graftkit import surface\n"
+            "model = surface.SurfaceModel(2, 'rho', ('a', 'b'))\n"
+            "config = surface.Configuration(model, surface.component(\n"
+            "    'lambda', {'a': (2, 0), 'b': (2, 0)}), surface.component(\n"
+            "    'g', {'a': (1, 0), 'b': (2, 1)}))\n"
+            "seed = surface.structure(model, [\n"
+            "    surface.component('x', {'a': (1, 2), 'b': (2, 0)}),\n"
+            "    surface.component('y', {'a': (1, -2)})])\n"
+            "graftkit.build_complex(config, 1, 2, seed=seed)\n")
+        assert re.search(r"skipping .* no spiral direction", proc.stderr)
+
+
+def test_four_dataclasses_and_no_logging_import():
+    """Only the value types the tests and the search lean on are
+    dataclasses, and no module imports logging when it is imported."""
+    decorated = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d)
+                    for d in node.decorator_list):
+                decorated.add(node.name)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module or ""] if isinstance(
+                    node, ast.ImportFrom) else [a.name for a in node.names]
+                assert "logging" not in names, path.name
+    assert decorated == {"SurfaceModel", "Component", "Structure",
+                         "ComplexGraph"}
