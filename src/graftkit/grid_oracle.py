@@ -19,28 +19,22 @@ allows at most one, found by a divisibility test). The trace numbers the
 arcs side by side, copy by copy and in parameter order, and keeps each
 arc's displacement and successor in lists indexed by those numbers.
 
-Each copy pair is solved once, and that one solve gives the crossing
-lists against the second curve and against its reversal. Reversing a
-copy keeps its points, so it meets the first copy in the same places: a
-crossing at translate s with second parameter u > 0 lies, on the
-reversed copy, at 1 - u and translate s + b (b the copy's direction),
-and one at u = 0 stays at 0 and s; the index changes sign. The reversed
-solve scans translates in ascending order, so sorting by the new
-translate gives its order. The parameter change u -> (1 - u) mod 1 is a
-bijection and keeps the first parameters, so the reversed list has the
-forward list's count and its coincident parameters exactly when the
-forward list does: the forward checks cover both lists, and a reversed
-copy is parallel-coincident with a line exactly when the copy is.
-probe_pairs draws every (class, copies, role, rung) once per call and
-keeps both lists of each pair, so the counts and both resolutions of a
-pair need no further solve.
+Each pair of curves has one crossing list, one solve per copy pair.
+Tracing the uniform reconnection on it gives one smoothing; walking the
+second curve backwards on the same list gives the other. A drawing with
+an offset on a grid line it crosses or two copies on one geodesic raises
+DegeneratePosition, as does a list with coincident geodesics or
+parameters; probe_pairs then moves the pair to the next rung of the
+offset ladder, its one retry. It draws each (class, copies, role, rung)
+once per call and keeps each pair's list, so the counts and both
+resolutions of a pair need no further solve.
 """
 
 from __future__ import annotations
 
 from math import gcd
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, \
-    Tuple, Union
+    Tuple
 
 from .errors import DegeneratePosition, NonPrimitive
 from .torus import Mode, TorusClass
@@ -155,10 +149,10 @@ def oracle_draw(cls: Sequence[int], copies: int = 1, role: int = 0,
 
     role and attempt select the offset family; distinct roles keep two
     curves of one comparison apart, attempts step the deterministic retry.
-    An offset numerator of 0 in a direction the class crosses puts the
-    copy's start on a grid line, where the edge audit cannot count it;
-    that draw raises DegeneratePosition, so probe_pair tries the next
-    rung.
+    A draw raises DegeneratePosition, so probe_pair tries the next rung,
+    when an offset numerator is 0 in a direction the class crosses (the
+    copy starts on a grid line, where the edge audit cannot count it) or
+    when a copy shares a geodesic with an earlier copy.
     """
     p, q = cls
     if gcd(abs(p), abs(q)) != 1:
@@ -168,30 +162,18 @@ def oracle_draw(cls: Sequence[int], copies: int = 1, role: int = 0,
     direction = TorusClass(p, q)
     lines: List[_CopyLine] = []
     for j in range(copies):
-        sub = 0
-        while True:
-            cand = _CopyLine(_offset(role, j + 5 * sub, attempt), direction)
-            if (p and cand.offset[0] == 0) or (q and cand.offset[1] == 0):
-                raise DegeneratePosition(
-                    f"offset {cand.offset} lies on a grid line ({p},{q}) "
-                    f"crosses")
-            if all(not _parallel_coincident(cand, other) for other in lines):
-                break
-            sub += 1
-            if sub > 40:
-                raise DegeneratePosition("cannot separate parallel copies")
-        lines.append(cand)
+        line = _CopyLine(_offset(role, j, attempt), direction)
+        if (p and line.offset[0] == 0) or (q and line.offset[1] == 0):
+            raise DegeneratePosition(
+                f"offset {line.offset} lies on a grid line ({p},{q}) "
+                f"crosses")
+        if any(_parallel_coincident(line, other) for other in lines):
+            raise DegeneratePosition(
+                f"copy {j} shares a geodesic with an earlier copy")
+        lines.append(line)
     curve = GridCurve(direction, copies, tuple(lines))
     _audit_edge_counts(curve)
     return curve
-
-
-def _reverse(curve: GridCurve) -> GridCurve:
-    """Orientation reversal; each copy keeps its geodesic. The reversed
-    copy starts at offset + direction, which is the same point of the
-    torus, so the offset numerators carry over unchanged."""
-    rev = tuple(_CopyLine(ln.offset, -ln.direction) for ln in curve.lines)
-    return GridCurve(-curve.class_hint, curve.copies, rev)
 
 
 def _translates(c: int, step: int, bound: int, span: int) -> range:
@@ -205,9 +187,8 @@ def _translates(c: int, step: int, bound: int, span: int) -> range:
 
 
 def _copy_crossings(ia: int, la: _CopyLine, ib: int, lb: _CopyLine
-                    ) -> Tuple[List[Crossing], List[Crossing]]:
-    """All torus intersection points of two copy lines, exactly, as the
-    crossings with lb and the crossings with lb reversed.
+                    ) -> List[Crossing]:
+    """All torus intersection points of two copy lines, exactly.
 
     Solves t*a - u*b = (oB - oA) + s over integer translates s with
     denominators cleared by R; t = tn/D and u = un/D with D = R*det, and
@@ -220,26 +201,19 @@ def _copy_crossings(ia: int, la: _CopyLine, ib: int, lb: _CopyLine
     depend on sy and un does, so the interval is solved for un instead.
     Both numerators are still checked on each sy of the interval, so the
     crossings come out in the order of the full (sx, sy) scan.
-
-    The reversed copy's crossings are the same points (see the module
-    docstring): index -index, second parameter (|D| - un) mod |D|, at
-    translate s + b, or s when un = 0; sorted by that translate they are
-    in the order the scan of lb reversed finds them.
     """
     a, b = la.direction, lb.direction
     det = a.p * (-b.q) - (-b.p) * a.q
     if det == 0:
         if _parallel_coincident(la, lb):
             raise DegeneratePosition("parallel curves share a geodesic")
-        return [], []
+        return []
     nx = (lb.offset[0] - la.offset[0]) * _DEN_Y
     ny = (lb.offset[1] - la.offset[1]) * _DEN_X
     sign = 1 if det > 0 else -1
     bound = _R * abs(det)
     index = 1 if a.p * b.q - a.q * b.p > 0 else -1
     out: List[Crossing] = []
-    # (translate on the reversed copy, crossing with it)
-    back: List[Tuple[int, int, Crossing]] = []
     span_x = abs(a.p) + abs(b.p) + 2
     span_y = abs(a.q) + abs(b.q) + 2
     # the numerator whose range is solved, at sy = 0 and per unit of sy
@@ -255,51 +229,31 @@ def _copy_crossings(ia: int, la: _CopyLine, ib: int, lb: _CopyLine
                 continue
             un = (a.p * ry - a.q * rx) * sign
             if 0 <= un < bound:
-                at = (ia, tn)
-                out.append(Crossing(index, at, (ib, un)))
-                if un:
-                    back.append((sx + b.p, sy + b.q,
-                                 Crossing(-index, at, (ib, bound - un))))
-                else:
-                    back.append((sx, sy, Crossing(-index, at, (ib, 0))))
+                out.append(Crossing(index, (ia, tn), (ib, un)))
     if len(out) != abs(det):
         raise AssertionError(
             f"crossing count {len(out)} differs from |det| {abs(det)}")
-    back.sort()
-    return out, [c for _, _, c in back]
+    return out
 
 
-def _lists(first: GridCurve,
-           second: GridCurve) -> Tuple[CrossingList, CrossingList]:
-    """The crossing lists of first against second and against second
-    reversed, from one solve per copy pair.
+def crossing_list(first: GridCurve, second: GridCurve) -> CrossingList:
+    """Every crossing of the two drawn curves, with local data, from one
+    solve per copy pair.
 
     Raises DegeneratePosition on coincident geodesics or when two
-    crossings collide along one copy (the arc order would be ambiguous);
-    either holds for both orientations of second or for neither.
+    crossings collide along one copy (the arc order would be ambiguous).
+    Reversing the second curve keeps its geodesics and its crossing
+    points, so neither check depends on its orientation.
     """
     found: List[Crossing] = []
-    back: List[Crossing] = []
     for ia, la in enumerate(first.lines):
         for ib, lb in enumerate(second.lines):
-            forward, backward = _copy_crossings(ia, la, ib, lb)
-            found.extend(forward)
-            back.extend(backward)
+            found.extend(_copy_crossings(ia, la, ib, lb))
     if (len({c.first_at for c in found}) != len(found)
             or len({c.second_at for c in found}) != len(found)):
         raise DegeneratePosition("coincident crossing parameters")
     a, b = first.class_hint, second.class_hint
-    den = _R * abs(a.p * b.q - a.q * b.p)
-    return CrossingList(tuple(found), den), CrossingList(tuple(back), den)
-
-
-def crossing_list(first: GridCurve, second: GridCurve) -> CrossingList:
-    """Every crossing of the two drawn curves, with local data.
-
-    Raises DegeneratePosition on coincident geodesics or when two
-    crossings collide along one copy (the arc order would be ambiguous).
-    """
-    return _lists(first, second)[0]
+    return CrossingList(tuple(found), _R * abs(a.p * b.q - a.q * b.p))
 
 
 def oracle_intersection(first: GridCurve,
@@ -309,9 +263,10 @@ def oracle_intersection(first: GridCurve,
     return (cl.geometric, cl.algebraic)
 
 
-def _trace(first: GridCurve, second: GridCurve,
-           crossings: CrossingList) -> List[TorusClass]:
-    """Reconnect in-first -> out-second at every crossing and trace.
+def _trace(first: GridCurve, second: GridCurve, crossings: CrossingList,
+           backward: bool) -> List[TorusClass]:
+    """Reconnect in-first -> out-second at every crossing and trace,
+    with the second curve walked backwards when backward is set.
 
     Components come back as exact homology classes via cover
     displacements, summed as numerators over the list's denominator;
@@ -322,6 +277,12 @@ def _trace(first: GridCurve, second: GridCurve,
     crossing runs from it to the copy's next crossing (cyclically), so
     each side has one arc per crossing. Displacements and successors are
     lists indexed by arc number.
+
+    Walking the second curve backwards traces it reversed on the same
+    crossings: its displacements are negated, and its arc ending at k is
+    the one that leaves k. So the first-curve arc ending at k continues
+    on the second-curve arc ending at k, and the second-curve arc
+    leaving k continues on the first-curve arc leaving k.
     """
     den = crossings.denominator
     count = len(crossings.crossings)
@@ -337,11 +298,13 @@ def _trace(first: GridCurve, second: GridCurve,
             copy, t = c.second_at if side else c.first_at
             on_copy[copy].append((t, k))
         for line, items in zip(curve.lines, on_copy):
+            direction = -line.direction if side and backward \
+                else line.direction
             if not items:
-                components.append(line.direction)
+                components.append(direction)
                 continue
             items.sort()
-            p, q = line.direction
+            p, q = direction
             base, m = len(displacement), len(items)
             for i, (t0, k) in enumerate(items):
                 dt = items[i + 1][0] - t0 if i + 1 < m else \
@@ -350,10 +313,14 @@ def _trace(first: GridCurve, second: GridCurve,
                 leaving[side][k] = base + i
                 ending[side][k] = base + (i - 1) % m
 
+    # the second curve's arcs out of and into each crossing, in the
+    # direction it is walked
+    out_second, in_second = (ending[1], leaving[1]) if backward else \
+        (leaving[1], ending[1])
     successor = [0] * len(displacement)
     for k in range(count):
-        successor[ending[0][k]] = leaving[1][k]
-        successor[ending[1][k]] = leaving[0][k]
+        successor[ending[0][k]] = out_second[k]
+        successor[in_second[k]] = leaving[0][k]
 
     visited = [False] * len(displacement)
     for start in range(len(displacement)):
@@ -380,31 +347,32 @@ def oracle_resolve(first: GridCurve, second: GridCurve,
     """Resolve every crossing in the given mode; component class multiset.
 
     The mode is realized geometrically: the uniform reconnection that
-    preserves arc orientation gives one of the two smoothings, and
-    reversing the second curve beforehand gives the other. Which pairing
+    preserves arc orientation gives one of the two smoothings, and the
+    same reconnection with the second curve walked backwards gives the
+    other; both are traced on the one crossing list. Which pairing
     carries the SHARP name depends on the sign of the configuration's own
     traced index sum, matching the local orientation frame at each
     crossing; the oracle computes that sign from its crossing list alone.
     """
-    return ProbedPair(first, second, *_lists(first, second)).resolve(mode)
+    return ProbedPair(first, second,
+                      crossing_list(first, second)).resolve(mode)
 
 
 class ProbedPair(NamedTuple):
-    """Two drawn curves and their crossing lists, against the second
-    curve and against its reversal."""
+    """Two drawn curves and their one crossing list; the other smoothing
+    is traced on that list by walking the second curve backwards."""
 
     first: GridCurve
     second: GridCurve
     forward: CrossingList
-    backward: CrossingList
 
     def resolve(self, mode: Mode) -> Tuple[TorusClass, ...]:
         """What oracle_resolve(first, second, mode) returns."""
         d = self.forward.algebraic
-        if (mode is Mode.SHARP and d < 0) or (mode is Mode.FLAT and d > 0):
-            return tuple(sorted(_trace(self.first, _reverse(self.second),
-                                       self.backward)))
-        return tuple(sorted(_trace(self.first, self.second, self.forward)))
+        backward = (mode is Mode.SHARP and d < 0) or \
+            (mode is Mode.FLAT and d > 0)
+        return tuple(sorted(_trace(self.first, self.second, self.forward,
+                                   backward)))
 
 
 def probe_pairs(pairs: Iterable[Tuple[Sequence[int], int, Sequence[int], int]]
@@ -412,26 +380,17 @@ def probe_pairs(pairs: Iterable[Tuple[Sequence[int], int, Sequence[int], int]]
     """Probe each (first class, first copies, second class, second
     copies) in turn, as probe_pair does.
 
-    Each (class, copies, role, rung) is drawn once: its drawing, or the
-    DegeneratePosition its draw raised, is kept in a dict that lives as
-    long as this iterator.
+    Each (class, copies, role, rung) that draws is drawn once: its
+    drawing is kept in a dict that lives as long as this iterator.
     """
-    drawn: Dict[Tuple[Tuple[int, ...], int, int, int],
-                Union[GridCurve, DegeneratePosition]] = {}
+    drawn: Dict[Tuple[Tuple[int, ...], int, int, int], GridCurve] = {}
 
     def draw(cls: Sequence[int], copies: int, role: int,
              attempt: int) -> GridCurve:
         key = (tuple(cls), copies, role, attempt)
         curve = drawn.get(key)
         if curve is None:
-            try:
-                curve = oracle_draw(cls, copies, role, attempt)
-            except DegeneratePosition as exc:
-                curve = exc
-            drawn[key] = curve
-        if isinstance(curve, DegeneratePosition):
-            # raised afresh, without the tracebacks of earlier raises
-            raise curve.with_traceback(None)
+            curve = drawn[key] = oracle_draw(cls, copies, role, attempt)
         return curve
 
     for first_cls, first_copies, second_cls, second_copies in pairs:
@@ -440,7 +399,7 @@ def probe_pairs(pairs: Iterable[Tuple[Sequence[int], int, Sequence[int], int]]
             try:
                 a = draw(first_cls, first_copies, 0, attempt)
                 b = draw(second_cls, second_copies, 1, attempt)
-                probed = ProbedPair(a, b, *_lists(a, b))
+                probed = ProbedPair(a, b, crossing_list(a, b))
             except DegeneratePosition as exc:
                 last = exc
             else:
@@ -454,9 +413,8 @@ def probe_pair(first_cls: Sequence[int], first_copies: int,
                second_cls: Sequence[int], second_copies: int) -> ProbedPair:
     """Draw two curves in verified general position.
 
-    Retries the deterministic offset ladder until both drawings and the
-    configuration are degeneracy-free for both orientations of the second
-    curve.
+    Retries the deterministic offset ladder until both drawings and
+    their crossing list are degeneracy-free.
     """
     return next(probe_pairs(
         [(first_cls, first_copies, second_cls, second_copies)]))

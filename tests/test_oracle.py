@@ -130,8 +130,8 @@ def primitives(radius):
 class TestInvariants:
     def test_sweep_solves_once_per_pair_and_draws_once_per_curve(
             self, monkeypatch):
-        # the sweep calls crossing_list no more: one solve per copy pair
-        # gives both lists, and each curve is drawn once per sweep
+        # one crossing list, from one solve per copy pair, serves both
+        # resolutions of a pair, and each curve is drawn once per sweep
         solves, draws, lists = [], [], []
         solve = grid_oracle._copy_crossings
         draw_curve = grid_oracle.oracle_draw
@@ -155,7 +155,7 @@ class TestInvariants:
         assert verify_suite("oracle", sweep=2).passed
         assert len(solves) == len(primitives(2)) ** 2 == 256
         assert len(draws) == len(set(draws)) == 2 * len(primitives(2)) == 32
-        assert lists == []
+        assert len(lists) == 256
 
     def test_multi_copy_agreement(self):
         # parallel copies give several copy pairs per crossing list, all
@@ -246,6 +246,26 @@ def _reversed(line):
     return grid_oracle._CopyLine(line.offset, -line.direction)
 
 
+def _reversed_curve(curve):
+    """The curve with every copy reversed; each copy keeps its geodesic,
+    and its reversal starts at offset + direction, the same torus point."""
+    return grid_oracle.GridCurve(-curve.class_hint, curve.copies,
+                                 tuple(_reversed(ln) for ln in curve.lines))
+
+
+def _reversed_resolution(first, second):
+    """The forward trace against a direct solve of second reversed."""
+    rev = _reversed_curve(second)
+    return sorted(grid_oracle._trace(
+        first, rev, grid_oracle.crossing_list(first, rev), False))
+
+
+def _backward_resolution(first, second):
+    """The backward walk of second on the one forward list."""
+    return sorted(grid_oracle._trace(
+        first, second, grid_oracle.crossing_list(first, second), True))
+
+
 def _sign(x):
     return (x > 0) - (x < 0)
 
@@ -270,8 +290,6 @@ class TestTranslateSolve:
     """The solved translate ranges against the box scan they replaced."""
 
     def test_copy_crossings_match_the_box_scan(self):
-        # the forward list against the box scan of the copy line, the
-        # derived list against the box scan of the reversed copy line
         steps = set()
         checked = 0
         for a in primitives(3):
@@ -282,14 +300,9 @@ class TestTranslateSolve:
                     for ib, lb in enumerate(second.lines):
                         forward = _outcome(_box_copy_crossings,
                                            ia, la, ib, lb)
-                        backward = _outcome(_box_copy_crossings,
-                                            ia, la, ib, _reversed(lb))
                         got = _outcome(grid_oracle._copy_crossings,
                                        ia, la, ib, lb)
-                        if isinstance(forward, list):
-                            assert got == (forward, backward), (la, lb)
-                        else:
-                            assert got == forward == backward, (la, lb)
+                        assert got == forward, (la, lb)
                         steps.add(_solved_branch(la, lb))
                         checked += 1
         assert checked == 32 * 32 * 2 * 3
@@ -321,7 +334,7 @@ class TestTranslateSolve:
         # translates; the solved ranges are clipped to the same box, so
         # the two agree there too, short counts and all
         far = [(97 * k, 89 * l) for k in (-9, 0, 9) for l in (-9, 0, 9)]
-        clipped = derived = 0
+        clipped = 0
         for a in primitives(2):
             for b in primitives(2):
                 for shift in far:
@@ -333,32 +346,20 @@ class TestTranslateSolve:
                     got = _outcome(grid_oracle._copy_crossings,
                                    0, la, 0, lb)
                     forward = _outcome(_box_copy_crossings, 0, la, 0, lb)
-                    backward = _outcome(_box_copy_crossings,
-                                        0, la, 0, _reversed(lb))
-                    if isinstance(got, tuple):
-                        assert got[0] == forward, (a, b, shift)
-                        # the reversed box is the same size, but its
-                        # translates are shifted by b, so it can miss
-                        # crossings that the forward box holds
-                        if isinstance(backward, list):
-                            assert got[1] == backward, (a, b, shift)
-                            derived += 1
-                    else:
-                        assert got == forward, (a, b, shift)
+                    assert got == forward, (a, b, shift)
                     clipped += isinstance(got, str)
                     l2 = grid_oracle._CopyLine(shift, la.direction)
                     assert grid_oracle._parallel_coincident(la, l2) == \
                         _box_parallel_coincident(la, l2), (a, shift)
         assert clipped > 0
-        assert derived > 0
 
 
 class TestReversedList:
-    """The reversed list derived from the forward solve against a direct
-    solve of the reversed curve."""
+    """The backward walk of the second curve on the forward list against
+    a direct solve and forward trace of the reversed curve."""
 
     def test_probes_match_the_reversed_solve(self):
-        at_start = 0
+        at_start = probes = 0
         degenerate = set()
         for a in primitives(3):
             for b in primitives(3):
@@ -368,49 +369,51 @@ class TestReversedList:
                     except DegeneratePosition:
                         degenerate.add((a, m, b, n))
                         continue
-                    assert pair.backward == grid_oracle.crossing_list(
-                        pair.first, grid_oracle._reverse(pair.second)), \
+                    assert _backward_resolution(pair.first, pair.second) \
+                        == _reversed_resolution(pair.first, pair.second), \
                         (a, m, b, n)
                     at_start += sum(c.second_at[1] == 0
                                     for c in pair.forward.crossings)
-        # crossings at the start of a second copy (u = 0) keep their
-        # translate instead of shifting; the 7-copy cases reach them
+                    probes += 1
+        assert probes == 5120
+        # crossings at the start of a second copy (u = 0) put an arc end
+        # on the copy's wrap; the 7-copy cases reach them
         assert at_start > 0
         # each (role, copy) steps by its own amount per rung, so copies
         # that coincide on rung 0 come apart on a later rung
         assert degenerate == set()
 
     def test_crossing_at_the_start_reorders(self):
-        # the second copy starts on the first line, so its crossing at
-        # u = 0 keeps its translate and moves ahead of the other
+        # the second copy starts on the first line, so the direct solve
+        # of its reversal finds the crossing at u = 0 in another order;
+        # the backward walk gives the same components
         first = grid_oracle.GridCurve(
             grid_oracle.TorusClass(1, 0), 1,
             (grid_oracle._CopyLine((5, 10), grid_oracle.TorusClass(1, 0)),))
         second = grid_oracle.GridCurve(
             grid_oracle.TorusClass(1, 2), 1,
             (grid_oracle._CopyLine((40, 10), grid_oracle.TorusClass(1, 2)),))
-        forward, backward = grid_oracle._lists(first, second)
-        assert forward == grid_oracle.crossing_list(first, second)
-        assert backward == grid_oracle.crossing_list(
-            first, grid_oracle._reverse(second))
+        forward = grid_oracle.crossing_list(first, second)
+        reversed_list = grid_oracle.crossing_list(first,
+                                                  _reversed_curve(second))
         assert any(c.second_at[1] == 0 for c in forward.crossings)
-        assert [c.first_at for c in backward.crossings] != \
+        assert [c.first_at for c in reversed_list.crossings] != \
             [c.first_at for c in forward.crossings]
+        assert _backward_resolution(first, second) == \
+            _reversed_resolution(first, second)
 
     def test_parallel_coincidence_in_both_orientations(self):
         line = grid_oracle._CopyLine((5, 10), grid_oracle.TorusClass(1, 2))
         curve = grid_oracle.GridCurve(line.direction, 1, (line,))
-        for second in (curve, grid_oracle._reverse(curve)):
-            with pytest.raises(DegeneratePosition):
-                grid_oracle._lists(curve, second)
+        for second in (curve, _reversed_curve(curve)):
             with pytest.raises(DegeneratePosition):
                 grid_oracle.crossing_list(curve, second)
 
 
 class TestPinnedProbes:
     def test_radius_three_digest(self):
-        # crossing order and parameters, both lists and both resolutions,
-        # of every ordered primitive pair at radius 3
+        # crossing order and parameters and both resolutions of every
+        # ordered primitive pair at radius 3
         digest = hashlib.sha256()
         probes = 0
         for a in primitives(3):
@@ -418,13 +421,13 @@ class TestPinnedProbes:
                 for m, n in ((1, 1), (2, 1), (1, 3)):
                     pair = grid_oracle.probe_pair(a, m, b, n)
                     digest.update(repr((
-                        pair.forward, pair.backward,
+                        pair.forward,
                         pair.resolve(Mode.SHARP),
                         pair.resolve(Mode.FLAT))).encode())
                     probes += 1
         assert probes == 3072
-        assert digest.hexdigest() == ("64715845003862d9b88e6a8cdc221fd6"
-                                      "b9c94487c9aff2f5aedcb1c16b615aa2")
+        assert digest.hexdigest() == ("3255de0b6989c206cb5c90d74e5d8a4f"
+                                      "ce79d7d040781a43bfb34460282b9486")
 
     @pytest.mark.parametrize("a,m,b,n,crossings", [
         ((15, 1), 1, (1, -14), 1, 211),
@@ -485,24 +488,67 @@ class TestOffsetLadder:
         assert pair.first.lines[0].offset == original(0, 0, 4)
         assert pair.second.lines[0].offset == original(1, 0, 4)
 
-    def test_a_degenerate_drawing_is_kept_for_the_call(self, monkeypatch):
-        # the second probe of one call reuses every drawing of the first,
-        # the rung-3 drawing that raised included
+    def test_each_drawing_is_made_once_per_call(self, monkeypatch):
+        # the second probe of one call reuses every drawing of the first;
+        # the rung-3 draw, which raises, is tried again
         original = grid_oracle._offset
         draw_curve = grid_oracle.oracle_draw
-        draws = []
+        made, raised = [], []
 
         def offset(role, copy, attempt):
             return original(0 if attempt < 3 else role, copy, attempt)
 
         def counted_draw(cls, copies=1, role=0, attempt=0):
-            draws.append((tuple(cls), copies, role, attempt))
-            return draw_curve(cls, copies, role, attempt)
+            key = (tuple(cls), copies, role, attempt)
+            try:
+                curve = draw_curve(cls, copies, role, attempt)
+            except DegeneratePosition:
+                raised.append(key)
+                raise
+            made.append(key)
+            return curve
 
         monkeypatch.setattr(grid_oracle, "_offset", offset)
         monkeypatch.setattr(grid_oracle, "oracle_draw", counted_draw)
         first, second = grid_oracle.probe_pairs([((1, 1), 1, (1, 1), 1)] * 2)
         assert first == second
         assert first.first.lines[0].offset == original(0, 0, 4)
-        # rungs 0-2 draw both curves, rung 3 only the first, rung 4 both
-        assert len(draws) == len(set(draws)) == 9
+        # rungs 0-2 and 4 draw both curves, once; rung 3 raises per probe
+        assert len(made) == len(set(made)) == 8
+        assert raised == [((1, 1), 1, 0, 3)] * 2
+
+    def test_copies_on_one_geodesic_are_degenerate(self, monkeypatch):
+        # on rung 0 every copy of a curve gets copy 0's offset; the draw
+        # raises, and the ladder's next rung separates them
+        original = grid_oracle._offset
+
+        def offset(role, copy, attempt):
+            return original(role, 0 if attempt == 0 else copy, attempt)
+
+        monkeypatch.setattr(grid_oracle, "_offset", offset)
+        with pytest.raises(DegeneratePosition, match="geodesic"):
+            grid_oracle.oracle_draw((1, 2), 2, 0, 0)
+        pair = grid_oracle.probe_pair((1, 2), 2, (1, 0), 1)
+        assert [ln.offset for ln in pair.first.lines] == \
+            [original(0, 0, 1), original(0, 1, 1)]
+        assert pair.second.lines[0].offset == original(1, 0, 1)
+        assert pair.forward.geometric == 4
+
+    def test_ladder_never_puts_copies_on_one_geodesic(self):
+        # on rung r, copies j and j + d of one curve differ by
+        # (11 + 2r)d mod 97 in x and (17 + 3r)d mod 89 in y; with
+        # entries below 89 they share a geodesic only when 97 divides d,
+        # or 89 does for (+-1, 0)
+        checked = 0
+        rungs = range(grid_oracle._ATTEMPTS)
+        for c, role, attempt in product(primitives(4), (0, 1), rungs):
+            direction = grid_oracle.TorusClass(*c)
+            lines = [grid_oracle._CopyLine(
+                grid_oracle._offset(role, j, attempt), direction)
+                for j in range(8)]
+            for j, line in enumerate(lines):
+                for other in lines[:j]:
+                    assert not grid_oracle._parallel_coincident(
+                        line, other), (c, role, attempt, j)
+                    checked += 1
+        assert checked == len(primitives(4)) * 2 * 8 * 28
