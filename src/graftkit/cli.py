@@ -28,8 +28,7 @@ from .torus import Mode, TorusClass, algebraic_intersection, dehn_twist, \
     geometric_intersection, resolve
 from .surface import Component, SurfaceModel, component, graft_along, \
     parse_configuration, structure_to_json, validate_configuration
-from .complex_graph import build_complex, suite_names, suite_parameters, \
-    verify_suite
+from .complex_graph import build_complex, suite_names, verify_suite
 
 _LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
@@ -227,10 +226,6 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     offered = {key: value for key, value in vars(ns).items()
                if value is not None
                and key not in ("subcommand", "suite", "json_path")}
-    rejected = sorted(set(offered) - suite_parameters(ns.suite))
-    if rejected:
-        raise ValueError(f"suite {ns.suite!r} does not take: "
-                         f"{', '.join(rejected)}")
     with _destination(ns.json_path) as handle:
         report = verify_suite(ns.suite, **offered)
         for line in report.lines():

@@ -451,13 +451,16 @@ class FanReport:
     """What standard_fan found: the one key every member lands on (None
     if they differ) and one (l, k, key) row per member."""
 
-    __slots__ = ("common_key", "rows", "passed")
+    __slots__ = ("common_key", "rows")
 
     def __init__(self, common_key: Optional[str],
-                 rows: List[Tuple[int, int, str]], passed: bool):
+                 rows: List[Tuple[int, int, str]]):
         self.common_key = common_key
         self.rows = rows
-        self.passed = passed
+
+    @property
+    def passed(self) -> bool:
+        return self.common_key is not None
 
 
 def standard_fan(config: Configuration, chart: str, fan_size: int,
@@ -478,8 +481,7 @@ def standard_fan(config: Configuration, chart: str, fan_size: int,
             config.gamma, chart, k))
         rows.append((l, k, result.key()))
         keys.add(result.key())
-    passed = len(keys) == 1
-    return FanReport(keys.pop() if passed else None, rows, passed)
+    return FanReport(keys.pop() if len(keys) == 1 else None, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +507,9 @@ class Report:
 
     __slots__ = ("suite", "instances")
 
-    def __init__(self, suite: str,
-                 instances: Optional[List[Instance]] = None):
+    def __init__(self, suite: str):
         self.suite = suite
-        self.instances = [] if instances is None else instances
+        self.instances: List[Instance] = []
 
     @property
     def passed(self) -> bool:
@@ -750,6 +751,16 @@ def verify_suite(name: str, **params) -> Report:
     """Run one named identity sweep and return its report.
 
     Unknown names raise UnknownSuite; parameters not taken by the chosen
-    suite raise TypeError (surfaced by the CLI as an input error).
+    suite raise ValueError naming them (the CLI reports both as input
+    errors). Such a call fails as the suite binds its arguments, before
+    any of it runs, so only a TypeError is checked for them.
     """
-    return _suite(name)(**params)
+    suite = _suite(name)
+    try:
+        return suite(**params)
+    except TypeError:
+        rejected = sorted(set(params) - suite_parameters(name))
+        if not rejected:
+            raise
+    raise ValueError(f"suite {name!r} does not take: "
+                     f"{', '.join(rejected)}")

@@ -14,20 +14,22 @@ denominator per crossing list, R * |det| with R = 97 * 89.
 The work follows the crossings, not the box of translates. For each
 horizontal translate, a crossing's parameter numerator is linear in the
 vertical translate, so the vertical translates that can give a crossing
-form one interval, solved by floor division (and a parallel coincidence
-allows at most one, found by a divisibility test). The trace numbers the
-arcs side by side, copy by copy and in parameter order, and keeps each
-arc's displacement and successor in lists indexed by those numbers.
+form one interval, solved by floor division. Parallel copies share a
+geodesic exactly when one congruence on their offset difference holds,
+so no translate is searched for that. The trace numbers the arcs side
+by side, copy by copy and in parameter order, and keeps each arc's
+displacement and successor in lists indexed by those numbers.
 
 Each pair of curves has one crossing list, one solve per copy pair.
 Tracing the uniform reconnection on it gives one smoothing; walking the
-second curve backwards on the same list gives the other. A drawing with
-an offset on a grid line it crosses or two copies on one geodesic raises
-DegeneratePosition, as does a list with coincident geodesics or
-parameters; probe_pairs then moves the pair to the next rung of the
-offset ladder, its one retry. It draws each (class, copies, role, rung)
-once per call and keeps each pair's list, so the counts and both
-resolutions of a pair need no further solve.
+second curve backwards on the same list gives the other. A drawing
+raises DegeneratePosition when a copy starts on a grid line its class
+crosses (this grid-line rule is the drawing's check against its class)
+or when two copies share a geodesic, as does a list with coincident
+geodesics or parameters; probe_pairs then moves the pair to the next
+rung of the offset ladder, its one retry. It draws each (class, copies,
+role, rung) once per call and keeps each pair's list, so the counts and
+both resolutions of a pair need no further solve.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ class GridCurve(NamedTuple):
     copies: int
     lines: Tuple[_CopyLine, ...]
 
-    def total_class(self) -> TorusClass:
-        return TorusClass(self.copies * self.class_hint.p,
-                          self.copies * self.class_hint.q)
-
 
 class Crossing(NamedTuple):
     index: int
@@ -101,46 +99,16 @@ def _offset(role: int, copy: int, attempt: int) -> Tuple[int, int]:
              + (29 + 3 * copy + 5 * role) * attempt) % _DEN_Y)
 
 
-def _audit_edge_counts(curve: GridCurve) -> None:
-    """Check the drawing against its class: signed crossings of the cover
-    line with vertical integer lines total p per copy, horizontal total q.
-    The line meets x = k at t = (k - x/97)/p, inside (0,1) exactly when
-    0 < (97k - x)*sign(p) < 97|p|."""
-    p, q = curve.class_hint
-    sp = (p > 0) - (p < 0)
-    sq = (q > 0) - (q < 0)
-    for line in curve.lines:
-        ox, oy = line.offset
-        x_hits = sum(1 for k in range(-abs(p) - 1, abs(p) + 2)
-                     if 0 < (_DEN_X * k - ox) * sp < _DEN_X * abs(p))
-        y_hits = sum(1 for k in range(-abs(q) - 1, abs(q) + 2)
-                     if 0 < (_DEN_Y * k - oy) * sq < _DEN_Y * abs(q))
-        if x_hits * sp != p:
-            raise AssertionError(f"x edge count {x_hits} mismatches {p}")
-        if y_hits * sq != q:
-            raise AssertionError(f"y edge count {y_hits} mismatches {q}")
-
-
 def _parallel_coincident(l1: _CopyLine, l2: _CopyLine) -> bool:
-    """True when two parallel copies land on the same torus geodesic:
-    (dx + sx)*q = (dy + sy)*p for a translate (sx, sy), scaled by R, with
-    both entries in [-span, span]. For each sx this fixes sy: p*R must
-    divide (dx + R*sx)*q - dy*p, and the quotient is the one sy. A
-    vertical class (p = 0) leaves sy free, so there dx + R*sx = 0 is
-    the whole condition."""
+    """True when two parallel copies of a primitive class (p, q) land on
+    the same torus geodesic: their offset difference is t*(p, q) plus an
+    integer translate (m, n). The translates' m*q - n*p reach every
+    integer, as gcd(p, q) = 1, so the condition is one congruence: the
+    difference's dx*q - dy*p, scaled by R, is a multiple of R."""
     p, q = l1.direction
     dx = (l2.offset[0] - l1.offset[0]) * _DEN_Y
     dy = (l2.offset[1] - l1.offset[1]) * _DEN_X
-    span = abs(p) + abs(q) + 2
-    step = _R * p
-    for sx in range(-span, span + 1):
-        rest = (dx + _R * sx) * q - dy * p
-        if step == 0:
-            if rest == 0:
-                return True
-        elif rest % step == 0 and -span <= rest // step <= span:
-            return True
-    return False
+    return (dx * q - dy * p) % _R == 0
 
 
 def oracle_draw(cls: Sequence[int], copies: int = 1, role: int = 0,
@@ -150,9 +118,11 @@ def oracle_draw(cls: Sequence[int], copies: int = 1, role: int = 0,
     role and attempt select the offset family; distinct roles keep two
     curves of one comparison apart, attempts step the deterministic retry.
     A draw raises DegeneratePosition, so probe_pair tries the next rung,
-    when an offset numerator is 0 in a direction the class crosses (the
-    copy starts on a grid line, where the edge audit cannot count it) or
-    when a copy shares a geodesic with an earlier copy.
+    when a copy shares a geodesic with an earlier copy, or when an offset
+    numerator is a multiple of its denominator in a direction the class
+    crosses. That grid-line rule is the drawing's class check: a copy that
+    starts off every grid line it crosses meets, for t in (0, 1), exactly
+    |p| vertical and |q| horizontal grid lines, in the signs of p and q.
     """
     p, q = cls
     if gcd(abs(p), abs(q)) != 1:
@@ -163,7 +133,8 @@ def oracle_draw(cls: Sequence[int], copies: int = 1, role: int = 0,
     lines: List[_CopyLine] = []
     for j in range(copies):
         line = _CopyLine(_offset(role, j, attempt), direction)
-        if (p and line.offset[0] == 0) or (q and line.offset[1] == 0):
+        x, y = line.offset
+        if (p and x % _DEN_X == 0) or (q and y % _DEN_Y == 0):
             raise DegeneratePosition(
                 f"offset {line.offset} lies on a grid line ({p},{q}) "
                 f"crosses")
@@ -171,9 +142,7 @@ def oracle_draw(cls: Sequence[int], copies: int = 1, role: int = 0,
             raise DegeneratePosition(
                 f"copy {j} shares a geodesic with an earlier copy")
         lines.append(line)
-    curve = GridCurve(direction, copies, tuple(lines))
-    _audit_edge_counts(curve)
-    return curve
+    return GridCurve(direction, copies, tuple(lines))
 
 
 def _translates(c: int, step: int, bound: int, span: int) -> range:

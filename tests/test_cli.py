@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graftkit import BadConfiguration, GraftError, Report, UnknownChart, \
-    UnknownSuite, build_complex, cli, parse_configuration, \
+    UnknownSuite, build_complex, cli, complex_graph, parse_configuration, \
     standard_configuration, suite_names
 
 
@@ -31,6 +31,20 @@ def run_process(*args):
     """`python -m graftkit` in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "graftkit", *args],
                           capture_output=True, text=True)
+
+
+def _log_run(level):
+    """`python -m graftkit torus intersect 1,0 0,1` at GRAFTKIT_LOG=level."""
+    return subprocess.run(
+        [sys.executable, "-m", "graftkit", "torus", "intersect", "1,0",
+         "0,1"], capture_output=True, text=True,
+        env={**os.environ, "GRAFTKIT_LOG": level})
+
+
+@pytest.fixture(scope="module")
+def quiet_log_run():
+    """The GRAFTKIT_LOG=warning baseline, started once for the module."""
+    return _log_run("warning")
 
 
 def run_cli(*args):
@@ -406,16 +420,11 @@ class TestInputContract:
     # (the format string BASIC_FORMAT) used to end in a traceback, exit 1.
     @pytest.mark.parametrize("value", [
         "basic_format", "BASIC_FORMAT", "bogus", "", "debug", "ERROR"])
-    def test_log_setting_never_tracebacks(self, value):
-        args = [sys.executable, "-m", "graftkit", "torus", "intersect",
-                "1,0", "0,1"]
-        quiet = subprocess.run(args, capture_output=True, text=True,
-                               env={**os.environ, "GRAFTKIT_LOG": "warning"})
-        proc = subprocess.run(args, capture_output=True, text=True,
-                              env={**os.environ, "GRAFTKIT_LOG": value})
+    def test_log_setting_never_tracebacks(self, value, quiet_log_run):
+        proc = _log_run(value)
         assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
-        assert proc.stdout == quiet.stdout
+        assert proc.stdout == quiet_log_run.stdout
 
 
 class TestVerifyCommand:
@@ -437,9 +446,16 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--suite", "bogus")
         assert proc.returncode == 2
 
-    def test_flag_rejected_by_suite(self):
+    def test_flag_rejected_by_suite(self, tmp_path):
         proc = run_cli("verify", "--suite", "flatsharp", "--trials", "3")
         assert proc.returncode == 2
+        assert proc.stderr == \
+            "error: suite 'flatsharp' does not take: trials\n"
+        report_path = tmp_path / "report.json"
+        proc = run_cli("verify", "--suite", "flatsharp", "--trials", "3",
+                       "--json", str(report_path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert not report_path.exists()
 
     def test_failure_exits_three(self, monkeypatch, capsys):
         # exit code 3 is reserved for genuine identity failures; none of
@@ -599,8 +615,8 @@ def invocations(draw):
     # suite runs at its (large) default size
     sizes = {"--k-max": ("k_max", 3), "--range": ("sweep", 1),
              "--trials": ("trials", 3), "--twist-bound": ("twist_bound", 2)}
-    taken = (cli.suite_parameters(suite) if suite in suite_names()
-             else set())
+    taken = (complex_graph.suite_parameters(suite)
+             if suite in suite_names() else set())
     for flag, (name, top) in sizes.items():
         value = st.integers(0, top).map(str)
         if name in taken:

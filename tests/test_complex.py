@@ -11,6 +11,7 @@ import pytest
 from graftkit import (
     BadConfiguration,
     Component,
+    FanReport,
     NotAdmissible,
     UnknownChart,
     complex_graph,
@@ -363,6 +364,18 @@ def _replay(config, graph, edge):
     return surface.graft_along(src, gamma)
 
 
+def _check_first_edges_replay(config, graph):
+    """The edge that first reaches a vertex is the move that built it."""
+    first = {}
+    for e in graph.edges:
+        first.setdefault(e.dst, e)
+    first.pop(graph.seed_key, None)
+    assert len(first) == len(graph.vertices) - 1
+    for key, edge in first.items():
+        assert _replay(config, graph, edge).real_curves == \
+            graph.vertices[key].real_curves
+
+
 SIZES = [(1, 3, 0), (1, 3, 1), (1, 8, 4), (2, 4, 3), (3, 2, 3)]
 
 
@@ -413,17 +426,8 @@ class TestDeferredVertices:
 
     @pytest.mark.parametrize("charts,bound,depth", SIZES)
     def test_first_edge_replays(self, charts, bound, depth):
-        # the edge that first reaches a vertex is the move that built it
         config = standard_configuration(charts)
-        graph = build_complex(config, bound, depth)
-        first = {}
-        for e in graph.edges:
-            first.setdefault(e.dst, e)
-        first.pop(graph.seed_key, None)
-        assert len(first) == len(graph.vertices) - 1
-        for key, edge in first.items():
-            assert _replay(config, graph, edge).real_curves == \
-                graph.vertices[key].real_curves
+        _check_first_edges_replay(config, build_complex(config, bound, depth))
 
     @pytest.mark.parametrize("charts,bound,depth,digest", [
         (1, 8, 4, "e093d26830e82cc8c2631be7b971a7bb"
@@ -466,6 +470,43 @@ class TestDeferredVertices:
                                     else data.encode())
         assert capsys.readouterr().out.startswith(
             f"vertices={len(graph.vertices)} edges={len(graph.edges)} ")
+
+
+class TestSeededBuilds:
+    """Builds from seeds where some grafts are refused and some fuse a
+    chart by a difference; a standard build admits every graft and fuses
+    by plain sums."""
+
+    SEEDS = [
+        [surface.component("x", {"a": (1, 2)}),
+         surface.component("x", {"a": (1, -2)})],
+        [surface.component("x", {"a": (0, 1)}, 2)],
+        [surface.component("x", {"a": (1, 3)}),
+         surface.component("y", {"a": (1, -1)})],
+    ]
+
+    def test_every_vertex_replays_and_both_cases_occur(self):
+        config = standard_configuration(1)
+        grafts = complex_graph._grafts(config, 3)
+        rejected = differences = 0
+        for comps in self.SEEDS:
+            seed = surface.structure(config.model, comps)
+            graph = build_complex(config, 3, 3, seed=seed)
+            _check_first_edges_replay(config, graph)
+            for struct in graph.vertices.values():
+                for _, gamma in grafts:
+                    adm = surface.is_admissible(gamma, struct)
+                    if not adm:
+                        rejected += "no spiral direction" in adm.reason
+                    elif adm.route == "spiraling":
+                        # one chart, and gamma reads (1, n) there, so its
+                        # two leaves are (2, 2n) as oriented
+                        (p, q), = [cls for _, cls in gamma.charts]
+                        (lp, lq), = adm.totals
+                        differences += \
+                            adm.fused[0] == (lp - 2 * p, lq - 2 * q)
+        assert rejected > 0
+        assert differences > 0
 
 
 def reversed_curve(comp):
@@ -926,6 +967,11 @@ class TestFan:
         report = standard_fan(config, "a", 0, 0)
         assert report.passed and len(report.rows) == 1
 
+    def test_passed_reads_the_common_key(self):
+        rows = [(0, 1, "k0"), (1, 0, "k1")]
+        assert not FanReport(None, rows).passed
+        assert FanReport("k0", rows[:1]).passed
+
 
 class TestSuites:
     def test_known_names(self):
@@ -936,6 +982,16 @@ class TestSuites:
     def test_unknown_name_raises(self):
         with pytest.raises(UnknownSuite):
             verify_suite("nonsense")
+
+    def test_rejected_parameters_are_input_errors(self):
+        # named in one ValueError, before the suite runs; a TypeError
+        # from inside a suite that takes every parameter passes through
+        with pytest.raises(ValueError,
+                           match=r"^suite 'flatsharp' does not take: "
+                                 r"seed, trials$"):
+            verify_suite("flatsharp", trials=3, seed=1, k_max=2)
+        with pytest.raises(TypeError):
+            verify_suite("flatsharp", k_max="2")
 
     @pytest.mark.parametrize("name,params", [
         ("flatsharp", {}),

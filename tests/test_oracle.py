@@ -32,10 +32,6 @@ class TestDrawing:
         with pytest.raises(NonPrimitive):
             grid_oracle.oracle_draw((0, 0))
 
-    def test_total_class_counts_copies(self):
-        curve = grid_oracle.oracle_draw((1, -2), copies=3)
-        assert curve.total_class() == (3, -6)
-
     def test_coincident_copies_degenerate(self):
         first = grid_oracle.oracle_draw((1, 0), role=0)
         second = grid_oracle.oracle_draw((1, 0), role=0)
@@ -332,7 +328,8 @@ class TestTranslateSolve:
     def test_far_offsets_keep_the_box(self):
         # offsets whole periods away put solutions outside the box of
         # translates; the solved ranges are clipped to the same box, so
-        # the two agree there too, short counts and all
+        # the two agree there too, short counts and all. A copy shifted
+        # by whole periods lies on the same geodesic, however far.
         far = [(97 * k, 89 * l) for k in (-9, 0, 9) for l in (-9, 0, 9)]
         clipped = 0
         for a in primitives(2):
@@ -349,8 +346,8 @@ class TestTranslateSolve:
                     assert got == forward, (a, b, shift)
                     clipped += isinstance(got, str)
                     l2 = grid_oracle._CopyLine(shift, la.direction)
-                    assert grid_oracle._parallel_coincident(la, l2) == \
-                        _box_parallel_coincident(la, l2), (a, shift)
+                    assert grid_oracle._parallel_coincident(la, l2), \
+                        (a, shift)
         assert clipped > 0
 
 
@@ -460,6 +457,13 @@ class TestOffsetLadder:
         assert grid_oracle.oracle_draw((1, 0), 1, 0, 3).lines[0].offset \
             == (70, 0)
 
+    def test_grid_line_outside_the_cell_is_degenerate(self, monkeypatch):
+        # x = 97 is the grid line x = 1: the copy starts on it, so the
+        # drawing is refused whatever cell its offset lies in
+        monkeypatch.setattr(grid_oracle, "_offset", lambda *_: (97, 5))
+        with pytest.raises(DegeneratePosition, match="grid line"):
+            grid_oracle.oracle_draw((1, 1))
+
     def test_ladder_steps_past_a_grid_line_offset(self, monkeypatch):
         # rungs 0-2 draw both curves on one geodesic; rung 3 puts the
         # first curve on the grid line y = 0; rung 4 is in general position
@@ -538,17 +542,18 @@ class TestOffsetLadder:
         # on rung r, copies j and j + d of one curve differ by
         # (11 + 2r)d mod 97 in x and (17 + 3r)d mod 89 in y; with
         # entries below 89 they share a geodesic only when 97 divides d,
-        # or 89 does for (+-1, 0)
+        # or 89 does for (+-1, 0). Entries up to 8 and 16 copies are the
+        # sizes that many-copy probes draw.
         checked = 0
         rungs = range(grid_oracle._ATTEMPTS)
-        for c, role, attempt in product(primitives(4), (0, 1), rungs):
+        for c, role, attempt in product(primitives(8), (0, 1), rungs):
             direction = grid_oracle.TorusClass(*c)
             lines = [grid_oracle._CopyLine(
                 grid_oracle._offset(role, j, attempt), direction)
-                for j in range(8)]
+                for j in range(16)]
             for j, line in enumerate(lines):
                 for other in lines[:j]:
                     assert not grid_oracle._parallel_coincident(
                         line, other), (c, role, attempt, j)
                     checked += 1
-        assert checked == len(primitives(4)) * 2 * 8 * 28
+        assert checked == len(primitives(8)) * 2 * 8 * 120 == 337920
