@@ -540,7 +540,14 @@ class Report:
         return out
 
 
+def _require_checks(suite: str, name: str, value: int) -> None:
+    """Refuse a range at which a suite would check nothing."""
+    if value < 1:
+        raise ValueError(f"suite {suite!r} checks nothing at {name}={value}")
+
+
 def _suite_flatsharp(k_max: int = 10) -> Report:
+    _require_checks("flatsharp", "k_max", k_max)
     report = Report("flatsharp")
     for k in range(1, k_max + 1):
         got = resolve((0, 2 * k), (2, -2 * k), Mode.FLAT)
@@ -593,6 +600,7 @@ def _suite_sharp_flat(k_max: int = 8) -> Report:
 
 
 def _suite_dehn_twist(k_max: int = 6) -> Report:
+    _require_checks("dehn_twist", "k_max", k_max)
     report = Report("dehn_twist")
     config = standard_configuration()
     chart = _twist_chart(config)
@@ -673,6 +681,7 @@ def _suite_iterated(l0: int = 1, twist_bound: int = 8) -> Report:
 
 
 def _suite_two_meridian(k_max: int = 5) -> Report:
+    _require_checks("two_meridian", "k_max", k_max)
     report = Report("two_meridian")
     config = standard_configuration(num_charts=2)
     a, b = config.model.charts
@@ -694,12 +703,12 @@ def _suite_two_meridian(k_max: int = 5) -> Report:
 def _suite_oracle(sweep: int = 5) -> Report:
     """Exhaustive torus/oracle agreement over primitive classes with
     entries bounded by the sweep radius."""
+    _require_checks("oracle", "sweep", sweep)
     report = Report("oracle")
     prims = [(p, q) for p in range(-sweep, sweep + 1)
              for q in range(-sweep, sweep + 1)
              if gcd(abs(p), abs(q)) == 1]
     mismatches = 0
-    checked = 0
     probes = grid_oracle.probe_pairs(
         (a, 1, b, 1) for a, b in product(prims, repeat=2))
     for (a, b), pair in zip(product(prims, repeat=2), probes):
@@ -709,11 +718,10 @@ def _suite_oracle(sweep: int = 5) -> Report:
             comps = pair.resolve(mode)
             total = (sum(c.p for c in comps), sum(c.q for c in comps))
             ok = ok and TorusClass(*total) == resolve(a, b, mode)
-        checked += 1
         if not ok:
             mismatches += 1
             report.add(f"oracle agreement for {a} vs {b}", False)
-    report.add(f"oracle agreement on {checked} primitive pairs "
+    report.add(f"oracle agreement on {len(prims) ** 2} primitive pairs "
                f"(radius {sweep})", mismatches == 0,
                f"{mismatches} mismatches")
     return report
@@ -750,10 +758,10 @@ def suite_parameters(name: str) -> set:
 def verify_suite(name: str, **params) -> Report:
     """Run one named identity sweep and return its report.
 
-    Unknown names raise UnknownSuite; parameters not taken by the chosen
-    suite raise ValueError naming them (the CLI reports both as input
-    errors). Such a call fails as the suite binds its arguments, before
-    any of it runs, so only a TypeError is checked for them.
+    Unknown names raise UnknownSuite. Parameters not taken by the chosen
+    suite, which fail to bind before any of it runs (so only a TypeError
+    is checked for them), and a range at which it checks nothing raise
+    ValueError. The CLI reports all of these as input errors.
     """
     suite = _suite(name)
     try:

@@ -1,35 +1,37 @@
 """Brute-force crossing oracle on the square flat torus.
 
-Independent validation back end for the torus calculus. Curves are drawn
-as straight rational lines on the unit square with edge identifications,
-crossings are found by solving the line equations per integer translate,
-resolutions are performed by explicitly reconnecting arcs at every
-crossing and tracing the resulting components. Nothing here consults the
-closed-form torus formulas except the final comparisons done by callers.
+Validation back end for the torus calculus. Curves are drawn as straight
+rational lines on the unit square with edge identifications, crossings
+are found by solving the line equations per integer translate, and
+resolutions reconnect arcs at every crossing and trace the components.
+Each copy pair's crossing count is asserted equal to |det| of the two
+directions, and each crossing's index is the sign of det, so a list's
+intersection numbers agree with the torus pairing by construction. What
+the oracle works out on its own is where the crossings lie along each
+copy and which components the traced reconnection gives.
 
 All arithmetic is on integers: offsets are numerators on the fixed
 97 x 89 lattice, and crossing parameters are numerators over one
 denominator per crossing list, R * |det| with R = 97 * 89.
 
-The work follows the crossings, not the box of translates. For each
-horizontal translate, a crossing's parameter numerator is linear in the
-vertical translate, so the vertical translates that can give a crossing
+The work follows the crossings, not the box of translates: for each
+horizontal translate, the vertical translates that can give a crossing
 form one interval, solved by floor division. Parallel copies share a
-geodesic exactly when one congruence on their offset difference holds,
-so no translate is searched for that. The trace numbers the arcs side
-by side, copy by copy and in parameter order, and keeps each arc's
-displacement and successor in lists indexed by those numbers.
+geodesic exactly when one congruence on their offset difference holds.
+The trace numbers the arcs side by side, copy by copy and in parameter
+order, and keeps each arc's displacement and successor in lists.
 
-Each pair of curves has one crossing list, one solve per copy pair.
-Tracing the uniform reconnection on it gives one smoothing; walking the
-second curve backwards on the same list gives the other. A drawing
-raises DegeneratePosition when a copy starts on a grid line its class
-crosses (this grid-line rule is the drawing's check against its class)
-or when two copies share a geodesic, as does a list with coincident
-geodesics or parameters; probe_pairs then moves the pair to the next
-rung of the offset ladder, its one retry. It draws each (class, copies,
-role, rung) once per call and keeps each pair's list, so the counts and
-both resolutions of a pair need no further solve.
+A drawn curve is one direction and its copies' offsets. Each pair of
+curves has one crossing list, whose constants are worked out once before
+each copy pair is solved. Tracing the uniform reconnection on it gives
+one smoothing; walking the second curve backwards gives the other. A
+drawing raises DegeneratePosition when a copy starts on a grid line its
+class crosses (this grid-line rule is the drawing's check against its
+class) or when two copies share a geodesic, as does a list with
+coincident geodesics or parameters; probe_pairs then moves the pair to
+the next rung of the offset ladder, its one retry. It draws each (class,
+copies, role, rung) once per call and keeps each pair's list, so the
+counts and both resolutions of a pair need no further solve.
 """
 
 from __future__ import annotations
@@ -50,21 +52,13 @@ _R = _DEN_X * _DEN_Y
 _ATTEMPTS = 8
 
 
-class _CopyLine(NamedTuple):
-    """One parallel copy: the path t -> offset + t*direction, t in [0,1],
-    with offset (x/97, y/89) held as its numerators (x, y)."""
-
-    offset: Tuple[int, int]
-    direction: TorusClass
-
-
 class GridCurve(NamedTuple):
-    """Straight-line representative of copies x class_hint on the torus;
-    lines holds the exact line data of each copy."""
+    """Straight-line representative of len(offsets) parallel copies of a
+    primitive class: copy j is the path t -> offsets[j] + t*direction,
+    t in [0,1], with offset (x/97, y/89) held as its numerators (x, y)."""
 
-    class_hint: TorusClass
-    copies: int
-    lines: Tuple[_CopyLine, ...]
+    direction: TorusClass
+    offsets: Tuple[Tuple[int, int], ...]
 
 
 class Crossing(NamedTuple):
@@ -99,15 +93,16 @@ def _offset(role: int, copy: int, attempt: int) -> Tuple[int, int]:
              + (29 + 3 * copy + 5 * role) * attempt) % _DEN_Y)
 
 
-def _parallel_coincident(l1: _CopyLine, l2: _CopyLine) -> bool:
-    """True when two parallel copies of a primitive class (p, q) land on
-    the same torus geodesic: their offset difference is t*(p, q) plus an
-    integer translate (m, n). The translates' m*q - n*p reach every
-    integer, as gcd(p, q) = 1, so the condition is one congruence: the
-    difference's dx*q - dy*p, scaled by R, is a multiple of R."""
-    p, q = l1.direction
-    dx = (l2.offset[0] - l1.offset[0]) * _DEN_Y
-    dy = (l2.offset[1] - l1.offset[1]) * _DEN_X
+def _parallel_coincident(direction: TorusClass, o1: Tuple[int, int],
+                         o2: Tuple[int, int]) -> bool:
+    """True when copies of a primitive class (p, q) at offsets o1 and o2
+    land on the same torus geodesic: their offset difference is t*(p, q)
+    plus an integer translate (m, n). The translates' m*q - n*p reach
+    every integer, as gcd(p, q) = 1, so the condition is one congruence:
+    the difference's dx*q - dy*p, scaled by R, is a multiple of R."""
+    p, q = direction
+    dx = (o2[0] - o1[0]) * _DEN_Y
+    dy = (o2[1] - o1[1]) * _DEN_X
     return (dx * q - dy * p) % _R == 0
 
 
@@ -130,19 +125,18 @@ def oracle_draw(cls: Sequence[int], copies: int = 1, role: int = 0,
     if copies < 1:
         raise ValueError("copies must be positive")
     direction = TorusClass(p, q)
-    lines: List[_CopyLine] = []
+    offsets: List[Tuple[int, int]] = []
     for j in range(copies):
-        line = _CopyLine(_offset(role, j, attempt), direction)
-        x, y = line.offset
+        offset = x, y = _offset(role, j, attempt)
         if (p and x % _DEN_X == 0) or (q and y % _DEN_Y == 0):
             raise DegeneratePosition(
-                f"offset {line.offset} lies on a grid line ({p},{q}) "
-                f"crosses")
-        if any(_parallel_coincident(line, other) for other in lines):
+                f"offset {offset} lies on a grid line ({p},{q}) crosses")
+        if any(_parallel_coincident(direction, offset, other)
+               for other in offsets):
             raise DegeneratePosition(
                 f"copy {j} shares a geodesic with an earlier copy")
-        lines.append(line)
-    return GridCurve(direction, copies, tuple(lines))
+        offsets.append(offset)
+    return GridCurve(direction, tuple(offsets))
 
 
 def _translates(c: int, step: int, bound: int, span: int) -> range:
@@ -155,74 +149,70 @@ def _translates(c: int, step: int, bound: int, span: int) -> range:
     return range(max(lo, -span), min(hi, span + 1))
 
 
-def _copy_crossings(ia: int, la: _CopyLine, ib: int, lb: _CopyLine
-                    ) -> List[Crossing]:
-    """All torus intersection points of two copy lines, exactly.
+def crossing_list(first: GridCurve, second: GridCurve) -> CrossingList:
+    """Every crossing of the two drawn curves, with local data, from one
+    solve per copy pair.
 
-    Solves t*a - u*b = (oB - oA) + s over integer translates s with
-    denominators cleared by R; t = tn/D and u = un/D with D = R*det, and
-    only solutions with both parameters in [0,1) are real crossings. The
-    parameters are kept as numerators over |D|.
+    Each copy pair solves t*a - u*b = (oB - oA) + s over integer
+    translates s with denominators cleared by R; t = tn/D and u = un/D
+    with D = R*det, and only solutions with both parameters in [0,1) are
+    real crossings. The parameters are kept as numerators over |D|.
+    Everything but the offsets depends on the two directions only, so it
+    is worked out once per pair of curves.
 
     For each sx in [-span_x, span_x], tn = c + step*sy is linear in sy,
     so the sy that put tn in [0, |D|) form one interval, solved by floor
     division and clipped to [-span_y, span_y]; when b.p = 0, tn does not
     depend on sy and un does, so the interval is solved for un instead.
     Both numerators are still checked on each sy of the interval, so the
-    crossings come out in the order of the full (sx, sy) scan.
-    """
-    a, b = la.direction, lb.direction
-    det = a.p * (-b.q) - (-b.p) * a.q
-    if det == 0:
-        if _parallel_coincident(la, lb):
-            raise DegeneratePosition("parallel curves share a geodesic")
-        return []
-    nx = (lb.offset[0] - la.offset[0]) * _DEN_Y
-    ny = (lb.offset[1] - la.offset[1]) * _DEN_X
-    sign = 1 if det > 0 else -1
-    bound = _R * abs(det)
-    index = 1 if a.p * b.q - a.q * b.p > 0 else -1
-    out: List[Crossing] = []
-    span_x = abs(a.p) + abs(b.p) + 2
-    span_y = abs(a.q) + abs(b.q) + 2
-    # the numerator whose range is solved, at sy = 0 and per unit of sy
-    solved = b if b.p else a
-    step = solved.p * _R * sign
-    for sx in range(-span_x, span_x + 1):
-        rx = nx + _R * sx
-        c = (solved.p * ny - solved.q * rx) * sign
-        for sy in _translates(c, step, bound, span_y):
-            ry = ny + _R * sy
-            tn = (b.p * ry - b.q * rx) * sign
-            if not 0 <= tn < bound:
-                continue
-            un = (a.p * ry - a.q * rx) * sign
-            if 0 <= un < bound:
-                out.append(Crossing(index, (ia, tn), (ib, un)))
-    if len(out) != abs(det):
-        raise AssertionError(
-            f"crossing count {len(out)} differs from |det| {abs(det)}")
-    return out
-
-
-def crossing_list(first: GridCurve, second: GridCurve) -> CrossingList:
-    """Every crossing of the two drawn curves, with local data, from one
-    solve per copy pair.
+    crossings come out in the order of the full (sx, sy) scan. Each copy
+    pair must cross exactly |det| times.
 
     Raises DegeneratePosition on coincident geodesics or when two
     crossings collide along one copy (the arc order would be ambiguous).
     Reversing the second curve keeps its geodesics and its crossing
     points, so neither check depends on its orientation.
     """
+    a, b = first.direction, second.direction
+    det = a.p * (-b.q) - (-b.p) * a.q
+    if det == 0:
+        if any(_parallel_coincident(a, oa, ob)
+               for oa in first.offsets for ob in second.offsets):
+            raise DegeneratePosition("parallel curves share a geodesic")
+        return CrossingList((), 0)
+    sign = 1 if det > 0 else -1
+    bound = _R * abs(det)
+    index = -sign  # the sign of a.p*b.q - a.q*b.p
+    span_x = abs(a.p) + abs(b.p) + 2
+    span_y = abs(a.q) + abs(b.q) + 2
+    # the numerator whose range is solved, at sy = 0 and per unit of sy
+    solved = b if b.p else a
+    step = solved.p * _R * sign
     found: List[Crossing] = []
-    for ia, la in enumerate(first.lines):
-        for ib, lb in enumerate(second.lines):
-            found.extend(_copy_crossings(ia, la, ib, lb))
+    for ia, (xa, ya) in enumerate(first.offsets):
+        for ib, (xb, yb) in enumerate(second.offsets):
+            nx = (xb - xa) * _DEN_Y
+            ny = (yb - ya) * _DEN_X
+            start = len(found)
+            for sx in range(-span_x, span_x + 1):
+                rx = nx + _R * sx
+                c = (solved.p * ny - solved.q * rx) * sign
+                for sy in _translates(c, step, bound, span_y):
+                    ry = ny + _R * sy
+                    tn = (b.p * ry - b.q * rx) * sign
+                    if not 0 <= tn < bound:
+                        continue
+                    un = (a.p * ry - a.q * rx) * sign
+                    if 0 <= un < bound:
+                        found.append(Crossing(index, (ia, tn), (ib, un)))
+            if len(found) - start != abs(det):
+                raise AssertionError(
+                    f"crossing count {len(found) - start} differs from "
+                    f"|det| {abs(det)}")
     if (len({c.first_at for c in found}) != len(found)
             or len({c.second_at for c in found}) != len(found)):
         raise DegeneratePosition("coincident crossing parameters")
-    a, b = first.class_hint, second.class_hint
-    return CrossingList(tuple(found), _R * abs(a.p * b.q - a.q * b.p))
+    return CrossingList(tuple(found), bound)
 
 
 def oracle_intersection(first: GridCurve,
@@ -262,18 +252,17 @@ def _trace(first: GridCurve, second: GridCurve, crossings: CrossingList,
     displacement: List[Tuple[int, int]] = []
     components: List[TorusClass] = []
     for side, curve in enumerate((first, second)):
-        on_copy: List[List[Tuple[int, int]]] = [[] for _ in curve.lines]
+        direction = -curve.direction if side and backward else curve.direction
+        p, q = direction
+        on_copy: List[List[Tuple[int, int]]] = [[] for _ in curve.offsets]
         for k, c in enumerate(crossings.crossings):
             copy, t = c.second_at if side else c.first_at
             on_copy[copy].append((t, k))
-        for line, items in zip(curve.lines, on_copy):
-            direction = -line.direction if side and backward \
-                else line.direction
+        for items in on_copy:
             if not items:
                 components.append(direction)
                 continue
             items.sort()
-            p, q = direction
             base, m = len(displacement), len(items)
             for i, (t0, k) in enumerate(items):
                 dt = items[i + 1][0] - t0 if i + 1 < m else \

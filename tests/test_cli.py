@@ -457,6 +457,24 @@ class TestVerifyCommand:
         assert proc.returncode == 2 and proc.stdout == ""
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("suite,flag,name", [
+        ("flatsharp", "--k-max", "k_max"),
+        ("dehn_twist", "--k-max", "k_max"),
+        ("two_meridian", "--k-max", "k_max"),
+        ("oracle", "--range", "sweep"),
+    ])
+    def test_size_that_checks_nothing_is_input_error(self, tmp_path, suite,
+                                                     flag, name):
+        # these used to pass on 0 instances (0 primitive pairs for oracle)
+        report_path = tmp_path / "report.json"
+        proc = run_cli("verify", "--suite", suite, flag, "0",
+                       "--json", str(report_path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == \
+            f"error: suite {suite!r} checks nothing at {name}=0\n"
+        assert not report_path.exists()
+        assert run_cli("verify", "--suite", suite, flag, "1").returncode == 0
+
     def test_failure_exits_three(self, monkeypatch, capsys):
         # exit code 3 is reserved for genuine identity failures; none of
         # the shipped suites fail, so substitute a canned failing report

@@ -126,16 +126,11 @@ def primitives(radius):
 class TestInvariants:
     def test_sweep_solves_once_per_pair_and_draws_once_per_curve(
             self, monkeypatch):
-        # one crossing list, from one solve per copy pair, serves both
-        # resolutions of a pair, and each curve is drawn once per sweep
-        solves, draws, lists = [], [], []
-        solve = grid_oracle._copy_crossings
+        # one crossing list serves both resolutions of a pair, and each
+        # curve is drawn once per sweep
+        draws, lists = [], []
         draw_curve = grid_oracle.oracle_draw
         crossing_list = grid_oracle.crossing_list
-
-        def counted_solve(*args):
-            solves.append(args)
-            return solve(*args)
 
         def counted_draw(cls, copies=1, role=0, attempt=0):
             draws.append((tuple(cls), copies, role, attempt))
@@ -145,13 +140,11 @@ class TestInvariants:
             lists.append(1)
             return crossing_list(first, second)
 
-        monkeypatch.setattr(grid_oracle, "_copy_crossings", counted_solve)
         monkeypatch.setattr(grid_oracle, "oracle_draw", counted_draw)
         monkeypatch.setattr(grid_oracle, "crossing_list", counted_list)
         assert verify_suite("oracle", sweep=2).passed
-        assert len(solves) == len(primitives(2)) ** 2 == 256
         assert len(draws) == len(set(draws)) == 2 * len(primitives(2)) == 32
-        assert len(lists) == 256
+        assert len(lists) == len(primitives(2)) ** 2 == 256
 
     def test_multi_copy_agreement(self):
         # parallel copies give several copy pairs per crossing list, all
@@ -192,18 +185,18 @@ class TestInvariants:
                           "3137cdeaea2e6ab6a8ed956df5372e3a")
 
 
-def _box_copy_crossings(ia, la, ib, lb):
-    """The full (sx, sy) box scan that _copy_crossings replaced, kept as
-    its reference."""
-    a, b = la.direction, lb.direction
+def _box_copy_crossings(ia, a, oa, ib, b, ob):
+    """The full (sx, sy) box scan that the solved translate ranges
+    replaced, on copy ia of direction a at offset oa and copy ib of b at
+    ob, kept as their reference."""
     det = a.p * (-b.q) - (-b.p) * a.q
     if det == 0:
-        if _box_parallel_coincident(la, lb):
+        if _box_parallel_coincident(a, oa, ob):
             raise DegeneratePosition("parallel curves share a geodesic")
         return []
     R = grid_oracle._R
-    nx = (lb.offset[0] - la.offset[0]) * grid_oracle._DEN_Y
-    ny = (lb.offset[1] - la.offset[1]) * grid_oracle._DEN_X
+    nx = (ob[0] - oa[0]) * grid_oracle._DEN_Y
+    ny = (ob[1] - oa[1]) * grid_oracle._DEN_X
     sign = 1 if det > 0 else -1
     bound = R * abs(det)
     index = 1 if a.p * b.q - a.q * b.p > 0 else -1
@@ -226,27 +219,53 @@ def _box_copy_crossings(ia, la, ib, lb):
     return out
 
 
-def _box_parallel_coincident(l1, l2):
+def _box_parallel_coincident(direction, o1, o2):
     """The full (sx, sy) box scan that _parallel_coincident replaced."""
     R = grid_oracle._R
-    p, q = l1.direction
-    dx = (l2.offset[0] - l1.offset[0]) * grid_oracle._DEN_Y
-    dy = (l2.offset[1] - l1.offset[1]) * grid_oracle._DEN_X
+    p, q = direction
+    dx = (o2[0] - o1[0]) * grid_oracle._DEN_Y
+    dy = (o2[1] - o1[1]) * grid_oracle._DEN_X
     span = abs(p) + abs(q) + 2
     return any((dx + R * sx) * q - (dy + R * sy) * p == 0
                for sx in range(-span, span + 1)
                for sy in range(-span, span + 1))
 
 
-def _reversed(line):
-    return grid_oracle._CopyLine(line.offset, -line.direction)
+def _curve(direction, *offsets):
+    return grid_oracle.GridCurve(grid_oracle.TorusClass(*direction),
+                                 offsets)
+
+
+def _copy_pair_crossings(ia, a, oa, ib, b, ob):
+    """crossing_list's crossings of copy ia of a at oa and copy ib of b
+    at ob, each drawn as a one-copy curve, with its copy numbers put
+    back; a one-copy list's crossings never collide along a copy."""
+    found = grid_oracle.crossing_list(_curve(a, oa), _curve(b, ob))
+    return [c._replace(first_at=(ia, c.first_at[1]),
+                       second_at=(ib, c.second_at[1]))
+            for c in found.crossings]
+
+
+def _box_crossing_list(first, second):
+    """crossing_list's crossings, from the box scan of each copy pair."""
+    found = [c for (ia, oa), (ib, ob) in product(enumerate(first.offsets),
+                                                 enumerate(second.offsets))
+             for c in _box_copy_crossings(ia, first.direction, oa,
+                                          ib, second.direction, ob)]
+    if (len({c.first_at for c in found}) != len(found)
+            or len({c.second_at for c in found}) != len(found)):
+        raise DegeneratePosition("coincident crossing parameters")
+    return tuple(found)
+
+
+def _crossings(first, second):
+    return grid_oracle.crossing_list(first, second).crossings
 
 
 def _reversed_curve(curve):
     """The curve with every copy reversed; each copy keeps its geodesic,
     and its reversal starts at offset + direction, the same torus point."""
-    return grid_oracle.GridCurve(-curve.class_hint, curve.copies,
-                                 tuple(_reversed(ln) for ln in curve.lines))
+    return grid_oracle.GridCurve(-curve.direction, curve.offsets)
 
 
 def _reversed_resolution(first, second):
@@ -266,9 +285,8 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
-def _solved_branch(la, lb):
-    """(b.p == 0, sign of step) of _copy_crossings on two copy lines."""
-    a, b = la.direction, lb.direction
+def _solved_branch(a, b):
+    """(b.p == 0, sign of step) of crossing_list on two directions."""
     solved = b if b.p else a
     return b.p == 0, _sign(solved.p) * _sign(b.p * a.q - a.p * b.q)
 
@@ -292,15 +310,19 @@ class TestTranslateSolve:
             for b in primitives(3):
                 first = grid_oracle.oracle_draw(a, 2, role=0)
                 second = grid_oracle.oracle_draw(b, 3, role=1)
-                for ia, la in enumerate(first.lines):
-                    for ib, lb in enumerate(second.lines):
+                da, db = first.direction, second.direction
+                for ia, oa in enumerate(first.offsets):
+                    for ib, ob in enumerate(second.offsets):
                         forward = _outcome(_box_copy_crossings,
-                                           ia, la, ib, lb)
-                        got = _outcome(grid_oracle._copy_crossings,
-                                       ia, la, ib, lb)
-                        assert got == forward, (la, lb)
-                        steps.add(_solved_branch(la, lb))
+                                           ia, da, oa, ib, db, ob)
+                        got = _outcome(_copy_pair_crossings,
+                                       ia, da, oa, ib, db, ob)
+                        assert got == forward, (a, oa, b, ob)
                         checked += 1
+                # the whole list, its constants shared by the copy pairs
+                assert _outcome(_crossings, first, second) == \
+                    _outcome(_box_crossing_list, first, second), (a, b)
+                steps.add(_solved_branch(da, db))
         assert checked == 32 * 32 * 2 * 3
         # both signs of step, on both branches (b.p == 0 solves for u)
         assert steps >= set(product((False, True), (-1, 1)))
@@ -317,10 +339,10 @@ class TestTranslateSolve:
             direction = grid_oracle.TorusClass(*d)
             for o1 in offsets:
                 for o2 in offsets:
-                    l1 = grid_oracle._CopyLine(o1, direction)
-                    l2 = grid_oracle._CopyLine(o2, direction)
-                    got = grid_oracle._parallel_coincident(l1, l2)
-                    assert got == _box_parallel_coincident(l1, l2), \
+                    got = grid_oracle._parallel_coincident(direction,
+                                                           o1, o2)
+                    assert got == _box_parallel_coincident(direction,
+                                                           o1, o2), \
                         (d, o1, o2)
                     coincident += got and o1 != o2
         assert coincident > 0
@@ -334,20 +356,18 @@ class TestTranslateSolve:
         clipped = 0
         for a in primitives(2):
             for b in primitives(2):
+                da = grid_oracle.TorusClass(*a)
+                db = grid_oracle.TorusClass(*b)
                 for shift in far:
-                    la = grid_oracle._CopyLine(
-                        (0, 0), grid_oracle.TorusClass(*a))
-                    lb = grid_oracle._CopyLine(
-                        (3 + shift[0], 5 + shift[1]),
-                        grid_oracle.TorusClass(*b))
-                    got = _outcome(grid_oracle._copy_crossings,
-                                   0, la, 0, lb)
-                    forward = _outcome(_box_copy_crossings, 0, la, 0, lb)
+                    ob = (3 + shift[0], 5 + shift[1])
+                    got = _outcome(_copy_pair_crossings,
+                                   0, da, (0, 0), 0, db, ob)
+                    forward = _outcome(_box_copy_crossings,
+                                       0, da, (0, 0), 0, db, ob)
                     assert got == forward, (a, b, shift)
                     clipped += isinstance(got, str)
-                    l2 = grid_oracle._CopyLine(shift, la.direction)
-                    assert grid_oracle._parallel_coincident(la, l2), \
-                        (a, shift)
+                    assert grid_oracle._parallel_coincident(
+                        da, (0, 0), shift), (a, shift)
         assert clipped > 0
 
 
@@ -384,12 +404,8 @@ class TestReversedList:
         # the second copy starts on the first line, so the direct solve
         # of its reversal finds the crossing at u = 0 in another order;
         # the backward walk gives the same components
-        first = grid_oracle.GridCurve(
-            grid_oracle.TorusClass(1, 0), 1,
-            (grid_oracle._CopyLine((5, 10), grid_oracle.TorusClass(1, 0)),))
-        second = grid_oracle.GridCurve(
-            grid_oracle.TorusClass(1, 2), 1,
-            (grid_oracle._CopyLine((40, 10), grid_oracle.TorusClass(1, 2)),))
+        first = _curve((1, 0), (5, 10))
+        second = _curve((1, 2), (40, 10))
         forward = grid_oracle.crossing_list(first, second)
         reversed_list = grid_oracle.crossing_list(first,
                                                   _reversed_curve(second))
@@ -400,8 +416,7 @@ class TestReversedList:
             _reversed_resolution(first, second)
 
     def test_parallel_coincidence_in_both_orientations(self):
-        line = grid_oracle._CopyLine((5, 10), grid_oracle.TorusClass(1, 2))
-        curve = grid_oracle.GridCurve(line.direction, 1, (line,))
+        curve = _curve((1, 2), (5, 10))
         for second in (curve, _reversed_curve(curve)):
             with pytest.raises(DegeneratePosition):
                 grid_oracle.crossing_list(curve, second)
@@ -454,8 +469,7 @@ class TestOffsetLadder:
         with pytest.raises(DegeneratePosition):
             grid_oracle.oracle_draw((1, 1), 1, 0, 3)
         # a class parallel to that grid line never crosses it
-        assert grid_oracle.oracle_draw((1, 0), 1, 0, 3).lines[0].offset \
-            == (70, 0)
+        assert grid_oracle.oracle_draw((1, 0), 1, 0, 3).offsets == ((70, 0),)
 
     def test_grid_line_outside_the_cell_is_degenerate(self, monkeypatch):
         # x = 97 is the grid line x = 1: the copy starts on it, so the
@@ -474,8 +488,8 @@ class TestOffsetLadder:
 
         monkeypatch.setattr(grid_oracle, "_offset", offset)
         pair = grid_oracle.probe_pair((1, 1), 1, (1, 1), 1)
-        assert pair.first.lines[0].offset == original(0, 0, 4)
-        assert pair.second.lines[0].offset == original(1, 0, 4)
+        assert pair.first.offsets == (original(0, 0, 4),)
+        assert pair.second.offsets == (original(1, 0, 4),)
         assert pair.forward.geometric == 0
 
     def test_drawings_do_not_outlive_a_call(self, monkeypatch):
@@ -489,8 +503,8 @@ class TestOffsetLadder:
 
         monkeypatch.setattr(grid_oracle, "_offset", offset)
         pair = grid_oracle.probe_pair((1, 1), 1, (1, 1), 1)
-        assert pair.first.lines[0].offset == original(0, 0, 4)
-        assert pair.second.lines[0].offset == original(1, 0, 4)
+        assert pair.first.offsets == (original(0, 0, 4),)
+        assert pair.second.offsets == (original(1, 0, 4),)
 
     def test_each_drawing_is_made_once_per_call(self, monkeypatch):
         # the second probe of one call reuses every drawing of the first;
@@ -516,7 +530,7 @@ class TestOffsetLadder:
         monkeypatch.setattr(grid_oracle, "oracle_draw", counted_draw)
         first, second = grid_oracle.probe_pairs([((1, 1), 1, (1, 1), 1)] * 2)
         assert first == second
-        assert first.first.lines[0].offset == original(0, 0, 4)
+        assert first.first.offsets == (original(0, 0, 4),)
         # rungs 0-2 and 4 draw both curves, once; rung 3 raises per probe
         assert len(made) == len(set(made)) == 8
         assert raised == [((1, 1), 1, 0, 3)] * 2
@@ -533,9 +547,8 @@ class TestOffsetLadder:
         with pytest.raises(DegeneratePosition, match="geodesic"):
             grid_oracle.oracle_draw((1, 2), 2, 0, 0)
         pair = grid_oracle.probe_pair((1, 2), 2, (1, 0), 1)
-        assert [ln.offset for ln in pair.first.lines] == \
-            [original(0, 0, 1), original(0, 1, 1)]
-        assert pair.second.lines[0].offset == original(1, 0, 1)
+        assert pair.first.offsets == (original(0, 0, 1), original(0, 1, 1))
+        assert pair.second.offsets == (original(1, 0, 1),)
         assert pair.forward.geometric == 4
 
     def test_ladder_never_puts_copies_on_one_geodesic(self):
@@ -548,12 +561,11 @@ class TestOffsetLadder:
         rungs = range(grid_oracle._ATTEMPTS)
         for c, role, attempt in product(primitives(8), (0, 1), rungs):
             direction = grid_oracle.TorusClass(*c)
-            lines = [grid_oracle._CopyLine(
-                grid_oracle._offset(role, j, attempt), direction)
-                for j in range(16)]
-            for j, line in enumerate(lines):
-                for other in lines[:j]:
+            offsets = [grid_oracle._offset(role, j, attempt)
+                       for j in range(16)]
+            for j, offset in enumerate(offsets):
+                for other in offsets[:j]:
                     assert not grid_oracle._parallel_coincident(
-                        line, other), (c, role, attempt, j)
+                        direction, offset, other), (c, role, attempt, j)
                     checked += 1
         assert checked == len(primitives(8)) * 2 * 8 * 120 == 337920
