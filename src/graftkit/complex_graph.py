@@ -8,24 +8,27 @@ deterministic for fixed inputs: one serial loop expands the frontier in
 key order and merges each structure's moves as it goes, and both exports
 number the vertices in key order, so repeated builds are byte-identical.
 A build twists and prepares each generator's curve once (see
-surface._prepare), at depth 0 only the untwisted one, and decides each
-graft once (is_admissible per structure and generator). Every generator
-is a meridian twist of the grafting curve and shares its content, so the
+surface._prepare), at depth 0 only the untwisted one, and groups them by
+chart into twist families, the untwisted curve leading the first
+chart's. It decides each graft once per expanded structure, a family in
+one pass (surface._decide_family, which hands is_admissible only the
+curves its shared decision does not cover). Every generator is a
+meridian twist of the grafting curve and shares its content, so the
 grafted content is worked out once per expanded structure. Only _expand
-identifies a move's destination, by arithmetic (the decision's chart
+identifies a move's destination, by arithmetic (the decided chart
 totals with that content, or a meridian twist's), and the search looks
-it up. A new identity's key is that identity rendered,
-and the vertex map records the move that first reached it; its structure
-is built once, when the BFS expands it or a caller reads it, so an edge
-to a vertex already seen builds nothing, the last level's structures are
-built only on request, and no key is worked out from curves but the
-seed's. The frontier carries each vertex's key and the identity it was
-looked up by, so no identity is derived from curves but the seed's
-either; the structures themselves keep only their curves and keys.
-Counts, ranks and both exports read keys and edges only.
-The graph keeps its ranks once computed, and the JSON export is written
-in one pass over the numbered rows, byte for byte what json.dumps with
-sorted keys gives.
+it up. A new identity's key is that identity rendered, and the vertex
+map records the move that first reached it with the generator's curve;
+its structure is built once, from one decision, when the BFS expands it
+or a caller reads it, so an edge to a vertex already seen builds
+nothing, not even a decision, the last level's structures are built
+only on request, and no key is worked out from curves but the seed's.
+The frontier carries each vertex's key and the identity it was looked
+up by, so no identity is derived from curves but the seed's either; the
+structures themselves keep only their curves and keys. Counts, ranks
+and both exports read keys and edges only. The graph keeps its ranks
+once computed, and the JSON export is written in one pass over the
+numbered rows, byte for byte what json.dumps with sorted keys gives.
 """
 
 from __future__ import annotations
@@ -48,15 +51,14 @@ from .torus import Mode, TorusClass, algebraic_intersection, dehn_twist, \
     geometric_intersection, normalize, resolve
 from . import grid_oracle
 from .surface import (
-    Admissibility,
     Component,
     Configuration,
     Identity,
     Structure,
     SurfaceModel,
+    _decide_family,
     _graft,
     _graft_content,
-    _graft_totals,
     _prepare,
     _render,
     canonical_key,
@@ -232,29 +234,41 @@ def standard_configuration(num_charts: int = 1) -> Configuration:
 
 
 def _grafts(config: Configuration, twist_bound: int
-            ) -> List[Tuple[Tuple[str, str, int], Component]]:
-    """The graft generators with their curves, built and prepared for
-    the model (see surface._prepare) once per build: the untwisted
-    grafting curve, then per chart its meridian twists up to the twist
-    bound. config.gamma is left as it is."""
-    out = [(("graft", "", 0), _prepare(config.gamma, config.model))]
-    for chart in config.model.charts:
-        for n in range(-twist_bound, twist_bound + 1):
-            if n != 0:
-                out.append((("graft", chart, n), _prepare(twist_about_meridian(
-                    config.gamma, chart, n), config.model)))
+            ) -> List[Tuple[str, list, list]]:
+    """The graft generators by twist family, as (chart, generators,
+    curves), the curves built and prepared for the model (see
+    surface._prepare) once per build: per chart the grafting curve's
+    meridian twists up to the twist bound, the first chart's led by the
+    untwisted curve, its zero twist. A chart with no generators is left
+    out. config.gamma is left as it is."""
+    model, gamma = config.model, config.gamma
+    twists = [n for n in range(-twist_bound, twist_bound + 1) if n]
+    out = []
+    for chart in model.charts:
+        descs = [("graft", chart, n) for n in twists]
+        curves = [_prepare(twist_about_meridian(gamma, chart, n), model)
+                  for n in twists]
+        if not out:
+            descs.insert(0, ("graft", "", 0))
+            curves.insert(0, _prepare(gamma, model))
+        if curves:
+            out.append((chart, descs, curves))
     return out
 
 
-Move = Tuple[Tuple[str, str, int], Identity, Optional[Admissibility]]
+# a move, its destination's identity, and the curve grafted (None for an
+# elementary move)
+Move = Tuple[Tuple[str, str, int], Identity, Optional[Component]]
 
 
 def _expand(config: Configuration, struct: Structure, identity: Identity,
-            grafts: Sequence[Tuple[Tuple[str, str, int], Component]]
-            ) -> List[Move]:
+            grafts: Sequence[Tuple[str, list, list]]) -> List[Move]:
     """Every move from one structure of the given identity, as (move, the
-    destination's identity, the graft decision or None for an elementary
-    move); inadmissible grafts are skipped (logged at debug level)."""
+    destination's identity, the grafted curve or None for an elementary
+    move): the elementary moves, then the grafts in the order of
+    _grafts, each twist family decided in one pass
+    (surface._decide_family). Inadmissible grafts are skipped (logged at
+    debug level)."""
     content, totals = identity
     grafted = _graft_content(content, config.gamma)
     # the meridian's crossings with the real curves, per chart
@@ -274,34 +288,34 @@ def _expand(config: Configuration, struct: Structure, identity: Identity,
                 twisted = totals[:i] + ((p, q + n * p),) + totals[i + 1:]
                 out.append((("elementary", chart, n), (content, twisted),
                             None))
-    for desc, gamma in grafts:
-        adm = is_admissible(gamma, struct)
-        if adm:
-            out.append((desc, (grafted, _graft_totals(adm, totals)), adm))
-        elif (log := _debug_log()) is not None:
-            log.debug("skipping %s at %s: %s", desc, struct.key(),
-                      adm.reason)
+    for chart, descs, curves in grafts:
+        for desc, gamma, dst in zip(descs, curves, _decide_family(
+                struct, totals, chart, curves)):
+            if type(dst) is tuple:
+                out.append((desc, (grafted, dst), gamma))
+            elif (log := _debug_log()) is not None:
+                log.debug("skipping %s at %s: %s", desc, struct.key(), dst)
     return out
 
 
 def _destination(struct: Structure, desc: Tuple[str, str, int],
-                 adm: Optional[Admissibility]) -> Structure:
-    """The structure a move of _expand lands on: the graft the decision
-    describes, or for an elementary move (adm None) the meridian twist
-    desc names."""
-    if adm is None:
+                 curve: Optional[Component]) -> Structure:
+    """The structure a move of _expand lands on: the graft along the
+    curve, decided once more, or for an elementary move (curve None) the
+    meridian twist desc names."""
+    if curve is None:
         _, chart, n = desc
         return twist_about_meridian(struct, chart, n)
-    return _graft(adm)
+    return _graft(is_admissible(curve, struct))
 
 
 class _Vertices(Mapping):
     """The read-only vertex map of a built graph. Each entry is a
     structure or, for a vertex nothing has read yet, the move that first
-    reached it as (source structure, generator, decision). Its length,
-    membership and iteration read keys only; reading a value builds a
-    deferred entry once, keeps its key on it and stores it in place, so
-    key order stays discovery order."""
+    reached it as (source structure, generator, its curve or None). Its
+    length, membership and iteration read keys only; reading a value
+    builds a deferred entry once, keeps its key on it and stores it in
+    place, so key order stays discovery order."""
 
     __slots__ = ("_entries",)
 
@@ -363,13 +377,13 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
         next_frontier = []
         for src_key, src_identity in frontier:
             src = vertices[src_key]
-            for desc, identity, adm in _expand(config, src, src_identity,
-                                               grafts):
+            for desc, identity, curve in _expand(config, src, src_identity,
+                                                 grafts):
                 kind, chart, n = desc
                 dst_key = keys.get(identity)
                 if dst_key is None:
                     dst_key = keys[identity] = _render(identity, src.model)
-                    entries[dst_key] = (src, desc, adm)
+                    entries[dst_key] = (src, desc, curve)
                     if level < depth - 1:  # the last level stays unexpanded
                         next_frontier.append((dst_key, identity))
                 if kind == "elementary":

@@ -30,6 +30,8 @@ curves it fixes the crossed components and per chart their total and
 fused class. From it and the structure's identity, _graft_content and
 _graft_totals give the destination's, which is how a search tells
 without building it whether a graft lands on a structure it has seen.
+_decide_family gives a search the same for a chart's whole twist
+family at once, and leaves to is_admissible what it does not cover.
 The graft only assembles the destination from the decision. A decision
 reads the curve's classes by chart position and doubled class as kept
 on a copy _prepare made for the structure's chart order, and works them
@@ -435,10 +437,20 @@ def _graft_totals(adm: Admissibility, base: Sequence[Tuple[int, int]]
                      twice * _orientation(adm.curve, model),
                      model.chart_index)
         return tuple([(p, q) for p, q in grafted])
-    turn = _sign(adm.fused)
-    return tuple([(p - lp + turn * fp, q - lq + turn * fq)
-                  for (p, q), (lp, lq), (fp, fq) in zip(base, adm.totals,
-                                                        adm.fused)])
+    return _spliced([(p - lp, q - lq) for (p, q), (lp, lq)
+                     in zip(base, adm.totals)], adm.fused)
+
+
+def _spliced(rest: Sequence[Tuple[int, int]], fused: Sequence
+             ) -> Tuple[Tuple[int, int], ...]:
+    """The spiraling route's destination totals: per chart the source's
+    total less the crossed total (rest), plus the fused class in its own
+    orientation."""
+    turn = _sign(fused)
+    out = []  # a loop: a comprehension costs more for one to three charts
+    for (p, q), (fp, fq) in zip(rest, fused):
+        out.append((p + turn * fp, q + turn * fq))
+    return tuple(out)
 
 
 def _by_position(gamma: Component, model: SurfaceModel) -> list:
@@ -532,6 +544,104 @@ def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
         fused.append(resolve(lam_total, doubled[i], mode))
     return Admissibility("spiraling", "", struct, gamma, tuple(crossed),
                          tuple(lam), tuple(fused))
+
+
+def _positions(gamma: Component, model: SurfaceModel) -> tuple:
+    """The curve's classes by chart position and doubled (see
+    _by_position and _doubled): as _prepare kept them for the model's
+    chart order, or worked out."""
+    kept = gamma._prepared
+    if kept is not None and kept[0] == model.charts:
+        return kept[1], kept[2]
+    given = _by_position(gamma, model)
+    return given, _doubled(gamma, given, model)
+
+
+def _handed_on(gamma: Component, struct: Structure,
+               base: Sequence[Tuple[int, int]]):
+    """A curve's own decision, as _decide_family gives it: the
+    destination's chart totals (see _graft_totals), given the source's,
+    or the reason it is refused."""
+    adm = is_admissible(gamma, struct)
+    return _graft_totals(adm, base) if adm else adm.reason
+
+
+def _decide_family(struct: Structure, base: Sequence[Tuple[int, int]],
+                   chart: str, curves: Sequence[Component]) -> list:
+    """Decide grafting each curve of a twist family onto the structure
+    with the given chart totals, as _handed_on would, in one pass.
+
+    The curves are one curve and its meridian twists about the chart:
+    they differ in that chart's class alone. The crossed components (all
+    in the chart and those crossed elsewhere), their totals and the other
+    charts' fused classes are worked out once; each curve then gets one
+    crossing test per component in the chart, and its spiral sign and
+    fused class there. is_admissible decides what that does not cover,
+    so every refusal is its: a component parallel to the curve in the
+    chart, nothing crossed, not a single strand in the chart, or a
+    refusing chart.
+    """
+    model = struct.model
+    index = model.chart_index
+    at = index[chart]
+    given, doubled = _positions(curves[0], model)
+    g = given[at]
+    if g is None or abs(g.p) != 1:
+        return [_handed_on(curve, struct, base) for curve in curves]
+    in_chart, crossed = [], False
+    hit = [False] * len(given)
+    lam = [(0, 0)] * len(given)
+    for comp in struct.real_curves:
+        crosses = False
+        for name, cls in comp.charts:
+            i = index[name]
+            if i == at:
+                in_chart.append(cls)
+            else:
+                gi = given[i]
+                if gi is None or cls.p * gi.q == cls.q * gi.p:
+                    continue
+            hit[i] = crosses = True
+        if crosses:
+            crossed = True
+            mult = comp.multiplicity
+            for name, (p, q) in comp.charts:
+                i = index[name]
+                lp, lq = lam[i]
+                lam[i] = (lp + mult * p, lq + mult * q)
+    fused = [None] * len(given)  # the chart's own is per curve, below
+    for i, total in enumerate(lam):
+        if i == at:
+            continue
+        sign = 1
+        if hit[i]:
+            sign = abs(given[i].p) == 1 and _spiral_sign(total, doubled[i])
+            if not sign:  # refused in a chart the twists leave alone
+                crossed = False
+                break
+        fused[i] = resolve(total, doubled[i], _FLAT if sign < 0 else _SHARP)
+    if not crossed:
+        return [_handed_on(curve, struct, base) for curve in curves]
+    total = lam[at]
+    rest = [(p - lp, q - lq) for (p, q), (lp, lq) in zip(base, lam)]
+    out = []
+    for curve in curves:
+        given, doubled = _positions(curve, model)
+        gp, gq = given[at]
+        sign = 1
+        for p, q in in_chart:
+            if p * gq == q * gp:  # parallel: not crossed here
+                sign = 0
+                break
+        else:
+            if in_chart:
+                sign = _spiral_sign(total, doubled[at])
+        if sign == 0:
+            out.append(_handed_on(curve, struct, base))
+            continue
+        fused[at] = resolve(total, doubled[at], _FLAT if sign < 0 else _SHARP)
+        out.append(_spliced(rest, fused))
+    return out
 
 
 # ---------------------------------------------------------------------------

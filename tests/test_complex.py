@@ -5,8 +5,11 @@ import hashlib
 import json
 import logging
 import re
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graftkit import (
     BadConfiguration,
@@ -128,6 +131,13 @@ def _levels(graph):
     return out
 
 
+def _generators(grafts) -> list:
+    """The (generator, curve) pairs of _grafts's families, in build
+    order."""
+    return [pair for _, descs, curves in grafts
+            for pair in zip(descs, curves)]
+
+
 def _record_renderings(monkeypatch) -> list:
     """Every key rendered from here on, under both names it is called
     by."""
@@ -148,16 +158,31 @@ class TestComputedOnce:
     and generator, a structure built and keyed only for a new vertex."""
 
     def test_one_admissibility_check_per_graft(self, monkeypatch):
-        decided, grafted, twisted = [], [], []
-        decide, graft = surface.is_admissible, complex_graph._graft
+        # each (structure, generator) pair is decided once: by its twist
+        # family's pass or, where that pass hands the curve on, by
+        # is_admissible, never both; a new vertex's structure is built
+        # from one more decision, and a seen one from none
+        families, handed, building, grafted, twisted = [], [], [], [], []
+        inside = []
+        decide, decide_family = surface.is_admissible, \
+            complex_graph._decide_family
+        graft = complex_graph._graft
         twist = complex_graph.twist_about_meridian
 
         def deciding(gamma, struct):
-            decided.append((struct, gamma))
+            (handed if inside else building).append((id(struct), id(gamma)))
             return decide(gamma, struct)
 
+        def deciding_family(struct, base, chart, curves):
+            families.append((struct, chart, curves))
+            inside.append(chart)
+            try:
+                return decide_family(struct, base, chart, curves)
+            finally:
+                inside.pop()
+
         def grafting(adm):
-            grafted.append(adm.source)
+            grafted.append((id(adm.source), id(adm.curve)))
             return graft(adm)
 
         def twisting(obj, chart, n):
@@ -165,23 +190,38 @@ class TestComputedOnce:
                 twisted.append(obj)
             return twist(obj, chart, n)
 
-        # both names, so a second decision anywhere would be counted
+        # both names, so a decision anywhere would be counted
         monkeypatch.setattr(surface, "is_admissible", deciding)
         monkeypatch.setattr(complex_graph, "is_admissible", deciding)
+        monkeypatch.setattr(complex_graph, "_decide_family", deciding_family)
         monkeypatch.setattr(complex_graph, "_graft", grafting)
         monkeypatch.setattr(complex_graph, "twist_about_meridian", twisting)
         config = standard_configuration(2)
         depth = 3
         graph = build_complex(config, 4, depth)
         built = len(grafted), len(twisted)
-        grafts = complex_graph._grafts(config, 4)
+        grafts = _generators(complex_graph._grafts(config, 4))
         levels = _levels(graph)
         assert set(levels) == set(graph.vertices)
         expanded = {id(graph.vertices[key]) for key, level in levels.items()
                     if level < depth}
-        assert len(decided) == len(expanded) * len(grafts)
-        assert {id(struct) for struct, _ in decided} == expanded
-        assert len({(id(s), id(g)) for s, g in decided}) == len(decided)
+        # one pass per expanded structure and chart, the untwisted curve
+        # in the first chart's family, so every generator exactly once
+        assert len(families) == len(expanded) * len(config.model.charts)
+        assert {id(struct) for struct, _, _ in families} == expanded
+        passed = {}
+        for struct, chart, curves in families:
+            passed.setdefault(id(struct), []).extend(curves)
+        assert all(curves == [gamma for _, gamma in grafts]
+                   for curves in passed.values())
+        pairs = [(id(struct), id(gamma)) for struct, _, curves in families
+                 for gamma in curves]
+        assert len(set(pairs)) == len(pairs) == len(expanded) * len(grafts)
+        # handed on at most once each, and only the family's own curves
+        assert len(set(handed)) == len(handed) and set(handed) <= set(pairs)
+        # each graft built from the one decision made for it
+        assert building == grafted
+        assert (len(families), len(handed), len(building)) == (318, 113, 146)
         # a destination is built only for a new vertex, by the edge that
         # first reaches it, and the last level's only when read
         first = {}
@@ -199,6 +239,7 @@ class TestComputedOnce:
             assert len(grafted) == kinds.count("graft") > inner.count("graft")
             assert len(twisted) == kinds.count("elementary") > \
                 inner.count("elementary")
+        assert building == grafted and len(families) == 318
 
     def test_one_key_per_structure(self, monkeypatch):
         # a new vertex's key renders the identity the BFS looked up, so
@@ -278,11 +319,14 @@ class TestComputedOnce:
         assert len(calls) == 1
         calls.clear()
         build_complex(config, 4, 3)
-        assert len(calls) == 4732
+        # per twist family once for each other chart it crosses, per curve
+        # once for its own chart, and in each is_admissible call (a curve
+        # handed on, or a new vertex's build) once per crossing chart
+        assert len(calls) == 3165
 
     def test_generators_prepared_once_per_build(self, monkeypatch):
         config = standard_configuration(2)
-        generators = len(complex_graph._grafts(config, 4))
+        generators = len(_generators(complex_graph._grafts(config, 4)))
         prepared, computed = [], []
         prepare = complex_graph._prepare
         graft_content = surface._graft_content
@@ -376,6 +420,15 @@ def _check_first_edges_replay(config, graph):
             graph.vertices[key].real_curves
 
 
+def _vertex_digest(graph) -> str:
+    """The sha256 of each vertex's key and structure, in discovery
+    order."""
+    h = hashlib.sha256()
+    for key, struct in graph.vertices.items():
+        h.update(repr((key, struct.real_curves)).encode())
+    return h.hexdigest()
+
+
 SIZES = [(1, 3, 0), (1, 3, 1), (1, 8, 4), (2, 4, 3), (3, 2, 3)]
 
 
@@ -441,10 +494,7 @@ class TestDeferredVertices:
                                           digest):
         # the structures an eager build made, in discovery order
         graph = build_complex(standard_configuration(charts), bound, depth)
-        h = hashlib.sha256()
-        for key, struct in graph.vertices.items():
-            h.update(repr((key, struct.real_curves)).encode())
-        assert h.hexdigest() == digest
+        assert _vertex_digest(graph) == digest
 
     @pytest.mark.parametrize("fmt,export", [("json", "to_json_bytes"),
                                             ("dot", "to_dot")])
@@ -487,7 +537,7 @@ class TestSeededBuilds:
 
     def test_every_vertex_replays_and_both_cases_occur(self):
         config = standard_configuration(1)
-        grafts = complex_graph._grafts(config, 3)
+        grafts = _generators(complex_graph._grafts(config, 3))
         rejected = differences = 0
         for comps in self.SEEDS:
             seed = surface.structure(config.model, comps)
@@ -508,6 +558,27 @@ class TestSeededBuilds:
         assert rejected > 0
         assert differences > 0
 
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "ab8c8f00cce2f8c97c8c50e17a2d40e1"
+            "781085cc88e41a2113bc98c24716d2ee"),
+        (1, "acacbe74d9a00abd3cb0663eedb4ad28"
+            "3b72d195ab4650eb7d666189243cf79e"),
+        (2, "7f557dc681bf12a3602ce39b0ac61bed"
+            "c97dc40e8f3c3c0c5952b22056c99f70"),
+        (None, "832c267128256bcb8630e15d4563aecb"
+               "83f0bb1f1c270f13c95701fe680a12f3"),
+    ], ids=["two-strands", "vertical", "two-labels", "skipping"])
+    def test_vertex_structures_pinned(self, seed, digest):
+        # the structure each vertex first reached, so the order in which
+        # moves reach vertices, on seeds that refuse grafts
+        if seed is None:
+            graph = TestFusedPass.skipping_build()
+        else:
+            config = standard_configuration(1)
+            graph = build_complex(config, 3, 3, seed=surface.structure(
+                config.model, self.SEEDS[seed]))
+        assert _vertex_digest(graph) == digest
+
 
 def reversed_curve(comp):
     return Component(comp.content,
@@ -527,19 +598,19 @@ class TestFusedPass:
         model = config.model
         graph = build_complex(config, bound, depth)
         grafts = complex_graph._grafts(config, bound)
-        curves = dict(grafts)
+        curves = dict(_generators(grafts))
         twists = 0
         for struct in graph.vertices.values():
             moves = complex_graph._expand(config, struct, struct.identity(),
                                           grafts)
             # every graft is admitted at these sizes
             # (test_rejection_reasons covers rejections)
-            assert [desc for desc, _, adm in moves if adm] == \
-                [desc for desc, _ in grafts]
-            for (kind, chart, n), identity, adm in moves:
+            assert [desc for desc, _, curve in moves if curve] == \
+                list(curves)
+            for (kind, chart, n), identity, curve in moves:
                 if kind == "elementary":
                     twists += 1
-                    assert adm is None
+                    assert curve is None
                     built = surface.twist_about_meridian(struct, chart, n)
                 else:
                     built = surface.graft_along(struct,
@@ -628,6 +699,124 @@ class TestFusedPass:
         assert any("no spiral direction" in m for m in skips)
 
 
+class _Skips:
+    """Stands in for the debug logger: records each skipped generator
+    with its reason."""
+
+    def __init__(self):
+        self.skipped = []
+
+    def debug(self, message, desc, key, reason):
+        self.skipped.append((desc, reason))
+
+
+def _family_moves(config, struct, grafts):
+    """_expand's graft moves from the structure, as (generator, the
+    destination's identity), and the generators it skips with reasons."""
+    log = _Skips()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complex_graph, "_debug_log", lambda: log)
+        moves = complex_graph._expand(config, struct, struct.identity(),
+                                      grafts)
+    curves = dict(_generators(grafts))
+    assert all(curve is curves[desc] for desc, _, curve in moves
+               if curve is not None)
+    return [(desc, identity) for desc, identity, curve in moves
+            if curve is not None], log.skipped
+
+
+def _per_curve_moves(config, struct, grafts):
+    """The same, decided one curve at a time by is_admissible."""
+    content, totals = struct.identity()
+    grafted = surface._graft_content(content, config.gamma)
+    moves, skipped = [], []
+    for desc, gamma in grafts:
+        adm = surface.is_admissible(gamma, struct)
+        if adm:
+            moves.append((desc, (grafted, surface._graft_totals(adm,
+                                                                totals))))
+        else:
+            skipped.append((desc, adm.reason))
+    return moves, skipped
+
+
+def _check_family_agreement(config, graph, bound):
+    """On every vertex the family pass gives the per-curve moves; returns
+    the skips seen."""
+    grafts = complex_graph._grafts(config, bound)
+    skips = 0
+    for struct in graph.vertices.values():
+        moves, skipped = _family_moves(config, struct, grafts)
+        assert (moves, skipped) == _per_curve_moves(config, struct,
+                                                    _generators(grafts))
+        skips += len(skipped)
+    return skips
+
+
+@st.composite
+def _seeded_builds(draw):
+    """A configuration over 1-3 charts, a seed, a twist bound and a depth.
+    The seed is drawn as _random_even_multicurve draws its multicurves,
+    with any multiplicity, or has up to three components that may span
+    several charts."""
+    config = standard_configuration(draw(st.integers(1, 3)))
+    charts = st.lists(st.sampled_from(config.model.charts), min_size=1,
+                      unique=True)
+    if draw(st.booleans()):
+        spans = [[chart] for chart in draw(charts)]
+    else:
+        spans = draw(st.lists(charts, min_size=1, max_size=3))
+    primitive = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(
+        lambda c: c != (0, 0) and gcd(*c) == 1)
+    comps = [surface.component(f"w{i}", {chart: draw(primitive)
+                                         for chart in span},
+                               draw(st.integers(1, 8)))
+             for i, span in enumerate(spans)]
+    return (config, surface.structure(config.model, comps),
+            draw(st.integers(0, 3)), draw(st.integers(1, 2)))
+
+
+def _two_chart_seed():
+    """A seed with a component parallel to some generators in chart b
+    that the family pass cannot fuse: it hands those curves on."""
+    config = standard_configuration(2)
+    return config, surface.structure(config.model, [
+        surface.component("w0", {"b": (1, 2)}, 3),
+        surface.component("w1", {"a": (3, 1), "b": (0, 1)})]), 2, 1
+
+
+class TestFamilyPass:
+    """_expand decides each chart's twist family in one pass
+    (surface._decide_family). Its moves, in order, and its skips with
+    their reasons are those of deciding each generator on its own."""
+
+    @pytest.mark.parametrize("charts,bound,depth", SIZES)
+    def test_standard_builds(self, charts, bound, depth):
+        config = standard_configuration(charts)
+        graph = build_complex(config, bound, depth)
+        assert _check_family_agreement(config, graph, bound) == 0
+
+    def test_seeded_builds(self):
+        config = standard_configuration(1)
+        skips = [_check_family_agreement(config, build_complex(
+            config, 3, 3, seed=surface.structure(config.model, comps)), 3)
+            for comps in TestSeededBuilds.SEEDS]
+        config, seed = TestFusedPass.skipping_setup()
+        skips.append(_check_family_agreement(
+            config, build_complex(config, 1, 2, seed=seed), 1))
+        assert all(skips)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_seeded_builds())
+    @example(_two_chart_seed())
+    def test_drawn_seeds(self, build):
+        # and each vertex is what its first move, replayed, builds
+        config, seed, bound, depth = build
+        graph = build_complex(config, bound, depth, seed=seed)
+        _check_family_agreement(config, graph, bound)
+        _check_first_edges_replay(config, graph)
+
+
 class TestPreparedCurves:
     """A build prepares each generator once (surface._prepare); deciding
     the prepared curve gives the decision of the curve itself."""
@@ -659,7 +848,7 @@ class TestPreparedCurves:
         else:
             config = standard_configuration(charts)
             graph = build_complex(config, bound, depth)
-        grafts = complex_graph._grafts(config, bound)
+        grafts = _generators(complex_graph._grafts(config, bound))
         outcomes = set()
         for struct in graph.vertices.values():
             for _, gamma in grafts:
@@ -693,7 +882,7 @@ class TestOrientationFree:
     def test_reversed_curve_same_graft(self):
         config = standard_configuration(2)
         graph = build_complex(config, 2, 2)
-        grafts = complex_graph._grafts(config, 2)
+        grafts = _generators(complex_graph._grafts(config, 2))
         assert (len(graph.vertices), len(grafts)) == (71, 9)
 
         def landing(struct, gamma):
