@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import os
 import re
@@ -156,26 +155,26 @@ def _load_configuration(path: str):
 
 @contextlib.contextmanager
 def _destination(path: Optional[str], binary: bool = False):
-    """Yield a buffer for an output file, written to the file only when
-    the work succeeds. The file is opened before the work but not
-    truncated, so an unwritable path fails at once with nothing printed
-    and a failed run leaves an existing file as it was, and removes a
-    file it created. Without a path, yield None."""
+    """Yield a list for the parts of an output file, written to the file
+    as they are only when the work succeeds. The file is opened before
+    the work but not truncated, so an unwritable path fails at once with
+    nothing printed and a failed run leaves an existing file as it was,
+    and removes a file it created. Without a path, yield None."""
     if not path:
         yield None
         return
     created = not os.path.lexists(path)
     with open(path, "ab" if binary else "a",
               encoding=None if binary else "utf-8") as handle:
-        buffer = io.BytesIO() if binary else io.StringIO()
+        parts: list = []
         try:
-            yield buffer
+            yield parts
         except BaseException:
             if created:
                 os.remove(path)
             raise
         handle.truncate(0)
-        handle.write(buffer.getvalue())
+        handle.writelines(parts)
 
 
 def _cmd_torus(ns: argparse.Namespace) -> int:
@@ -193,11 +192,13 @@ def _cmd_torus(ns: argparse.Namespace) -> int:
 def _cmd_graft(ns: argparse.Namespace) -> int:
     _, struct, _ = _load_configuration(ns.config)
     curve = parse_curve_spec(ns.curve, struct.model)
-    with _destination(ns.output) as handle:
-        result = graft_along(struct, curve)
-        # print writes to standard output when handle is None
-        print(json.dumps(structure_to_json(result), indent=2,
-                         sort_keys=True), file=handle)
+    with _destination(ns.output) as parts:
+        text = json.dumps(structure_to_json(graft_along(struct, curve)),
+                          indent=2, sort_keys=True) + "\n"
+        if parts is None:
+            sys.stdout.write(text)
+        else:
+            parts.append(text)
     return 0
 
 
@@ -209,7 +210,7 @@ def _cmd_complex(ns: argparse.Namespace) -> int:
                                              struct.identity()[1])))
     configuration = validate_configuration(model, lam_total, gamma)
     dot = ns.format == "dot"
-    with _destination(ns.output, binary=not dot) as handle:
+    with _destination(ns.output, binary=not dot) as parts:
         graph = build_complex(configuration, ns.twist_bound, ns.depth,
                               seed=struct)
         print(f"vertices={len(graph.vertices)} edges={len(graph.edges)} "
@@ -217,8 +218,8 @@ def _cmd_complex(ns: argparse.Namespace) -> int:
         ranks = graph.rank_by_kind()
         print(f"rank[all]={ranks['all']} rank[graft]={ranks['graft']} "
               f"rank[elementary]={ranks['elementary']}")
-        if handle is not None:
-            handle.write(graph.to_dot() if dot else graph.to_json_bytes())
+        if parts is not None:
+            parts.append(graph.to_dot() if dot else graph.to_json_bytes())
     return 0
 
 
@@ -226,13 +227,13 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     offered = {key: value for key, value in vars(ns).items()
                if value is not None
                and key not in ("subcommand", "suite", "json_path")}
-    with _destination(ns.json_path) as handle:
+    with _destination(ns.json_path) as parts:
         report = verify_suite(ns.suite, **offered)
         for line in report.lines():
             print(line)
-        if handle is not None:
-            json.dump(report.to_json_obj(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        if parts is not None:
+            parts.append(json.dumps(report.to_json_obj(), indent=2,
+                                    sort_keys=True) + "\n")
     return 0 if report.passed else 3
 
 

@@ -25,10 +25,14 @@ nothing, not even a decision, the last level's structures are built
 only on request, and no key is worked out from curves but the seed's.
 The frontier carries each vertex's key and the identity it was looked
 up by, so no identity is derived from curves but the seed's either; the
-structures themselves keep only their curves and keys. Counts, ranks
-and both exports read keys and edges only. The graph keeps its ranks
-once computed, and the JSON export is written in one pass over the
-numbered rows, byte for byte what json.dumps with sorted keys gives.
+structures themselves keep only their curves and keys. Each edge is an
+integer row (source id, destination id, generator index): ids follow
+discovery order, and the build's generator table lists the elementary
+moves, then _grafts' generators. graph.edges reads a row as an Edge
+only when asked. Counts, ranks and both exports read keys and rows
+only. The graph keeps its ranks once computed, and each export sorts
+one integer per row (see _numbered) and writes the JSON in one pass,
+byte for byte what json.dumps with sorted keys gives.
 """
 
 from __future__ import annotations
@@ -37,13 +41,13 @@ import inspect
 import json
 import random
 import sys
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, \
-    Sequence, Tuple
+    Tuple
 
 from .errors import BadConfiguration, NotAdmissible, OddMultiplicity, \
     UnknownSuite
@@ -53,7 +57,6 @@ from . import grid_oracle
 from .surface import (
     Component,
     Configuration,
-    Identity,
     Structure,
     SurfaceModel,
     _decide_family,
@@ -118,13 +121,16 @@ class Witness(NamedTuple):
 
 @dataclass(frozen=True)
 class ComplexGraph:
-    """vertices maps each key to its structure (vertices[k].key() == k);
-    edges name their endpoints by key. The ranks are kept once computed.
-    The vertex map is read-only and builds a last-level structure on its
-    first read; counts, ranks and exports read keys only."""
+    """vertices maps each key to its structure (vertices[k].key() == k),
+    keys in discovery order; edges is the read-only edge list, kept as
+    integer rows whose vertex ids follow that order (see _Edges), and
+    reads as Edges that name their endpoints by key. The ranks are kept
+    once computed. The vertex map is read-only and builds a last-level
+    structure on its first read; counts, ranks and exports read keys and
+    rows only."""
 
     vertices: Mapping[str, Structure]
-    edges: Tuple[Edge, ...]
+    edges: Sequence[Edge]
     twist_bound: int
     depth: int
     seed_key: str
@@ -146,38 +152,41 @@ class ComplexGraph:
     def _count_ranks(self) -> Dict[str, int]:
         """The full graph is connected by construction, so its rank is
         |E| - |V| + 1; a single-kind subgraph may be disconnected, so its
-        rank counts components explicitly."""
+        rank is its edge count less the unions a union-find over the
+        vertex ids makes (|V| less its components)."""
         out = {"all": self.cycle_rank()}
-        index = {k: i for i, k in enumerate(self.vertices)}
         for kind in ("graft", "elementary"):
-            parent = list(range(len(index)))
-
-            def find(i: int) -> int:
-                while parent[i] != i:
-                    parent[i] = parent[parent[i]]
-                    i = parent[i]
-                return i
-
-            count = 0
-            for e in self.edges:
-                if e.kind != kind:
-                    continue
-                count += 1
-                a, b = find(index[e.src]), find(index[e.dst])
-                if a != b:
-                    parent[a] = b
-            components = sum(1 for i in range(len(index)) if find(i) == i)
-            out[kind] = count - len(index) + components
+            ours = [desc[0] == kind for desc in self.edges._generators]
+            parent = list(range(len(self.vertices)))
+            count = unions = 0
+            for a, b, g in self.edges._rows:
+                if ours[g]:
+                    count += 1
+                    # each endpoint's root, halving the path on the way
+                    while parent[a] != a:
+                        parent[a] = a = parent[parent[a]]
+                    while parent[b] != b:
+                        parent[b] = b = parent[parent[b]]
+                    if a != b:
+                        parent[a] = b
+                        unions += 1
+            out[kind] = count - unions
         return out
 
-    def _numbered(self) -> Tuple[List[str], list]:
-        """The numbering both exports share: vertex ids follow sorted
-        keys, and edges are (src id, dst id, kind, chart, n) rows in
-        sorted order."""
-        keys = sorted(self.vertices)
-        ids = {k: i for i, k in enumerate(keys)}
-        return keys, sorted((ids[e.src], ids[e.dst], e.kind, e.chart, e.n)
-                            for e in self.edges)
+    def _numbered(self) -> Tuple[List[str], list, List[int]]:
+        """The numbering both exports share: the keys sorted, the
+        generators sorted, and each edge as one integer (src * |V| + dst)
+        * |G| + g, src and dst its endpoints' positions among the sorted
+        keys and g its generator's among the sorted generators, the
+        integers sorted. So they list the (src, dst, kind, chart, n) rows
+        in sorted order."""
+        keys, ids = _sorted_ranks(list(self.vertices))
+        generators, ranks = _sorted_ranks(self.edges._generators)
+        width = len(generators)
+        stride = len(keys) * width
+        return keys, generators, sorted([
+            ids[src] * stride + ids[dst] * width + ranks[g]
+            for src, dst, g in self.edges._rows])
 
     def to_json_obj(self) -> dict:
         return json.loads(self.to_json_bytes())
@@ -185,12 +194,18 @@ class ComplexGraph:
     def to_json_bytes(self) -> bytes:
         """The export as json.dumps(..., sort_keys=True, separators=(",",
         ":")) spells it, written row by row: objects list their keys in
-        sorted order and strings are quoted as JSON quotes them."""
-        keys, edges = self._numbered()
-        ranks = self.rank_by_kind()
+        sorted order and strings are quoted as JSON quotes them, once per
+        generator."""
+        keys, generators, edges = self._numbered()
+        width, n = len(generators), len(keys)
+        heads = [f'{{"chart":{_quote(c)},"dst":' for _, c, _ in generators]
+        tails = [f',"kind":{_quote(k)},"n":{t},"src":'
+                 for k, _, t in generators]
         rows = ",".join([
-            f'{{"chart":{_quote(c)},"dst":{d},"kind":{_quote(k)},"n":{n},'
-            f'"src":{s}}}' for s, d, k, c, n in edges])
+            f"{heads[e % width]}{e // width % n}{tails[e % width]}"
+            f"{e // width // n}}}" for e in edges])
+        del edges, heads, tails  # not held while the document is built
+        ranks = self.rank_by_kind()
         vertices = ",".join([f'{{"id":{i},"key":{_quote(k)}}}'
                              for i, k in enumerate(keys)])
         return (
@@ -207,17 +222,27 @@ class ComplexGraph:
     def to_dot(self) -> str:
         import hashlib  # only the DOT export uses it
 
-        keys, edges = self._numbered()
+        keys, generators, edges = self._numbered()
+        width, n = len(generators), len(keys)
+        labels = [_label(*desc).replace("\\", "\\\\").replace('"', '\\"')
+                  for desc in generators]
         lines = ["graph complex {"]
         for i, k in enumerate(keys):
             digest = hashlib.sha256(k.encode()).hexdigest()[:12]
             lines.append(f'  v{i} [label="{digest}"];')
-        for src, dst, kind, chart, n in edges:
-            label = _label(kind, chart, n)
-            label = label.replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  v{src} -- v{dst} [label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines += [f'  v{e // width // n} -- v{e // width % n} '
+                  f'[label="{labels[e % width]}"];' for e in edges]
+        del edges  # not held while the document is joined
+        lines.append("}\n")
+        return "\n".join(lines)
+
+
+def _sorted_ranks(items: list) -> Tuple[list, List[int]]:
+    """The items sorted, and by index each item's position there: the
+    sorting permutation, sorted again, gives its inverse."""
+    order = sorted(range(len(items)), key=items.__getitem__)
+    return ([items[i] for i in order],
+            sorted(range(len(order)), key=order.__getitem__))
 
 
 _STANDARD_GENUS = 2
@@ -256,13 +281,8 @@ def _grafts(config: Configuration, twist_bound: int
     return out
 
 
-# a move, its destination's identity, and the curve grafted (None for an
-# elementary move)
-Move = Tuple[Tuple[str, str, int], Identity, Optional[Component]]
-
-
-def _expand(config: Configuration, struct: Structure, identity: Identity,
-            grafts: Sequence[Tuple[str, list, list]]) -> List[Move]:
+def _expand(config: Configuration, struct: Structure, identity: tuple,
+            grafts: Sequence[Tuple[str, list, list]]) -> list:
     """Every move from one structure of the given identity, as (move, the
     destination's identity, the grafted curve or None for an elementary
     move): the elementary moves, then the grafts in the order of
@@ -277,7 +297,7 @@ def _expand(config: Configuration, struct: Structure, identity: Identity,
     for comp in struct.real_curves:
         for name, (p, _) in comp.charts:
             hits[index[name]] += abs(p) * comp.multiplicity
-    out: List[Move] = []
+    out = []
     for i, chart in enumerate(config.model.charts):
         # An elementary move needs the meridian to cross the real curves
         # exactly twice in its chart. The twist maps the chart's total
@@ -307,6 +327,47 @@ def _destination(struct: Structure, desc: Tuple[str, str, int],
         _, chart, n = desc
         return twist_about_meridian(struct, chart, n)
     return _graft(is_admissible(curve, struct))
+
+
+class _Edges(Sequence):
+    """The read-only edge list of a built graph, kept as integer rows
+    (source id, destination id, index into the (kind, chart, n)
+    generator table), ids in the vertex map's key order. Reading an entry
+    builds its Edge, a slice reads as a tuple of them, and the list
+    equals the tuple of Edges it reads as."""
+
+    __slots__ = ("_rows", "_generators", "_vertices", "_keys")
+
+    def __init__(self, rows: List[Tuple[int, int, int]],
+                 generators: List[Tuple[str, str, int]],
+                 vertices: Mapping[str, Structure]):
+        self._rows = rows
+        self._generators = generators
+        self._vertices = vertices
+        self._keys: Optional[List[str]] = None  # by id, once read
+
+    def _read(self, rows) -> Iterator[Edge]:
+        if self._keys is None:
+            self._keys = list(self._vertices)
+        keys, generators = self._keys, self._generators
+        for src, dst, g in rows:
+            yield Edge(*generators[g], keys[src], keys[dst])
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[Edge]:
+        return self._read(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._read(self._rows[index]))
+        return next(self._read((self._rows[index],)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _Edges)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
 
 
 class _Vertices(Mapping):
@@ -362,40 +423,43 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
         raise BadConfiguration("the seed structure is on another surface "
                                "model than the configuration")
     grafts = _grafts(config, twist_bound if depth else 0)
+    generators = [("elementary", chart, n) for chart in config.model.charts
+                  for n in (1, -1)]
+    generators += [desc for _, descs, _ in grafts for desc in descs]
+    index = {desc: g for g, desc in enumerate(generators)}
     seed_key, seed_identity = seed.key(), seed.identity()
     entries = {seed_key: seed}
     vertices = _Vertices(entries)
-    keys = {seed_identity: seed_key}  # identity -> vertex key
-    edges: List[Edge] = []
+    ids = {seed_identity: 0}  # identity -> vertex id, in discovery order
+    rows = []
     seen_elementary = set()
-    # (key, identity) per vertex to expand
-    frontier = [(seed_key, seed_identity)]
+    # (key, id, identity) per vertex to expand
+    frontier = [(seed_key, 0, seed_identity)]
     for level in range(depth):
         if not frontier:
             break
         frontier.sort()  # by key: keys are distinct
         next_frontier = []
-        for src_key, src_identity in frontier:
-            src = vertices[src_key]
-            for desc, identity, curve in _expand(config, src, src_identity,
+        for src_key, src, src_identity in frontier:
+            struct = vertices[src_key]
+            for desc, identity, curve in _expand(config, struct, src_identity,
                                                  grafts):
-                kind, chart, n = desc
-                dst_key = keys.get(identity)
-                if dst_key is None:
-                    dst_key = keys[identity] = _render(identity, src.model)
-                    entries[dst_key] = (src, desc, curve)
+                dst = ids.get(identity)
+                if dst is None:
+                    dst = ids[identity] = len(ids)
+                    dst_key = _render(identity, struct.model)
+                    entries[dst_key] = (struct, desc, curve)
                     if level < depth - 1:  # the last level stays unexpanded
-                        next_frontier.append((dst_key, identity))
-                if kind == "elementary":
-                    pair = (min(src_key, dst_key), max(src_key, dst_key),
-                            chart)
+                        next_frontier.append((dst_key, dst, identity))
+                if curve is None:  # an elementary move
+                    pair = (min(src, dst), max(src, dst), desc[1])
                     if pair in seen_elementary:
                         continue
                     seen_elementary.add(pair)
-                edges.append(Edge(kind, chart, n, src_key, dst_key))
+                rows.append((src, dst, index[desc]))
         frontier = next_frontier
-    return ComplexGraph(vertices, tuple(edges), twist_bound, depth,
-                        seed_key)
+    return ComplexGraph(vertices, _Edges(rows, generators, vertices),
+                        twist_bound, depth, seed_key)
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +514,22 @@ def witness_graph(config: Configuration, l0: int,
     chart = _twist_chart(config)
     base = config.base_structure()
     other = twist_about_meridian(base, chart, l0)
-    vertices = {base.key(): base}
-    vertices.setdefault(other.key(), other)
-    edges = []
+    entries, ids, generators, rows = {}, {}, [], []
+
+    def vertex(struct: Structure) -> int:
+        entries.setdefault(struct.key(), struct)
+        return ids.setdefault(struct.key(), len(ids))
+
+    one, two = vertex(base), vertex(other)
     for w, target in _witnesses(config, base, other, l0, twist_bound):
-        vertices.setdefault(w.key, target)
-        edges.append(Edge("graft", chart, 2 * w.m, base.key(), w.key))
-        edges.append(Edge("graft", chart, w.k, other.key(), w.key))
-    return ComplexGraph(_Vertices(vertices), tuple(edges), twist_bound, 1,
-                        base.key())
+        dst = vertex(target)
+        # one generator per edge: the twists differ from edge to edge
+        for src, n in ((one, 2 * w.m), (two, w.k)):
+            rows.append((src, dst, len(generators)))
+            generators.append(("graft", chart, n))
+    vertices = _Vertices(entries)
+    return ComplexGraph(vertices, _Edges(rows, generators, vertices),
+                        twist_bound, 1, base.key())
 
 
 class FanReport:

@@ -66,12 +66,6 @@ MERIDIAN = TorusClass(0, 1)
 ZERO = TorusClass(0, 0)
 _SHARP, _FLAT = Mode.SHARP, Mode.FLAT  # globals read faster than members
 
-Content = Tuple[Tuple[str, int], ...]
-ChartMap = Tuple[Tuple[str, TorusClass], ...]
-# What the key renders: the sorted content totals and, per chart in model
-# order, the homology total of the orientation-normalized components.
-Identity = Tuple[Content, Tuple[Tuple[int, int], ...]]
-
 
 @dataclass(frozen=True)
 class SurfaceModel:
@@ -127,8 +121,8 @@ class Component:
     """One isotopy class of leaves: content labels, chart classes, count.
     A field is respelled (see the module docstring) only if it must be."""
 
-    content: Content
-    charts: ChartMap
+    content: Tuple[Tuple[str, int], ...]
+    charts: Tuple[Tuple[str, TorusClass], ...]
     multiplicity: int = 1
     # not a field: only the copies _prepare makes carry decision data
     _prepared = None
@@ -212,7 +206,7 @@ def canonicalize(curve: Iterable[Component],
     equal ones merged by adding multiplicities. Components already
     oriented and met once are kept as they are; spelling is Component's.
     A chart the model lacks raises UnknownChart."""
-    merged: Dict[Tuple[Content, ChartMap], Component] = {}
+    merged: Dict[tuple, Component] = {}  # by (content, charts)
     index = model.chart_index
     for c in curve:
         for name, _ in c.charts:
@@ -253,8 +247,10 @@ class Structure:
                                canonical_key(self.real_curves, self.model))
         return self._key
 
-    def identity(self) -> Identity:
-        """The integers the key renders."""
+    def identity(self) -> tuple:
+        """The integers the key renders: the sorted content totals and,
+        per chart in model order, the homology total of the
+        orientation-normalized components."""
         return _identity_of(self.real_curves, self.model)
 
     def _keep(self, key: str) -> None:
@@ -277,7 +273,7 @@ def _add_classes(totals: Sequence[list], charts: Iterable, weight: int,
 
 
 def _identity_of(curve: Iterable[Component],
-                 model: SurfaceModel) -> Identity:
+                 model: SurfaceModel) -> tuple:
     """What classifies a multicurve: the content-label totals, sorted,
     and per chart in model order the homology total of the
     orientation-normalized components. Component order, orientations, and
@@ -296,7 +292,7 @@ def _identity_of(curve: Iterable[Component],
             tuple([(p, q) for p, q in totals]))
 
 
-def _render(identity: Identity, model: SurfaceModel) -> str:
+def _render(identity: tuple, model: SurfaceModel) -> str:
     """The key string of an identity, written directly: byte for byte
     json.dumps({"content": content, "charts": {chart: total}},
     sort_keys=True, separators=(",", ":")), the charts in name order and
@@ -411,7 +407,7 @@ class Admissibility(NamedTuple):
         return self.route is not None
 
 
-def _graft_content(content: Content, curve: Component) -> Content:
+def _graft_content(content: tuple, curve: Component) -> tuple:
     """The content totals after either route grafts two leaves of the
     curve onto a structure with the given totals. Meridian twists keep a
     curve's content and multiplicity, so one result serves them all."""
@@ -793,7 +789,7 @@ def _component_from_json(data: dict, model: SurfaceModel) -> Component:
         raise ValueError(f"curve entry must be an object, got {data!r}")
     label = data.get("label")
     if isinstance(label, str):
-        content: Content = ((label, 1),)
+        content = ((label, 1),)
     elif isinstance(label, list):
         for entry in label:
             if (not isinstance(entry, list) or len(entry) != 2

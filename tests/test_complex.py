@@ -1099,6 +1099,76 @@ class TestExports:
         assert first.to_dot() == second.to_dot()
 
 
+class TestEdgeList:
+    """graph.edges reads as the tuple of Edges, in discovery order, that
+    the builds gave when they kept one: pinned by the sha256 of its repr
+    and of a few reads (first, last, by negative index, two slices)."""
+
+    @staticmethod
+    def _graph(build):
+        config = standard_configuration(1)
+        if build == "skipping":
+            return TestFusedPass.skipping_build()
+        if build == "witness":
+            return witness_graph(config, 1, 4)
+        if isinstance(build, int):
+            return build_complex(config, 3, 3, seed=surface.structure(
+                config.model, TestSeededBuilds.SEEDS[build]))
+        charts, bound, depth = build
+        return build_complex(standard_configuration(charts), bound, depth)
+
+    @pytest.mark.parametrize("build,count,digest,reads", [
+        ((1, 3, 1), 9,
+         "8ce1c290fd805d2101952cd605098027e228286383aca80d23449b0b7935a6eb",
+         "0d1909b112c45316d5581052292814dc581a026303a28e108e4c6bf543eacb7b"),
+        ((1, 8, 4), 1912,
+         "0a5625949b24b519a08e59b29c38771b8f4206a6823fe266daefa99bdb68793d",
+         "383ebb8084ec10031c3e7be8c6341ad154f13cc766f9983c4a36b16fdce19592"),
+        ((2, 4, 3), 2739,
+         "bf9da1502324089f5db6b6fae2f308c9197d5b2e0715fbdcf25a36f775a71f5e",
+         "bd7111cfdee509eabc3245b617c8ee48ae5c85c79ac37844bae5ebf4052bf7c5"),
+        ((3, 2, 3), 2103,
+         "92186625b99a292f3bdc36106349a9c69b8e32eb0865ae212a04ffd6bef4fdd4",
+         "d4ed565a5a4218f1cfc24f6a1cdb64d82d27d855c677dd6ef3a5e9f73908172e"),
+        (0, 185,
+         "0403f7ca7ad10403d02e36db04b1cb95e1151e96c9acbd49e05b83935e68dfd2",
+         "d497b851cd86ee7f93a02b46bdde76ba3f1fbf49ff8142f9f8f69a13c2abc38e"),
+        (1, 140,
+         "5c8bd13ba42a807e1494942e23187a9d34617fe0be4106a52e65fc0e2f583dce",
+         "643e2c198ba2db46c2fa6de5b397f2bd9846ca4453680dbc6411e683696e4ccb"),
+        (2, 187,
+         "97fe818a6522049b3314bd129ec93c1a24be5043f3f719c7fb69d795c89a1b16",
+         "fb456b32886ec8657b03891ae21a31e3b2cd2e65913add2e11182d6e48b4a0ff"),
+        ("skipping", 16,
+         "de7a2bbf6929c6dc1c93774e985e1eeb1c995733f396bc05bc44d2a654e83149",
+         "6ae9626a8b229e9948e248ec66903e14a5c3ab2c5db10b9003ee25b746a5026f"),
+        ("witness", 18,
+         "1090691457e3bbe3a6c4f6ebbde20e3fd63d23227f88757429a72d6862b26954",
+         "c00c0b3296ed10f5876e668752316ebb15916d9850c9c7a85032c55b42dba973"),
+    ], ids=["1-3-1", "1-8-4", "2-4-3", "3-2-3", "two-strands", "vertical",
+            "two-labels", "skipping", "witness"])
+    def test_edges_pinned(self, build, count, digest, reads):
+        edges = self._graph(build).edges
+        assert len(edges) == count
+        listed = tuple(edges)
+        assert hashlib.sha256(repr(listed).encode()).hexdigest() == digest
+        spots = (edges[0], edges[-1], edges[-count], edges[3:-2:5],
+                 edges[::-7])
+        assert hashlib.sha256(repr(spots).encode()).hexdigest() == reads
+        assert edges == listed and listed == edges
+        assert edges != listed[:-1] and list(edges) == list(listed)
+        assert all(isinstance(e, complex_graph.Edge) for e in listed)
+        with pytest.raises(IndexError):
+            edges[count]
+
+    def test_depth_zero_has_no_edges(self):
+        edges = build_complex(standard_configuration(1), 3, 0).edges
+        assert edges == () and len(edges) == 0
+        assert edges[:] == () and tuple(edges) == ()
+        with pytest.raises(IndexError):
+            edges[-1]
+
+
 class TestWitnesses:
     @pytest.mark.parametrize("l0", [0, 1, 2, -3])
     def test_full_range_found(self, l0):

@@ -88,7 +88,10 @@ def test_build_is_the_lattice_walk(num_charts, twist_bound, depth):
                           depth)
     keys, rows = lattice_walk(num_charts, twist_bound, depth)
     assert sorted(graph.vertices) == keys
-    assert graph._numbered()[1] == rows
+    exported = graph.to_json_obj()
+    assert [v["key"] for v in exported["vertices"]] == keys
+    assert [(e["src"], e["dst"], e["kind"], e["chart"], e["n"])
+            for e in exported["edges"]] == rows
 
 
 def test_model_imports_nothing_from_surface():
