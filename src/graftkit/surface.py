@@ -16,13 +16,17 @@ is a finite set of components, each carrying
 A multicurve is a tuple of components. Component fixes this spelling when
 it is built (a zero label count is kept; a label or chart named twice,
 or by anything but a string, is a ValueError), so canonicalize only
-orients and merges; it rejects a chart the model lacks. A Structure is
-its model and the canonical form of its real multicurve, which by
-Goldman's theorem determines it, and keeps nothing else but its key once
-computed. Structure identity is the canonical key of the real
-multicurve, the rendering of its identity: the sorted content totals
-together with per-chart homology totals of sign-normalized components.
-Operations reduce to chart torus arithmetic.
+orients and merges; it rejects a chart the model lacks. A copy of a
+component already in this spelling (a negation, a merge, a doubling, a
+halving, a meridian twist) is built without checking it again. A
+Structure is its model and the canonical form of its real multicurve,
+which by Goldman's theorem determines it, and keeps nothing else but its
+key once computed. canonicalize is the one normal form: each component
+in its canonical orientation, equal ones merged, in _order. Structure
+identity is the canonical key of the real multicurve, the rendering of
+its identity: the sorted content totals together with per-chart homology
+totals of sign-normalized components. Operations reduce to chart torus
+arithmetic.
 
 There is one graft, graft_along. is_admissible decides its route from
 the structure's canonical components. For a curve that crosses the real
@@ -32,15 +36,19 @@ _graft_totals give the destination's, which is how a search tells
 without building it whether a graft lands on a structure it has seen.
 _decide_family gives a search the same for a chart's whole twist
 family at once, and leaves to is_admissible what it does not cover.
-The graft only assembles the destination from the decision. A decision
-reads the curve's classes by chart position and doubled class as kept
-on a copy _prepare made for the structure's chart order, and works them
-out for any other curve; a curve that names a chart the model lacks is
-an UnknownChart either way.
+The graft only assembles the destination from the decision, and splices
+it into the source's canonical curves instead of canonicalizing them
+again: the doubled curve, or the fused component in place of the
+crossed ones, goes in oriented at its place in _order, merged with an
+equal component if there is one. A decision reads the curve's classes
+by chart position and doubled class as kept on a copy _prepare made for
+the structure's chart order, and works them out for any other curve; a
+curve that names a chart the model lacks is an UnknownChart either way.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
@@ -157,6 +165,22 @@ class Component:
         return ZERO
 
 
+_new = object.__new__
+
+
+def _normal_component(content: tuple, charts: tuple,
+                      multiplicity: int) -> Component:
+    """A Component of fields already in Component's normal form, as
+    copied from a normal one, built without checking them. It carries no
+    _prepared data."""
+    comp = _new(Component)
+    fields = comp.__dict__
+    fields["content"] = content
+    fields["charts"] = charts
+    fields["multiplicity"] = multiplicity
+    return comp
+
+
 def component(label: str, charts: Mapping[str, Sequence[int]],
               multiplicity: int = 1) -> Component:
     """Build a simple (single-label) component from plain chart pairs."""
@@ -197,34 +221,58 @@ def _normalized(comp: Component, model: SurfaceModel) -> Component:
     if _orientation(comp, model) > 0:
         return comp
     charts = tuple([(name, -cls) for name, cls in comp.charts])
-    return Component(comp.content, charts, comp.multiplicity)
+    return _normal_component(comp.content, charts, comp.multiplicity)
+
+
+def _order(comp: Component) -> tuple:
+    """A canonical component's place in the canonical tuple: equal ones
+    share it, and the tuple is sorted by it."""
+    return comp.content, comp.charts
 
 
 def canonicalize(curve: Iterable[Component],
                  model: SurfaceModel) -> Tuple[Component, ...]:
     """Sorted normal form: each component in its canonical orientation,
-    equal ones merged by adding multiplicities. Components already
-    oriented and met once are kept as they are; spelling is Component's.
-    A chart the model lacks raises UnknownChart."""
-    merged: Dict[tuple, Component] = {}  # by (content, charts)
+    equal ones merged by adding multiplicities, in _order. Components
+    already oriented and met once are kept as they are; spelling is
+    Component's. A chart the model lacks raises UnknownChart."""
+    merged: Dict[tuple, Component] = {}
     index = model.chart_index
     for c in curve:
         for name, _ in c.charts:
             if name not in index:
                 model.require_chart(name)
         c = _normalized(c, model)
-        key = (c.content, c.charts)
+        key = _order(c)
         if key in merged:
-            c = Component(*key, merged[key].multiplicity + c.multiplicity)
+            c = _normal_component(*key, merged[key].multiplicity
+                                  + c.multiplicity)
         merged[key] = c
     return tuple([merged[key] for key in sorted(merged)])
+
+
+def _spliced_in(curves: Sequence[Component], comp: Component,
+                model: SurfaceModel) -> Tuple[Component, ...]:
+    """canonicalize(curves + [comp]) for canonical curves, by splicing:
+    the component in its canonical orientation at its place in _order,
+    merged with an equal one if the curves hold it."""
+    comp = _normalized(comp, model)
+    key = _order(comp)
+    at = bisect_left(curves, key, key=_order)
+    if at < len(curves) and _order(curves[at]) == key:
+        comp = _normal_component(*key, curves[at].multiplicity
+                                 + comp.multiplicity)
+        return (*curves[:at], comp, *curves[at + 1:])
+    return (*curves[:at], comp, *curves[at:])
 
 
 @dataclass(frozen=True, slots=True)
 class Structure:
     """A projective structure with the fixed holonomy: identified by the
-    canonical form of its real multicurve, which is what it keeps. The
-    key is kept once computed or given."""
+    canonical form of its real multicurve, which is what it keeps. Built
+    from any components, it canonicalizes them; a graft splices into its
+    source's canonical curves and builds its destination from the result
+    as it stands. The key is kept once computed or given."""
 
     model: SurfaceModel
     real_curves: Tuple[Component, ...]
@@ -256,6 +304,22 @@ class Structure:
     def _keep(self, key: str) -> None:
         """Keep a key rendered from an identity worked out by arithmetic."""
         object.__setattr__(self, "_key", key)
+
+
+_set_model = Structure.model.__set__  # the slots' own setters
+_set_curves = Structure.real_curves.__set__
+_set_key = Structure._key.__set__
+
+
+def _canonical_structure(model: SurfaceModel,
+                         curves: Tuple[Component, ...]) -> Structure:
+    """A Structure of curves already as canonicalize gives them, built
+    without canonicalizing them again."""
+    struct = _new(Structure)
+    _set_model(struct, model)
+    _set_curves(struct, curves)
+    _set_key(struct, None)
+    return struct
 
 
 def structure(model: SurfaceModel,
@@ -649,8 +713,10 @@ def _twist_component(comp: Component, chart: str, n: int) -> Component:
     cls = charts.get(chart)
     if cls is None:
         return comp
+    # nonzero, as cls is: the twist keeps p, and q where p is 0
     charts[chart] = dehn_twist(cls, MERIDIAN, n)
-    return Component(comp.content, tuple(charts.items()), comp.multiplicity)
+    return _normal_component(comp.content, tuple(charts.items()),
+                             comp.multiplicity)
 
 
 def twist_about_meridian(obj, chart: str, n: int):
@@ -721,14 +787,17 @@ def graft_along(struct: Structure, gamma: Component) -> Structure:
 
 
 def _graft(adm: Admissibility) -> Structure:
-    """The structure an admitted decision describes."""
+    """The structure an admitted decision describes, spliced into the
+    source's canonical curves (see _spliced_in): two leaves of the curve,
+    or the fused component in place of the crossed ones."""
     model = adm.source.model
     comps = adm.source.real_curves
     curve = adm.curve
     twice = 2 * curve.multiplicity
     if adm.route == "disjoint":
-        doubled = Component(curve.content, curve.charts, twice)
-        return structure(model, comps + (doubled,))
+        doubled = _normal_component(curve.content, curve.charts, twice)
+        return _canonical_structure(model, _spliced_in(comps, doubled,
+                                                       model))
     content: Counter = Counter()
     for comp in adm.crossed:
         for lab, n in comp.content:
@@ -736,8 +805,9 @@ def _graft(adm: Admissibility) -> Structure:
     content.update({lab: twice * n for lab, n in curve.content})
     fused = Component(tuple(content.items()),
                       tuple([*zip(model.charts, adm.fused)]))
-    rest = [comp for comp in comps if comp not in adm.crossed]
-    return structure(model, rest + [fused])
+    crossed = set(map(id, adm.crossed))
+    rest = tuple([comp for comp in comps if id(comp) not in crossed])
+    return _canonical_structure(model, _spliced_in(rest, fused, model))
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +828,8 @@ def goldman_decompose(curve: Iterable[Component]) -> Tuple[Component, ...]:
             label = "+".join(f"{lab}x{n}" if n > 1 else lab
                              for lab, n in comp.content)
             raise OddMultiplicity(label)
-        halved.append(Component(comp.content, comp.charts,
-                                comp.multiplicity // 2))
+        halved.append(_normal_component(comp.content, comp.charts,
+                                        comp.multiplicity // 2))
     return tuple(halved)
 
 

@@ -33,7 +33,8 @@ class TorusClass(NamedTuple):
     q: int
 
     def __neg__(self) -> "TorusClass":
-        return TorusClass(-self.p, -self.q)
+        p, q = self
+        return _new(TorusClass, (-p, -q))
 
     def __str__(self) -> str:
         return f"{self.p},{self.q}"
@@ -48,6 +49,9 @@ class Mode(enum.Enum):
 
 
 _SHARP = Mode.SHARP  # a module global reads faster than an Enum member
+# builds a TorusClass in half the time of its generated Python __new__;
+# for results, whose entries are already two integers
+_new = tuple.__new__
 
 
 class TorusMulticurve(NamedTuple):
@@ -101,7 +105,7 @@ def dehn_twist(target: Pair, twister: Pair, k: int = 1) -> TorusClass:
     if r == s == 0:
         raise ZeroTwister("cannot twist about the zero class")
     c = k * algebraic_intersection(target, twister)
-    return TorusClass(p + c * r, q + c * s)
+    return _new(TorusClass, (p + c * r, q + c * s))
 
 
 def resolve(first: Pair, second: Pair, mode: Mode) -> TorusClass:
@@ -123,8 +127,8 @@ def resolve(first: Pair, second: Pair, mode: Mode) -> TorusClass:
     else:
         take_sum = d < 0
     if take_sum:
-        return TorusClass(p + r, q + s)
-    return TorusClass(p - r, q - s)
+        return _new(TorusClass, (p + r, q + s))
+    return _new(TorusClass, (p - r, q - s))
 
 
 def normalize(raw: Pair) -> TorusMulticurve:

@@ -122,3 +122,23 @@ def test_four_dataclasses_and_no_logging_import():
                 assert "logging" not in names, path.name
     assert decorated == {"SurfaceModel", "Component", "Structure",
                          "ComplexGraph"}
+
+
+def test_unchecked_constructors_stay_in_surface():
+    """surface builds a Component copied from a normal one, and a
+    Structure of curves already canonical, without checking them again.
+    Only surface, which knows when that holds, names those builders, and
+    it calls both."""
+    unchecked = {"_normal_component", "_canonical_structure"}
+    named, called = {}, set()
+    for path in Path(graftkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            for name in unchecked.intersection(names):
+                named.setdefault(name, set()).add(path.name)
+            if isinstance(node, ast.Call) and path.name == "surface.py":
+                called.add(getattr(node.func, "id", None))
+    assert named == {name: {"surface.py"} for name in unchecked}
+    assert unchecked <= called

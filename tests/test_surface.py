@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -703,6 +704,185 @@ class TestOneDecision:
             grafted = graft_along(before, gamma).real_curves
             assert graft_along(after, gamma).key() == \
                 structure(KEY_MODEL, grafted + (extra,)).key()
+
+
+def _assembled(adm):
+    """What an admitted decision's destination is made of, left for
+    canonicalize to orient, order and merge: the source's curves and two
+    leaves of the curve, or the source's curves less the crossed ones
+    and the fused component."""
+    source, curve = adm.source, adm.curve
+    twice = 2 * curve.multiplicity
+    if adm.route == "disjoint":
+        return source.real_curves + (
+            Component(curve.content, curve.charts, twice),)
+    content = Counter()
+    for comp in adm.crossed:
+        for lab, n in comp.content:
+            content[lab] += n * comp.multiplicity
+    content.update({lab: twice * n for lab, n in curve.content})
+    fused = Component(tuple(content.items()),
+                      tuple(zip(source.model.charts, adm.fused)))
+    return [comp for comp in source.real_curves
+            if comp not in adm.crossed] + [fused]
+
+
+def assert_normal(comp):
+    """The component is spelled as Component spells it: built again from
+    its fields, it keeps them as they are."""
+    fresh = Component(comp.content, comp.charts, comp.multiplicity)
+    assert fresh == comp
+    assert fresh.content is comp.content and fresh.charts is comp.charts
+    assert all(type(cls) is TorusClass for _, cls in comp.charts)
+
+
+primitive_classes = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(
+    lambda c: c != (0, 0) and gcd(*c) == 1)
+
+
+@st.composite
+def drawn_structures(draw):
+    """A structure over 1-3 charts, drawn as test_complex's
+    TestFamilyPass draws its seeds: any multiplicity, one chart a
+    component or up to three components that may span several charts."""
+    model = standard_configuration(draw(st.integers(1, 3))).model
+    charts = st.lists(st.sampled_from(model.charts), min_size=1,
+                      unique=True)
+    if draw(st.booleans()):
+        spans = [[chart] for chart in draw(charts)]
+    else:
+        spans = draw(st.lists(charts, min_size=1, max_size=3))
+    return structure(model, [
+        component(f"w{i}", {chart: draw(primitive_classes)
+                            for chart in span}, draw(st.integers(1, 8)))
+        for i, span in enumerate(spans)])
+
+
+@st.composite
+def drawn_curves(draw, struct):
+    """A curve on the structure: mostly single strands, or a component
+    of the structure in either orientation, which a disjoint graft merges
+    with it."""
+    comps = struct.real_curves
+    if comps and draw(st.booleans()):
+        comp = draw(st.sampled_from(comps))
+        charts = comp.charts
+        if draw(st.booleans()):
+            charts = tuple((name, -cls) for name, cls in charts)
+        return Component(comp.content, charts, draw(st.integers(1, 3)))
+    classes = st.builds(TorusClass, st.integers(-2, 2), st.integers(-3, 3))
+    return component(draw(st.sampled_from(("g", "w0"))),
+                     draw(st.dictionaries(st.sampled_from(struct.model.charts),
+                                          classes, min_size=1)),
+                     draw(st.integers(1, 3)))
+
+
+class TestSplice:
+    """A graft splices its new component into the source's canonical
+    curves. That gives what canonicalize gives the same components: the
+    same curves, equality, hash and repr."""
+
+    def assert_assembly(self, struct, curve):
+        got = graft_along(struct, curve)
+        want = structure(struct.model, _assembled(
+            is_admissible(curve, struct)))
+        assert got.real_curves == want.real_curves
+        assert got == want and hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        for comp in got.real_curves:
+            assert_normal(comp)
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_graft_is_the_canonical_assembly(self, data):
+        # grafts in a row, so a spliced structure is a source too
+        current = data.draw(drawn_structures())
+        for _ in range(data.draw(st.integers(1, 3))):
+            curve = data.draw(drawn_curves(current))
+            if is_admissible(curve, current):
+                current = self.assert_assembly(current, curve)
+
+    def test_disjoint_graft_merges_with_an_equal_component(self):
+        model, lam, gam = standard_pair()
+        base = structure(model, [lam, component("gamma", {"a": (1, 0)}, 2)])
+        out = self.assert_assembly(base, gam)
+        assert out.real_curves == (component("gamma", {"a": (1, 0)}, 4),
+                                   lam)
+
+    def test_curve_flips_to_its_canonical_orientation(self):
+        model = SurfaceModel(2, "rho", ("a", "b"))
+        lam = component("lambda", {"a": (2, 0), "b": (2, 0)})
+        curve = component("g", {"a": (-1, 0), "b": (-1, 0)})
+        out = self.assert_assembly(structure(model, [lam]), curve)
+        assert out.real_curves == (
+            component("g", {"a": (1, 0), "b": (1, 0)}, 2), lam)
+
+    def test_fused_component_merges_with_a_remaining_one(self):
+        # the crossed totals cancel in chart a, so the fused class there
+        # is the doubled curve, parallel to it: the equal component that
+        # holds it is not crossed and stays
+        model = SurfaceModel(2, "rho", ("b", "a"))
+        fused = Component((("g", 2), ("x", 1), ("y", 1)),
+                          (("a", TorusClass(2, 2)), ("b", TorusClass(1, 0))))
+        base = structure(model, [
+            component("x", {"a": (1, 0)}),
+            component("y", {"a": (-1, 0), "b": (1, 0)}), fused])
+        curve = component("g", {"a": (1, 1)})
+        assert is_admissible(curve, base).route == "spiraling"
+        out = self.assert_assembly(base, curve)
+        assert out.real_curves == (Component(fused.content, fused.charts,
+                                             2),)
+
+
+class TestCopies:
+    """A component copied from a normal one is built unchecked: it must
+    be normal already, and it carries nothing of what it was copied
+    from but its fields."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_components, st.integers(-3, 3))
+    def test_copies_revalidate_to_their_fields(self, comp, n):
+        model = KEY_MODEL
+        copies = [surface._normalized(comp, model),
+                  *canonicalize([comp, _flipped(comp)], model),
+                  *goldman_decompose([Component(comp.content, comp.charts,
+                                                2 * comp.multiplicity)])]
+        copies += [twist_about_meridian(comp, chart, n)
+                   for chart in model.charts]
+        once = graft_along(structure(model, []), comp)
+        copies += [*once.real_curves,
+                   *graft_along(once, comp).real_curves]
+        for copy in copies:
+            assert_normal(copy)
+
+    def test_copies_of_a_prepared_curve_carry_nothing(self):
+        model = SurfaceModel(2, "rho", ("a", "b"))
+        lam = structure(model, [
+            component("lambda", {"a": (2, 0), "b": (2, 0)})])
+        for charts in ({"a": (1, 0), "b": (1, 2)},
+                       {"a": (-1, 0), "b": (-1, 2)}):
+            prepared = surface._prepare(component("g", charts, 2), model)
+            assert prepared._prepared is not None
+            doubled, = graft_along(structure(model, []),
+                                   prepared).real_curves
+            copies = [doubled, twist_about_meridian(prepared, "b", 1),
+                      *goldman_decompose([prepared])]
+            if charts["a"] < (0, 0):  # reversed, so a copy
+                copies.append(surface._normalized(prepared, model))
+            for copy in copies:
+                assert copy is not prepared
+                assert copy._prepared is None
+                assert "_prepared" not in vars(copy)
+            # the doubled leaves are decided as themselves, not as the
+            # single leaf whose doubled classes the prepared curve keeps
+            fresh = Component(doubled.content, doubled.charts,
+                              doubled.multiplicity)
+            got, want = (is_admissible(curve, lam)
+                         for curve in (doubled, fresh))
+            assert got.route == want.route == "spiraling"
+            assert got.fused == want.fused != \
+                is_admissible(prepared, lam).fused
 
 
 class TestGoldman:

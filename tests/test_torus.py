@@ -148,6 +148,29 @@ class TestResolve:
         assert resolve(b, leaves, Mode.FLAT) == dehn_twist(b, a, -1)
 
 
+class TestResults:
+    """resolve, dehn_twist and negation build their TorusClass directly;
+    what they return is the class its entries name."""
+
+    @staticmethod
+    def assert_class(got):
+        assert type(got) is TorusClass
+        assert repr(got) == repr(TorusClass(*got))
+        assert (got.p, got.q) == tuple(got)
+
+    @given(classes, nonzero_classes, powers)
+    def test_results_are_classes(self, b, a, k):
+        for got in (resolve(a, b, Mode.SHARP), resolve(a, b, Mode.FLAT),
+                    dehn_twist(b, a, k), -a):
+            self.assert_class(got)
+        assert -a == (-a.p, -a.q)
+
+    def test_from_lists(self):
+        for got in (resolve([0, 2], [2, -2], Mode.FLAT),
+                    dehn_twist([1, 0], [0, 1], 2)):
+            self.assert_class(got)
+
+
 class TestNormalize:
     def test_extracts_multiplicity(self):
         m = normalize((4, -6))
