@@ -12,17 +12,23 @@ surface._prepare), at depth 0 only the untwisted one, and groups them by
 chart into twist families, the untwisted curve leading the first
 chart's. It decides each graft once per expanded structure, a family in
 one pass (surface._decide_family, which hands is_admissible only the
-curves its shared decision does not cover). Every generator is a
-meridian twist of the grafting curve and shares its content, so the
-grafted content is worked out once per expanded structure. Only _expand
-identifies a move's destination, by arithmetic (the decided chart
-totals with that content, or a meridian twist's), and the search looks
-it up. A new identity's key is that identity rendered, and the vertex
-map records the move that first reached it with the generator's curve;
-its structure is built once, from one decision, when the BFS expands it
-or a caller reads it, so an edge to a vertex already seen builds
-nothing, not even a decision, the last level's structures are built
-only on request, and no key is worked out from curves but the seed's.
+curves its shared decision does not cover). What that pass works out per
+curve in the family's own chart depends only on the real classes there
+and their crossed total, so the build keeps one dict of such columns per
+family and works each column out once. Every generator is a meridian
+twist of the grafting curve and shares its content, so the grafted
+content is worked out once per expanded structure. Only _expand
+identifies a move's destination, by arithmetic: its chart totals, with
+the grafted content for a graft and the source's for a meridian twist.
+Each move names its generator by index, and the search keeps vertex ids
+per content and then per totals, so it looks up one table per structure
+and content and each move by its totals alone. A new identity's key is
+that identity rendered, and the vertex map records the move that first
+reached it with the generator's curve; its structure is built once, from
+one decision, when the BFS expands it or a caller reads it, so an edge
+to a vertex already seen builds nothing, not even a decision, the last
+level's structures are built only on request, and no key is worked out
+from curves but the seed's.
 The frontier carries each vertex's key and the identity it was looked
 up by, so no identity is derived from curves but the seed's either; the
 structures themselves keep only their curves and keys. Each edge is an
@@ -259,16 +265,19 @@ def standard_configuration(num_charts: int = 1) -> Configuration:
 
 
 def _grafts(config: Configuration, twist_bound: int
-            ) -> List[Tuple[str, list, list]]:
-    """The graft generators by twist family, as (chart, generators,
-    curves), the curves built and prepared for the model (see
-    surface._prepare) once per build: per chart the grafting curve's
-    meridian twists up to the twist bound, the first chart's led by the
-    untwisted curve, its zero twist. A chart with no generators is left
-    out. config.gamma is left as it is."""
+            ) -> List[Tuple[str, range, list, list]]:
+    """The graft generators by twist family, as (chart, generator
+    indices, generators, curves), the curves built and prepared for the
+    model (see surface._prepare) once per build: per chart the grafting
+    curve's meridian twists up to the twist bound, the first chart's led
+    by the untwisted curve, its zero twist. A chart with no generators is
+    left out. The indices number the generators in this order after the
+    two elementary moves per chart, as build_complex's generator table
+    lists them. config.gamma is left as it is."""
     model, gamma = config.model, config.gamma
     twists = [n for n in range(-twist_bound, twist_bound + 1) if n]
     out = []
+    start = 2 * len(model.charts)
     for chart in model.charts:
         descs = [("graft", chart, n) for n in twists]
         curves = [_prepare(twist_about_meridian(gamma, chart, n), model)
@@ -277,45 +286,51 @@ def _grafts(config: Configuration, twist_bound: int
             descs.insert(0, ("graft", "", 0))
             curves.insert(0, _prepare(gamma, model))
         if curves:
-            out.append((chart, descs, curves))
+            out.append((chart, range(start, start + len(curves)), descs,
+                        curves))
+            start += len(curves)
     return out
 
 
 def _expand(config: Configuration, struct: Structure, identity: tuple,
-            grafts: Sequence[Tuple[str, list, list]]) -> list:
-    """Every move from one structure of the given identity, as (move, the
-    destination's identity, the grafted curve or None for an elementary
-    move): the elementary moves, then the grafts in the order of
-    _grafts, each twist family decided in one pass
-    (surface._decide_family). Inadmissible grafts are skipped (logged at
-    debug level)."""
+            grafts: Sequence[Tuple[str, range, list, list]],
+            columns: Sequence[dict]) -> tuple:
+    """Every move from one structure of the given identity, by generator
+    index g (see _grafts): the elementary moves as (g, the destination's
+    totals), which keep the content; the content every graft gives; and
+    the grafts as (g, the destination's totals, the grafted curve), in
+    the order of _grafts. Each twist family is decided in one pass
+    (surface._decide_family) with its dict of columns, which a build
+    keeps per family for all its structures. Inadmissible grafts are
+    skipped (logged at debug level)."""
     content, totals = identity
-    grafted = _graft_content(content, config.gamma)
     # the meridian's crossings with the real curves, per chart
     index = config.model.chart_index
     hits = [0] * len(totals)
     for comp in struct.real_curves:
         for name, (p, _) in comp.charts:
             hits[index[name]] += abs(p) * comp.multiplicity
-    out = []
-    for i, chart in enumerate(config.model.charts):
+    elementary = []
+    for i, hit in enumerate(hits):
         # An elementary move needs the meridian to cross the real curves
         # exactly twice in its chart. The twist maps the chart's total
-        # (P, Q) to (P, Q + nP) and keeps every orientation.
-        if hits[i] == 2:
+        # (P, Q) to (P, Q + nP) and keeps every orientation; its
+        # generators are 2i (n = 1) and 2i + 1 (n = -1).
+        if hit == 2:
             p, q = totals[i]
-            for n in (1, -1):
-                twisted = totals[:i] + ((p, q + n * p),) + totals[i + 1:]
-                out.append((("elementary", chart, n), (content, twisted),
-                            None))
-    for chart, descs, curves in grafts:
-        for desc, gamma, dst in zip(descs, curves, _decide_family(
-                struct, totals, chart, curves)):
+            before, after = totals[:i], totals[i + 1:]
+            elementary.append((2 * i, before + ((p, q + p),) + after))
+            elementary.append((2 * i + 1, before + ((p, q - p),) + after))
+    moves = []
+    for (chart, gens, descs, curves), memo in zip(grafts, columns,
+                                                  strict=True):
+        for g, desc, gamma, dst in zip(gens, descs, curves, _decide_family(
+                struct, totals, chart, curves, memo)):
             if type(dst) is tuple:
-                out.append((desc, (grafted, dst), gamma))
+                moves.append((g, dst, gamma))
             elif (log := _debug_log()) is not None:
                 log.debug("skipping %s at %s: %s", desc, struct.key(), dst)
-    return out
+    return elementary, _graft_content(content, config.gamma), moves
 
 
 def _destination(struct: Structure, desc: Tuple[str, str, int],
@@ -422,15 +437,17 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
     elif seed.model != config.model:
         raise BadConfiguration("the seed structure is on another surface "
                                "model than the configuration")
+    model = config.model
     grafts = _grafts(config, twist_bound if depth else 0)
-    generators = [("elementary", chart, n) for chart in config.model.charts
+    generators = [("elementary", chart, n) for chart in model.charts
                   for n in (1, -1)]
-    generators += [desc for _, descs, _ in grafts for desc in descs]
-    index = {desc: g for g, desc in enumerate(generators)}
+    generators += [desc for _, _, descs, _ in grafts for desc in descs]
+    columns = [{} for _ in grafts]  # per family, for this build only
     seed_key, seed_identity = seed.key(), seed.identity()
     entries = {seed_key: seed}
     vertices = _Vertices(entries)
-    ids = {seed_identity: 0}  # identity -> vertex id, in discovery order
+    # content -> {totals -> vertex id}, ids in discovery order
+    ids = {seed_identity[0]: {seed_identity[1]: 0}}
     rows = []
     seen_elementary = set()
     # (key, id, identity) per vertex to expand
@@ -442,21 +459,38 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
         next_frontier = []
         for src_key, src, src_identity in frontier:
             struct = vertices[src_key]
-            for desc, identity, curve in _expand(config, struct, src_identity,
-                                                 grafts):
-                dst = ids.get(identity)
-                if dst is None:
-                    dst = ids[identity] = len(ids)
-                    dst_key = _render(identity, struct.model)
-                    entries[dst_key] = (struct, desc, curve)
+            elementary, grafted, moves = _expand(
+                config, struct, src_identity, grafts, columns)
+            content = src_identity[0]
+            table = ids[content]
+            for g, totals in elementary:
+                dst = table.get(totals)
+                if dst is None:  # a new vertex, reached first by this move
+                    dst = table[totals] = len(entries)
+                    identity = (content, totals)
+                    dst_key = _render(identity, model)
+                    entries[dst_key] = (struct, generators[g], None)
                     if level < depth - 1:  # the last level stays unexpanded
                         next_frontier.append((dst_key, dst, identity))
-                if curve is None:  # an elementary move
-                    pair = (min(src, dst), max(src, dst), desc[1])
-                    if pair in seen_elementary:
-                        continue
-                    seen_elementary.add(pair)
-                rows.append((src, dst, index[desc]))
+                # a move and its inverse share the chart position g >> 1
+                pair = (min(src, dst), max(src, dst), g >> 1)
+                if pair in seen_elementary:
+                    continue
+                seen_elementary.add(pair)
+                rows.append((src, dst, g))
+            table = ids.get(grafted)
+            if table is None:
+                table = ids[grafted] = {}
+            for g, totals, curve in moves:
+                dst = table.get(totals)
+                if dst is None:  # a new vertex, reached first by this move
+                    dst = table[totals] = len(entries)
+                    identity = (grafted, totals)
+                    dst_key = _render(identity, model)
+                    entries[dst_key] = (struct, generators[g], curve)
+                    if level < depth - 1:  # the last level stays unexpanded
+                        next_frontier.append((dst_key, dst, identity))
+                rows.append((src, dst, g))
         frontier = next_frontier
     return ComplexGraph(vertices, _Edges(rows, generators, vertices),
                         twist_bound, depth, seed_key)

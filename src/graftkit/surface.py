@@ -35,7 +35,9 @@ fused class. From it and the structure's identity, _graft_content and
 _graft_totals give the destination's, which is how a search tells
 without building it whether a graft lands on a structure it has seen.
 _decide_family gives a search the same for a chart's whole twist
-family at once, and leaves to is_admissible what it does not cover.
+family at once, and leaves to is_admissible what it does not cover. It
+keeps the family's column in its own chart in a dict the caller passes,
+under the real classes there and their crossed total.
 The graft only assembles the destination from the decision, and splices
 it into the source's canonical curves instead of canonicalizing them
 again: the doubled curve, or the fused component in place of the
@@ -627,19 +629,24 @@ def _handed_on(gamma: Component, struct: Structure,
 
 
 def _decide_family(struct: Structure, base: Sequence[Tuple[int, int]],
-                   chart: str, curves: Sequence[Component]) -> list:
+                   chart: str, curves: Sequence[Component],
+                   columns: Dict[tuple, list]) -> list:
     """Decide grafting each curve of a twist family onto the structure
     with the given chart totals, as _handed_on would, in one pass.
 
     The curves are one curve and its meridian twists about the chart:
     they differ in that chart's class alone. The crossed components (all
     in the chart and those crossed elsewhere), their totals and the other
-    charts' fused classes are worked out once; each curve then gets one
-    crossing test per component in the chart, and its spiral sign and
-    fused class there. is_admissible decides what that does not cover,
-    so every refusal is its: a component parallel to the curve in the
-    chart, nothing crossed, not a single strand in the chart, or a
-    refusing chart.
+    charts' fused classes are worked out once. What is left per curve
+    reads only the components' classes in the chart and their crossed
+    total there: a parallel test against each, and the spiral sign and
+    fused class. That column of fused classes, None for a curve handed
+    on, is kept in columns under those classes and that total, so a
+    caller that hands one dict per family to every structure of a build
+    works each column out once. is_admissible decides what the pass does
+    not cover, so every refusal is its: a component parallel to the
+    curve in the chart, nothing crossed, not a single strand in the
+    chart, or a refusing chart.
     """
     model = struct.model
     index = model.chart_index
@@ -683,24 +690,31 @@ def _decide_family(struct: Structure, base: Sequence[Tuple[int, int]],
     if not crossed:
         return [_handed_on(curve, struct, base) for curve in curves]
     total = lam[at]
+    key = (tuple(in_chart), total)
+    column = columns.get(key)
+    if column is None:
+        column = columns[key] = []
+        for curve in curves:
+            given, doubled = _positions(curve, model)
+            gp, gq = given[at]
+            sign = 1
+            for p, q in in_chart:
+                if p * gq == q * gp:  # parallel: not crossed here
+                    sign = 0
+                    break
+            else:
+                if in_chart:
+                    sign = _spiral_sign(total, doubled[at])
+            column.append(None if sign == 0 else resolve(
+                total, doubled[at], _FLAT if sign < 0 else _SHARP))
     rest = [(p - lp, q - lq) for (p, q), (lp, lq) in zip(base, lam)]
     out = []
-    for curve in curves:
-        given, doubled = _positions(curve, model)
-        gp, gq = given[at]
-        sign = 1
-        for p, q in in_chart:
-            if p * gq == q * gp:  # parallel: not crossed here
-                sign = 0
-                break
-        else:
-            if in_chart:
-                sign = _spiral_sign(total, doubled[at])
-        if sign == 0:
+    for curve, cls in zip(curves, column):
+        if cls is None:
             out.append(_handed_on(curve, struct, base))
-            continue
-        fused[at] = resolve(total, doubled[at], _FLAT if sign < 0 else _SHARP)
-        out.append(_spliced(rest, fused))
+        else:
+            fused[at] = cls
+            out.append(_spliced(rest, fused))
     return out
 
 

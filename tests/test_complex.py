@@ -134,8 +134,26 @@ def _levels(graph):
 def _generators(grafts) -> list:
     """The (generator, curve) pairs of _grafts's families, in build
     order."""
-    return [pair for _, descs, curves in grafts
+    return [pair for _, _, descs, curves in grafts
             for pair in zip(descs, curves)]
+
+
+def _generator_table(config, grafts) -> list:
+    """build_complex's generator table: two elementary moves per chart,
+    then the generators of _grafts, each at the index its family gives
+    it."""
+    table = [("elementary", chart, n) for chart in config.model.charts
+             for n in (1, -1)]
+    table += [desc for desc, _ in _generators(grafts)]
+    assert [g for _, gens, _, _ in grafts for g in gens] == \
+        list(range(2 * len(config.model.charts), len(table)))
+    return table
+
+
+def _fresh(grafts) -> list:
+    """A new dict of columns per twist family, as one build keeps them
+    (see surface._decide_family)."""
+    return [{} for _ in grafts]
 
 
 def _record_renderings(monkeypatch) -> list:
@@ -173,11 +191,11 @@ class TestComputedOnce:
             (handed if inside else building).append((id(struct), id(gamma)))
             return decide(gamma, struct)
 
-        def deciding_family(struct, base, chart, curves):
+        def deciding_family(struct, base, chart, curves, columns):
             families.append((struct, chart, curves))
             inside.append(chart)
             try:
-                return decide_family(struct, base, chart, curves)
+                return decide_family(struct, base, chart, curves, columns)
             finally:
                 inside.pop()
 
@@ -319,10 +337,51 @@ class TestComputedOnce:
         assert len(calls) == 1
         calls.clear()
         build_complex(config, 4, 3)
-        # per twist family once for each other chart it crosses, per curve
-        # once for its own chart, and in each is_admissible call (a curve
-        # handed on, or a new vertex's build) once per crossing chart
-        assert len(calls) == 3165
+        # once per column worked out and curve not parallel to a real
+        # class in its chart: 34 columns per family (see
+        # test_one_column_per_family_and_key), 34 * (9 + 8) = 578 curves,
+        # 28 of them parallel, so 550; once per twist family pass for the
+        # other chart it crosses, 252; and in each is_admissible call (a
+        # curve handed on, or a new vertex's build) once per crossing
+        # chart, 323 over 259 calls
+        assert len(calls) == 550 + 252 + 323
+
+    @pytest.mark.parametrize("charts,bound,depth,counts", [
+        (1, 8, 4, (112, 112)), (2, 4, 3, (318, 68)), (3, 2, 3, (459, 66))])
+    def test_one_column_per_family_and_key(self, charts, bound, depth,
+                                           counts, monkeypatch):
+        # a family's column is worked out once per build and per key (the
+        # chart's real classes and their crossed total): a key too fine
+        # would miss more often, one too coarse, or columns kept past
+        # their build, less
+        kept = {}  # id of a build's dict -> (it, the counting stand-in)
+        decide_family = complex_graph._decide_family
+
+        class Counting(dict):
+            lookups = misses = 0
+
+            def get(self, key, default=None):
+                Counting.lookups += 1
+                return dict.get(self, key, default)
+
+            def __setitem__(self, key, value):
+                Counting.misses += 1
+                dict.__setitem__(self, key, value)
+
+        def deciding_family(struct, base, chart, curves, columns):
+            _, counting = kept.setdefault(id(columns), (columns, Counting()))
+            return decide_family(struct, base, chart, curves, counting)
+
+        monkeypatch.setattr(complex_graph, "_decide_family", deciding_family)
+        config = standard_configuration(charts)
+        data = build_complex(config, bound, depth).to_json_bytes()
+        for _ in range(2):
+            Counting.lookups = Counting.misses = 0
+            graph = build_complex(config, bound, depth)
+            assert (Counting.lookups, Counting.misses) == counts
+            assert graph.to_json_bytes() == data
+        # one dict per family and build
+        assert len(kept) == 3 * len(complex_graph._grafts(config, bound))
 
     def test_generators_prepared_once_per_build(self, monkeypatch):
         config = standard_configuration(2)
@@ -599,23 +658,28 @@ class TestFusedPass:
         graph = build_complex(config, bound, depth)
         grafts = complex_graph._grafts(config, bound)
         curves = dict(_generators(grafts))
+        table = _generator_table(config, grafts)
+        assert graph.edges._generators == table
         twists = 0
         for struct in graph.vertices.values():
-            moves = complex_graph._expand(config, struct, struct.identity(),
-                                          grafts)
+            content = struct.identity()[0]
+            elementary, grafted, moves = complex_graph._expand(
+                config, struct, struct.identity(), grafts, _fresh(grafts))
             # every graft is admitted at these sizes
             # (test_rejection_reasons covers rejections)
-            assert [desc for desc, _, curve in moves if curve] == \
-                list(curves)
-            for (kind, chart, n), identity, curve in moves:
-                if kind == "elementary":
-                    twists += 1
-                    assert curve is None
-                    built = surface.twist_about_meridian(struct, chart, n)
-                else:
-                    built = surface.graft_along(struct,
-                                                curves[kind, chart, n])
-                assert surface._render(identity, model) == built.key()
+            assert [table[g] for g, _, _ in moves] == list(curves)
+            for g, totals in elementary:
+                kind, chart, n = table[g]
+                assert kind == "elementary"
+                twists += 1
+                built = surface.twist_about_meridian(struct, chart, n)
+                assert surface._render((content, totals), model) == \
+                    built.key()
+            for g, totals, curve in moves:
+                assert curve is curves[table[g]]
+                built = surface.graft_along(struct, curve)
+                assert surface._render((grafted, totals), model) == \
+                    built.key()
         assert twists > 0
 
     # (real curves, grafting curve, reason); each reason is pinned as the
@@ -650,11 +714,15 @@ class TestFusedPass:
         model = config.model
         struct = surface.structure(model, [
             surface.component("x", {"a": (1, 0)}, multiplicity)])
-        moves = complex_graph._expand(config, struct, struct.identity(), [])
-        assert len(moves) == twists
-        for (kind, chart, n), identity, adm in moves:
-            assert kind == "elementary" and adm is None
-            assert surface._render(identity, model) == \
+        content = struct.identity()[0]
+        elementary, _, moves = complex_graph._expand(
+            config, struct, struct.identity(), [], [])
+        assert len(elementary) == twists and moves == []
+        table = _generator_table(config, [])
+        for g, totals in elementary:
+            kind, chart, n = table[g]
+            assert kind == "elementary"
+            assert surface._render((content, totals), model) == \
                 surface.twist_about_meridian(struct, chart, n).key()
 
     @staticmethod
@@ -710,19 +778,21 @@ class _Skips:
         self.skipped.append((desc, reason))
 
 
-def _family_moves(config, struct, grafts):
+def _family_moves(config, struct, grafts, columns=None):
     """_expand's graft moves from the structure, as (generator, the
-    destination's identity), and the generators it skips with reasons."""
+    destination's identity), and the generators it skips with reasons;
+    the families are decided with the given columns, else fresh ones."""
     log = _Skips()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(complex_graph, "_debug_log", lambda: log)
-        moves = complex_graph._expand(config, struct, struct.identity(),
-                                      grafts)
+        _, grafted, moves = complex_graph._expand(
+            config, struct, struct.identity(), grafts,
+            _fresh(grafts) if columns is None else columns)
+    table = _generator_table(config, grafts)
     curves = dict(_generators(grafts))
-    assert all(curve is curves[desc] for desc, _, curve in moves
-               if curve is not None)
-    return [(desc, identity) for desc, identity, curve in moves
-            if curve is not None], log.skipped
+    assert all(curve is curves[table[g]] for g, _, curve in moves)
+    return [(table[g], (grafted, totals)) for g, totals, _ in moves], \
+        log.skipped
 
 
 def _per_curve_moves(config, struct, grafts):
@@ -785,6 +855,16 @@ def _two_chart_seed():
         surface.component("w1", {"a": (3, 1), "b": (0, 1)})]), 2, 1
 
 
+def _one_leaf_seed():
+    """A seed whose graph has vertices with the same real classes in a
+    chart but other crossed totals there (in chart a two (1, 0)
+    components, at (3, 0) and at (5, 0)), so a column depends on the
+    total as well as the classes."""
+    config = standard_configuration(2)
+    return config, surface.structure(config.model, [
+        surface.component("w0", {"a": (1, 0)})]), 1, 2
+
+
 class TestFamilyPass:
     """_expand decides each chart's twist family in one pass
     (surface._decide_family). Its moves, in order, and its skips with
@@ -815,6 +895,24 @@ class TestFamilyPass:
         graph = build_complex(config, bound, depth, seed=seed)
         _check_family_agreement(config, graph, bound)
         _check_first_edges_replay(config, graph)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_seeded_builds())
+    @example(_two_chart_seed())
+    @example(_one_leaf_seed())
+    def test_columns_kept_for_a_build(self, build):
+        # one dict of columns per family, kept across every vertex of the
+        # build, decides as a fresh one per call and as each curve on its
+        # own
+        config, seed, bound, depth = build
+        graph = build_complex(config, bound, depth, seed=seed)
+        grafts = complex_graph._grafts(config, bound)
+        kept = _fresh(grafts)
+        for struct in graph.vertices.values():
+            decided = _family_moves(config, struct, grafts, kept)
+            assert decided == _family_moves(config, struct, grafts)
+            assert decided == _per_curve_moves(config, struct,
+                                               _generators(grafts))
 
 
 class TestPreparedCurves:
@@ -902,9 +1000,13 @@ class TestOrientationFree:
 
 def _destinations(config, struct, grafts):
     """Each move of struct with the structure it builds."""
-    return [(desc, complex_graph._destination(struct, desc, adm))
-            for desc, _, adm in complex_graph._expand(
-                config, struct, struct.identity(), grafts)]
+    elementary, _, grafts_moves = complex_graph._expand(
+        config, struct, struct.identity(), grafts, _fresh(grafts))
+    table = _generator_table(config, grafts)
+    moves = [(g, None) for g, _ in elementary]
+    moves += [(g, curve) for g, _, curve in grafts_moves]
+    return [(table[g], complex_graph._destination(struct, table[g], curve))
+            for g, curve in moves]
 
 
 def _moves(config, struct, grafts):
