@@ -28,16 +28,14 @@ its identity: the sorted content totals together with per-chart homology
 totals of sign-normalized components. Operations reduce to chart torus
 arithmetic.
 
-There is one graft, graft_along. is_admissible decides its route from
-the structure's canonical components. For a curve that crosses the real
-curves it fixes the crossed components and per chart their total and
-fused class. From it and the structure's identity, _graft_content and
-_graft_totals give the destination's, which is how a search tells
-without building it whether a graft lands on a structure it has seen.
-_decide_family gives a search the same for a chart's whole twist
-family at once, and leaves to is_admissible what it does not cover. It
-keeps the family's column in its own chart in a dict the caller passes,
-under the real classes there and their crossed total.
+There is one graft, graft_along, and one rule decides it: a crossing
+scan (_crossings) finds the real components the curve crosses and per
+chart their total, a smoothing rule (_fused) fuses each chart's total
+with the doubled curve or refuses, and a totals rule (_spliced) gives the
+destination's chart totals (_graft_content its content), so a search
+tells without building it whether a graft lands on a structure it has
+seen. is_admissible applies the rule to one curve, _decide_family to a
+chart's whole twist family at once.
 The graft only assembles the destination from the decision, and splices
 it into the source's canonical curves instead of canonicalizing them
 again: the doubled curve, or the fused component in place of the
@@ -329,15 +327,6 @@ def structure(model: SurfaceModel,
     return Structure(model, components)
 
 
-def _add_classes(totals: Sequence[list], charts: Iterable, weight: int,
-                 index: Mapping[str, int]) -> None:
-    """Add weight times each (chart, class) to the per-chart totals."""
-    for name, (p, q) in charts:
-        total = totals[index[name]]
-        total[0] += weight * p
-        total[1] += weight * q
-
-
 def _identity_of(curve: Iterable[Component],
                  model: SurfaceModel) -> tuple:
     """What classifies a multicurve: the content-label totals, sorted,
@@ -346,14 +335,18 @@ def _identity_of(curve: Iterable[Component],
     how parallel leaves are split across equal components cannot affect
     it, so the totals are summed straight from the components, canonical
     or not. Content labels whose total is zero are kept."""
+    index = model.chart_index
     totals = [[0, 0] for _ in model.charts]
     content: Dict[str, int] = {}
     for comp in curve:
         mult = comp.multiplicity
         for lab, n in comp.content:
             content[lab] = content.get(lab, 0) + n * mult
-        _add_classes(totals, comp.charts, mult * _orientation(comp, model),
-                     model.chart_index)
+        weight = mult * _orientation(comp, model)
+        for name, (p, q) in comp.charts:
+            total = totals[index[name]]
+            total[0] += weight * p
+            total[1] += weight * q
     return (tuple(sorted(content.items())),
             tuple([(p, q) for p, q in totals]))
 
@@ -455,11 +448,9 @@ class Admissibility(NamedTuple):
     """One graft decision of a curve on a source structure: the route
     taken, or None and the failed condition. A crossing decision also
     fixes all the graft needs: the real components the curve crosses and,
-    per chart in model order, their total and the fused class, that total
-    resolved with the doubled curve (oriented so its first nonzero chart
-    entry is positive) in the smoothing the spiral picks (FLAT where it
-    turns left, else SHARP; where nothing crosses, both give the plain
-    sum)."""
+    per chart in model order, their total and the fused class (see
+    _fused) with the doubled curve, oriented so its first nonzero chart
+    entry is positive."""
 
     route: Optional[str]
     reason: str = ""
@@ -484,30 +475,12 @@ def _graft_content(content: tuple, curve: Component) -> tuple:
     return tuple(sorted(gained.items()))
 
 
-def _graft_totals(adm: Admissibility, base: Sequence[Tuple[int, int]]
-                  ) -> Tuple[Tuple[int, int], ...]:
-    """An admitted decision's destination chart totals, given the
-    source's. The disjoint route adds the doubled oriented curve to them;
-    the spiraling route replaces the crossed totals (the components'
-    share, as they are oriented) by the fused class in its own
-    orientation."""
-    if adm.route == "disjoint":
-        model = adm.source.model
-        twice = 2 * adm.curve.multiplicity
-        grafted = [list(total) for total in base]
-        _add_classes(grafted, adm.curve.charts,
-                     twice * _orientation(adm.curve, model),
-                     model.chart_index)
-        return tuple([(p, q) for p, q in grafted])
-    return _spliced([(p - lp, q - lq) for (p, q), (lp, lq)
-                     in zip(base, adm.totals)], adm.fused)
-
-
 def _spliced(rest: Sequence[Tuple[int, int]], fused: Sequence
              ) -> Tuple[Tuple[int, int], ...]:
-    """The spiraling route's destination totals: per chart the source's
-    total less the crossed total (rest), plus the fused class in its own
-    orientation."""
+    """The one totals rule, a graft's destination chart totals: per chart
+    the source's total less the crossed total (rest), plus the fused
+    class in its own orientation. On the disjoint route rest is the
+    source's totals and the fused class the doubled curve."""
     turn = _sign(fused)
     out = []  # a loop: a comprehension costs more for one to three charts
     for (p, q), (fp, fq) in zip(rest, fused):
@@ -546,64 +519,95 @@ def _prepare(gamma: Component, model: SurfaceModel) -> Component:
     return copy
 
 
-def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
-    """Decide whether the curve can be grafted onto the structure.
+def _crosses(cls: Sequence[int], g: Optional[TorusClass]) -> bool:
+    """The crossing test: a real class meets the curve's class g in a
+    chart unless they are parallel or g is None (the curve is not there)."""
+    return g is not None and cls[0] * g[1] != cls[1] * g[0]
 
-    Disjoint route: no chart crossings with any real component (distinct
-    exterior labels never meet outside charts). Spiraling route: every
-    chart with crossings carries a single strand of gamma (|p| = 1) and a
-    well-defined spiral direction against the total of the crossed
-    components there. Returns the route taken, or the failed condition;
-    an admitted decision is what _graft_totals reads.
-    """
-    model = struct.model
-    charts, index = model.charts, model.chart_index
-    kept = gamma._prepared
-    if kept is not None and kept[0] == charts:
-        _, given, doubled = kept
-    else:
-        given, doubled = _by_position(gamma, model), None
-    crossed = []
-    hit = [False] * len(charts)
+
+def _crossings(struct: Structure, given: Sequence[Optional[TorusClass]],
+               at: int = -1) -> tuple:
+    """The crossing scan of a curve's classes by chart position (see
+    _by_position): the real components it crosses and, per chart,
+    whether any is crossed there and their total there, which, as they
+    are canonical, is their share of the identity's. Given a chart
+    position at, every component there counts as crossed and its class
+    there is listed."""
+    index = struct.model.chart_index
+    crossed, in_chart = [], []
+    hit = [False] * len(given)
     for comp in struct.real_curves:
         crosses = False
-        for name, (p, q) in comp.charts:
+        for name, cls in comp.charts:
             i = index[name]
-            g = given[i]
-            if g is not None and p * g.q != q * g.p:
-                hit[i] = crosses = True
+            if i == at:
+                in_chart.append(cls)
+            elif not _crosses(cls, given[i]):
+                continue
+            hit[i] = crosses = True
         if crosses:
             crossed.append(comp)
-    if not crossed:
-        return Admissibility("disjoint", "", struct, gamma)
-    if doubled is None:
-        doubled = _doubled(gamma, given, model)
-    # the crossed components are canonical, so oriented: per chart they
-    # add up to their share of the identity's totals
-    lam = [(0, 0)] * len(charts)
+    lam = [(0, 0)] * len(given)
     for comp in crossed:
         mult = comp.multiplicity
         for name, (p, q) in comp.charts:
             i = index[name]
             lp, lq = lam[i]
             lam[i] = (lp + mult * p, lq + mult * q)
+    return crossed, hit, lam, in_chart
+
+
+def _fused(total: Tuple[int, int], g: Optional[TorusClass],
+           doubled: Tuple[int, int], crossed: bool):
+    """The smoothing rule in one chart: the crossed total resolved with
+    the doubled curve in the smoothing the spiral picks, FLAT where it
+    turns left, else SHARP; where nothing is crossed, both give the plain
+    sum. A crossed chart where the curve's class g is not a single strand
+    (|p| = 1), or where the spiral has no direction, refuses: what comes
+    back is then the failed test, "strand" or "spiral"."""
+    mode = _SHARP
+    if crossed:
+        if abs(g.p) != 1:
+            return "strand"
+        sign = _spiral_sign(total, doubled)
+        if not sign:
+            return "spiral"
+        if sign < 0:
+            mode = _FLAT
+    return resolve(total, doubled, mode)
+
+
+def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
+    """Decide whether the curve can be grafted onto the structure: the
+    crossing scan, then the smoothing in each chart (the totals follow in
+    _handed_on). Disjoint route: no chart crossings with any real
+    component (distinct exterior labels never meet outside charts).
+    Spiraling route: every crossed chart carries a single strand of gamma
+    and a spiral direction against the crossed total there. Returns the
+    route taken, or the failed condition.
+    """
+    model = struct.model
+    charts = model.charts
+    kept = gamma._prepared
+    if kept is not None and kept[0] == charts:
+        _, given, doubled = kept
+    else:
+        given, doubled = _by_position(gamma, model), None
+    crossed, hit, lam, _ = _crossings(struct, given)
+    if not crossed:
+        return Admissibility("disjoint", "", struct, gamma)
+    if doubled is None:
+        doubled = _doubled(gamma, given, model)
     fused = []
-    for i, lam_total in enumerate(lam):
-        mode = _SHARP
-        if hit[i]:
+    for i, total in enumerate(lam):
+        cls = _fused(total, given[i], doubled[i], hit[i])
+        if cls.__class__ is str:
             g = given[i]
-            if abs(g.p) != 1:
-                return Admissibility(
-                    None, f"chart {charts[i]!r}: grafting class {g} is not "
-                          f"a single strand")
-            sign = _spiral_sign(lam_total, doubled[i])
-            if sign == 0:
-                return Admissibility(
-                    None, f"chart {charts[i]!r}: no spiral direction for "
-                          f"{g} against {TorusClass(*lam_total)}")
-            if sign < 0:
-                mode = _FLAT
-        fused.append(resolve(lam_total, doubled[i], mode))
+            return Admissibility(None, f"chart {charts[i]!r}: " + (
+                f"grafting class {g} is not a single strand"
+                if cls == "strand" else
+                f"no spiral direction for {g} against {TorusClass(*total)}"))
+        fused.append(cls)
     return Admissibility("spiraling", "", struct, gamma, tuple(crossed),
                          tuple(lam), tuple(fused))
 
@@ -621,11 +625,15 @@ def _positions(gamma: Component, model: SurfaceModel) -> tuple:
 
 def _handed_on(gamma: Component, struct: Structure,
                base: Sequence[Tuple[int, int]]):
-    """A curve's own decision, as _decide_family gives it: the
-    destination's chart totals (see _graft_totals), given the source's,
-    or the reason it is refused."""
+    """A curve's own decision, as _decide_family gives it: is_admissible's
+    reason, or the totals rule applied to it and the source's totals."""
     adm = is_admissible(gamma, struct)
-    return _graft_totals(adm, base) if adm else adm.reason
+    if not adm:
+        return adm.reason
+    if adm.route == "disjoint":
+        return _spliced(base, _positions(gamma, struct.model)[1])
+    return _spliced([(p - lp, q - lq) for (p, q), (lp, lq)
+                     in zip(base, adm.totals)], adm.fused)
 
 
 def _decide_family(struct: Structure, base: Sequence[Tuple[int, int]],
@@ -635,58 +643,29 @@ def _decide_family(struct: Structure, base: Sequence[Tuple[int, int]],
     with the given chart totals, as _handed_on would, in one pass.
 
     The curves are one curve and its meridian twists about the chart:
-    they differ in that chart's class alone. The crossed components (all
-    in the chart and those crossed elsewhere), their totals and the other
-    charts' fused classes are worked out once. What is left per curve
-    reads only the components' classes in the chart and their crossed
-    total there: a parallel test against each, and the spiral sign and
-    fused class. That column of fused classes, None for a curve handed
-    on, is kept in columns under those classes and that total, so a
-    caller that hands one dict per family to every structure of a build
-    works each column out once. is_admissible decides what the pass does
-    not cover, so every refusal is its: a component parallel to the
-    curve in the chart, nothing crossed, not a single strand in the
-    chart, or a refusing chart.
+    they differ in that chart's class alone. So the crossing scan, with
+    every component in the chart counted as crossed, and the smoothing in
+    the other charts are done once. Per curve are left the crossing test
+    against each real class in the chart and the smoothing there: that
+    column of fused classes, None for a curve handed on, is kept in
+    columns under those classes and their crossed total, so a caller that
+    hands one dict per family to every structure of a build works each
+    column out once. The totals rule then gives each destination.
+    is_admissible decides what the pass does not cover, so every refusal
+    is its: a component parallel to the curve in the chart, nothing
+    crossed, or a refusing chart.
     """
     model = struct.model
-    index = model.chart_index
-    at = index[chart]
+    at = model.chart_index[chart]
     given, doubled = _positions(curves[0], model)
-    g = given[at]
-    if g is None or abs(g.p) != 1:
-        return [_handed_on(curve, struct, base) for curve in curves]
-    in_chart, crossed = [], False
-    hit = [False] * len(given)
-    lam = [(0, 0)] * len(given)
-    for comp in struct.real_curves:
-        crosses = False
-        for name, cls in comp.charts:
-            i = index[name]
-            if i == at:
-                in_chart.append(cls)
-            else:
-                gi = given[i]
-                if gi is None or cls.p * gi.q == cls.q * gi.p:
-                    continue
-            hit[i] = crosses = True
-        if crosses:
-            crossed = True
-            mult = comp.multiplicity
-            for name, (p, q) in comp.charts:
-                i = index[name]
-                lp, lq = lam[i]
-                lam[i] = (lp + mult * p, lq + mult * q)
-    fused = [None] * len(given)  # the chart's own is per curve, below
+    crossed, hit, lam, in_chart = _crossings(struct, given, at)
+    fused = [None] * len(lam)  # the chart's own is per curve, below
     for i, total in enumerate(lam):
-        if i == at:
-            continue
-        sign = 1
-        if hit[i]:
-            sign = abs(given[i].p) == 1 and _spiral_sign(total, doubled[i])
-            if not sign:  # refused in a chart the twists leave alone
-                crossed = False
+        if i != at:
+            fused[i] = _fused(total, given[i], doubled[i], hit[i])
+            if fused[i].__class__ is str:  # in a chart twists leave alone
+                crossed = ()
                 break
-        fused[i] = resolve(total, doubled[i], _FLAT if sign < 0 else _SHARP)
     if not crossed:
         return [_handed_on(curve, struct, base) for curve in curves]
     total = lam[at]
@@ -696,17 +675,14 @@ def _decide_family(struct: Structure, base: Sequence[Tuple[int, int]],
         column = columns[key] = []
         for curve in curves:
             given, doubled = _positions(curve, model)
-            gp, gq = given[at]
-            sign = 1
-            for p, q in in_chart:
-                if p * gq == q * gp:  # parallel: not crossed here
-                    sign = 0
+            g = given[at]
+            for real in in_chart:
+                if not _crosses(real, g):  # not crossed there: handed on
+                    cls = None
                     break
             else:
-                if in_chart:
-                    sign = _spiral_sign(total, doubled[at])
-            column.append(None if sign == 0 else resolve(
-                total, doubled[at], _FLAT if sign < 0 else _SHARP))
+                cls = _fused(total, g, doubled[at], hit[at])
+            column.append(None if cls.__class__ is str else cls)
     rest = [(p - lp, q - lq) for (p, q), (lp, lq) in zip(base, lam)]
     out = []
     for curve, cls in zip(curves, column):

@@ -796,17 +796,17 @@ def _family_moves(config, struct, grafts, columns=None):
 
 
 def _per_curve_moves(config, struct, grafts):
-    """The same, decided one curve at a time by is_admissible."""
+    """The same, decided one curve at a time by is_admissible (through
+    surface._handed_on)."""
     content, totals = struct.identity()
     grafted = surface._graft_content(content, config.gamma)
     moves, skipped = [], []
     for desc, gamma in grafts:
-        adm = surface.is_admissible(gamma, struct)
-        if adm:
-            moves.append((desc, (grafted, surface._graft_totals(adm,
-                                                                totals))))
+        decided = surface._handed_on(gamma, struct, totals)
+        if isinstance(decided, str):
+            skipped.append((desc, decided))
         else:
-            skipped.append((desc, adm.reason))
+            moves.append((desc, (grafted, decided)))
     return moves, skipped
 
 
@@ -929,10 +929,9 @@ class TestPreparedCurves:
         want = surface.is_admissible(fresh, struct)
         for name in self.FIELDS:
             assert getattr(got, name) == getattr(want, name), name
-        if want:
-            totals = struct.identity()[1]
-            assert surface._graft_totals(got, totals) == \
-                surface._graft_totals(want, totals)
+        totals = struct.identity()[1]
+        assert surface._handed_on(prepared, struct, totals) == \
+            surface._handed_on(fresh, struct, totals)
         return want
 
     @pytest.mark.parametrize("charts,bound,depth", [
@@ -971,6 +970,45 @@ class TestPreparedCurves:
             surface.component("lambda", {"a": (2, 0), "b": (2, 0)})])
         assert self.assert_fresh_decision(prepared, struct).route == \
             "spiraling"
+
+    @pytest.mark.parametrize("build,digest", [
+        (0, "55a56c307a9c8747998c6f639cf25877"
+            "c2e176e2a7a4a956e89c9f1afce1c3a0"),
+        (1, "349837381d303263f500ef0729c636c1"
+            "27b9932bb918040d134b7261096c42d1"),
+        (2, "b34bd84e16e42afaf2ea8b56d4c7885d"
+            "46bf0480defea519c778d3f82c28b5a0"),
+        ("skipping", "ea215b7dc34020c265835c45448d97ea"
+                     "ab5bc61958e7610902183c619629d17e"),
+        ("2-2-2", "aa02a13e7aabef7f57a3acf6d887cbaa"
+                  "d7a5983e3e6c1c28fb80e95dee11f572"),
+    ], ids=["two-strands", "vertical", "two-labels", "skipping", "2-2-2"])
+    def test_decisions_pinned(self, build, digest):
+        # every decision of every vertex and generator, refusals and
+        # their reasons included, for the prepared and the fresh curve;
+        # the family pass and is_admissible share their rules, so this
+        # is what checks those rules on their own
+        if build == "skipping":
+            config, _ = TestFusedPass.skipping_setup()
+            graph, bound = TestFusedPass.skipping_build(), 1
+        elif build == "2-2-2":
+            config = standard_configuration(2)
+            graph, bound = build_complex(config, 2, 2), 2
+        else:
+            config = standard_configuration(1)
+            graph, bound = build_complex(config, 3, 3, seed=surface.structure(
+                config.model, TestSeededBuilds.SEEDS[build])), 3
+        grafts = _generators(complex_graph._grafts(config, bound))
+        decided = hashlib.sha256()
+        for struct in graph.vertices.values():
+            for _, prepared in grafts:
+                fresh = Component(prepared.content, prepared.charts,
+                                  prepared.multiplicity)
+                for curve in (prepared, fresh):
+                    adm = surface.is_admissible(curve, struct)
+                    decided.update(repr(tuple(getattr(adm, name) for name
+                                              in self.FIELDS)).encode())
+        assert decided.hexdigest() == digest
 
 
 class TestOrientationFree:

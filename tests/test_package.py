@@ -142,3 +142,43 @@ def test_unchecked_constructors_stay_in_surface():
                 called.add(getattr(node.func, "id", None))
     assert named == {name: {"surface.py"} for name in unchecked}
     assert unchecked <= called
+
+
+def test_one_smoothing_rule():
+    """surface picks a graft's smoothing in one place: resolve,
+    _spiral_sign and _FLAT are each named inside one function, the
+    same one, which every decision calls."""
+    rule = {"resolve", "_spiral_sign", "_FLAT"}
+    naming = {}
+    path = Path(graftkit.__file__).parent / "surface.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef):
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Name) and inner.id in rule:
+                    naming.setdefault(inner.id, set()).add(node.name)
+    assert set(naming) == rule
+    assert len(set.union(*naming.values())) == 1
+
+
+def test_no_unreferenced_private_helpers():
+    """Every private module-level function or class of the package is
+    named somewhere in the package outside its own definition."""
+    defined, named = set(), set()
+    for path in Path(graftkit.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and \
+                    own.startswith("_") and not own.endswith("__"):
+                defined.add((path.name, own))
+            for node in ast.walk(top):
+                names = [getattr(node, "id", None),
+                         getattr(node, "attr", None)]
+                if isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                named.update((path.name, own, name) for name in names
+                             if name is not None)
+    unreferenced = [(module, name) for module, name in sorted(defined)
+                    if not any(used == name and (where, inside) !=
+                               (module, name)
+                               for where, inside, used in named)]
+    assert unreferenced == []

@@ -276,7 +276,7 @@ class TestAdmissibility:
         key = '{"charts":{"a":[4,2]},"content":[["g",2],["x",2]]}'
         content, totals = source.identity()
         identity = (surface._graft_content(content, gamma),
-                    surface._graft_totals(adm, totals))
+                    surface._handed_on(gamma, source, totals))
         assert surface._render(identity, model) == key
         assert graft_along(source, gamma).key() == key
 
