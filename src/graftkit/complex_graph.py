@@ -43,12 +43,10 @@ byte for byte what json.dumps with sorted keys gives.
 
 from __future__ import annotations
 
-import inspect
 import json
 import random
 import sys
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
@@ -65,6 +63,7 @@ from .surface import (
     Configuration,
     Structure,
     SurfaceModel,
+    _Frozen,
     _decide_family,
     _graft,
     _graft_content,
@@ -125,23 +124,24 @@ class Witness(NamedTuple):
     key: str
 
 
-@dataclass(frozen=True)
-class ComplexGraph:
+class ComplexGraph(_Frozen):
     """vertices maps each key to its structure (vertices[k].key() == k),
     keys in discovery order; edges is the read-only edge list, kept as
     integer rows whose vertex ids follow that order (see _Edges), and
-    reads as Edges that name their endpoints by key. The ranks are kept
-    once computed. The vertex map is read-only and builds a last-level
-    structure on its first read; counts, ranks and exports read keys and
-    rows only."""
+    reads as Edges that name their endpoints by key. The ranks, not a
+    field, are kept once computed. The vertex map is read-only and builds
+    a last-level structure on its first read; counts, ranks and exports
+    read keys and rows only."""
 
-    vertices: Mapping[str, Structure]
-    edges: Sequence[Edge]
-    twist_bound: int
-    depth: int
-    seed_key: str
-    _ranks: Optional[Dict[str, int]] = field(default=None, init=False,
-                                             repr=False, compare=False)
+    _fields = ("vertices", "edges", "twist_bound", "depth", "seed_key")
+    _ranks: Optional[Dict[str, int]] = None
+
+    def __init__(self, vertices: Mapping[str, Structure],
+                 edges: Sequence[Edge], twist_bound: int, depth: int,
+                 seed_key: str):
+        self.__dict__.update(vertices=vertices, edges=edges,
+                             twist_bound=twist_bound, depth=depth,
+                             seed_key=seed_key)
 
     def cycle_rank(self) -> int:
         """First Betti number, |E| - |V| + 1; parallel edges count
@@ -871,6 +871,7 @@ def _suite(name: str) -> Callable[..., Report]:
 
 def suite_parameters(name: str) -> set:
     """Names of the range parameters the given suite accepts."""
+    import inspect  # only an error path reads a signature
     return set(inspect.signature(_suite(name)).parameters)
 
 

@@ -44,14 +44,19 @@ equal component if there is one. A decision reads the curve's classes
 by chart position and doubled class as kept on a copy _prepare made for
 the structure's chart order, and works them out for any other curve; a
 curve that names a chart the model lacks is an UnknownChart either way.
+
+SurfaceModel, Component, Structure (and complex_graph's ComplexGraph)
+are immutable values on one base, _Frozen: they compare and hash by
+their fields and pickle through their constructors, so the package
+needs no dataclasses.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, \
     Tuple
 
@@ -75,30 +80,62 @@ ZERO = TorusClass(0, 0)
 _SHARP, _FLAT = Mode.SHARP, Mode.FLAT  # globals read faster than members
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class _Frozen:
+    """An immutable value. Its fields, named in order by the class's
+    _fields, are its constructor's arguments; it equals, hashes and
+    reprs as they do, and pickles and copies through the constructor.
+    Setting or deleting any attribute raises AttributeError."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...]
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)  # the fields as a tuple
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={value!r}" for name, value
+                            in zip(self._fields, self._values(self))])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class SurfaceModel(_Frozen):
     """Genus-g surface with named, pairwise disjoint meridian charts.
 
     Every chart's core meridian has trivial holonomy, and every move
-    twists about it in the chart basis (MERIDIAN).
+    twists about it in the chart basis (MERIDIAN). chart_index, each
+    chart's position in charts, is not a field.
     """
 
-    genus: int
-    holonomy_tag: str
-    charts: Tuple[str, ...]
-    # each chart's position in charts
-    chart_index: Mapping[str, int] = field(init=False, repr=False,
-                                           compare=False)
+    _fields = ("genus", "holonomy_tag", "charts")
 
-    def __post_init__(self):
-        if self.genus < 2:
+    def __init__(self, genus: int, holonomy_tag: str,
+                 charts: Tuple[str, ...]):
+        if genus < 2:
             raise ValueError("genus must be at least 2")
-        if not all(isinstance(name, str) for name in self.charts):
+        if not all(isinstance(name, str) for name in charts):
             raise ValueError("chart names must be strings")
-        if not self.charts or len(set(self.charts)) != len(self.charts):
+        if not charts or len(set(charts)) != len(charts):
             raise ValueError("charts must be nonempty and distinct")
-        object.__setattr__(self, "chart_index",
-                           {name: i for i, name in enumerate(self.charts)})
+        self.__dict__.update(
+            genus=genus, holonomy_tag=holonomy_tag, charts=charts,
+            chart_index={name: i for i, name in enumerate(charts)})
 
     def require_chart(self, name: str) -> None:
         """The one raiser of UnknownChart: a name the model lacks."""
@@ -124,24 +161,22 @@ def _by_name(entries, what: str):
     return entries
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(_Frozen):
     """One isotopy class of leaves: content labels, chart classes, count.
     A field is respelled (see the module docstring) only if it must be."""
 
-    content: Tuple[Tuple[str, int], ...]
-    charts: Tuple[Tuple[str, TorusClass], ...]
-    multiplicity: int = 1
+    _fields = ("content", "charts", "multiplicity")
     # not a field: only the copies _prepare makes carry decision data
     _prepared = None
 
-    def __post_init__(self):
-        if self.multiplicity < 1:
+    def __init__(self, content: Tuple[Tuple[str, int], ...],
+                 charts: Tuple[Tuple[str, TorusClass], ...],
+                 multiplicity: int = 1):
+        if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-        if not self.content:
+        if not content:
             raise ValueError("content must name at least one label")
-        content = _by_name(self.content, "label")
-        charts = self.charts
+        content = _by_name(content, "label")
         normal = True
         for _, cls in charts:
             if type(cls) is not TorusClass or cls == (0, 0):
@@ -153,10 +188,8 @@ class Component:
         charts = _by_name(charts, "chart")
         if not normal:
             charts = tuple([e for e in charts if e[1] != (0, 0)])
-        if content is not self.content:
-            object.__setattr__(self, "content", content)
-        if charts is not self.charts:
-            object.__setattr__(self, "charts", charts)
+        self.__dict__.update(content=content, charts=charts,
+                             multiplicity=multiplicity)
 
     def chart_class(self, name: str) -> TorusClass:
         for chart, cls in self.charts:
@@ -266,22 +299,21 @@ def _spliced_in(curves: Sequence[Component], comp: Component,
     return (*curves[:at], comp, *curves[at:])
 
 
-@dataclass(frozen=True, slots=True)
-class Structure:
+class Structure(_Frozen):
     """A projective structure with the fixed holonomy: identified by the
     canonical form of its real multicurve, which is what it keeps. Built
     from any components, it canonicalizes them; a graft splices into its
     source's canonical curves and builds its destination from the result
-    as it stands. The key is kept once computed or given."""
+    as it stands. The key, not a field, is kept once computed or given."""
 
-    model: SurfaceModel
-    real_curves: Tuple[Component, ...]
-    _key: Optional[str] = field(default=None, init=False, repr=False,
-                                compare=False)
+    __slots__ = ("model", "real_curves", "_key")
+    _fields = ("model", "real_curves")
 
-    def __post_init__(self):
-        object.__setattr__(self, "real_curves",
-                           canonicalize(self.real_curves, self.model))
+    def __init__(self, model: SurfaceModel,
+                 real_curves: Iterable[Component]):
+        _set_model(self, model)
+        _set_curves(self, canonicalize(real_curves, model))
+        _set_key(self, None)
 
     @property
     def holonomy_tag(self) -> str:

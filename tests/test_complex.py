@@ -1,6 +1,5 @@
 """Graph enumeration, witness search, fan collapse, and named suites."""
 
-import dataclasses
 import hashlib
 import json
 import logging
@@ -280,8 +279,9 @@ class TestComputedOnce:
         graph = build_complex(config, bound, depth)
         for key, struct in graph.vertices.items():
             assert key == canonical_key(struct.real_curves, config.model)
-        assert [f.name for f in dataclasses.fields(surface.Structure)] == \
-            ["model", "real_curves", "_key"]
+        assert surface.Structure._fields == ("model", "real_curves")
+        assert surface.Structure.__slots__ == ("model", "real_curves", "_key")
+        assert not hasattr(next(iter(graph.vertices.values())), "__dict__")
 
     def test_ranks_computed_once_per_graph(self, monkeypatch):
         counted = []
@@ -300,7 +300,7 @@ class TestComputedOnce:
         assert graph.rank_by_kind() == kept
         assert graph.to_json_bytes() == data
         assert len(counted) == 1
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             graph.edges = ()
 
     def test_witness_graph_grafts_once(self, monkeypatch):

@@ -3,7 +3,9 @@ imports a name it never uses; and importing the package loads only what
 a caller needs."""
 
 import ast
+import copy
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -79,14 +81,15 @@ def _run(code: str) -> subprocess.CompletedProcess:
 
 
 class TestColdImport:
-    def test_import_loads_neither_logging_nor_hashlib(self):
+    def test_import_loads_no_logging_hashlib_dataclasses_or_inspect(self):
         proc = _run("import sys\n"
                     "before = set(sys.modules)\n"
                     "import graftkit\n"
                     "print(sorted(set(sys.modules) - before))\n")
         loaded = ast.literal_eval(proc.stdout)
         assert "graftkit.complex_graph" in loaded
-        assert not {"logging", "hashlib"} & set(loaded)
+        assert not {"logging", "hashlib", "dataclasses", "inspect"} & \
+            set(loaded)
 
     def test_debug_turned_on_after_import_logs_skips(self):
         # the skipping build of test_complex's TestFusedPass
@@ -105,23 +108,70 @@ class TestColdImport:
         assert re.search(r"skipping .* no spiral direction", proc.stderr)
 
 
-def test_four_dataclasses_and_no_logging_import():
-    """Only the value types the tests and the search lean on are
-    dataclasses, and no module imports logging when it is imported."""
-    decorated = set()
+def test_no_dataclasses_and_no_logging_import():
+    """No class of the package is a dataclass, and no module imports
+    logging or dataclasses when it is imported."""
+    decorated = []
     for path in MODULES:
-        tree = ast.parse(path.read_text())
-        for node in tree.body:
+        for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef) and any(
                     "dataclass" in ast.unparse(d)
                     for d in node.decorator_list):
-                decorated.add(node.name)
+                decorated.append(node.name)
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [node.module or ""] if isinstance(
                     node, ast.ImportFrom) else [a.name for a in node.names]
-                assert "logging" not in names, path.name
-    assert decorated == {"SurfaceModel", "Component", "Structure",
-                         "ComplexGraph"}
+                assert not {"logging", "dataclasses"} & set(names), path.name
+    assert decorated == []
+    classes = [value for module in sys.modules.values()
+               if module.__name__.startswith("graftkit")
+               for value in vars(module).values() if isinstance(value, type)]
+    assert not [cls for cls in classes if hasattr(cls, "__dataclass_fields__")]
+
+
+def _value_types():
+    model = graftkit.SurfaceModel(2, "rho", ("a", "b"))
+    comp = graftkit.component("x", {"b": (1, 2), "a": (-2, 0)}, 3)
+    struct = graftkit.structure(model, [comp, graftkit.component(
+        "y", {"a": (1, -2)})])
+    graph = graftkit.build_complex(graftkit.standard_configuration(2), 2, 2)
+    return [
+        (model, "genus",
+         "SurfaceModel(genus=2, holonomy_tag='rho', charts=('a', 'b'))"),
+        (comp, "multiplicity",
+         "Component(content=(('x', 1),), charts=(('a', TorusClass(p=-2, "
+         "q=0)), ('b', TorusClass(p=1, q=2))), multiplicity=3)"),
+        (struct, "real_curves",
+         "Structure(model=SurfaceModel(genus=2, holonomy_tag='rho', "
+         "charts=('a', 'b')), real_curves=(Component(content=(('x', 1),), "
+         "charts=(('a', TorusClass(p=2, q=0)), ('b', TorusClass(p=-1, "
+         "q=-2))), multiplicity=3), Component(content=(('y', 1),), "
+         "charts=(('a', TorusClass(p=1, q=-2)),), multiplicity=1)))"),
+        (graph, "edges", None),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4), ids=[
+    "SurfaceModel", "Component", "Structure", "ComplexGraph"])
+def test_value_type_contract(index):
+    """The value types pickle and deep-copy to equal values, refuse
+    assignment and deletion, hash equal when equal, and keep their
+    reprs."""
+    value, name, text = _value_types()[index]
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        assert twin == value and not twin != value
+        if text is None:
+            assert twin.to_json_bytes() == value.to_json_bytes()
+        else:
+            assert hash(twin) == hash(value)
+            assert repr(twin) == text
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    if text is not None:
+        assert repr(value) == text
 
 
 def test_unchecked_constructors_stay_in_surface():
