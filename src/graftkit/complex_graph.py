@@ -10,23 +10,29 @@ number the vertices in key order, so repeated builds are byte-identical.
 A build twists and prepares each generator's curve once (see
 surface._prepare), at depth 0 only the untwisted one, and groups them by
 chart into twist families, the untwisted curve leading the first
-chart's. It decides each graft once per expanded structure, a family in
-one pass (surface._decide_family, which hands is_admissible only the
-curves its shared decision does not cover). What that pass works out per
-curve in the family's own chart depends only on the real classes there
-and their crossed total, so the build keeps one dict of such columns per
-family and works each column out once. Every generator is a meridian
-twist of the grafting curve and shares its content, so the grafted
-content is worked out once per expanded structure. Only _expand
-identifies a move's destination, by arithmetic: its chart totals, with
-the grafted content for a graft and the source's for a meridian twist.
-Each move names its generator by index, and the search keeps vertex ids
-per content and then per totals, so it looks up one table per structure
-and content and each move by its totals alone. A new identity's key is
-that identity rendered, and the vertex map records the move that first
-reached it with the generator's curve; its structure is built once, from
-one decision, when the BFS expands it or a caller reads it, so an edge
-to a vertex already seen builds nothing, not even a decision, the last
+chart's. It expands one vertex per orbit of the build's symmetries (see
+_symmetries: chart permutations and the reflection q -> -q that fix the
+seed and the grafting curve, found only for the base seed): the first of
+an orbit it meets is expanded, and a later one maps its moves, in
+generator order, so every row and recipe is a full expansion's. An
+expansion decides each graft once, a family in one pass
+(surface._decide_family, which hands is_admissible only the curves its
+shared decision does not cover). What that pass works out per curve in
+the family's own chart depends only on the real classes there and their
+crossed total, so the build keeps one dict of such columns per family
+and works each column out once. Every generator is a meridian twist of
+the grafting curve and shares its content, so the grafted content is
+worked out once per expansion. Only _expand identifies a move's
+destination, by arithmetic: its chart totals, with the grafted content
+for a graft and the source's for a meridian twist. Each move names its
+generator by index, and the search keeps vertex ids per content and
+then per totals, so it looks up one table per structure and content and
+each move by its totals alone. A new identity's key is that identity
+rendered, and the vertex map records the move that first reached it:
+its source's key, the generator and its curve. Its structure is built
+once, from one decision, when the BFS expands it or an expanded vertex's
+recipe needs it or a caller reads it, so an edge to a vertex already
+seen builds nothing, not even a decision, a mapped vertex's and the last
 level's structures are built only on request, and no key is worked out
 from curves but the seed's.
 The frontier carries each vertex's key and the identity it was looked
@@ -344,6 +350,101 @@ def _destination(struct: Structure, desc: Tuple[str, str, int],
     return _graft(is_admissible(curve, struct))
 
 
+def _symmetries(config: Configuration, seed: Structure,
+                generators: Sequence[Tuple[str, str, int]]) -> list:
+    """Generators of the group of symmetries a build maps moves by: the
+    elements (sigma, s) of S_c x Z/2 that fix the seed and config.gamma,
+    sigma moving chart position i to sigma(i) and s = +-1 reflecting each
+    class (p, q) to (p, s*q). An element is given as (sources, s, index
+    map): the image of an identity's totals T has s*T[sources[j]] at
+    position j, so sources lists sigma's inverse, which for each of these
+    generators, an involution, is sigma itself; the index map takes the
+    generator table's (kind, chart, n) to (kind, sigma(chart), s*n), the
+    untwisted graft ("", 0) fixed. There are none, so the identity alone,
+    unless the seed is config.lam as it stands and every chart class of
+    lam and gamma has p > 0.
+
+    Under that gate the map is exact. Every component the build reaches
+    has p > 0 in every chart it enters: meridian twists keep p; a
+    disjoint graft adds twists of gamma; a crossed chart's total has
+    p > 0, so _spiral_sign reads the sign of its pairing with the doubled
+    curve, and the FLAT or SHARP choice that sign makes always takes the
+    plain sum in torus.resolve, as a chart nothing crosses does. So
+    _orientation is +1 on every component, before and after the map,
+    which therefore acts on an identity by permuting its totals by sigma
+    and negating q where s = -1, commutes with every move up to the
+    generators' relabelling (the crossing and strand tests read no sign,
+    and the spiral sign turns with s), and fixes the seed: it maps the
+    graph onto itself. On the base seed the key determines a vertex's
+    moves (tests.test_complex.TestKeyCongruence checks it), so a
+    vertex's moves are those of any vertex it is the image of, mapped.
+
+    A chart's colour is its pair of classes, lam's and gamma's. The
+    group is the product of the symmetric groups on the charts of one
+    colour, generated by swaps of neighbours, times the reflection, if
+    one exists, that maps each colour's charts in order onto those of
+    the mirrored colour. A build traces orbits by these generators (see
+    _orbit), never listing the group, which has 2*c! elements for a
+    standard configuration of c charts."""
+    lam, gamma, charts = config.lam, config.gamma, config.model.charts
+    classes = [cls for _, cls in lam.charts + gamma.charts]
+    if seed.real_curves != (lam,) or any(p <= 0 for p, _ in classes):
+        return []
+    by_colour: Dict[tuple, List[int]] = {}
+    for i, name in enumerate(charts):
+        colour = (lam.chart_class(name), gamma.chart_class(name))
+        by_colour.setdefault(colour, []).append(i)
+    index = {desc: g for g, desc in enumerate(generators)}
+    position = config.model.chart_index
+
+    def element(sigma: List[int], sign: int) -> tuple:
+        # each generator is an involution, so sigma is its own inverse
+        return tuple(sigma), sign, [
+            index[kind, chart and charts[sigma[position[chart]]], sign * n]
+            for kind, chart, n in generators]
+
+    group = []
+    for positions in by_colour.values():
+        for i, j in zip(positions, positions[1:]):
+            sigma = list(range(len(charts)))
+            sigma[i], sigma[j] = j, i
+            group.append(element(sigma, 1))
+    sigma = list(range(len(charts)))
+    for ((lp, lq), (gp, gq)), positions in by_colour.items():
+        mirror = by_colour.get(((lp, -lq), (gp, -gq)), ())
+        if len(mirror) != len(positions):
+            return group
+        for i, j in zip(positions, mirror):
+            sigma[i] = j
+    group.append(element(sigma, -1))
+    return group
+
+
+def _image(totals: tuple, sources: tuple, sign: int) -> tuple:
+    """An identity's totals under a symmetry (see _symmetries)."""
+    if sign > 0:
+        return tuple([totals[j] for j in sources])
+    return tuple([(totals[j][0], -totals[j][1]) for j in sources])
+
+
+def _orbit(totals: tuple, group: list, identity: tuple) -> dict:
+    """Each image of the totals under the group, with an element (as
+    _symmetries gives one) that maps the totals onto it: a search over
+    the images by the group's generators, so it costs per image, not
+    per element. identity is the group's identity element."""
+    orbit = {totals: identity}
+    todo = [totals]
+    for now in todo:
+        sources, sign, moved = orbit[now]
+        for by, turn, relabel in group:
+            image = _image(now, by, turn)
+            if image not in orbit:
+                orbit[image] = (tuple([sources[j] for j in by]),
+                                sign * turn, [relabel[g] for g in moved])
+                todo.append(image)
+    return orbit
+
+
 class _Edges(Sequence):
     """The read-only edge list of a built graph, kept as integer rows
     (source id, destination id, index into the (kind, chart, n)
@@ -388,10 +489,11 @@ class _Edges(Sequence):
 class _Vertices(Mapping):
     """The read-only vertex map of a built graph. Each entry is a
     structure or, for a vertex nothing has read yet, the move that first
-    reached it as (source structure, generator, its curve or None). Its
+    reached it as (source key, generator, its curve or None). Its
     length, membership and iteration read keys only; reading a value
-    builds a deferred entry once, keeps its key on it and stores it in
-    place, so key order stays discovery order."""
+    builds a deferred entry once, its source first if that is deferred
+    too, keeps its key on it and stores it in place, so key order stays
+    discovery order."""
 
     __slots__ = ("_entries",)
 
@@ -408,11 +510,19 @@ class _Vertices(Mapping):
         return key in self._entries
 
     def __getitem__(self, key: str) -> Structure:
-        entry = self._entries[key]
-        if isinstance(entry, tuple):
-            entry = _destination(*entry)
+        entries = self._entries
+        entry = entries[key]
+        if not isinstance(entry, tuple):
+            return entry
+        chain = [key]  # the deferred sources, walked back to a built one
+        while isinstance(entries[entry[0]], tuple):
+            chain.append(entry[0])
+            entry = entries[entry[0]]
+        for key in reversed(chain):
+            source, desc, curve = entries[key]
+            entry = _destination(entries[source], desc, curve)
             entry._keep(key)
-            self._entries[key] = entry
+            entries[key] = entry
         return entry
 
 
@@ -426,9 +536,16 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
     An elementary move and its inverse between the same two vertices are
     one edge; distinct generators landing on the same vertex pair stay
     parallel. The seed defaults to the configuration's base structure; a
-    seed on another model raises BadConfiguration. A vertex's structure
-    is built when it is expanded or read from graph.vertices, so the last
-    level's structures are built only for a caller that reads them.
+    seed on another model raises BadConfiguration.
+
+    The BFS expands one vertex per orbit of the build's symmetries (see
+    _symmetries): the first of an orbit it meets is expanded, and its
+    moves are kept under each image of its identity, so a later vertex of
+    the orbit maps them instead, in generator order, as _expand gives
+    them. With no symmetries every vertex is expanded. A vertex's
+    structure is built when it is expanded, or an expanded vertex's
+    recipe needs it, or it is read from graph.vertices, so a mapped
+    vertex's and the last level's structures are built only on request.
     """
     if twist_bound < 0 or depth < 0:
         raise BadConfiguration("twist bound and depth must be nonnegative")
@@ -441,8 +558,16 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
     grafts = _grafts(config, twist_bound if depth else 0)
     generators = [("elementary", chart, n) for chart in model.charts
                   for n in (1, -1)]
+    curves: List[Optional[Component]] = [None] * len(generators)
     generators += [desc for _, _, descs, _ in grafts for desc in descs]
+    curves += [curve for *_, family in grafts for curve in family]
+    graft_count = len(curves) - 2 * len(model.charts)
     columns = [{} for _ in grafts]  # per family, for this build only
+    group = _symmetries(config, seed, generators)
+    unmoved = (tuple(range(len(model.charts))), 1,
+               list(range(len(generators))))
+    # identity -> (a symmetry onto it, its representative's moves)
+    mapped: Dict[tuple, tuple] = {}
     seed_key, seed_identity = seed.key(), seed.identity()
     entries = {seed_key: seed}
     vertices = _Vertices(entries)
@@ -458,10 +583,28 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
         frontier.sort()  # by key: keys are distinct
         next_frontier = []
         for src_key, src, src_identity in frontier:
-            struct = vertices[src_key]
-            elementary, grafted, moves = _expand(
-                config, struct, src_identity, grafts, columns)
             content = src_identity[0]
+            found = mapped.pop(src_identity, None)
+            if found is None:
+                expansion = _expand(config, vertices[src_key], src_identity,
+                                    grafts, columns)
+                if group:
+                    for image, by in _orbit(src_identity[1], group,
+                                            unmoved).items():
+                        mapped[content, image] = by, expansion
+                elementary, grafted, moves = expansion
+            else:
+                (sources, sign, relabel), (elementary, grafted, moves) = found
+                elementary = sorted([
+                    (relabel[g], _image(totals, sources, sign))
+                    for g, totals in elementary])
+                moves = sorted([
+                    (relabel[g], _image(totals, sources, sign),
+                     curves[relabel[g]]) for g, totals, _ in moves])
+                if len(moves) < graft_count \
+                        and (log := _debug_log()) is not None:
+                    _log_skips(log, vertices[src_key], moves, generators,
+                               curves)
             table = ids[content]
             for g, totals in elementary:
                 dst = table.get(totals)
@@ -469,7 +612,7 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
                     dst = table[totals] = len(entries)
                     identity = (content, totals)
                     dst_key = _render(identity, model)
-                    entries[dst_key] = (struct, generators[g], None)
+                    entries[dst_key] = (src_key, generators[g], None)
                     if level < depth - 1:  # the last level stays unexpanded
                         next_frontier.append((dst_key, dst, identity))
                 # a move and its inverse share the chart position g >> 1
@@ -487,13 +630,25 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
                     dst = table[totals] = len(entries)
                     identity = (grafted, totals)
                     dst_key = _render(identity, model)
-                    entries[dst_key] = (struct, generators[g], curve)
+                    entries[dst_key] = (src_key, generators[g], curve)
                     if level < depth - 1:  # the last level stays unexpanded
                         next_frontier.append((dst_key, dst, identity))
                 rows.append((src, dst, g))
         frontier = next_frontier
     return ComplexGraph(vertices, _Edges(rows, generators, vertices),
                         twist_bound, depth, seed_key)
+
+
+def _log_skips(log, struct: Structure, moves: list, generators: list,
+               curves: list) -> None:
+    """Log each graft a mapped vertex refuses, as _expand would have:
+    the generators its mapped moves leave out, each decided again on the
+    vertex's own structure for the reason."""
+    admitted = {g for g, _, _ in moves}
+    for g, curve in enumerate(curves):
+        if curve is not None and g not in admitted:
+            log.debug("skipping %s at %s: %s", generators[g], struct.key(),
+                      is_admissible(curve, struct).reason)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import hashlib
 import json
 import logging
 import re
-from math import gcd
+from collections import Counter
+from itertools import permutations
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -130,6 +132,54 @@ def _levels(graph):
     return out
 
 
+def _images(config, key) -> dict:
+    """The key under each element (sigma, s) of S_c x Z/2, worked out
+    from its JSON: chart position i's total (p, q) moves to position
+    sigma(i) as (p, s*q)."""
+    charts = config.model.charts
+    data = json.loads(key)
+    totals = [data["charts"][name] for name in charts]
+    out = {}
+    for sigma in permutations(range(len(charts))):
+        for sign in (1, -1):
+            moved = {charts[sigma[i]]: [p, sign * q]
+                     for i, (p, q) in enumerate(totals)}
+            out[sigma, sign] = json.dumps(
+                {"charts": moved, "content": data["content"]},
+                sort_keys=True, separators=(",", ":"))
+    return out
+
+
+def _expanded(config, graph) -> list:
+    """The keys a build of a standard configuration expands, in order:
+    per level below the depth, in key order, each vertex no earlier one
+    maps onto under S_c x Z/2, all of which fixes the build. That is one
+    per orbit the build meets."""
+    levels = _levels(graph)
+    covered, out = set(), []
+    for level in range(graph.depth):
+        for key in sorted(k for k, at in levels.items() if at == level):
+            if key not in covered:
+                out.append(key)
+                covered.update(_images(config, key).values())
+    return out
+
+
+def _needed(graph, keys) -> set:
+    """The vertices other than the seed whose structures a build makes
+    to expand the given ones: each, and back to the seed each source of
+    the edge that first reached one, the recipe it is built from."""
+    first = {}
+    for e in graph.edges:
+        first.setdefault(e.dst, e)
+    needed = set()
+    for key in keys:
+        while key != graph.seed_key and key not in needed:
+            needed.add(key)
+            key = first[key].src
+    return needed
+
+
 def _generators(grafts) -> list:
     """The (generator, curve) pairs of _grafts's families, in build
     order."""
@@ -175,10 +225,11 @@ class TestComputedOnce:
     and generator, a structure built and keyed only for a new vertex."""
 
     def test_one_admissibility_check_per_graft(self, monkeypatch):
-        # each (structure, generator) pair is decided once: by its twist
-        # family's pass or, where that pass hands the curve on, by
-        # is_admissible, never both; a new vertex's structure is built
-        # from one more decision, and a seen one from none
+        # each (expanded structure, generator) pair is decided once: by
+        # its twist family's pass or, where that pass hands the curve on,
+        # by is_admissible, never both; a structure is built from one
+        # more decision, and only where a read or an expanded vertex's
+        # recipe needs it
         families, handed, building, grafted, twisted = [], [], [], [], []
         inside = []
         decide, decide_family = surface.is_admissible, \
@@ -220,8 +271,12 @@ class TestComputedOnce:
         grafts = _generators(complex_graph._grafts(config, 4))
         levels = _levels(graph)
         assert set(levels) == set(graph.vertices)
-        expanded = {id(graph.vertices[key]) for key, level in levels.items()
-                    if level < depth}
+        # one vertex per orbit of S_c x Z/2 is expanded: 48 of the 159
+        # below the depth
+        keys = _expanded(config, graph)
+        assert (len(keys), sum(level < depth for level in levels.values())
+                ) == (48, 159)
+        expanded = {id(graph.vertices[key]) for key in keys}
         # one pass per expanded structure and chart, the untwisted curve
         # in the first chart's family, so every generator exactly once
         assert len(families) == len(expanded) * len(config.model.charts)
@@ -238,25 +293,26 @@ class TestComputedOnce:
         assert len(set(handed)) == len(handed) and set(handed) <= set(pairs)
         # each graft built from the one decision made for it
         assert building == grafted
-        assert (len(families), len(handed), len(building)) == (318, 113, 146)
-        # a destination is built only for a new vertex, by the edge that
-        # first reaches it, and the last level's only when read
+        assert (len(families), len(handed), len(building)) == (96, 27, 43)
+        # a destination is built only by the edge that first reaches it,
+        # for an expanded vertex or a source its recipe needs first, and
+        # any other only when read
         first = {}
         for e in graph.edges:
             first.setdefault(e.dst, e.kind)
         first.pop(graph.seed_key, None)
         assert len(first) == len(graph.vertices) - 1
-        inner = [kind for key, kind in first.items() if levels[key] < depth]
-        assert built == (inner.count("graft"), inner.count("elementary"))
+        needed = [first[key] for key in _needed(graph, keys)]
+        assert built == (needed.count("graft"), needed.count("elementary"))
         assert min(built) > 0
         kinds = sorted(first.values())
         for _ in range(2):
             for key in graph.vertices:
                 graph.vertices[key]
-            assert len(grafted) == kinds.count("graft") > inner.count("graft")
+            assert len(grafted) == kinds.count("graft") > needed.count("graft")
             assert len(twisted) == kinds.count("elementary") > \
-                inner.count("elementary")
-        assert building == grafted and len(families) == 318
+                needed.count("elementary")
+        assert building == grafted and len(families) == 96
 
     def test_one_key_per_structure(self, monkeypatch):
         # a new vertex's key renders the identity the BFS looked up, so
@@ -337,23 +393,26 @@ class TestComputedOnce:
         assert len(calls) == 1
         calls.clear()
         build_complex(config, 4, 3)
-        # once per column worked out and curve not parallel to a real
-        # class in its chart: 34 columns per family (see
-        # test_one_column_per_family_and_key), 34 * (9 + 8) = 578 curves,
-        # 28 of them parallel, so 550; once per twist family pass for the
-        # other chart it crosses, 252; and in each is_admissible call (a
-        # curve handed on, or a new vertex's build) once per crossing
-        # chart, 323 over 259 calls
-        assert len(calls) == 550 + 252 + 323
+        # only the 48 expanded structures, one per orbit, are decided
+        # (see test_one_admissibility_check_per_graft): once per column
+        # worked out and curve not parallel to a real class in its chart,
+        # 18 columns for chart a's family of 9 curves and 22 for chart b's
+        # of 8 (see test_one_column_per_family_and_key), 338 curves, 17 of
+        # them parallel, so 321; once per twist family pass for the other
+        # chart it crosses, 75; and in each is_admissible call (a curve
+        # handed on, or the build of a structure an expanded one needs)
+        # once per crossing chart, 88 over 70 calls
+        assert len(calls) == 321 + 75 + 88
 
     @pytest.mark.parametrize("charts,bound,depth,counts", [
-        (1, 8, 4, (112, 112)), (2, 4, 3, (318, 68)), (3, 2, 3, (459, 66))])
+        (1, 8, 4, (58, 58)), (2, 4, 3, (96, 40)), (3, 2, 3, (72, 30))])
     def test_one_column_per_family_and_key(self, charts, bound, depth,
                                            counts, monkeypatch):
         # a family's column is worked out once per build and per key (the
         # chart's real classes and their crossed total): a key too fine
         # would miss more often, one too coarse, or columns kept past
-        # their build, less
+        # their build, less. One lookup per expanded structure, one per
+        # orbit (58, 48 and 24), and family
         kept = {}  # id of a build's dict -> (it, the counting stand-in)
         decide_family = complex_graph._decide_family
 
@@ -406,10 +465,11 @@ class TestComputedOnce:
         graph = build_complex(config, 4, depth)
         assert len(prepared) == generators
         # the grafted content is worked out once per expanded structure,
-        # from that structure's content
+        # one per orbit, from that structure's content
         expanded = [graph.vertices[key].identity()[0]
-                    for key, level in _levels(graph).items() if level < depth]
+                    for key in _expanded(config, graph)]
         assert sorted(computed) == sorted(expanded)
+        assert len(computed) == 48
         # nothing is kept on a caller's curve
         assert vars(config.gamma) == gamma
         curve = surface.twist_about_meridian(config.gamma, "a", 1)
@@ -498,11 +558,17 @@ class TestDeferredVertices:
     @pytest.mark.parametrize("charts,bound,depth", SIZES)
     def test_keys_only_reads_build_nothing(self, charts, bound, depth,
                                            monkeypatch):
+        # the build makes the expanded structures, one per orbit, and the
+        # sources their recipes need first
         built = _count_builds(monkeypatch)
-        graph = build_complex(standard_configuration(charts), bound, depth)
+        config = standard_configuration(charts)
+        graph = build_complex(config, bound, depth)
         levels = _levels(graph)
-        assert len(built) == sum(0 < level < depth
-                                 for level in levels.values())
+        expanded = _expanded(config, graph)
+        assert len(built) == len(_needed(graph, expanded))
+        assert (len(expanded), len(built)) == {
+            (1, 3, 0): (0, 0), (1, 3, 1): (1, 0), (1, 8, 4): (58, 57),
+            (2, 4, 3): (48, 47), (3, 2, 3): (24, 23)}[charts, bound, depth]
         del built[:]
         assert len(graph.vertices) == len(levels)
         assert list(graph.vertices) == list(graph.vertices.keys())
@@ -569,16 +635,205 @@ class TestDeferredVertices:
         out = tmp_path / f"graph.{fmt}"
         graph = build_complex(standard_configuration(2), 2, 2)
         data = getattr(graph, export)()
-        level_one = sum(level == 1 for level in _levels(graph).values())
+        # the seed's curves are the configuration's, so the CLI's build
+        # expands one vertex per orbit too: the seed and 4 of the 13 at
+        # level one, whose recipes need only the seed
+        levels = _levels(graph)
+        expanded = _expanded(standard_configuration(2), graph)
+        assert (len(expanded), sum(at == 1 for at in levels.values())) == \
+            (5, 13)
         built = _count_builds(monkeypatch)
         assert cli.main(["complex", str(path), "--depth", "2",
                          "--twist-bound", "2", "--format", fmt,
                          "--output", str(out)]) == 0
-        assert len(built) == level_one
+        assert len(built) == len(expanded) - 1
         assert out.read_bytes() == (data if fmt == "json"
                                     else data.encode())
         assert capsys.readouterr().out.startswith(
             f"vertices={len(graph.vertices)} edges={len(graph.edges)} ")
+
+
+def _coloured(**charts):
+    """A configuration reading lambda and gamma as given per chart, as
+    chart=(lambda's class, gamma's class)."""
+    model = surface.SurfaceModel(2, "rho", tuple(charts))
+    lam = {name: classes[0] for name, classes in charts.items()}
+    gamma = {name: classes[1] for name, classes in charts.items()}
+    return surface.validate_configuration(
+        model, surface.component("lambda", lam),
+        surface.component("gamma", gamma))
+
+
+def _symmetric(name):
+    """The configurations of TestOrbitExpansion by name: a standard one
+    by its chart count, "perm2" and "perm3" with lambda (2,2) and gamma
+    (1,1) in every chart, which no reflection fixes, and "swap" with
+    charts a and b standard and chart c as in "perm3"."""
+    if isinstance(name, int):
+        return standard_configuration(name)
+    skew = ((2, 2), (1, 1))
+    if name == "swap":
+        return _coloured(a=((2, 0), (1, 0)), b=((2, 0), (1, 0)), c=skew)
+    return _coloured(**{chart: skew for chart in "abc"[:int(name[-1])]})
+
+
+def _group_order(config, seed=None) -> int:
+    """The order of the group _symmetries generates for a build, found
+    by closing its generators under composition."""
+    seed = config.base_structure() if seed is None else seed
+    graph = build_complex(config, 1, 0)  # for its generator table
+    generators = complex_graph._symmetries(config, seed,
+                                           graph.edges._generators)
+    unmoved = (tuple(range(len(config.model.charts))), 1,
+               tuple(range(len(graph.edges._generators))))
+    group, todo = {unmoved}, [unmoved]
+    for sources, sign, relabel in todo:
+        for by, turn, moved in generators:
+            element = (tuple([sources[j] for j in by]), sign * turn,
+                       tuple([moved[g] for g in relabel]))
+            if element not in group:
+                group.add(element)
+                todo.append(element)
+    return len(group)
+
+
+def _unmapped(monkeypatch):
+    """From here on, builds find no symmetries and expand every vertex."""
+    monkeypatch.setattr(complex_graph, "_symmetries", lambda *args: [])
+
+
+def _everything(graph) -> tuple:
+    """What a build shows: both exports, the keys in discovery order, the
+    edge rows and, read last, every vertex's structure."""
+    return (graph.to_json_bytes(), graph.to_dot(), list(graph.vertices),
+            list(graph.edges._rows), _vertex_digest(graph))
+
+
+@st.composite
+def _symmetric_builds(draw):
+    """A configuration over 1-3 charts, left unvalidated, whose curves
+    read one class each, p > 0, in every chart, mirrored (q -> -q) in
+    some, so many draws have a nontrivial group; a twist bound and a
+    depth. A grafting class with p = 2 is refused wherever it crosses."""
+    names = "abc"[:draw(st.integers(1, 3))]
+    lam = (draw(st.integers(1, 3)), draw(st.integers(-2, 2)))
+    gamma = (draw(st.integers(1, 2)), draw(st.integers(-2, 2)))
+    signs = [draw(st.sampled_from((1, -1))) for _ in names]
+    model = surface.SurfaceModel(2, "rho", tuple(names))
+    config = surface.Configuration(model, *[
+        surface.component(label, {name: (p, sign * q)
+                                  for name, sign in zip(names, signs)},
+                          draw(st.integers(1, 2)))
+        for label, (p, q) in (("lambda", lam), ("gamma", gamma))])
+    return config, draw(st.integers(0, 2)), draw(st.integers(2, 3))
+
+
+class TestOrbitExpansion:
+    """A build expands one vertex per orbit of its symmetries and maps
+    the moves of the first onto the rest: that gives what expanding
+    every vertex gives, byte for byte."""
+
+    @pytest.mark.parametrize("name,bound,depth,order", [
+        *[(c, b, d, 2 * factorial(c)) for c, b, d in SIZES],
+        (2, 6, 4, 4), (3, 3, 3, 12), (1, 6, 5, 2),
+        ("perm2", 2, 3, 2), ("perm3", 2, 3, 6), ("swap", 2, 3, 2)])
+    def test_shortcut_equals_full_build(self, name, bound, depth, order,
+                                        monkeypatch):
+        config = _symmetric(name)
+        assert _group_order(config) == order
+        mapped = _everything(build_complex(config, bound, depth))
+        _unmapped(monkeypatch)
+        assert _everything(build_complex(config, bound, depth)) == mapped
+
+    @settings(max_examples=100, deadline=None)
+    @given(_symmetric_builds())
+    def test_drawn_symmetric_configurations(self, build):
+        config, bound, depth = build
+        mapped = _everything(build_complex(config, bound, depth))
+        with pytest.MonkeyPatch.context() as patch:
+            _unmapped(patch)
+            assert _everything(build_complex(config, bound, depth)) == \
+                mapped
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, "skipping", "negative"])
+    def test_identity_alone_off_the_gate(self, seed, monkeypatch):
+        # a seed other than the configuration's own curve, or a class
+        # with p < 0, leaves the identity alone: every vertex expanded
+        if seed == "skipping":
+            config, seed = TestFusedPass.skipping_setup()
+            bound = 1
+        elif seed == "negative":
+            config = _coloured(a=((2, 0), (1, 0)), b=((2, 0), (-1, 0)))
+            seed, bound = config.base_structure(), 2
+        else:
+            config, bound = standard_configuration(1), 3
+            seed = surface.structure(config.model,
+                                     TestSeededBuilds.SEEDS[seed])
+        graph = build_complex(config, bound, 0)
+        assert complex_graph._symmetries(config, seed,
+                                         graph.edges._generators) == []
+        assert _group_order(config, seed) == 1
+        mapped = _everything(build_complex(config, bound, 3, seed=seed))
+        _unmapped(monkeypatch)
+        assert _everything(build_complex(config, bound, 3, seed=seed)) == \
+            mapped
+
+    def test_recipes_chain(self, monkeypatch):
+        # at (2, 6, 4) some expanded vertices are first reached from
+        # mapped ones, whose structures the build then makes first: 251
+        # expanded structures besides the seed, and 6 mapped ones
+        built = _count_builds(monkeypatch)
+        config = standard_configuration(2)
+        graph = build_complex(config, 6, 4)
+        expanded = _expanded(config, graph)
+        assert (len(expanded), len(built), len(_needed(graph, expanded))) \
+            == (252, 257, 257)
+        # a read builds the structures its vertex's recipe needs first,
+        # the same as a full build's
+        unbuilt = [key for key in graph.vertices
+                   if isinstance(graph.vertices._entries[key], tuple)]
+        last = unbuilt[-1]
+        chain = len(_needed(graph, [last]) & set(unbuilt))
+        del built[:]
+        struct = graph.vertices[last]
+        assert len(built) == chain > 1
+        _unmapped(monkeypatch)
+        full = build_complex(config, 6, 4)
+        assert struct.real_curves == full.vertices[last].real_curves
+
+
+class TestSymmetry:
+    """The standard key graph is invariant under S_c x Z/2: every chart
+    permutation sigma and the reflection (p, q) -> (p, -q) map its
+    vertices and edges onto themselves, the generators relabelled (chart
+    permuted, n -> -n). Built with every vertex expanded, so this checks
+    the grafting calculus the orbit expansion relies on, not the map."""
+
+    @pytest.mark.parametrize("charts,bound,depth", [
+        (1, 3, 4), (2, 3, 3), (3, 2, 3), (2, 6, 4)])
+    def test_key_graph_invariant(self, charts, bound, depth, monkeypatch):
+        _unmapped(monkeypatch)
+        config = standard_configuration(charts)
+        graph = build_complex(config, bound, depth)
+        images = {key: _images(config, key) for key in graph.vertices}
+        names, position = config.model.charts, config.model.chart_index
+
+        def undirected(kind, chart, n, src, dst):
+            # an elementary edge is stored from either endpoint
+            if kind == "elementary" and dst < src:
+                return kind, chart, -n, dst, src
+            return kind, chart, n, src, dst
+
+        edges = Counter(undirected(*e) for e in graph.edges)
+        elements = list(images[graph.seed_key])
+        assert len(elements) == 2 * factorial(charts)
+        for sigma, sign in elements:
+            image = {key: moved[sigma, sign] for key, moved in images.items()}
+            assert set(image.values()) == set(graph.vertices)
+            assert Counter(undirected(
+                kind, chart and names[sigma[position[chart]]], sign * n,
+                image[src], image[dst])
+                for kind, chart, n, src, dst in graph.edges) == edges
 
 
 class TestSeededBuilds:
@@ -765,6 +1020,33 @@ class TestFusedPass:
                  if r.getMessage().startswith("skipping ")]
         assert any("is not a single strand" in m for m in skips)
         assert any("no spiral direction" in m for m in skips)
+        # a symmetric base configuration whose gamma is a double strand
+        # in each chart: a vertex the build maps instead of expanding logs
+        # the skips expanding it would, with its own generators, key and
+        # reasons, in the same order, and only when logging is on
+        model = surface.SurfaceModel(2, "rho", ("a", "b"))
+        config = surface.Configuration(
+            model, surface.component("lambda", {"a": (2, 0), "b": (2, 0)}),
+            surface.component("g", {"a": (2, 0), "b": (2, 0)}))
+        assert _group_order(config) == 4
+        caplog.clear()
+        graph = build_complex(config, 1, 3)
+        logged = [r.getMessage() for r in caplog.records]
+        levels = _levels(graph)
+        assert (len(_expanded(config, graph)),
+                sum(at < 3 for at in levels.values()), len(logged)) == \
+            (8, 19, 84)
+        assert all("is not a single strand" in m for m in logged)
+        caplog.set_level(logging.WARNING, logger="graftkit")
+        caplog.clear()
+        assert build_complex(config, 1, 3).to_json_bytes() == \
+            graph.to_json_bytes()
+        assert not caplog.records
+        caplog.set_level(logging.DEBUG, logger="graftkit")
+        caplog.clear()
+        _unmapped(monkeypatch)
+        build_complex(config, 1, 3)
+        assert [r.getMessage() for r in caplog.records] == logged
 
 
 class _Skips:
