@@ -677,12 +677,11 @@ def _symmetric(name):
     return _coloured(**{chart: skew for chart in "abc"[:int(name[-1])]})
 
 
-def _group_order(config, seed=None) -> int:
-    """The order of the group _symmetries generates for a build, found
-    by closing its generators under composition."""
-    seed = config.base_structure() if seed is None else seed
+def _group_order(config) -> int:
+    """The order of the group _symmetries generates for a build from the
+    base structure, found by closing its generators under composition."""
     graph = build_complex(config, 1, 0)  # for its generator table
-    generators = complex_graph._symmetries(config, seed,
+    generators = complex_graph._symmetries(config, config.base_structure(),
                                            graph.edges._generators)
     unmoved = (tuple(range(len(config.model.charts))), 1,
                tuple(range(len(graph.edges._generators))))
@@ -772,7 +771,6 @@ class TestOrbitExpansion:
         graph = build_complex(config, bound, 0)
         assert complex_graph._symmetries(config, seed,
                                          graph.edges._generators) == []
-        assert _group_order(config, seed) == 1
         mapped = _everything(build_complex(config, bound, 3, seed=seed))
         _unmapped(monkeypatch)
         assert _everything(build_complex(config, bound, 3, seed=seed)) == \
