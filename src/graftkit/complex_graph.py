@@ -23,18 +23,20 @@ crossed total, so the build keeps one dict of such columns per family
 and works each column out once. Every generator is a meridian twist of
 the grafting curve and shares its content, so the grafted content is
 worked out once per expansion. Only _expand identifies a move's
-destination, by arithmetic: its chart totals, with the grafted content
-for a graft and the source's for a meridian twist. Each move names its
-generator by index, and the search keeps vertex ids per content and
-then per totals, so it looks up one table per structure and content and
-each move by its totals alone. A new identity's key is that identity
-rendered, and the vertex map records the move that first reached it:
-its source's key, the generator and its curve. Its structure is built
-once, from one decision, when the BFS expands it or an expanded vertex's
-recipe needs it or a caller reads it, so an edge to a vertex already
-seen builds nothing, not even a decision, a mapped vertex's and the last
-level's structures are built only on request, and no key is worked out
-from curves but the seed's.
+destination, by arithmetic, and a mapped vertex's moves keep its shape:
+two groups (content, [(generator index, destination totals), ...]), the
+meridian twists, then the grafts. One loop registers both, reading a
+generator's descriptor and curve from the build's table by index, and
+the search keeps vertex ids per content, then per totals, so it looks up
+one table per group and each move by its totals alone. _expand alone
+logs a refused graft (see build_complex). A new identity's key is that
+identity rendered, and the vertex map records the move that first
+reached it: its source's key, the generator and its curve. Its structure
+is built once, from one decision, when the BFS expands it or an expanded
+vertex's recipe needs it or a caller reads it, so an edge to a vertex
+already seen builds nothing, not even a decision, a mapped vertex's and
+the last level's structures are built only on request, and no key is
+worked out from curves but the seed's.
 The frontier carries each vertex's key and the identity it was looked
 up by, so no identity is derived from curves but the seed's either; the
 structures themselves keep only their curves and keys. Each edge is an
@@ -301,14 +303,14 @@ def _grafts(config: Configuration, twist_bound: int
 def _expand(config: Configuration, struct: Structure, identity: tuple,
             grafts: Sequence[Tuple[str, range, list, list]],
             columns: Sequence[dict]) -> tuple:
-    """Every move from one structure of the given identity, by generator
-    index g (see _grafts): the elementary moves as (g, the destination's
-    totals), which keep the content; the content every graft gives; and
-    the grafts as (g, the destination's totals, the grafted curve), in
-    the order of _grafts. Each twist family is decided in one pass
+    """Every move from one structure of the given identity, in two
+    groups (content, [(generator index g, the destination's totals),
+    ...]): the elementary moves, which keep the content, then the grafts,
+    with the content every graft gives, in the order of _grafts (see
+    there for g). Each twist family is decided in one pass
     (surface._decide_family) with its dict of columns, which a build
     keeps per family for all its structures. Inadmissible grafts are
-    skipped (logged at debug level)."""
+    skipped and logged at debug level, here alone in the package."""
     content, totals = identity
     # the meridian's crossings with the real curves, per chart
     index = config.model.chart_index
@@ -330,13 +332,14 @@ def _expand(config: Configuration, struct: Structure, identity: tuple,
     moves = []
     for (chart, gens, descs, curves), memo in zip(grafts, columns,
                                                   strict=True):
-        for g, desc, gamma, dst in zip(gens, descs, curves, _decide_family(
+        for g, desc, dst in zip(gens, descs, _decide_family(
                 struct, totals, chart, curves, memo)):
             if type(dst) is tuple:
-                moves.append((g, dst, gamma))
+                moves.append((g, dst))
             elif (log := _debug_log()) is not None:
                 log.debug("skipping %s at %s: %s", desc, struct.key(), dst)
-    return elementary, _graft_content(content, config.gamma), moves
+    return ((content, elementary),
+            (_graft_content(content, config.gamma), moves))
 
 
 def _destination(struct: Structure, desc: Tuple[str, str, int],
@@ -427,12 +430,12 @@ def _image(totals: tuple, sources: tuple, sign: int) -> tuple:
     return tuple([(totals[j][0], -totals[j][1]) for j in sources])
 
 
-def _orbit(totals: tuple, group: list, identity: tuple) -> dict:
-    """Each image of the totals under the group, with an element (as
-    _symmetries gives one) that maps the totals onto it: a search over
-    the images by the group's generators, so it costs per image, not
-    per element. identity is the group's identity element."""
-    orbit = {totals: identity}
+def _orbit(totals: tuple, group: list) -> dict:
+    """The other images of the totals under the group, each with an
+    element (as _symmetries gives one) that maps the totals onto it: a
+    search over the images by the group's generators, so it costs per
+    image, not per element."""
+    orbit = {totals: (range(len(totals)), 1, range(len(group[0][2])))}
     todo = [totals]
     for now in todo:
         sources, sign, moved = orbit[now]
@@ -442,6 +445,7 @@ def _orbit(totals: tuple, group: list, identity: tuple) -> dict:
                 orbit[image] = (tuple([sources[j] for j in by]),
                                 sign * turn, [relabel[g] for g in moved])
                 todo.append(image)
+    del orbit[totals]
     return orbit
 
 
@@ -540,9 +544,11 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
 
     The BFS expands one vertex per orbit of the build's symmetries (see
     _symmetries): the first of an orbit it meets is expanded, and its
-    moves are kept under each image of its identity, so a later vertex of
-    the orbit maps them instead, in generator order, as _expand gives
-    them. With no symmetries every vertex is expanded. A vertex's
+    moves are kept under each other image of its identity, so a later
+    vertex of the orbit maps them instead, in _expand's shape and
+    generator order. With no symmetries every vertex is expanded. With
+    debug logging on, a mapped vertex that refuses a graft is expanded
+    too, for _expand to log the skips. A vertex's
     structure is built when it is expanded, or an expanded vertex's
     recipe needs it, or it is read from graph.vertices, so a mapped
     vertex's and the last level's structures are built only on request.
@@ -558,14 +564,12 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
     grafts = _grafts(config, twist_bound if depth else 0)
     generators = [("elementary", chart, n) for chart in model.charts
                   for n in (1, -1)]
-    curves: List[Optional[Component]] = [None] * len(generators)
+    elementary = len(generators)
+    curves: List[Optional[Component]] = [None] * elementary
     generators += [desc for _, _, descs, _ in grafts for desc in descs]
     curves += [curve for *_, family in grafts for curve in family]
-    graft_count = len(curves) - 2 * len(model.charts)
     columns = [{} for _ in grafts]  # per family, for this build only
     group = _symmetries(config, seed, generators)
-    unmoved = (tuple(range(len(model.charts))), 1,
-               list(range(len(generators))))
     # identity -> (a symmetry onto it, its representative's moves)
     mapped: Dict[tuple, tuple] = {}
     seed_key, seed_identity = seed.key(), seed.identity()
@@ -583,72 +587,44 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
         frontier.sort()  # by key: keys are distinct
         next_frontier = []
         for src_key, src, src_identity in frontier:
-            content = src_identity[0]
             found = mapped.pop(src_identity, None)
             if found is None:
-                expansion = _expand(config, vertices[src_key], src_identity,
-                                    grafts, columns)
+                groups = _expand(config, vertices[src_key], src_identity,
+                                 grafts, columns)
                 if group:
-                    for image, by in _orbit(src_identity[1], group,
-                                            unmoved).items():
-                        mapped[content, image] = by, expansion
-                elementary, grafted, moves = expansion
+                    for image, by in _orbit(src_identity[1], group).items():
+                        mapped[src_identity[0], image] = by, groups
             else:
-                (sources, sign, relabel), (elementary, grafted, moves) = found
-                elementary = sorted([
+                (sources, sign, relabel), groups = found
+                groups = [(content, sorted([
                     (relabel[g], _image(totals, sources, sign))
-                    for g, totals in elementary])
-                moves = sorted([
-                    (relabel[g], _image(totals, sources, sign),
-                     curves[relabel[g]]) for g, totals, _ in moves])
-                if len(moves) < graft_count \
-                        and (log := _debug_log()) is not None:
-                    _log_skips(log, vertices[src_key], moves, generators,
-                               curves)
-            table = ids[content]
-            for g, totals in elementary:
-                dst = table.get(totals)
-                if dst is None:  # a new vertex, reached first by this move
-                    dst = table[totals] = len(entries)
-                    identity = (content, totals)
-                    dst_key = _render(identity, model)
-                    entries[dst_key] = (src_key, generators[g], None)
-                    if level < depth - 1:  # the last level stays unexpanded
-                        next_frontier.append((dst_key, dst, identity))
-                # a move and its inverse share the chart position g >> 1
-                pair = (min(src, dst), max(src, dst), g >> 1)
-                if pair in seen_elementary:
-                    continue
-                seen_elementary.add(pair)
-                rows.append((src, dst, g))
-            table = ids.get(grafted)
-            if table is None:
-                table = ids[grafted] = {}
-            for g, totals, curve in moves:
-                dst = table.get(totals)
-                if dst is None:  # a new vertex, reached first by this move
-                    dst = table[totals] = len(entries)
-                    identity = (grafted, totals)
-                    dst_key = _render(identity, model)
-                    entries[dst_key] = (src_key, generators[g], curve)
-                    if level < depth - 1:  # the last level stays unexpanded
-                        next_frontier.append((dst_key, dst, identity))
-                rows.append((src, dst, g))
+                    for g, totals in moves])) for content, moves in groups]
+                if len(groups[1][1]) < len(curves) - elementary \
+                        and _debug_log() is not None:
+                    # expanded for the log alone: the grafts it refuses
+                    _expand(config, vertices[src_key], src_identity, grafts,
+                            columns)
+            for content, moves in groups:
+                table = ids.setdefault(content, {})
+                for g, totals in moves:
+                    dst = table.get(totals)
+                    if dst is None:  # a new vertex, reached first by g
+                        dst = table[totals] = len(entries)
+                        identity = (content, totals)
+                        dst_key = _render(identity, model)
+                        entries[dst_key] = (src_key, generators[g], curves[g])
+                        if level < depth - 1:  # the last level unexpanded
+                            next_frontier.append((dst_key, dst, identity))
+                    if g < elementary:
+                        # a move and its inverse share the position g >> 1
+                        pair = (min(src, dst), max(src, dst), g >> 1)
+                        if pair in seen_elementary:
+                            continue
+                        seen_elementary.add(pair)
+                    rows.append((src, dst, g))
         frontier = next_frontier
     return ComplexGraph(vertices, _Edges(rows, generators, vertices),
                         twist_bound, depth, seed_key)
-
-
-def _log_skips(log, struct: Structure, moves: list, generators: list,
-               curves: list) -> None:
-    """Log each graft a mapped vertex refuses, as _expand would have:
-    the generators its mapped moves leave out, each decided again on the
-    vertex's own structure for the reason."""
-    admitted = {g for g, _, _ in moves}
-    for g, curve in enumerate(curves):
-        if curve is not None and g not in admitted:
-            log.debug("skipping %s at %s: %s", generators[g], struct.key(),
-                      is_admissible(curve, struct).reason)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import re
+import sys
 from collections import Counter
 from itertools import permutations
 from math import factorial, gcd
@@ -197,6 +198,13 @@ def _generator_table(config, grafts) -> list:
     assert [g for _, gens, _, _ in grafts for g in gens] == \
         list(range(2 * len(config.model.charts), len(table)))
     return table
+
+
+def _curve_table(config, grafts) -> list:
+    """build_complex's curves by generator index: none for the elementary
+    moves, then the prepared curves of _grafts."""
+    return [None] * 2 * len(config.model.charts) + \
+        [curve for _, curve in _generators(grafts)]
 
 
 def _fresh(grafts) -> list:
@@ -776,6 +784,50 @@ class TestOrbitExpansion:
         assert _everything(build_complex(config, bound, 3, seed=seed)) == \
             mapped
 
+    @pytest.mark.parametrize("charts,bound,depth,stored", [
+        (1, 8, 4, 54), (2, 4, 3, 111), (3, 2, 3, 129)])
+    def test_each_stored_entry_popped_once(self, charts, bound, depth,
+                                           stored, monkeypatch):
+        # an expanded vertex's moves are stored under each other image of
+        # its identity, never its own, and each entry is taken by exactly
+        # one later vertex: the vertices below the depth not expanded. So
+        # none is left when the build returns.
+        expanded, orbits, left = [], [], []
+        expand, orbit = complex_graph._expand, complex_graph._orbit
+
+        def expanding(config, struct, identity, *args):
+            expanded.append(identity)
+            return expand(config, struct, identity, *args)
+
+        def tracing(totals, *args):
+            orbits.append((expanded[-1], orbit(totals, *args)))
+            return orbits[-1][1]
+
+        monkeypatch.setattr(complex_graph, "_expand", expanding)
+        def returning(frame, event, arg):
+            if event == "return" and \
+                    frame.f_code is build_complex.__code__:
+                left.append(len(frame.f_locals["mapped"]))
+
+        monkeypatch.setattr(complex_graph, "_orbit", tracing)
+        config = standard_configuration(charts)
+        sys.setprofile(returning)
+        try:
+            graph = build_complex(config, bound, depth)
+        finally:
+            sys.setprofile(None)
+        assert left == [0]
+        assert len(orbits) == len(expanded)
+        assert all(totals not in images
+                   for (_, totals), images in orbits)
+        model = config.model
+        keys = sorted(surface._render((content, image), model)
+                      for (content, _), images in orbits for image in images)
+        below = {key for key, at in _levels(graph).items() if at < depth}
+        assert len(keys) == stored
+        assert keys == sorted(below - {surface._render(identity, model)
+                                       for identity in expanded})
+
     def test_recipes_chain(self, monkeypatch):
         # at (2, 6, 4) some expanded vertices are first reached from
         # mapped ones, whose structures the build then makes first: 251
@@ -913,14 +965,19 @@ class TestFusedPass:
         curves = dict(_generators(grafts))
         table = _generator_table(config, grafts)
         assert graph.edges._generators == table
+        # a vertex's recipe carries its generator's curve from the table
+        for entry in graph.vertices._entries.values():
+            if isinstance(entry, tuple):
+                assert entry[2] == curves.get(entry[1])
+        built_curves = _curve_table(config, grafts)
         twists = 0
         for struct in graph.vertices.values():
-            content = struct.identity()[0]
-            elementary, grafted, moves = complex_graph._expand(
+            (content, elementary), (grafted, moves) = complex_graph._expand(
                 config, struct, struct.identity(), grafts, _fresh(grafts))
+            assert content == struct.identity()[0]
             # every graft is admitted at these sizes
             # (test_rejection_reasons covers rejections)
-            assert [table[g] for g, _, _ in moves] == list(curves)
+            assert [table[g] for g, _ in moves] == list(curves)
             for g, totals in elementary:
                 kind, chart, n = table[g]
                 assert kind == "elementary"
@@ -928,9 +985,9 @@ class TestFusedPass:
                 built = surface.twist_about_meridian(struct, chart, n)
                 assert surface._render((content, totals), model) == \
                     built.key()
-            for g, totals, curve in moves:
-                assert curve is curves[table[g]]
-                built = surface.graft_along(struct, curve)
+            for g, totals in moves:
+                assert built_curves[g] is curves[table[g]]
+                built = surface.graft_along(struct, built_curves[g])
                 assert surface._render((grafted, totals), model) == \
                     built.key()
         assert twists > 0
@@ -967,9 +1024,9 @@ class TestFusedPass:
         model = config.model
         struct = surface.structure(model, [
             surface.component("x", {"a": (1, 0)}, multiplicity)])
-        content = struct.identity()[0]
-        elementary, _, moves = complex_graph._expand(
+        (content, elementary), (_, moves) = complex_graph._expand(
             config, struct, struct.identity(), [], [])
+        assert content == struct.identity()[0]
         assert len(elementary) == twists and moves == []
         table = _generator_table(config, [])
         for g, totals in elementary:
@@ -1008,10 +1065,12 @@ class TestFusedPass:
         assert sorted(rendered) == sorted(quiet.vertices)
         rendered.clear()
         caplog.set_level(logging.DEBUG, logger="graftkit")
-        data = self.skipping_build().to_json_bytes()
+        loud = self.skipping_build()
         # a logged skip names the source by the key it keeps
         assert sorted(rendered) == sorted(quiet.vertices)
-        assert data == quiet.to_json_bytes()
+        # logging fills no column a quiet build would read otherwise
+        assert _everything(loud) == _everything(quiet)
+        data = loud.to_json_bytes()
         assert hashlib.sha256(data).hexdigest() == (
             "d34f49a15e6faafb9c35ea5ea81a4ba1ac41852ee2a2e273105223a9801b69fc")
         skips = [r.getMessage() for r in caplog.records
@@ -1019,9 +1078,11 @@ class TestFusedPass:
         assert any("is not a single strand" in m for m in skips)
         assert any("no spiral direction" in m for m in skips)
         # a symmetric base configuration whose gamma is a double strand
-        # in each chart: a vertex the build maps instead of expanding logs
-        # the skips expanding it would, with its own generators, key and
-        # reasons, in the same order, and only when logging is on
+        # in each chart: a vertex the build maps instead of expanding is
+        # expanded for the log too, so it logs the skips expanding it
+        # would, with its own generators, key and reasons, in the same
+        # order, and only when logging is on, building what a quiet build
+        # does
         model = surface.SurfaceModel(2, "rho", ("a", "b"))
         config = surface.Configuration(
             model, surface.component("lambda", {"a": (2, 0), "b": (2, 0)}),
@@ -1037,8 +1098,8 @@ class TestFusedPass:
         assert all("is not a single strand" in m for m in logged)
         caplog.set_level(logging.WARNING, logger="graftkit")
         caplog.clear()
-        assert build_complex(config, 1, 3).to_json_bytes() == \
-            graph.to_json_bytes()
+        assert _everything(build_complex(config, 1, 3)) == \
+            _everything(graph)
         assert not caplog.records
         caplog.set_level(logging.DEBUG, logger="graftkit")
         caplog.clear()
@@ -1065,13 +1126,11 @@ def _family_moves(config, struct, grafts, columns=None):
     log = _Skips()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(complex_graph, "_debug_log", lambda: log)
-        _, grafted, moves = complex_graph._expand(
+        _, (grafted, moves) = complex_graph._expand(
             config, struct, struct.identity(), grafts,
             _fresh(grafts) if columns is None else columns)
     table = _generator_table(config, grafts)
-    curves = dict(_generators(grafts))
-    assert all(curve is curves[table[g]] for g, _, curve in moves)
-    return [(table[g], (grafted, totals)) for g, totals, _ in moves], \
+    return [(table[g], (grafted, totals)) for g, totals in moves], \
         log.skipped
 
 
@@ -1318,13 +1377,13 @@ class TestOrientationFree:
 
 def _destinations(config, struct, grafts):
     """Each move of struct with the structure it builds."""
-    elementary, _, grafts_moves = complex_graph._expand(
+    (_, elementary), (_, moves) = complex_graph._expand(
         config, struct, struct.identity(), grafts, _fresh(grafts))
     table = _generator_table(config, grafts)
-    moves = [(g, None) for g, _ in elementary]
-    moves += [(g, curve) for g, _, curve in grafts_moves]
-    return [(table[g], complex_graph._destination(struct, table[g], curve))
-            for g, curve in moves]
+    curves = _curve_table(config, grafts)
+    return [(table[g], complex_graph._destination(struct, table[g],
+                                                  curves[g]))
+            for g, _ in elementary + moves]
 
 
 def _moves(config, struct, grafts):

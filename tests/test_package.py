@@ -210,6 +210,25 @@ def test_one_smoothing_rule():
     assert len(set.union(*naming.values())) == 1
 
 
+def test_one_writer_of_the_skip_log():
+    """A refused graft is logged in one place: the "skipping " message
+    is written once in the package, inside complex_graph's _expand, which
+    a build runs for a mapped vertex's skips as well."""
+    written, writers = 0, set()
+    for path in Path(graftkit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        written += sum(isinstance(node, ast.Constant)
+                       and str(node.value).startswith("skipping ")
+                       for node in ast.walk(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(inner, ast.Constant)
+                    and str(inner.value).startswith("skipping ")
+                    for inner in ast.walk(node)):
+                writers.add((path.name, node.name))
+    assert (written, writers) == (1, {("complex_graph.py", "_expand")})
+
+
 def test_no_unreferenced_private_helpers():
     """Every private module-level function or class of the package is
     named somewhere in the package outside its own definition."""
