@@ -548,10 +548,10 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
     vertex of the orbit maps them instead, in _expand's shape and
     generator order. With no symmetries every vertex is expanded. With
     debug logging on, a mapped vertex that refuses a graft is expanded
-    too, for _expand to log the skips. A vertex's
-    structure is built when it is expanded, or an expanded vertex's
-    recipe needs it, or it is read from graph.vertices, so a mapped
-    vertex's and the last level's structures are built only on request.
+    too, for _expand to log the skips. A vertex's structure is built
+    when it is expanded, or an expanded vertex's recipe needs it, or it
+    is read from graph.vertices, so a mapped vertex's and the last
+    level's structures are built only on request.
     """
     if twist_bound < 0 or depth < 0:
         raise BadConfiguration("twist bound and depth must be nonnegative")

@@ -803,12 +803,12 @@ class TestOrbitExpansion:
             orbits.append((expanded[-1], orbit(totals, *args)))
             return orbits[-1][1]
 
-        monkeypatch.setattr(complex_graph, "_expand", expanding)
         def returning(frame, event, arg):
             if event == "return" and \
                     frame.f_code is build_complex.__code__:
                 left.append(len(frame.f_locals["mapped"]))
 
+        monkeypatch.setattr(complex_graph, "_expand", expanding)
         monkeypatch.setattr(complex_graph, "_orbit", tracing)
         config = standard_configuration(charts)
         sys.setprofile(returning)
@@ -1068,7 +1068,7 @@ class TestFusedPass:
         loud = self.skipping_build()
         # a logged skip names the source by the key it keeps
         assert sorted(rendered) == sorted(quiet.vertices)
-        # logging fills no column a quiet build would read otherwise
+        # the columns the log's expansions fill change nothing built
         assert _everything(loud) == _everything(quiet)
         data = loud.to_json_bytes()
         assert hashlib.sha256(data).hexdigest() == (
