@@ -23,14 +23,17 @@ crossed total, so the build keeps one dict of such columns per family
 and works each column out once. Every generator is a meridian twist of
 the grafting curve and shares its content, so the grafted content is
 worked out once per expansion. Only _expand identifies a move's
-destination, by arithmetic, and a mapped vertex's moves keep its shape:
-two groups (content, [(generator index, destination totals), ...]), the
-meridian twists, then the grafts. One loop registers both, reading a
-generator's descriptor and curve from the build's table by index, and
-the search keeps vertex ids per content, then per totals, so it looks up
-one table per group and each move by its totals alone. _expand alone
-logs a refused graft (see build_complex). A new identity's key is that
-identity rendered, and the vertex map records the move that first
+destination, by arithmetic, in two groups (content, [(generator index,
+destination totals), ...]), the meridian twists, then the grafts. A
+representative keeps its moves by destination id once registered, and a
+mapped vertex gets the same groups by those ids, which its symmetry
+(composed once per build, see _orbit) maps to its own through a dict it
+fills on first use. One loop registers both kinds, reading a generator's
+descriptor and curve from the build's table by index; the search keeps
+vertex ids per content, then per totals, so it looks up one table per
+group and each move by its totals, or a mapped one by id, alone. _expand
+alone logs a refused graft (see build_complex). A new identity's key is
+that identity rendered, and the vertex map records the move that first
 reached it: its source's key, the generator and its curve. Its structure
 is built once, from one decision, when the BFS expands it or an expanded
 vertex's recipe needs it or a caller reads it, so an edge to a vertex
@@ -253,10 +256,12 @@ class ComplexGraph(_Frozen):
 
 def _sorted_ranks(items: list) -> Tuple[list, List[int]]:
     """The items sorted, and by index each item's position there: the
-    sorting permutation, sorted again, gives its inverse."""
+    sorting permutation's inverse, filled in one pass over it."""
     order = sorted(range(len(items)), key=items.__getitem__)
-    return ([items[i] for i in order],
-            sorted(range(len(order)), key=order.__getitem__))
+    ranks = [0] * len(order)
+    for position, i in enumerate(order):
+        ranks[i] = position
+    return [items[i] for i in order], ranks
 
 
 _STANDARD_GENUS = 2
@@ -430,20 +435,28 @@ def _image(totals: tuple, sources: tuple, sign: int) -> tuple:
     return tuple([(totals[j][0], -totals[j][1]) for j in sources])
 
 
-def _orbit(totals: tuple, group: list) -> dict:
+def _orbit(totals: tuple, group: list, elements: dict) -> dict:
     """The other images of the totals under the group, each with an
-    element (as _symmetries gives one) that maps the totals onto it: a
+    element that maps the totals onto it, as (sources, sign, index map,
+    known): the first three as _symmetries gives an element, known a
+    dict from a representative's destination id to its image's id. A
     search over the images by the group's generators, so it costs per
-    image, not per element."""
-    orbit = {totals: (range(len(totals)), 1, range(len(group[0][2])))}
+    image, not per element. The elements dict, which lives as long as
+    the build, keeps each element composed once under (sources, sign),
+    and every orbit entry for that element shares it."""
+    orbit = {totals: (range(len(totals)), 1, range(len(group[0][2])), {})}
     todo = [totals]
     for now in todo:
-        sources, sign, moved = orbit[now]
+        sources, sign, moved, _ = orbit[now]
         for by, turn, relabel in group:
             image = _image(now, by, turn)
             if image not in orbit:
-                orbit[image] = (tuple([sources[j] for j in by]),
-                                sign * turn, [relabel[g] for g in moved])
+                key = (tuple([sources[j] for j in by]), sign * turn)
+                element = elements.get(key)
+                if element is None:
+                    element = elements[key] = (
+                        *key, [relabel[g] for g in moved], {})
+                orbit[image] = element
                 todo.append(image)
     del orbit[totals]
     return orbit
@@ -544,11 +557,17 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
 
     The BFS expands one vertex per orbit of the build's symmetries (see
     _symmetries): the first of an orbit it meets is expanded, and its
-    moves are kept under each other image of its identity, so a later
-    vertex of the orbit maps them instead, in _expand's shape and
-    generator order. With no symmetries every vertex is expanded. With
-    debug logging on, a mapped vertex that refuses a graft is expanded
-    too, for _expand to log the skips. A vertex's structure is built
+    moves, as (generator index, destination id) once registered, are
+    kept under each other image of its identity with the element that
+    maps onto it (see _orbit). A later vertex of the orbit maps them
+    instead, in _expand's groups and generator order: it reads each
+    destination's image id from the element's dict, and only on a miss
+    maps the destination's totals (kept by id) and looks them up, then
+    stores the id. So a repeated image costs one dict lookup, and rows,
+    key order, recipes and first-reach order are a full expansion's.
+    With no symmetries every vertex is expanded. With debug logging on,
+    a mapped vertex that refuses a graft is expanded too, for _expand to
+    log the skips. A vertex's structure is built
     when it is expanded, or an expanded vertex's recipe needs it, or it
     is read from graph.vertices, so a mapped vertex's and the last
     level's structures are built only on request.
@@ -570,13 +589,15 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
     curves += [curve for *_, family in grafts for curve in family]
     columns = [{} for _ in grafts]  # per family, for this build only
     group = _symmetries(config, seed, generators)
-    # identity -> (a symmetry onto it, its representative's moves)
+    elements: Dict[tuple, tuple] = {}  # (sources, sign) -> element
+    # identity -> (an element onto it, its representative's moves by id)
     mapped: Dict[tuple, tuple] = {}
     seed_key, seed_identity = seed.key(), seed.identity()
     entries = {seed_key: seed}
     vertices = _Vertices(entries)
     # content -> {totals -> vertex id}, ids in discovery order
     ids = {seed_identity[0]: {seed_identity[1]: 0}}
+    totals_by_id = [seed_identity[1]]
     rows = []
     seen_elementary = set()
     # (key, id, identity) per vertex to expand
@@ -588,33 +609,46 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
         next_frontier = []
         for src_key, src, src_identity in frontier:
             found = mapped.pop(src_identity, None)
-            if found is None:
+            if found is None:  # moves by destination totals
                 groups = _expand(config, vertices[src_key], src_identity,
                                  grafts, columns)
-                if group:
-                    for image, by in _orbit(src_identity[1], group).items():
-                        mapped[src_identity[0], image] = by, groups
-            else:
-                (sources, sign, relabel), groups = found
-                groups = [(content, sorted([
-                    (relabel[g], _image(totals, sources, sign))
-                    for g, totals in moves])) for content, moves in groups]
+                known = None
+            else:  # moves by the representative's destination ids
+                (sources, sign, relabel, known), theirs = found
+                groups = [(content, sorted([(relabel[g], d)
+                                            for g, d in moves]))
+                          for content, moves in theirs]
                 if len(groups[1][1]) < len(curves) - elementary \
                         and _debug_log() is not None:
                     # expanded for the log alone: the grafts it refuses
                     _expand(config, vertices[src_key], src_identity, grafts,
                             columns)
+            # a representative's moves by id, for the rest of its orbit
+            kept = [] if known is None and group else None
             for content, moves in groups:
                 table = ids.setdefault(content, {})
-                for g, totals in moves:
-                    dst = table.get(totals)
-                    if dst is None:  # a new vertex, reached first by g
-                        dst = table[totals] = len(entries)
-                        identity = (content, totals)
-                        dst_key = _render(identity, model)
-                        entries[dst_key] = (src_key, generators[g], curves[g])
-                        if level < depth - 1:  # the last level unexpanded
-                            next_frontier.append((dst_key, dst, identity))
+                lookup = table if known is None else known
+                if kept is not None:
+                    keep = []
+                    kept.append((content, keep))
+                for g, move in moves:
+                    dst = lookup.get(move)
+                    if dst is None:
+                        totals = move if known is None else \
+                            _image(totals_by_id[move], sources, sign)
+                        dst = table.get(totals)
+                        if dst is None:  # a new vertex, reached first by g
+                            dst = table[totals] = len(entries)
+                            totals_by_id.append(totals)
+                            identity = (content, totals)
+                            dst_key = _render(identity, model)
+                            entries[dst_key] = (src_key, generators[g],
+                                                curves[g])
+                            if level < depth - 1:  # the last level unexpanded
+                                next_frontier.append((dst_key, dst, identity))
+                        lookup[move] = dst  # for a mapped move, its image
+                    if kept is not None:
+                        keep.append((g, dst))
                     if g < elementary:
                         # a move and its inverse share the position g >> 1
                         pair = (min(src, dst), max(src, dst), g >> 1)
@@ -622,6 +656,10 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
                             continue
                         seen_elementary.add(pair)
                     rows.append((src, dst, g))
+            if kept is not None:
+                for image, element in _orbit(src_identity[1], group,
+                                             elements).items():
+                    mapped[src_identity[0], image] = element, kept
         frontier = next_frontier
     return ComplexGraph(vertices, _Edges(rows, generators, vertices),
                         twist_bound, depth, seed_key)
@@ -869,19 +907,39 @@ def _suite_dehn_twist(k_max: int = 6) -> Report:
     return report
 
 
+# the draws of _random_even_multicurve with gcd(|p|, |q|) = 1, so (0, 0)
+# left out
+_PRIMITIVE = frozenset([(p, q) for p in range(-5, 6) for q in range(-5, 6)
+                        if gcd(abs(p), abs(q)) == 1])
+
+
 def _random_even_multicurve(rng: random.Random,
                             model: SurfaceModel) -> Tuple[Component, ...]:
+    """Components on distinct charts, each a primitive class with entries
+    in [-5, 5] and an even multiplicity up to 8. The entries and the half
+    multiplicity are drawn from rng.getrandbits as CPython 3.11's
+    rng.randint(-5, 5) and rng.randint(1, 4) draw them, so from the same
+    stream: a range of width w takes w.bit_length() bits, drawn again
+    while at or above w."""
     n = rng.randint(1, len(model.charts))
     charts = rng.sample(list(model.charts), n)
+    draw = rng.getrandbits
     comps = []
     for i, chart in enumerate(charts):
         while True:
-            p = rng.randint(-5, 5)
-            q = rng.randint(-5, 5)
-            if (p, q) != (0, 0) and gcd(abs(p), abs(q)) == 1:
+            p = draw(4)
+            while p >= 11:
+                p = draw(4)
+            q = draw(4)
+            while q >= 11:
+                q = draw(4)
+            if (p - 5, q - 5) in _PRIMITIVE:
                 break
-        comps.append(component(f"w{i}", {chart: (p, q)},
-                               2 * rng.randint(1, 4)))
+        half = draw(3)
+        while half >= 4:
+            half = draw(3)
+        comps.append(component(f"w{i}", {chart: (p - 5, q - 5)},
+                               2 * half + 2))
     return tuple(comps)
 
 

@@ -120,7 +120,9 @@ class SurfaceModel(_Frozen):
 
     Every chart's core meridian has trivial holonomy, and every move
     twists about it in the chart basis (MERIDIAN). chart_index, each
-    chart's position in charts, is not a field.
+    chart's position in charts, is not a field, nor is key_heads, for
+    _render: each chart's position in name order, with the name quoted
+    as a key's charts object opens its entry, "a":[.
     """
 
     _fields = ("genus", "holonomy_tag", "charts")
@@ -135,7 +137,9 @@ class SurfaceModel(_Frozen):
             raise ValueError("charts must be nonempty and distinct")
         self.__dict__.update(
             genus=genus, holonomy_tag=holonomy_tag, charts=charts,
-            chart_index={name: i for i, name in enumerate(charts)})
+            chart_index={name: i for i, name in enumerate(charts)},
+            key_heads=tuple([(i, f"{_quote(name)}:[") for name, i
+                             in sorted(zip(charts, range(len(charts))))]))
 
     def require_chart(self, name: str) -> None:
         """The one raiser of UnknownChart: a name the model lacks."""
@@ -388,10 +392,12 @@ def _render(identity: tuple, model: SurfaceModel) -> str:
     json.dumps({"content": content, "charts": {chart: total}},
     sort_keys=True, separators=(",", ":")), the charts in name order and
     every label and chart name ASCII-escaped as json quotes it. Names are
-    strings (SurfaceModel and Component check), so the order is str's."""
+    strings (SurfaceModel and Component check), so the order is str's;
+    the model keeps the charts in that order with their quoted names
+    (key_heads), so a key only joins the totals onto them."""
     content, totals = identity
-    charts = ",".join([f"{_quote(name)}:[{p},{q}]" for name, (p, q)
-                       in sorted(zip(model.charts, totals))])
+    charts = ",".join([f"{head}{totals[i][0]},{totals[i][1]}]"
+                       for i, head in model.key_heads])
     labels = ",".join([f"[{_quote(lab)},{n}]" for lab, n in content])
     return f'{{"charts":{{{charts}}},"content":[{labels}]}}'
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import logging
+import random
 import re
 import sys
 from collections import Counter
@@ -334,6 +335,51 @@ class TestComputedOnce:
         graph = build_complex(standard_configuration(2), 4, 3)
         assert sorted(rendered) == sorted(graph.vertices)
         assert len(from_curves) == 1
+
+    @pytest.mark.parametrize("charts,bound,depth,calls", [
+        (1, 8, 4, (112, 123)), (2, 4, 3, (318, 785)), (3, 2, 3, (459, 1312))])
+    def test_image_calls_per_build(self, charts, bound, depth, calls,
+                                   monkeypatch):
+        # _image maps totals in two places. _orbit maps each image it
+        # finds by each generator of the group once; the orbits of the
+        # expanded vertices are the 112, 159 and 153 vertices below the
+        # depth, and the group has 1, 2 and 3 generators, so 112, 318 and
+        # 459 calls. A mapped vertex maps a destination's totals only the
+        # first time its element meets that destination's id, and keeps
+        # the image's id in the element's dict: one call per entry those
+        # dicts hold at the end, 123, 785 and 1,312. So 235, 1,103 and
+        # 1,771 in all, where one call per mapped move made 1,036, 2,237
+        # and 2,256.
+        inside, outside, elements = [], [], {}
+        image, orbit = complex_graph._image, complex_graph._orbit
+
+        def imaging(*args):
+            (inside if searching else outside).append(args)
+            return image(*args)
+
+        def tracing(totals, group, composed):
+            searching.append(totals)
+            try:
+                found = orbit(totals, group, composed)
+            finally:
+                searching.pop()
+            elements.update((id(element), element)
+                            for element in found.values())
+            return found
+
+        searching = []
+        monkeypatch.setattr(complex_graph, "_image", imaging)
+        monkeypatch.setattr(complex_graph, "_orbit", tracing)
+        config = standard_configuration(charts)
+        graph = build_complex(config, bound, depth)
+        below = sum(at < depth for at in _levels(graph).values())
+        group = complex_graph._symmetries(config, config.base_structure(),
+                                          graph.edges._generators)
+        assert len(inside) == below * len(group) == calls[0]
+        assert len(outside) == sum(len(known) for *_, known
+                                   in elements.values()) == calls[1]
+        # each (element, destination) pair once
+        assert len(set(outside)) == len(outside)
 
     @pytest.mark.parametrize("charts,bound,depth", [
         (1, 8, 4), (2, 4, 3), (3, 2, 3)])
@@ -742,7 +788,8 @@ class TestOrbitExpansion:
 
     @pytest.mark.parametrize("name,bound,depth,order", [
         *[(c, b, d, 2 * factorial(c)) for c, b, d in SIZES],
-        (2, 6, 4, 4), (3, 3, 3, 12), (1, 6, 5, 2),
+        (2, 6, 4, 4), (3, 3, 3, 12), (1, 6, 5, 2), (2, 10, 4, 4),
+        (3, 4, 4, 12),
         ("perm2", 2, 3, 2), ("perm3", 2, 3, 6), ("swap", 2, 3, 2)])
     def test_shortcut_equals_full_build(self, name, bound, depth, order,
                                         monkeypatch):
@@ -827,6 +874,36 @@ class TestOrbitExpansion:
         assert len(keys) == stored
         assert keys == sorted(below - {surface._render(identity, model)
                                        for identity in expanded})
+
+    @pytest.mark.parametrize("charts,bound,depth", [
+        (1, 8, 4), (2, 4, 3), (3, 2, 3)])
+    def test_each_element_composed_once(self, charts, bound, depth,
+                                        monkeypatch):
+        # every orbit entry for one group element is that element composed
+        # once per build, its index map and its dict of image ids shared:
+        # the group has 2 * c! elements, and these builds meet all but the
+        # identity, 1, 3 and 11
+        entries = []
+        orbit = complex_graph._orbit
+
+        def tracing(*args):
+            found = orbit(*args)
+            entries.extend(found.values())
+            return found
+
+        monkeypatch.setattr(complex_graph, "_orbit", tracing)
+        build_complex(standard_configuration(charts), bound, depth)
+        count = 2 * factorial(charts) - 1
+        assert len({(sources, sign) for sources, sign, *_ in entries}) == \
+            count
+        assert len({id(element) for element in entries}) == count
+        assert len({id(element[2]) for element in entries}) == count
+        assert len(entries) > count
+        # a second build composes its own
+        again = len(entries)
+        build_complex(standard_configuration(charts), bound, depth)
+        assert not {id(e) for e in entries[:again]} & \
+            {id(e) for e in entries[again:]}
 
     def test_recipes_chain(self, monkeypatch):
         # at (2, 6, 4) some expanded vertices are first reached from
@@ -1743,6 +1820,27 @@ class TestSuites:
     def test_suites_pass(self, name, params):
         report = verify_suite(name, **params)
         assert report.passed, [i for i in report.instances if not i.ok]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_goldman_draws_as_randint_draws(self, seed):
+        # the goldman suite's multicurves come from the stream that
+        # rng.randint would draw them from, and leave it where it would
+        model = surface.SurfaceModel(4, "rho", tuple(f"c{i}" for i in
+                                                     range(6)))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            n = theirs.randint(1, len(model.charts))
+            comps = []
+            for i, chart in enumerate(theirs.sample(list(model.charts), n)):
+                while True:
+                    p, q = theirs.randint(-5, 5), theirs.randint(-5, 5)
+                    if (p, q) != (0, 0) and gcd(abs(p), abs(q)) == 1:
+                        break
+                comps.append(surface.component(f"w{i}", {chart: (p, q)},
+                                               2 * theirs.randint(1, 4)))
+            assert complex_graph._random_even_multicurve(ours, model) == \
+                tuple(comps)
+        assert ours.getstate() == theirs.getstate()
 
     def test_goldman_deterministic_under_seed(self):
         one = verify_suite("goldman", trials=10, seed=3)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pickle
 from collections import Counter
 from math import gcd
 
@@ -578,6 +579,24 @@ class TestKeyWriter:
         assert key.isascii()
         assert list(json.loads(key)["charts"]) == ["A", "a\"b", "z",
                                                    "\u00e9"]
+
+    def test_chart_names_quoted_once_per_model(self, monkeypatch):
+        # a model quotes its chart names once, in name order with their
+        # positions (key_heads, not a field); a key quotes only its labels
+        model = SurfaceModel(2, "rho", ("z", "\u00e9", "a\"b", "A"))
+        assert model.key_heads == ((3, '"A":['), (2, '"a\\"b":['),
+                                   (0, '"z":['), (1, '"\\u00e9":['))
+        quoted = []
+        quote = surface._quote
+        monkeypatch.setattr(surface, "_quote",
+                            lambda name: quoted.append(name) or quote(name))
+        identity = ((("x", 1), ("y", -2)), ((0, 0), (1, 2), (3, -4), (5, 6)))
+        assert surface._render(identity, model) == \
+            dumps_key(identity, model)
+        assert quoted == ["x", "y"]
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy == model and copy.key_heads == model.key_heads
+        assert "key_heads" not in repr(model)
 
 
 def dict_orientation(comp, chart_order):
