@@ -907,12 +907,6 @@ def _suite_dehn_twist(k_max: int = 6) -> Report:
     return report
 
 
-# the draws of _random_even_multicurve with gcd(|p|, |q|) = 1, so (0, 0)
-# left out
-_PRIMITIVE = frozenset([(p, q) for p in range(-5, 6) for q in range(-5, 6)
-                        if gcd(abs(p), abs(q)) == 1])
-
-
 def _random_even_multicurve(rng: random.Random,
                             model: SurfaceModel) -> Tuple[Component, ...]:
     """Components on distinct charts, each a primitive class with entries
@@ -933,13 +927,13 @@ def _random_even_multicurve(rng: random.Random,
             q = draw(4)
             while q >= 11:
                 q = draw(4)
-            if (p - 5, q - 5) in _PRIMITIVE:
+            p, q = p - 5, q - 5
+            if gcd(p, q) == 1:  # so not (0, 0)
                 break
         half = draw(3)
         while half >= 4:
             half = draw(3)
-        comps.append(component(f"w{i}", {chart: (p - 5, q - 5)},
-                               2 * half + 2))
+        comps.append(component(f"w{i}", {chart: (p, q)}, 2 * half + 2))
     return tuple(comps)
 
 
