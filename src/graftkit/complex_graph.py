@@ -444,7 +444,7 @@ def _orbit(totals: tuple, group: list, elements: dict) -> dict:
     image, not per element. The elements dict, which lives as long as
     the build, keeps each element composed once under (sources, sign),
     and every orbit entry for that element shares it."""
-    orbit = {totals: (range(len(totals)), 1, range(len(group[0][2])), {})}
+    orbit = {totals: (range(len(totals)), 1, range(len(group[0][2])), None)}
     todo = [totals]
     for now in todo:
         sources, sign, moved, _ = orbit[now]
