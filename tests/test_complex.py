@@ -378,8 +378,6 @@ class TestComputedOnce:
         assert len(inside) == below * len(group) == calls[0]
         assert len(outside) == sum(len(known) for *_, known
                                    in elements.values()) == calls[1]
-        # each (element, destination) pair once
-        assert len(set(outside)) == len(outside)
 
     @pytest.mark.parametrize("charts,bound,depth", [
         (1, 8, 4), (2, 4, 3), (3, 2, 3)])
