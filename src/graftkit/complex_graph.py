@@ -598,6 +598,7 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
     # content -> {totals -> vertex id}, ids in discovery order
     ids = {seed_identity[0]: {seed_identity[1]: 0}}
     totals_by_id = [seed_identity[1]]
+    labels: Dict[tuple, str] = {}  # content -> its rendered key labels
     rows = []
     seen_elementary = set()
     # (key, id, identity) per vertex to expand
@@ -641,7 +642,7 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
                             dst = table[totals] = len(entries)
                             totals_by_id.append(totals)
                             identity = (content, totals)
-                            dst_key = _render(identity, model)
+                            dst_key = _render(identity, model, labels)
                             entries[dst_key] = (src_key, generators[g],
                                                 curves[g])
                             if level < depth - 1:  # the last level unexpanded
@@ -1016,8 +1017,7 @@ def _suite_oracle(sweep: int = 5) -> Report:
     for (a, b), pair in zip(product(prims, repeat=2), probes):
         ok = (pair.forward.algebraic == algebraic_intersection(a, b)
               and pair.forward.geometric == geometric_intersection(a, b))
-        for mode in (Mode.SHARP, Mode.FLAT):
-            comps = pair.resolve(mode)
+        for mode, comps in zip((Mode.SHARP, Mode.FLAT), pair.smoothings()):
             total = (sum(c.p for c in comps), sum(c.q for c in comps))
             ok = ok and TorusClass(*total) == resolve(a, b, mode)
         if not ok:

@@ -14,17 +14,19 @@ All arithmetic is on integers: offsets are numerators on the fixed
 97 x 89 lattice, and crossing parameters are numerators over one
 denominator per crossing list, R * |det| with R = 97 * 89.
 
-The work follows the crossings, not the box of translates: for each
-horizontal translate, the vertical translates that can give a crossing
-form one interval, solved by floor division. Parallel copies share a
-geodesic exactly when one congruence on their offset difference holds.
-The trace numbers the arcs side by side, copy by copy and in parameter
-order, and keeps each arc's displacement and successor in lists.
+The work follows the crossings, not the box of translates: the
+horizontal translates that can give a crossing form one interval, as do
+the vertical ones of each, solved by floor division. Parallel copies
+share a geodesic exactly when one congruence on their offset difference
+holds. The trace lays the arcs out once per probed pair: per side, each
+crossing's next crossing along its copy and the parameter length to it.
+Each side has one direction, so a component's class is two integer sums.
 
 A drawn curve is one direction and its copies' offsets. Each pair of
 curves has one crossing list, whose constants are worked out once before
-each copy pair is solved. Tracing the uniform reconnection on it gives
-one smoothing; walking the second curve backwards gives the other. A
+each copy pair is solved. Walking the uniform reconnection on its layout
+gives one smoothing; walking the second curve backwards on the same
+layout gives the other. A
 drawing raises DegeneratePosition when a copy starts on a grid line its
 class crosses (this grid-line rule is the drawing's check against its
 class) or when two copies share a geodesic, as does a list with
@@ -50,6 +52,8 @@ _DEN_Y = 89
 _R = _DEN_X * _DEN_Y
 # Rungs of the offset ladder tried before a pair is declared degenerate.
 _ATTEMPTS = 8
+# builds a Crossing without its generated Python __new__, as torus does
+_new = tuple.__new__
 
 
 class GridCurve(NamedTuple):
@@ -140,7 +144,7 @@ def oracle_draw(cls: Sequence[int], copies: int = 1, role: int = 0,
 
 
 def _translates(c: int, step: int, bound: int, span: int) -> range:
-    """The sy in [-span, span] with 0 <= c + step*sy < bound, ascending;
+    """The s in [-span, span] with 0 <= c + step*s < bound, ascending;
     step is nonzero, and the ends come from floor division."""
     if step > 0:
         lo, hi = -(c // step), -((c - bound) // step)
@@ -160,11 +164,13 @@ def crossing_list(first: GridCurve, second: GridCurve) -> CrossingList:
     Everything but the offsets depends on the two directions only, so it
     is worked out once per pair of curves.
 
-    For each sx in [-span_x, span_x], tn = c + step*sy is linear in sy,
-    so the sy that put tn in [0, |D|) form one interval, solved by floor
-    division and clipped to [-span_y, span_y]; when b.p = 0, tn does not
-    depend on sy and un does, so the interval is solved for un instead.
-    Both numerators are still checked on each sy of the interval, so the
+    Both translate windows are solved by floor division and clipped to
+    the box [-span_x, span_x] x [-span_y, span_y]. rx = nx + R*sx is
+    (a.p*tn - b.p*un)/|det|, so with tn, un in [0, |D|) the columns sx
+    form one interval of at most |a.p| + |b.p| + 1. In each, tn =
+    c + step*sy is linear in sy, so the sy that put tn in [0, |D|) form
+    one interval too (solved for un when b.p = 0, as tn then does not
+    depend on sy). Both numerators are still checked on each sy, so the
     crossings come out in the order of the full (sx, sy) scan. Each copy
     pair must cross exactly |det| times.
 
@@ -185,6 +191,9 @@ def crossing_list(first: GridCurve, second: GridCurve) -> CrossingList:
     index = -sign  # the sign of a.p*b.q - a.q*b.p
     span_x = abs(a.p) + abs(b.p) + 2
     span_y = abs(a.q) + abs(b.q) + 2
+    # the horizontal window: rx + below*R in [0, width)
+    below = max(-a.p, 0) + max(b.p, 0)
+    width = (abs(a.p) + abs(b.p)) * _R + 1
     # the numerator whose range is solved, at sy = 0 and per unit of sy
     solved = b if b.p else a
     step = solved.p * _R * sign
@@ -194,7 +203,7 @@ def crossing_list(first: GridCurve, second: GridCurve) -> CrossingList:
             nx = (xb - xa) * _DEN_Y
             ny = (yb - ya) * _DEN_X
             start = len(found)
-            for sx in range(-span_x, span_x + 1):
+            for sx in _translates(nx + below * _R, _R, width, span_x):
                 rx = nx + _R * sx
                 c = (solved.p * ny - solved.q * rx) * sign
                 for sy in _translates(c, step, bound, span_y):
@@ -204,7 +213,8 @@ def crossing_list(first: GridCurve, second: GridCurve) -> CrossingList:
                         continue
                     un = (a.p * ry - a.q * rx) * sign
                     if 0 <= un < bound:
-                        found.append(Crossing(index, (ia, tn), (ib, un)))
+                        found.append(_new(Crossing,
+                                          (index, (ia, tn), (ib, un))))
             if len(found) - start != abs(det):
                 raise AssertionError(
                     f"crossing count {len(found) - start} differs from "
@@ -222,82 +232,77 @@ def oracle_intersection(first: GridCurve,
     return (cl.geometric, cl.algebraic)
 
 
-def _trace(first: GridCurve, second: GridCurve, crossings: CrossingList,
-           backward: bool) -> List[TorusClass]:
-    """Reconnect in-first -> out-second at every crossing and trace,
-    with the second curve walked backwards when backward is set.
+def _layout(pair: ProbedPair) -> tuple:
+    """The arcs of a probed pair, laid out once for both smoothings.
 
-    Components come back as exact homology classes via cover
-    displacements, summed as numerators over the list's denominator;
-    crossing-free copies pass through unchanged.
-
-    Arcs are numbered side by side (first curve, then second), copy by
-    copy, and along each copy in parameter order: the arc numbered at a
-    crossing runs from it to the copy's next crossing (cyclically), so
-    each side has one arc per crossing. Displacements and successors are
-    lists indexed by arc number.
-
-    Walking the second curve backwards traces it reversed on the same
-    crossings: its displacements are negated, and its arc ending at k is
-    the one that leaves k. So the first-curve arc ending at k continues
-    on the second-curve arc ending at k, and the second-curve arc
-    leaving k continues on the first-curve arc leaving k.
+    Per side (first curve, then second), an arc runs along a copy from a
+    crossing to the copy's next crossing in parameter order, cyclically,
+    so each side has one arc per crossing, named by the crossing it
+    leaves. The side keeps, indexed by crossing, the crossing its arc
+    ends at and the arc's parameter length, a numerator over the list's
+    denominator, and the count of its crossing-free copies.
     """
-    den = crossings.denominator
-    count = len(crossings.crossings)
-    # per side, by crossing: the arc that leaves it and the arc that ends
-    # at it
-    leaving = ([0] * count, [0] * count)
-    ending = ([0] * count, [0] * count)
-    displacement: List[Tuple[int, int]] = []
-    components: List[TorusClass] = []
-    for side, curve in enumerate((first, second)):
-        direction = -curve.direction if side and backward else curve.direction
-        p, q = direction
+    crossings = pair.forward.crossings
+    den = pair.forward.denominator
+    sides = []
+    for side, curve in ((1, pair.first), (2, pair.second)):
+        ends, lengths = [0] * len(crossings), [0] * len(crossings)
         on_copy: List[List[Tuple[int, int]]] = [[] for _ in curve.offsets]
-        for k, c in enumerate(crossings.crossings):
-            copy, t = c.second_at if side else c.first_at
+        for k, c in enumerate(crossings):
+            copy, t = c[side]
             on_copy[copy].append((t, k))
-        for items in on_copy:
-            if not items:
-                components.append(direction)
-                continue
+        for items in filter(None, on_copy):
             items.sort()
-            base, m = len(displacement), len(items)
-            for i, (t0, k) in enumerate(items):
-                dt = items[i + 1][0] - t0 if i + 1 < m else \
-                    items[0][0] - t0 + den
-                displacement.append((dt * p, dt * q))
-                leaving[side][k] = base + i
-                ending[side][k] = base + (i - 1) % m
+            t0, k0 = items[-1]
+            t0 -= den  # the copy's last arc wraps to its first crossing
+            for t, k in items:
+                ends[k0], lengths[k0] = k, t - t0
+                t0, k0 = t, k
+        sides.append((ends, lengths, on_copy.count([])))
+    return (pair.first.direction, pair.second.direction, den, *sides)
 
-    # the second curve's arcs out of and into each crossing, in the
-    # direction it is walked
-    out_second, in_second = (ending[1], leaving[1]) if backward else \
-        (leaving[1], ending[1])
-    successor = [0] * len(displacement)
-    for k in range(count):
-        successor[ending[0][k]] = out_second[k]
-        successor[in_second[k]] = leaving[0][k]
 
-    visited = [False] * len(displacement)
-    for start in range(len(displacement)):
+def _trace(layout: tuple, backward: bool) -> Tuple[TorusClass, ...]:
+    """Reconnect in-first -> out-second at every crossing of a layout
+    and trace, with the second curve walked backwards when backward is
+    set; the components' classes, crossing-free copies included, sorted.
+
+    Each side has one direction, so a component's class is
+    (s0*a + s1*b)/den, where s0 and s1 are the parameter lengths it runs
+    along the first and the second curve. Walked forward, the first-curve
+    arc ending at k continues on the second-curve arc leaving k. Walked
+    backwards, the second curve is reversed on the same crossings: the
+    first-curve arc ending at k continues on the second-curve arc ending
+    at k, run back to the crossing it leaves (the inverse of the second
+    side's ends), and there on the first-curve arc leaving that crossing.
+    """
+    a, b, den, (ends, lengths, free), (ends2, lengths2, free2) = layout
+    if backward:
+        b = -b
+        before = [0] * len(ends2)
+        for k, k1 in enumerate(ends2):
+            before[k1] = k
+        ends2, lengths2 = before, [lengths2[k] for k in before]
+    components = [a] * free + [b] * free2
+    visited = [False] * len(ends)
+    for start in range(len(ends)):
         if visited[start]:
             continue
-        dx = dy = 0
-        arc = start
-        while not visited[arc]:
-            visited[arc] = True
-            d = displacement[arc]
-            dx += d[0]
-            dy += d[1]
-            arc = successor[arc]
-        if arc != start:
+        s0 = s1 = 0
+        k = start
+        while not visited[k]:
+            visited[k] = True
+            s0 += lengths[k]
+            k = ends[k]
+            s1 += lengths2[k]
+            k = ends2[k]
+        if k != start:
             raise AssertionError("trace closed on a foreign arc")
+        dx, dy = s0 * a.p + s1 * b.p, s0 * a.q + s1 * b.q
         if dx % den or dy % den:
             raise AssertionError("non-integral component displacement")
-        components.append(TorusClass(dx // den, dy // den))
-    return components
+        components.append(_new(TorusClass, (dx // den, dy // den)))
+    return tuple(sorted(components))
 
 
 def oracle_resolve(first: GridCurve, second: GridCurve,
@@ -317,20 +322,26 @@ def oracle_resolve(first: GridCurve, second: GridCurve,
 
 
 class ProbedPair(NamedTuple):
-    """Two drawn curves and their one crossing list; the other smoothing
-    is traced on that list by walking the second curve backwards."""
+    """Two drawn curves and their one crossing list. Each smoothing is a
+    walk of the pair's arc layout, the other one walking the second
+    curve backwards; smoothings walks both on one layout."""
 
     first: GridCurve
     second: GridCurve
     forward: CrossingList
 
+    def smoothings(self) -> Tuple[Tuple[TorusClass, ...],
+                                  Tuple[TorusClass, ...]]:
+        """(resolve(SHARP), resolve(FLAT)), traced on one layout."""
+        layout, d = _layout(self), self.forward.algebraic
+        return _trace(layout, d < 0), _trace(layout, d > 0)
+
     def resolve(self, mode: Mode) -> Tuple[TorusClass, ...]:
-        """What oracle_resolve(first, second, mode) returns."""
+        """What oracle_resolve(first, second, mode) returns: SHARP walks
+        the second curve backwards when the list's index sum is
+        negative, FLAT when it is positive."""
         d = self.forward.algebraic
-        backward = (mode is Mode.SHARP and d < 0) or \
-            (mode is Mode.FLAT and d > 0)
-        return tuple(sorted(_trace(self.first, self.second, self.forward,
-                                   backward)))
+        return _trace(_layout(self), d < 0 if mode is Mode.SHARP else d > 0)
 
 
 def probe_pairs(pairs: Iterable[Tuple[Sequence[int], int, Sequence[int], int]]

@@ -387,19 +387,27 @@ def _identity_of(curve: Iterable[Component],
             tuple([(p, q) for p, q in totals]))
 
 
-def _render(identity: tuple, model: SurfaceModel) -> str:
+def _render(identity: tuple, model: SurfaceModel,
+            labels: Optional[Dict[tuple, str]] = None) -> str:
     """The key string of an identity, written directly: byte for byte
     json.dumps({"content": content, "charts": {chart: total}},
     sort_keys=True, separators=(",", ":")), the charts in name order and
     every label and chart name ASCII-escaped as json quotes it. Names are
     strings (SurfaceModel and Component check), so the order is str's;
     the model keeps the charts in that order with their quoted names
-    (key_heads), so a key only joins the totals onto them."""
+    (key_heads), so a key only joins the totals onto them. A caller
+    that renders many keys of few contents passes labels, a dict it
+    keeps of each content's rendered labels (build_complex keeps one
+    per build), so each content's labels are rendered once."""
     content, totals = identity
     charts = ",".join([f"{head}{totals[i][0]},{totals[i][1]}]"
                        for i, head in model.key_heads])
-    labels = ",".join([f"[{_quote(lab)},{n}]" for lab, n in content])
-    return f'{{"charts":{{{charts}}},"content":[{labels}]}}'
+    text = None if labels is None else labels.get(content)
+    if text is None:
+        text = ",".join([f"[{_quote(lab)},{n}]" for lab, n in content])
+        if labels is not None:
+            labels[content] = text
+    return f'{{"charts":{{{charts}}},"content":[{text}]}}'
 
 
 def canonical_key(curve: Iterable[Component], model: SurfaceModel) -> str:

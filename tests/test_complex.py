@@ -220,8 +220,8 @@ def _record_renderings(monkeypatch) -> list:
     rendered = []
     render = surface._render
 
-    def recording(identity, model):
-        rendered.append(render(identity, model))
+    def recording(identity, model, *labels):
+        rendered.append(render(identity, model, *labels))
         return rendered[-1]
 
     for module in (surface, complex_graph):
@@ -335,6 +335,31 @@ class TestComputedOnce:
         graph = build_complex(standard_configuration(2), 4, 3)
         assert sorted(rendered) == sorted(graph.vertices)
         assert len(from_curves) == 1
+
+    @pytest.mark.parametrize("charts,bound,depth", [
+        (1, 8, 4), (2, 4, 3), (3, 2, 3)])
+    def test_labels_rendered_once_per_content(self, charts, bound, depth,
+                                              monkeypatch):
+        # a build renders each content's key labels once, in a dict that
+        # lives as long as the build; the seed is keyed from its curves
+        config = standard_configuration(charts)
+        quoted = []
+        quote = surface._quote
+        monkeypatch.setattr(surface, "_quote",
+                            lambda label: quoted.append(label) or
+                            quote(label))
+        graph = build_complex(config, bound, depth)
+        contents = {json.dumps(json.loads(key)["content"])
+                    for key in graph.vertices if key != graph.seed_key}
+        once = [label for text in sorted(contents)
+                for label, _ in json.loads(text)]
+        once += [label for label, _ in
+                 json.loads(graph.seed_key)["content"]]
+        assert len(graph.vertices) > 2 * len(contents)
+        assert sorted(quoted) == sorted(once)
+        quoted.clear()
+        build_complex(config, bound, depth)  # nothing kept across builds
+        assert sorted(quoted) == sorted(once)
 
     @pytest.mark.parametrize("charts,bound,depth,calls", [
         (1, 8, 4, (112, 123)), (2, 4, 3, (318, 785)), (3, 2, 3, (459, 1312))])

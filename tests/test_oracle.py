@@ -102,6 +102,25 @@ class TestResolution:
                              sum(c.q for c in comps))
                     assert total == resolve(a, b, mode), (a, b, mode)
 
+    def test_wrong_denominator_is_caught(self):
+        # a list whose denominator is off by one puts the arcs' lengths
+        # off the lattice, and the trace refuses the component it closes
+        first = _curve((0, 1), (5, 10), (40, 3))
+        second = _curve((1, -1), (20, 7), (61, 30))
+        right = grid_oracle.crossing_list(first, second)
+        wrong = grid_oracle.CrossingList(right.crossings,
+                                         right.denominator + 1)
+        for crossings in (right, wrong):
+            pair = grid_oracle.ProbedPair(first, second, crossings)
+            for mode in (Mode.SHARP, Mode.FLAT):
+                if crossings is right:
+                    assert len(pair.resolve(mode)) == 2
+                    continue
+                with pytest.raises(AssertionError, match="non-integral"):
+                    pair.resolve(mode)
+        with pytest.raises(AssertionError, match="non-integral"):
+            grid_oracle.ProbedPair(first, second, wrong).smoothings()
+
     def test_component_count_is_gcd_of_total(self):
         # every resolution of primitive drawings splits into gcd-many
         # parallel primitive leaves
@@ -145,6 +164,56 @@ class TestInvariants:
         assert verify_suite("oracle", sweep=2).passed
         assert len(draws) == len(set(draws)) == 2 * len(primitives(2)) == 32
         assert len(lists) == len(primitives(2)) ** 2 == 256
+
+    @pytest.mark.parametrize("radius,columns,windows", [
+        (2, 504, 224), (5, 34632, 6240)])
+    def test_translate_columns_solved(self, radius, columns, windows,
+                                      monkeypatch):
+        # each crossing copy pair solves its horizontal window once, then
+        # one sy interval per column sx in it: |a.p| + |b.p| columns
+        # here, where the box scan solved 2 * (|a.p| + |b.p| + 2) + 1
+        # (2,128 at radius 2, 100,464 at radius 5). A column's solve has
+        # bound R * |det|, a multiple of R; a window's has bound
+        # (|a.p| + |b.p|) * R + 1, which is not.
+        solves = []
+        translates = grid_oracle._translates
+
+        def counted(c, step, bound, span):
+            solves.append(bound % grid_oracle._R == 0)
+            return translates(c, step, bound, span)
+
+        monkeypatch.setattr(grid_oracle, "_translates", counted)
+        assert verify_suite("oracle", sweep=radius).passed
+        assert (solves.count(True), solves.count(False)) == \
+            (columns, windows)
+
+    def test_one_layout_per_probed_pair(self, monkeypatch):
+        # the sweep traces both smoothings of a pair on one arc layout
+        layouts = []
+        layout = grid_oracle._layout
+
+        def counted(pair):
+            layouts.append(pair)
+            return layout(pair)
+
+        monkeypatch.setattr(grid_oracle, "_layout", counted)
+        assert verify_suite("oracle", sweep=2).passed
+        assert len(layouts) == len(set(layouts)) == 256
+
+    def test_smoothings_are_both_resolutions(self):
+        probes = 0
+        for a in primitives(3):
+            for b in primitives(3):
+                for m, n in product(range(1, 4), repeat=2):
+                    pair = grid_oracle.probe_pair(a, m, b, n)
+                    modes = (Mode.SHARP, Mode.FLAT)
+                    assert pair.smoothings() == \
+                        tuple(pair.resolve(mode) for mode in modes) == \
+                        tuple(grid_oracle.oracle_resolve(
+                            pair.first, pair.second, mode)
+                            for mode in modes), (a, m, b, n)
+                    probes += 1
+        assert probes == 32 * 32 * 9
 
     def test_multi_copy_agreement(self):
         # parallel copies give several copy pairs per crossing list, all
@@ -268,17 +337,21 @@ def _reversed_curve(curve):
     return grid_oracle.GridCurve(-curve.direction, curve.offsets)
 
 
+def _traced(first, second, backward):
+    """The components of one walk of the pair's layout, sorted."""
+    pair = grid_oracle.ProbedPair(first, second,
+                                  grid_oracle.crossing_list(first, second))
+    return sorted(grid_oracle._trace(grid_oracle._layout(pair), backward))
+
+
 def _reversed_resolution(first, second):
     """The forward trace against a direct solve of second reversed."""
-    rev = _reversed_curve(second)
-    return sorted(grid_oracle._trace(
-        first, rev, grid_oracle.crossing_list(first, rev), False))
+    return _traced(first, _reversed_curve(second), False)
 
 
 def _backward_resolution(first, second):
     """The backward walk of second on the one forward list."""
-    return sorted(grid_oracle._trace(
-        first, second, grid_oracle.crossing_list(first, second), True))
+    return _traced(first, second, True)
 
 
 def _sign(x):

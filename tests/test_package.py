@@ -229,6 +229,24 @@ def test_one_writer_of_the_skip_log():
     assert (written, writers) == (1, {("complex_graph.py", "_expand")})
 
 
+def test_one_oracle_trace_walk():
+    """The oracle traces its smoothings in one place: each of the trace's
+    two assertion messages is written once in the package, both inside
+    grid_oracle's _trace, which walks both smoothings of a layout."""
+    messages = ("trace closed on a foreign arc",
+                "non-integral component displacement")
+    written = {message: [] for message in messages}
+    for path in Path(graftkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for inner in ast.walk(node):
+                    if isinstance(inner, ast.Constant) and \
+                            inner.value in written:
+                        written[inner.value].append((path.name, node.name))
+    assert written == {message: [("grid_oracle.py", "_trace")]
+                       for message in messages}
+
+
 def test_no_unreferenced_private_helpers():
     """Every private module-level function or class of the package is
     named somewhere in the package outside its own definition."""
