@@ -14,13 +14,11 @@ chart's. It expands one vertex per orbit of the build's symmetries (see
 _symmetries: chart permutations and the reflection q -> -q that fix the
 seed and the grafting curve, found only for the base seed): the first of
 an orbit it meets is expanded, and a later one maps its moves, in
-generator order, so every row and recipe is a full expansion's. An
-expansion decides each graft once, a family in one pass
+generator order, so every row and recipe is a full expansion's; with
+debug logging on, a build finds no symmetries and expands every vertex.
+An expansion decides each graft once, a family in one pass
 (surface._decide_family, which hands is_admissible only the curves its
-shared decision does not cover). What that pass works out per curve in
-the family's own chart depends only on the real classes there and their
-crossed total, so the build keeps one dict of such columns per family
-and works each column out once. Every generator is a meridian twist of
+shared decision does not cover). Every generator is a meridian twist of
 the grafting curve and shares its content, so the grafted content is
 worked out once per expansion. Only _expand identifies a move's
 destination, by arithmetic, in two groups (content, [(generator index,
@@ -142,7 +140,9 @@ class ComplexGraph(_Frozen):
     reads as Edges that name their endpoints by key. The ranks, not a
     field, are kept once computed. The vertex map is read-only and builds
     a last-level structure on its first read; counts, ranks and exports
-    read keys and rows only."""
+    read keys and rows only. Given any other sequence of Edges, the graph
+    keeps them as such rows, its generator table the edges' (kind, chart,
+    n) in first use order."""
 
     _fields = ("vertices", "edges", "twist_bound", "depth", "seed_key")
     _ranks: Optional[Dict[str, int]] = None
@@ -150,6 +150,13 @@ class ComplexGraph(_Frozen):
     def __init__(self, vertices: Mapping[str, Structure],
                  edges: Sequence[Edge], twist_bound: int, depth: int,
                  seed_key: str):
+        if not isinstance(edges, _Edges):
+            ids = {key: i for i, key in enumerate(vertices)}
+            table: Dict[tuple, int] = {}  # (kind, chart, n) -> index
+            rows = [(ids[src], ids[dst],
+                     table.setdefault((kind, chart, n), len(table)))
+                    for kind, chart, n, src, dst in edges]
+            edges = _Edges(rows, list(table), vertices)
         self.__dict__.update(vertices=vertices, edges=edges,
                              twist_bound=twist_bound, depth=depth,
                              seed_key=seed_key)
@@ -306,16 +313,14 @@ def _grafts(config: Configuration, twist_bound: int
 
 
 def _expand(config: Configuration, struct: Structure, identity: tuple,
-            grafts: Sequence[Tuple[str, range, list, list]],
-            columns: Sequence[dict]) -> tuple:
+            grafts: Sequence[Tuple[str, range, list, list]]) -> tuple:
     """Every move from one structure of the given identity, in two
     groups (content, [(generator index g, the destination's totals),
     ...]): the elementary moves, which keep the content, then the grafts,
     with the content every graft gives, in the order of _grafts (see
     there for g). Each twist family is decided in one pass
-    (surface._decide_family) with its dict of columns, which a build
-    keeps per family for all its structures. Inadmissible grafts are
-    skipped and logged at debug level, here alone in the package."""
+    (surface._decide_family). Inadmissible grafts are skipped and logged
+    at debug level, here alone in the package."""
     content, totals = identity
     # the meridian's crossings with the real curves, per chart
     index = config.model.chart_index
@@ -335,10 +340,9 @@ def _expand(config: Configuration, struct: Structure, identity: tuple,
             elementary.append((2 * i, before + ((p, q + p),) + after))
             elementary.append((2 * i + 1, before + ((p, q - p),) + after))
     moves = []
-    for (chart, gens, descs, curves), memo in zip(grafts, columns,
-                                                  strict=True):
+    for chart, gens, descs, curves in grafts:
         for g, desc, dst in zip(gens, descs, _decide_family(
-                struct, totals, chart, curves, memo)):
+                struct, totals, chart, curves)):
             if type(dst) is tuple:
                 moves.append((g, dst))
             elif (log := _debug_log()) is not None:
@@ -565,12 +569,12 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
     maps the destination's totals (kept by id) and looks them up, then
     stores the id. So a repeated image costs one dict lookup, and rows,
     key order, recipes and first-reach order are a full expansion's.
-    With no symmetries every vertex is expanded. With debug logging on,
-    a mapped vertex that refuses a graft is expanded too, for _expand to
-    log the skips. A vertex's structure is built
-    when it is expanded, or an expanded vertex's recipe needs it, or it
-    is read from graph.vertices, so a mapped vertex's and the last
-    level's structures are built only on request.
+    With no symmetries every vertex is expanded, and a build with debug
+    logging on finds none, so _expand logs every vertex's skips. A
+    vertex's structure is built when it is expanded, or an expanded
+    vertex's recipe needs it, or it is read from graph.vertices, so a
+    mapped vertex's and the last level's structures are built only on
+    request.
     """
     if twist_bound < 0 or depth < 0:
         raise BadConfiguration("twist bound and depth must be nonnegative")
@@ -587,8 +591,10 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
     curves: List[Optional[Component]] = [None] * elementary
     generators += [desc for _, _, descs, _ in grafts for desc in descs]
     curves += [curve for *_, family in grafts for curve in family]
-    columns = [{} for _ in grafts]  # per family, for this build only
-    group = _symmetries(config, seed, generators)
+    # with debug logging on every vertex is expanded, for _expand to log
+    # each skip
+    group = _symmetries(config, seed, generators) \
+        if _debug_log() is None else []
     elements: Dict[tuple, tuple] = {}  # (sources, sign) -> element
     # identity -> (an element onto it, its representative's moves by id)
     mapped: Dict[tuple, tuple] = {}
@@ -612,18 +618,13 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
             found = mapped.pop(src_identity, None)
             if found is None:  # moves by destination totals
                 groups = _expand(config, vertices[src_key], src_identity,
-                                 grafts, columns)
+                                 grafts)
                 known = None
             else:  # moves by the representative's destination ids
                 (sources, sign, relabel, known), theirs = found
                 groups = [(content, sorted([(relabel[g], d)
                                             for g, d in moves]))
                           for content, moves in theirs]
-                if len(groups[1][1]) < len(curves) - elementary \
-                        and _debug_log() is not None:
-                    # expanded for the log alone: the grafts it refuses
-                    _expand(config, vertices[src_key], src_identity, grafts,
-                            columns)
             # a representative's moves by id, for the rest of its orbit
             kept = [] if known is None and group else None
             for content, moves in groups:

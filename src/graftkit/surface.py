@@ -683,8 +683,7 @@ def _handed_on(gamma: Component, struct: Structure,
 
 
 def _decide_family(struct: Structure, base: Sequence[Tuple[int, int]],
-                   chart: str, curves: Sequence[Component],
-                   columns: Dict[tuple, list]) -> list:
+                   chart: str, curves: Sequence[Component]) -> list:
     """Decide grafting each curve of a twist family onto the structure
     with the given chart totals, as _handed_on would, in one pass.
 
@@ -692,14 +691,11 @@ def _decide_family(struct: Structure, base: Sequence[Tuple[int, int]],
     they differ in that chart's class alone. So the crossing scan, with
     every component in the chart counted as crossed, and the smoothing in
     the other charts are done once. Per curve are left the crossing test
-    against each real class in the chart and the smoothing there: that
-    column of fused classes, None for a curve handed on, is kept in
-    columns under those classes and their crossed total, so a caller that
-    hands one dict per family to every structure of a build works each
-    column out once. The totals rule then gives each destination.
-    is_admissible decides what the pass does not cover, so every refusal
-    is its: a component parallel to the curve in the chart, nothing
-    crossed, or a refusing chart.
+    against each real class in the chart and the smoothing there, and
+    the totals rule then gives its destination. is_admissible decides
+    what the pass does not cover, so every refusal is its: a component
+    parallel to the curve in the chart, nothing crossed, or a refusing
+    chart.
     """
     model = struct.model
     at = model.chart_index[chart]
@@ -715,24 +711,18 @@ def _decide_family(struct: Structure, base: Sequence[Tuple[int, int]],
     if not crossed:
         return [_handed_on(curve, struct, base) for curve in curves]
     total = lam[at]
-    key = (tuple(in_chart), total)
-    column = columns.get(key)
-    if column is None:
-        column = columns[key] = []
-        for curve in curves:
-            given, doubled = _positions(curve, model)
-            g = given[at]
-            for real in in_chart:
-                if not _crosses(real, g):  # not crossed there: handed on
-                    cls = None
-                    break
-            else:
-                cls = _fused(total, g, doubled[at], hit[at])
-            column.append(None if cls.__class__ is str else cls)
     rest = [(p - lp, q - lq) for (p, q), (lp, lq) in zip(base, lam)]
     out = []
-    for curve, cls in zip(curves, column):
-        if cls is None:
+    for curve in curves:
+        given, doubled = _positions(curve, model)
+        g = given[at]
+        for real in in_chart:
+            if not _crosses(real, g):  # not crossed there: handed on
+                cls = "parallel"
+                break
+        else:
+            cls = _fused(total, g, doubled[at], hit[at])
+        if cls.__class__ is str:
             out.append(_handed_on(curve, struct, base))
         else:
             fused[at] = cls

@@ -208,12 +208,6 @@ def _curve_table(config, grafts) -> list:
         [curve for _, curve in _generators(grafts)]
 
 
-def _fresh(grafts) -> list:
-    """A new dict of columns per twist family, as one build keeps them
-    (see surface._decide_family)."""
-    return [{} for _ in grafts]
-
-
 def _record_renderings(monkeypatch) -> list:
     """Every key rendered from here on, under both names it is called
     by."""
@@ -250,11 +244,11 @@ class TestComputedOnce:
             (handed if inside else building).append((id(struct), id(gamma)))
             return decide(gamma, struct)
 
-        def deciding_family(struct, base, chart, curves, columns):
+        def deciding_family(struct, base, chart, curves):
             families.append((struct, chart, curves))
             inside.append(chart)
             try:
-                return decide_family(struct, base, chart, curves, columns)
+                return decide_family(struct, base, chart, curves)
             finally:
                 inside.pop()
 
@@ -471,53 +465,14 @@ class TestComputedOnce:
         calls.clear()
         build_complex(config, 4, 3)
         # only the 48 expanded structures, one per orbit, are decided
-        # (see test_one_admissibility_check_per_graft): once per column
-        # worked out and curve not parallel to a real class in its chart,
-        # 18 columns for chart a's family of 9 curves and 22 for chart b's
-        # of 8 (see test_one_column_per_family_and_key), 338 curves, 17 of
-        # them parallel, so 321; once per twist family pass for the other
-        # chart it crosses, 75; and in each is_admissible call (a curve
-        # handed on, or the build of a structure an expanded one needs)
-        # once per crossing chart, 88 over 70 calls
-        assert len(calls) == 321 + 75 + 88
-
-    @pytest.mark.parametrize("charts,bound,depth,counts", [
-        (1, 8, 4, (58, 58)), (2, 4, 3, (96, 40)), (3, 2, 3, (72, 30))])
-    def test_one_column_per_family_and_key(self, charts, bound, depth,
-                                           counts, monkeypatch):
-        # a family's column is worked out once per build and per key (the
-        # chart's real classes and their crossed total): a key too fine
-        # would miss more often, one too coarse, or columns kept past
-        # their build, less. One lookup per expanded structure, one per
-        # orbit (58, 48 and 24), and family
-        kept = {}  # id of a build's dict -> (it, the counting stand-in)
-        decide_family = complex_graph._decide_family
-
-        class Counting(dict):
-            lookups = misses = 0
-
-            def get(self, key, default=None):
-                Counting.lookups += 1
-                return dict.get(self, key, default)
-
-            def __setitem__(self, key, value):
-                Counting.misses += 1
-                dict.__setitem__(self, key, value)
-
-        def deciding_family(struct, base, chart, curves, columns):
-            _, counting = kept.setdefault(id(columns), (columns, Counting()))
-            return decide_family(struct, base, chart, curves, counting)
-
-        monkeypatch.setattr(complex_graph, "_decide_family", deciding_family)
-        config = standard_configuration(charts)
-        data = build_complex(config, bound, depth).to_json_bytes()
-        for _ in range(2):
-            Counting.lookups = Counting.misses = 0
-            graph = build_complex(config, bound, depth)
-            assert (Counting.lookups, Counting.misses) == counts
-            assert graph.to_json_bytes() == data
-        # one dict per family and build
-        assert len(kept) == 3 * len(complex_graph._grafts(config, bound))
+        # (see test_one_admissibility_check_per_graft): once per expanded
+        # structure and curve not parallel to a real class in its family's
+        # chart, 48 times 9 curves in chart a's family and 8 in chart b's,
+        # 816, 27 of them parallel, so 789; once per twist family pass for
+        # the other chart it crosses, 75; and in each is_admissible call
+        # (a curve handed on, or the build of a structure an expanded one
+        # needs) once per crossing chart, 88 over 70 calls
+        assert len(calls) == 789 + 75 + 88
 
     def test_generators_prepared_once_per_build(self, monkeypatch):
         config = standard_configuration(2)
@@ -951,6 +906,35 @@ class TestOrbitExpansion:
         full = build_complex(config, 6, 4)
         assert struct.real_curves == full.vertices[last].real_curves
 
+    @pytest.mark.parametrize("charts,bound,depth,counts", [
+        (1, 8, 4, (58, 112)), (2, 4, 3, (48, 159)), (3, 2, 3, (24, 153))])
+    def test_debug_build_expands_every_vertex(self, charts, bound, depth,
+                                              counts, caplog, monkeypatch):
+        # with debug logging on a build finds no symmetries: it expands
+        # every vertex below the depth, level by level in key order, where
+        # a quiet build expands one per orbit, and builds what that does
+        expanded = []
+        expand = complex_graph._expand
+
+        def expanding(config, struct, identity, grafts):
+            expanded.append(struct.key())
+            return expand(config, struct, identity, grafts)
+
+        monkeypatch.setattr(complex_graph, "_expand", expanding)
+        config = standard_configuration(charts)
+        caplog.set_level(logging.WARNING, logger="graftkit")
+        quiet = build_complex(config, bound, depth)
+        assert expanded == _expanded(config, quiet)
+        caplog.set_level(logging.DEBUG, logger="graftkit")
+        loud = build_complex(config, bound, depth)
+        levels = _levels(loud)
+        assert expanded[len(_expanded(config, quiet)):] == [
+            key for level in range(depth)
+            for key in sorted(k for k, at in levels.items() if at == level)]
+        assert (len(_expanded(config, quiet)),
+                len(expanded) - len(_expanded(config, quiet))) == counts
+        assert _everything(loud) == _everything(quiet)
+
 
 class TestSymmetry:
     """The standard key graph is invariant under S_c x Z/2: every chart
@@ -1073,7 +1057,7 @@ class TestFusedPass:
         twists = 0
         for struct in graph.vertices.values():
             (content, elementary), (grafted, moves) = complex_graph._expand(
-                config, struct, struct.identity(), grafts, _fresh(grafts))
+                config, struct, struct.identity(), grafts)
             assert content == struct.identity()[0]
             # every graft is admitted at these sizes
             # (test_rejection_reasons covers rejections)
@@ -1125,7 +1109,7 @@ class TestFusedPass:
         struct = surface.structure(model, [
             surface.component("x", {"a": (1, 0)}, multiplicity)])
         (content, elementary), (_, moves) = complex_graph._expand(
-            config, struct, struct.identity(), [], [])
+            config, struct, struct.identity(), [])
         assert content == struct.identity()[0]
         assert len(elementary) == twists and moves == []
         table = _generator_table(config, [])
@@ -1168,7 +1152,7 @@ class TestFusedPass:
         loud = self.skipping_build()
         # a logged skip names the source by the key it keeps
         assert sorted(rendered) == sorted(quiet.vertices)
-        # the columns the log's expansions fill change nothing built
+        # expanding every vertex for the log changes nothing built
         assert _everything(loud) == _everything(quiet)
         data = loud.to_json_bytes()
         assert hashlib.sha256(data).hexdigest() == (
@@ -1178,11 +1162,11 @@ class TestFusedPass:
         assert any("is not a single strand" in m for m in skips)
         assert any("no spiral direction" in m for m in skips)
         # a symmetric base configuration whose gamma is a double strand
-        # in each chart: a vertex the build maps instead of expanding is
-        # expanded for the log too, so it logs the skips expanding it
-        # would, with its own generators, key and reasons, in the same
-        # order, and only when logging is on, building what a quiet build
-        # does
+        # in each chart: with the log on, a vertex a quiet build maps
+        # instead of expanding is expanded, so it logs its skips with its
+        # own generators, key and reasons, in the order a build with no
+        # symmetries logs them, and only when logging is on, building
+        # what a quiet build does
         model = surface.SurfaceModel(2, "rho", ("a", "b"))
         config = surface.Configuration(
             model, surface.component("lambda", {"a": (2, 0), "b": (2, 0)}),
@@ -1219,16 +1203,14 @@ class _Skips:
         self.skipped.append((desc, reason))
 
 
-def _family_moves(config, struct, grafts, columns=None):
+def _family_moves(config, struct, grafts):
     """_expand's graft moves from the structure, as (generator, the
-    destination's identity), and the generators it skips with reasons;
-    the families are decided with the given columns, else fresh ones."""
+    destination's identity), and the generators it skips with reasons."""
     log = _Skips()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(complex_graph, "_debug_log", lambda: log)
         _, (grafted, moves) = complex_graph._expand(
-            config, struct, struct.identity(), grafts,
-            _fresh(grafts) if columns is None else columns)
+            config, struct, struct.identity(), grafts)
     table = _generator_table(config, grafts)
     return [(table[g], (grafted, totals)) for g, totals in moves], \
         log.skipped
@@ -1297,8 +1279,8 @@ def _two_chart_seed():
 def _one_leaf_seed():
     """A seed whose graph has vertices with the same real classes in a
     chart but other crossed totals there (in chart a two (1, 0)
-    components, at (3, 0) and at (5, 0)), so a column depends on the
-    total as well as the classes."""
+    components, at (3, 0) and at (5, 0)), so a family's decision in its
+    chart depends on the total as well as the classes."""
     config = standard_configuration(2)
     return config, surface.structure(config.model, [
         surface.component("w0", {"a": (1, 0)})]), 1, 2
@@ -1328,30 +1310,13 @@ class TestFamilyPass:
     @settings(max_examples=100, deadline=None)
     @given(_seeded_builds())
     @example(_two_chart_seed())
+    @example(_one_leaf_seed())
     def test_drawn_seeds(self, build):
         # and each vertex is what its first move, replayed, builds
         config, seed, bound, depth = build
         graph = build_complex(config, bound, depth, seed=seed)
         _check_family_agreement(config, graph, bound)
         _check_first_edges_replay(config, graph)
-
-    @settings(max_examples=100, deadline=None)
-    @given(_seeded_builds())
-    @example(_two_chart_seed())
-    @example(_one_leaf_seed())
-    def test_columns_kept_for_a_build(self, build):
-        # one dict of columns per family, kept across every vertex of the
-        # build, decides as a fresh one per call and as each curve on its
-        # own
-        config, seed, bound, depth = build
-        graph = build_complex(config, bound, depth, seed=seed)
-        grafts = complex_graph._grafts(config, bound)
-        kept = _fresh(grafts)
-        for struct in graph.vertices.values():
-            decided = _family_moves(config, struct, grafts, kept)
-            assert decided == _family_moves(config, struct, grafts)
-            assert decided == _per_curve_moves(config, struct,
-                                               _generators(grafts))
 
 
 class TestPreparedCurves:
@@ -1478,7 +1443,7 @@ class TestOrientationFree:
 def _destinations(config, struct, grafts):
     """Each move of struct with the structure it builds."""
     (_, elementary), (_, moves) = complex_graph._expand(
-        config, struct, struct.identity(), grafts, _fresh(grafts))
+        config, struct, struct.identity(), grafts)
     table = _generator_table(config, grafts)
     curves = _curve_table(config, grafts)
     return [(table[g], complex_graph._destination(struct, table[g],
@@ -1548,6 +1513,25 @@ class TestExports:
         if isinstance(data, str):
             data = data.encode()
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("build", ["witness", (1, 3, 2), (2, 4, 3)])
+    def test_hand_built_graph_exports(self, build):
+        # a graph built from a plain vertex dict and a tuple of Edges, as
+        # its signature names them, equals the built one and exports
+        # byte for byte as it does
+        if build == "witness":  # one generator per edge, some repeated
+            graph = witness_graph(standard_configuration(), 1, 8)
+        else:
+            charts, bound, depth = build
+            graph = build_complex(standard_configuration(charts), bound,
+                                  depth)
+        twin = complex_graph.ComplexGraph(
+            dict(graph.vertices), tuple(graph.edges), graph.twist_bound,
+            graph.depth, graph.seed_key)
+        assert twin == graph
+        assert twin.rank_by_kind() == graph.rank_by_kind()
+        assert twin.to_json_bytes() == graph.to_json_bytes()
+        assert twin.to_dot() == graph.to_dot()
 
     @pytest.mark.parametrize("output,digest", [
         ("goldman", "11bda563896b85eb18190c9af6b0ee5e"
