@@ -18,7 +18,8 @@ it is built (a zero label count is kept; a label or chart named twice,
 or by anything but a string, is a ValueError), so canonicalize only
 orients and merges; it rejects a chart the model lacks. A copy of a
 component already in this spelling (a negation, a merge, a doubling, a
-halving, a meridian twist) is built without checking it again. A
+halving, a meridian twist), and the fused component a graft assembles in
+it from checked labels and classes, is built without checking it again. A
 Structure is its model and the canonical form of its real multicurve,
 which by Goldman's theorem determines it, and keeps nothing else but its
 key once computed. canonicalize is the one normal form: each component
@@ -54,7 +55,6 @@ needs no dataclasses.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, \
@@ -121,8 +121,8 @@ class SurfaceModel(_Frozen):
     Every chart's core meridian has trivial holonomy, and every move
     twists about it in the chart basis (MERIDIAN). chart_index, each
     chart's position in charts, is not a field, nor is key_heads, for
-    _render: each chart's position in name order, with the name quoted
-    as a key's charts object opens its entry, "a":[.
+    _render and _graft: each chart's position in name order, with the
+    name quoted as a key's charts object opens its entry, "a":[.
     """
 
     _fields = ("genus", "holonomy_tag", "charts")
@@ -208,8 +208,8 @@ _new = object.__new__
 def _normal_component(content: tuple, charts: tuple,
                       multiplicity: int) -> Component:
     """A Component of fields already in Component's normal form, as
-    copied from a normal one, built without checking them. It carries no
-    _prepared data."""
+    copied from a normal one or assembled in it, built without checking
+    them. It carries no _prepared data."""
     comp = _new(Component)
     fields = comp.__dict__
     fields["content"] = content
@@ -784,10 +784,10 @@ def twist_about_curve(struct: Structure, curve: Component,
             base = charts.get(name, TorusClass(0, 0))
             crossings += geometric_intersection(base, cls)
             charts[name] = dehn_twist(base, cls, k)
-        content = Counter(dict(comp.content))
+        content = dict(comp.content)
         if k and crossings:
-            content.update({lab: abs(k) * crossings * n
-                            for lab, n in curve.content})
+            for lab, n in curve.content:
+                content[lab] = content.get(lab, 0) + abs(k) * crossings * n
         out.append(Component(tuple(content.items()), tuple(charts.items()),
                              comp.multiplicity))
     return structure(struct.model, out)
@@ -815,7 +815,9 @@ def graft_along(struct: Structure, gamma: Component) -> Structure:
 def _graft(adm: Admissibility) -> Structure:
     """The structure an admitted decision describes, spliced into the
     source's canonical curves (see _spliced_in): two leaves of the curve,
-    or the fused component in place of the crossed ones."""
+    or the fused component in place of the crossed ones, assembled in
+    normal form: its content summed and sorted, its nonzero classes in
+    chart name order."""
     model = adm.source.model
     comps = adm.source.real_curves
     curve = adm.curve
@@ -824,13 +826,18 @@ def _graft(adm: Admissibility) -> Structure:
         doubled = _normal_component(curve.content, curve.charts, twice)
         return _canonical_structure(model, _spliced_in(comps, doubled,
                                                        model))
-    content: Counter = Counter()
+    content: Dict[str, int] = {}
     for comp in adm.crossed:
+        mult = comp.multiplicity
         for lab, n in comp.content:
-            content[lab] += n * comp.multiplicity
-    content.update({lab: twice * n for lab, n in curve.content})
-    fused = Component(tuple(content.items()),
-                      tuple([*zip(model.charts, adm.fused)]))
+            content[lab] = content.get(lab, 0) + n * mult
+    for lab, n in curve.content:
+        content[lab] = content.get(lab, 0) + twice * n
+    charts, classes = model.charts, adm.fused
+    fused = _normal_component(
+        tuple(sorted(content.items())),
+        tuple([(charts[i], classes[i]) for i, _ in model.key_heads
+               if classes[i] != ZERO]), 1)
     crossed = set(map(id, adm.crossed))
     rest = tuple([comp for comp in comps if id(comp) not in crossed])
     return _canonical_structure(model, _spliced_in(rest, fused, model))

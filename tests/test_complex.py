@@ -330,6 +330,37 @@ class TestComputedOnce:
         assert sorted(rendered) == sorted(graph.vertices)
         assert len(from_curves) == 1
 
+    def test_goldman_renders_one_key_per_trial(self, monkeypatch):
+        # a round trip compares identities, which the key renders one to
+        # one, so only the drawn multicurve's key is rendered while every
+        # trial passes
+        rendered = _record_renderings(monkeypatch)
+        trials = 25
+        report = verify_suite("goldman", trials=trials, seed=7)
+        assert report.passed
+        assert len(rendered) == trials
+        for key, case in zip(rendered, report.instances):
+            assert case.detail == f"{key} vs {key}"
+
+    def test_goldman_miss_names_both_keys(self, monkeypatch):
+        # a graft that drops the w0 component misses every round trip,
+        # and the result's key is rendered to report it
+        graft = complex_graph.graft_along
+        monkeypatch.setattr(complex_graph, "graft_along",
+                            lambda struct, comp: struct
+                            if comp.content == (("w0", 1),)
+                            else graft(struct, comp))
+        rendered = _record_renderings(monkeypatch)
+        trials = 6
+        report = verify_suite("goldman", trials=trials, seed=7)
+        assert len(rendered) == 2 * trials
+        for t, case in enumerate(report.instances[:trials]):
+            target, got = rendered[2 * t], rendered[2 * t + 1]
+            assert not case.ok and case.detail == f"{got} vs {target}"
+            assert "w0" in dict(json.loads(target)["content"])
+            assert "w0" not in dict(json.loads(got)["content"])
+        assert report.instances[trials].ok  # the odd multiplicity
+
     @pytest.mark.parametrize("charts,bound,depth", [
         (1, 8, 4), (2, 4, 3), (3, 2, 3)])
     def test_labels_rendered_once_per_content(self, charts, bound, depth,
@@ -633,6 +664,31 @@ class TestDeferredVertices:
             vertices[graph.seed_key] = vertices[graph.seed_key]
         assert type(vertices) is type(build_complex(
             standard_configuration(charts), bound, 0).vertices)
+
+    def test_comparison_builds_no_deferred_pair(self):
+        # two deferred entries that record the same move are equal
+        # without building either; a built one is compared with the
+        # other side's, built for it
+        def deferred(graph):
+            return [key for key, entry in graph.vertices._entries.items()
+                    if isinstance(entry, tuple)]
+
+        config = standard_configuration(2)
+        g, h = (build_complex(config, 4, 3) for _ in range(2))
+        assert len(deferred(g)) == len(deferred(h)) == 456
+        assert g == h and h == g
+        assert len(deferred(g)) == len(deferred(h)) == 456
+        key = deferred(h)[-1]
+        built = h.vertices[key]
+        assert g == h
+        assert key not in deferred(g) and g.vertices[key] == built
+        assert g.vertices == dict(h.vertices.items())
+        # a graph differing in one vertex's structure is unequal
+        moved = surface.twist_about_meridian(built, "a", 1)
+        h.vertices._entries[key] = moved
+        assert moved != built
+        assert g != h and h != g
+        assert g.vertices != dict(h.vertices.items())
 
     @pytest.mark.parametrize("charts,bound,depth", SIZES)
     def test_first_edge_replays(self, charts, bound, depth):

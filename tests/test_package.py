@@ -177,10 +177,10 @@ def test_value_type_contract(index):
 
 
 def test_unchecked_constructors_stay_in_surface():
-    """surface builds a Component copied from a normal one, and a
-    Structure of curves already canonical, without checking them again.
-    Only surface, which knows when that holds, names those builders, and
-    it calls both."""
+    """surface builds a Component copied from a normal one, the fused
+    component a graft assembles in normal form, and a Structure of curves
+    already canonical, without checking them again. Only surface, which
+    knows when that holds, names those builders, and it calls both."""
     unchecked = {"_normal_component", "_canonical_structure"}
     named, called = {}, set()
     for path in Path(graftkit.__file__).parent.glob("*.py"):
@@ -210,6 +210,20 @@ def test_one_smoothing_rule():
                     naming.setdefault(inner.id, set()).add(node.name)
     assert set(naming) == rule
     assert len(set.union(*naming.values())) == 1
+
+
+def test_content_summed_without_counter():
+    """Content totals are summed in plain dicts: no module of the
+    package names collections.Counter."""
+    naming = set()
+    for path in Path(graftkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            if "Counter" in names:
+                naming.add(path.name)
+    assert naming == set()
 
 
 def test_one_writer_of_the_skip_log():

@@ -21,6 +21,7 @@ from graftkit import (
     build_complex,
     canonical_key,
     canonicalize,
+    complex_graph,
     component,
     goldman_decompose,
     graft_along,
@@ -852,6 +853,98 @@ class TestSplice:
         out = self.assert_assembly(base, curve)
         assert out.real_curves == (Component(fused.content, fused.charts,
                                              2),)
+
+
+class TestFusedComponent:
+    """A spiraling graft assembles its fused component in normal form and
+    builds it unchecked. It equals what a checked build makes of the same
+    content and classes, and pickles and reprs as that one does."""
+
+    # the seeds test_complex's TestSeededBuilds builds from: some of their
+    # grafts are refused and some fuse a chart by a difference
+    SEEDS = [
+        [component("x", {"a": (1, 2)}), component("x", {"a": (1, -2)})],
+        [component("x", {"a": (0, 1)}, 2)],
+        [component("x", {"a": (1, 3)}), component("y", {"a": (1, -1)})],
+    ]
+
+    @pytest.fixture
+    def fused_of(self, monkeypatch):
+        """The fused component _graft splices in for a spiraling
+        decision, checked against the checked build of it; each distinct
+        one is also pickled and its repr evaluated."""
+        spliced, seen = [], set()
+        splice = surface._spliced_in
+        monkeypatch.setattr(surface, "_spliced_in",
+                            lambda curves, comp, model:
+                            spliced.append(comp) or splice(curves, comp,
+                                                           model))
+
+        def fused_of(adm):
+            assert adm.route == "spiraling"
+            surface._graft(adm)
+            fused = spliced.pop()
+            checked = _assembled(adm)[-1]
+            assert checked.multiplicity == 1
+            assert fused == checked and hash(fused) == hash(checked)
+            assert_normal(fused)
+            assert "_prepared" not in vars(fused)
+            if fused in seen:
+                return fused
+            seen.add(fused)
+            assert repr(fused) == repr(checked)
+            for copy in (pickle.loads(pickle.dumps(fused)),
+                         eval(repr(fused), {"Component": Component,
+                                            "TorusClass": TorusClass})):
+                assert copy == fused and repr(copy) == repr(fused)
+                assert_normal(copy)
+            return fused
+        return fused_of
+
+    def check_build(self, config, graph, bound, fused_of) -> int:
+        """Every spiraling graft of a generator onto a vertex; their
+        count."""
+        curves = [curve for *_, family in
+                  complex_graph._grafts(config, bound) for curve in family]
+        count = 0
+        for struct in graph.vertices.values():
+            for curve in curves:
+                adm = is_admissible(curve, struct)
+                if adm.route == "spiraling":
+                    fused_of(adm)
+                    count += 1
+        return count
+
+    @pytest.mark.parametrize("charts,bound,depth", [
+        (1, 8, 4), (2, 4, 3), (3, 2, 3)])
+    def test_standard_builds(self, charts, bound, depth, fused_of):
+        config = standard_configuration(charts)
+        graph = build_complex(config, bound, depth)
+        assert self.check_build(config, graph, bound, fused_of) > 0
+
+    @pytest.mark.parametrize("seed", range(len(SEEDS)))
+    def test_seeded_builds(self, seed, fused_of):
+        config = standard_configuration(1)
+        graph = build_complex(config, 3, 3, seed=structure(
+            config.model, self.SEEDS[seed]))
+        assert self.check_build(config, graph, 3, fused_of) > 0
+
+    def test_charts_out_of_name_order(self, fused_of):
+        # model order z, a, m; the crossed totals cancel in chart m, so
+        # the fused class there is (0, 0) and left out, and a label
+        # counted 0 is kept
+        model = SurfaceModel(2, "rho", ("z", "a", "m"))
+        base = structure(model, [
+            component("x", {"z": (1, 0), "a": (1, 0), "m": (1, 0)}),
+            Component((("u", 0), ("y", 1)), (
+                ("z", TorusClass(1, 0)), ("a", TorusClass(1, 0)),
+                ("m", TorusClass(-1, 0))))])
+        adm = is_admissible(component("g", {"z": (1, 1)}), base)
+        assert adm.fused == ((4, 2), (2, 0), (0, 0))
+        fused = fused_of(adm)
+        assert fused.content == (("g", 2), ("u", 0), ("x", 1), ("y", 1))
+        assert fused.charts == (("a", TorusClass(2, 0)),
+                                ("z", TorusClass(4, 2)))
 
 
 class TestCopies:
