@@ -557,7 +557,7 @@ class _Vertices(Mapping):
         if mine.keys() != theirs.keys():
             return False
         for key, entry in mine.items():
-            if entry.__class__ is tuple and entry == theirs[key]:
+            if isinstance(entry, tuple) and entry == theirs[key]:
                 continue
             if self[key] != other[key]:
                 return False
