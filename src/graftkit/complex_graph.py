@@ -546,23 +546,6 @@ class _Vertices(Mapping):
             entries[key] = entry
         return entry
 
-    def __eq__(self, other: object):
-        """Mapping equality, building no more than it must: entries are
-        compared in key order, and two deferred ones that record the same
-        move are equal without building either, as their sources, which
-        come before them, have compared equal already."""
-        if not isinstance(other, _Vertices):
-            return Mapping.__eq__(self, other)
-        mine, theirs = self._entries, other._entries
-        if mine.keys() != theirs.keys():
-            return False
-        for key, entry in mine.items():
-            if isinstance(entry, tuple) and entry == theirs[key]:
-                continue
-            if self[key] != other[key]:
-                return False
-        return True
-
 
 def build_complex(config: Configuration, twist_bound: int, depth: int,
                   seed: Optional[Structure] = None) -> ComplexGraph:

@@ -665,31 +665,6 @@ class TestDeferredVertices:
         assert type(vertices) is type(build_complex(
             standard_configuration(charts), bound, 0).vertices)
 
-    def test_comparison_builds_no_deferred_pair(self):
-        # two deferred entries that record the same move are equal
-        # without building either; a built one is compared with the
-        # other side's, built for it
-        def deferred(graph):
-            return [key for key, entry in graph.vertices._entries.items()
-                    if isinstance(entry, tuple)]
-
-        config = standard_configuration(2)
-        g, h = (build_complex(config, 4, 3) for _ in range(2))
-        assert len(deferred(g)) == len(deferred(h)) == 456
-        assert g == h and h == g
-        assert len(deferred(g)) == len(deferred(h)) == 456
-        key = deferred(h)[-1]
-        built = h.vertices[key]
-        assert g == h
-        assert key not in deferred(g) and g.vertices[key] == built
-        assert g.vertices == dict(h.vertices.items())
-        # a graph differing in one vertex's structure is unequal
-        moved = surface.twist_about_meridian(built, "a", 1)
-        h.vertices._entries[key] = moved
-        assert moved != built
-        assert g != h and h != g
-        assert g.vertices != dict(h.vertices.items())
-
     @pytest.mark.parametrize("charts,bound,depth", SIZES)
     def test_first_edge_replays(self, charts, bound, depth):
         config = standard_configuration(charts)
