@@ -1017,14 +1017,19 @@ def _suite_oracle(sweep: int = 5) -> Report:
              for q in range(-sweep, sweep + 1)
              if gcd(abs(p), abs(q)) == 1]
     mismatches = 0
+    modes = (Mode.SHARP, Mode.FLAT)
     probes = grid_oracle.probe_pairs(
         (a, 1, b, 1) for a, b in product(prims, repeat=2))
     for (a, b), pair in zip(product(prims, repeat=2), probes):
-        ok = (pair.forward.algebraic == algebraic_intersection(a, b)
-              and pair.forward.geometric == geometric_intersection(a, b))
-        for mode, comps in zip((Mode.SHARP, Mode.FLAT), pair.smoothings()):
-            total = (sum(c.p for c in comps), sum(c.q for c in comps))
-            ok = ok and TorusClass(*total) == resolve(a, b, mode)
+        forward = pair.forward
+        ok = (forward.algebraic == algebraic_intersection(a, b)
+              and forward.geometric == geometric_intersection(a, b))
+        for mode, comps in zip(modes, pair.smoothings()):
+            p = q = 0
+            for c in comps:
+                p += c[0]
+                q += c[1]
+            ok = ok and (p, q) == resolve(a, b, mode)
         if not ok:
             mismatches += 1
             report.add(f"oracle agreement for {a} vs {b}", False)

@@ -34,6 +34,11 @@ coincident geodesics or parameters; probe_pairs then moves the pair to
 the next rung of the offset ladder, its one retry. It draws each (class,
 copies, role, rung) once per call and keeps each pair's list, so the
 counts and both resolutions of a pair need no further solve.
+
+The records are NamedTuples, as in torus. crossing_list and probe_pairs
+build each Crossing, CrossingList and ProbedPair with tuple.__new__,
+skipping the generated Python __new__; the public constructors build
+equal records.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ _DEN_Y = 89
 _R = _DEN_X * _DEN_Y
 # Rungs of the offset ladder tried before a pair is declared degenerate.
 _ATTEMPTS = 8
-# builds a Crossing without its generated Python __new__, as torus does
+# builds a record without its generated Python __new__, as torus does
 _new = tuple.__new__
 
 
@@ -81,11 +86,17 @@ class CrossingList(NamedTuple):
 
     @property
     def geometric(self) -> int:
+        """The crossing count."""
         return len(self.crossings)
 
     @property
     def algebraic(self) -> int:
-        return sum(c.index for c in self.crossings)
+        """The index sum. A list's crossings all have one index, the sign
+        of det, so this is the count with that sign."""
+        total = 0
+        for c in self.crossings:
+            total += c[0]
+        return total
 
 
 def _offset(role: int, copy: int, attempt: int) -> Tuple[int, int]:
@@ -180,23 +191,27 @@ def crossing_list(first: GridCurve, second: GridCurve) -> CrossingList:
     points, so neither check depends on its orientation.
     """
     a, b = first.direction, second.direction
-    det = a.p * (-b.q) - (-b.p) * a.q
+    ap, aq = a
+    bp, bq = b
+    det = bp * aq - ap * bq
     if det == 0:
         if any(_parallel_coincident(a, oa, ob)
                for oa in first.offsets for ob in second.offsets):
             raise DegeneratePosition("parallel curves share a geodesic")
-        return CrossingList((), 0)
+        return _new(CrossingList, ((), 0))
     sign = 1 if det > 0 else -1
-    bound = _R * abs(det)
+    count = abs(det)
+    bound = _R * count
     index = -sign  # the sign of a.p*b.q - a.q*b.p
-    span_x = abs(a.p) + abs(b.p) + 2
-    span_y = abs(a.q) + abs(b.q) + 2
+    across = abs(ap) + abs(bp)
+    span_x = across + 2
+    span_y = abs(aq) + abs(bq) + 2
     # the horizontal window: rx + below*R in [0, width)
-    below = max(-a.p, 0) + max(b.p, 0)
-    width = (abs(a.p) + abs(b.p)) * _R + 1
+    below = max(-ap, 0) + max(bp, 0)
+    width = across * _R + 1
     # the numerator whose range is solved, at sy = 0 and per unit of sy
-    solved = b if b.p else a
-    step = solved.p * _R * sign
+    sp, sq = b if bp else a
+    step = sp * _R * sign
     found: List[Crossing] = []
     for ia, (xa, ya) in enumerate(first.offsets):
         for ib, (xb, yb) in enumerate(second.offsets):
@@ -205,24 +220,24 @@ def crossing_list(first: GridCurve, second: GridCurve) -> CrossingList:
             start = len(found)
             for sx in _translates(nx + below * _R, _R, width, span_x):
                 rx = nx + _R * sx
-                c = (solved.p * ny - solved.q * rx) * sign
+                c = (sp * ny - sq * rx) * sign
                 for sy in _translates(c, step, bound, span_y):
                     ry = ny + _R * sy
-                    tn = (b.p * ry - b.q * rx) * sign
+                    tn = (bp * ry - bq * rx) * sign
                     if not 0 <= tn < bound:
                         continue
-                    un = (a.p * ry - a.q * rx) * sign
+                    un = (ap * ry - aq * rx) * sign
                     if 0 <= un < bound:
                         found.append(_new(Crossing,
                                           (index, (ia, tn), (ib, un))))
-            if len(found) - start != abs(det):
+            if len(found) - start != count:
                 raise AssertionError(
                     f"crossing count {len(found) - start} differs from "
-                    f"|det| {abs(det)}")
-    if (len({c.first_at for c in found}) != len(found)
-            or len({c.second_at for c in found}) != len(found)):
+                    f"|det| {count}")
+    if (len({c[1] for c in found}) != len(found)
+            or len({c[2] for c in found}) != len(found)):
         raise DegeneratePosition("coincident crossing parameters")
-    return CrossingList(tuple(found), bound)
+    return _new(CrossingList, (tuple(found), bound))
 
 
 def oracle_intersection(first: GridCurve,
@@ -242,11 +257,11 @@ def _layout(pair: ProbedPair) -> tuple:
     ends at and the arc's parameter length, a numerator over the list's
     denominator, and the count of its crossing-free copies.
     """
-    crossings = pair.forward.crossings
-    den = pair.forward.denominator
+    first, second, (crossings, den) = pair
+    n = len(crossings)
     sides = []
-    for side, curve in ((1, pair.first), (2, pair.second)):
-        ends, lengths = [0] * len(crossings), [0] * len(crossings)
+    for side, curve in ((1, first), (2, second)):
+        ends, lengths = [0] * n, [0] * n
         on_copy: List[List[Tuple[int, int]]] = [[] for _ in curve.offsets]
         for k, c in enumerate(crossings):
             copy, t = c[side]
@@ -259,7 +274,7 @@ def _layout(pair: ProbedPair) -> tuple:
                 ends[k0], lengths[k0] = k, t - t0
                 t0, k0 = t, k
         sides.append((ends, lengths, on_copy.count([])))
-    return (pair.first.direction, pair.second.direction, den, *sides)
+    return (first.direction, second.direction, den, *sides)
 
 
 def _trace(layout: tuple, backward: bool) -> Tuple[TorusClass, ...]:
@@ -368,7 +383,7 @@ def probe_pairs(pairs: Iterable[Tuple[Sequence[int], int, Sequence[int], int]]
             try:
                 a = draw(first_cls, first_copies, 0, attempt)
                 b = draw(second_cls, second_copies, 1, attempt)
-                probed = ProbedPair(a, b, crossing_list(a, b))
+                probed = _new(ProbedPair, (a, b, crossing_list(a, b)))
             except DegeneratePosition as exc:
                 last = exc
             else:

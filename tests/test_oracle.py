@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 from itertools import product
 from math import gcd
 
@@ -252,6 +253,59 @@ class TestInvariants:
             json.dumps(obj, sort_keys=True).encode()).hexdigest()
         assert digest == ("7c0e045af2b9fa6e96b8add60bc59d31"
                           "3137cdeaea2e6ab6a8ed956df5372e3a")
+
+    def test_swapped_smoothings_are_caught(self, monkeypatch):
+        # each pair's two traced totals are compared with resolve: with
+        # SHARP and FLAT swapped, every one of the 48 crossing pairs at
+        # radius 1 fails, the 16 parallel ones (both totals equal) pass,
+        # and the summary fails
+        smoothings = grid_oracle.ProbedPair.smoothings
+        monkeypatch.setattr(grid_oracle.ProbedPair, "smoothings",
+                            lambda pair: smoothings(pair)[::-1])
+        report = verify_suite("oracle", sweep=1)
+        failed = [i for i in report.instances if not i.ok]
+        assert len(failed) == 49
+        assert failed[-1].detail == "48 mismatches"
+
+    def test_wrong_crossing_count_is_caught(self, monkeypatch):
+        # a count off by one fails all 64 pairs at radius 1, parallel
+        # ones included, and the summary
+        monkeypatch.setattr(grid_oracle.CrossingList, "geometric",
+                            property(lambda cl: len(cl.crossings) + 1))
+        report = verify_suite("oracle", sweep=1)
+        failed = [i for i in report.instances if not i.ok]
+        assert len(failed) == 65
+        assert failed[-1].detail == "64 mismatches"
+
+
+class TestRecords:
+    """crossing_list and probe_pairs build their records with
+    tuple.__new__; each must be the record its public constructor
+    builds."""
+
+    @pytest.mark.parametrize("a,m,b,n", [
+        ((2, 1), 2, (1, -3), 1), ((1, 0), 1, (1, 0), 2),
+        ((0, 1), 3, (1, 1), 2)])
+    def test_built_records_match_the_constructors(self, a, m, b, n):
+        pair = grid_oracle.probe_pair(a, m, b, n)
+        forward = grid_oracle.CrossingList(
+            crossings=pair.forward.crossings,
+            denominator=pair.forward.denominator)
+        built = grid_oracle.ProbedPair(pair.first, pair.second, forward)
+        listed = grid_oracle.crossing_list(pair.first, pair.second)
+        for record, public in ((pair, built), (pair.forward, forward),
+                               (listed, forward)):
+            assert type(record) is type(public)
+            assert record == public
+            assert hash(record) == hash(public)
+            assert repr(record) == repr(public)
+            restored = pickle.loads(pickle.dumps(record))
+            assert type(restored) is type(public)
+            assert restored == public
+            assert record._asdict() == public._asdict()
+        assert pair._replace(forward=listed) == built
+        assert pair.forward._replace(denominator=1) == \
+            forward._replace(denominator=1)
 
 
 def _box_copy_crossings(ia, a, oa, ib, b, ob):
