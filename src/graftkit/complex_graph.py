@@ -55,12 +55,12 @@ from __future__ import annotations
 import json
 import random
 import sys
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, \
-    Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import BadConfiguration, NotAdmissible, OddMultiplicity, \
     UnknownSuite
@@ -101,15 +101,12 @@ def _debug_log():
     return log if log.isEnabledFor(logging.DEBUG) else None
 
 
-class Edge(NamedTuple):
+class Edge(namedtuple("Edge", "kind chart n src dst")):
     """One move: kind is "graft" or "elementary"; chart names the twisting
-    chart ("" for the untwisted graft); n is the twist power."""
+    chart ("" for the untwisted graft); n is the twist power, an int; src
+    and dst are the endpoints' keys. All but n are strs."""
 
-    kind: str
-    chart: str
-    n: int
-    src: str
-    dst: str
+    __slots__ = ()
 
 
 def _label(kind: str, chart: str, n: int) -> str:
@@ -121,16 +118,14 @@ def _label(kind: str, chart: str, n: int) -> str:
     return f"graft T^{n}@{chart}"
 
 
-class Witness(NamedTuple):
+class Witness(namedtuple("Witness", "m k l key")):
     """A verified coincidence of the two graft pipelines.
 
-    The doubled twist on the one-step side pairs with k + l = 2m on the
-    two-step side; every witness stores the checked key equality."""
+    The doubled twist on the one-step side pairs with k + l = 2m (ints)
+    on the two-step side; every witness stores the checked key equality
+    (key, a str)."""
 
-    m: int
-    k: int
-    l: int
-    key: str
+    __slots__ = ()
 
 
 class ComplexGraph(_Frozen):
@@ -944,6 +939,7 @@ def _suite_goldman(trials: int = 100, seed: int = 7) -> Report:
     report = Report("goldman")
     rng = random.Random(seed)
     model = SurfaceModel(4, "rho", tuple(f"c{i}" for i in range(6)))
+    empty = structure(model, [])  # a value: every trial starts from it
     for t in range(trials):
         lam = _random_even_multicurve(rng, model)
         # the key renders the identity one to one, so the identities
@@ -952,7 +948,7 @@ def _suite_goldman(trials: int = 100, seed: int = 7) -> Report:
         target = _render(want, model)
         sigma = list(goldman_decompose(lam))
         rng.shuffle(sigma)
-        current = structure(model, [])
+        current = empty
         try:
             for comp in sigma:
                 current = graft_along(current, comp)

@@ -35,17 +35,17 @@ the next rung of the offset ladder, its one retry. It draws each (class,
 copies, role, rung) once per call and keeps each pair's list, so the
 counts and both resolutions of a pair need no further solve.
 
-The records are NamedTuples, as in torus. crossing_list and probe_pairs
-build each Crossing, CrossingList and ProbedPair with tuple.__new__,
-skipping the generated Python __new__; the public constructors build
-equal records.
+The records are built on collections.namedtuple, as in torus.
+crossing_list and probe_pairs build each Crossing, CrossingList and
+ProbedPair with tuple.__new__, skipping the generated Python __new__;
+the public constructors build equal records.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, \
-    Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DegeneratePosition, NonPrimitive
 from .torus import Mode, TorusClass
@@ -61,28 +61,29 @@ _ATTEMPTS = 8
 _new = tuple.__new__
 
 
-class GridCurve(NamedTuple):
+class GridCurve(namedtuple("GridCurve", "direction offsets")):
     """Straight-line representative of len(offsets) parallel copies of a
     primitive class: copy j is the path t -> offsets[j] + t*direction,
-    t in [0,1], with offset (x/97, y/89) held as its numerators (x, y)."""
+    t in [0,1], with offset (x/97, y/89) held as its numerators (x, y).
+    direction is a TorusClass, offsets a tuple of (int, int) pairs."""
 
-    direction: TorusClass
-    offsets: Tuple[Tuple[int, int], ...]
-
-
-class Crossing(NamedTuple):
-    index: int
-    # Curve-internal addresses: (copy number, parameter numerator over
-    # the crossing list's denominator).
-    first_at: Tuple[int, int]
-    second_at: Tuple[int, int]
+    __slots__ = ()
 
 
-class CrossingList(NamedTuple):
-    crossings: Tuple[Crossing, ...]
-    # Common denominator of every crossing parameter: R * |det|, which is
-    # 0 for parallel curves (they never cross).
-    denominator: int
+class Crossing(namedtuple("Crossing", "index first_at second_at")):
+    """One crossing: its index (an int) and its curve-internal addresses,
+    each an (int, int) pair: copy number, parameter numerator over the
+    crossing list's denominator."""
+
+    __slots__ = ()
+
+
+class CrossingList(namedtuple("CrossingList", "crossings denominator")):
+    """A pair's crossings, a tuple of Crossings, and the int common
+    denominator of every crossing parameter: R * |det|, which is 0 for
+    parallel curves (they never cross)."""
+
+    __slots__ = ()
 
     @property
     def geometric(self) -> int:
@@ -336,14 +337,12 @@ def oracle_resolve(first: GridCurve, second: GridCurve,
                       crossing_list(first, second)).resolve(mode)
 
 
-class ProbedPair(NamedTuple):
-    """Two drawn curves and their one crossing list. Each smoothing is a
-    walk of the pair's arc layout, the other one walking the second
-    curve backwards; smoothings walks both on one layout."""
+class ProbedPair(namedtuple("ProbedPair", "first second forward")):
+    """Two drawn GridCurves and their one CrossingList, forward. Each
+    smoothing is a walk of the pair's arc layout, the other one walking
+    the second curve backwards; smoothings walks both on one layout."""
 
-    first: GridCurve
-    second: GridCurve
-    forward: CrossingList
+    __slots__ = ()
 
     def smoothings(self) -> Tuple[Tuple[TorusClass, ...],
                                   Tuple[TorusClass, ...]]:

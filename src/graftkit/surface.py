@@ -55,10 +55,10 @@ needs no dataclasses.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, \
-    Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     BadIntersectionPattern,
@@ -334,8 +334,9 @@ class Structure(_Frozen):
     def identity(self) -> tuple:
         """The integers the key renders: the sorted content totals and,
         per chart in model order, the homology total of the
-        orientation-normalized components."""
-        return _identity_of(self.real_curves, self.model)
+        orientation-normalized components, which its curves already are
+        (canonicalize or _spliced_in gave them)."""
+        return _identity_of(self.real_curves, self.model, oriented=True)
 
     def _keep(self, key: str) -> None:
         """Keep a key rendered from an identity worked out by arithmetic."""
@@ -363,14 +364,15 @@ def structure(model: SurfaceModel,
     return Structure(model, components)
 
 
-def _identity_of(curve: Iterable[Component],
-                 model: SurfaceModel) -> tuple:
+def _identity_of(curve: Iterable[Component], model: SurfaceModel,
+                 oriented: bool = False) -> tuple:
     """What classifies a multicurve: the content-label totals, sorted,
     and per chart in model order the homology total of the
     orientation-normalized components. Component order, orientations, and
     how parallel leaves are split across equal components cannot affect
     it, so the totals are summed straight from the components, canonical
-    or not. Content labels whose total is zero are kept."""
+    or not; oriented says they are all normalized already. Content labels
+    whose total is zero are kept."""
     index = model.chart_index
     totals = [[0, 0] for _ in model.charts]
     content: Dict[str, int] = {}
@@ -378,7 +380,7 @@ def _identity_of(curve: Iterable[Component],
         mult = comp.multiplicity
         for lab, n in comp.content:
             content[lab] = content.get(lab, 0) + n * mult
-        weight = mult * _orientation(comp, model)
+        weight = mult if oriented else mult * _orientation(comp, model)
         for name, (p, q) in comp.charts:
             total = totals[index[name]]
             total[0] += weight * p
@@ -426,13 +428,11 @@ def canonical_key(curve: Iterable[Component], model: SurfaceModel) -> str:
 # Configuration checking
 
 
-class Configuration(NamedTuple):
-    """Validated base data for grafting pipelines: the base real curve
-    and the base grafting curve."""
+class Configuration(namedtuple("Configuration", "model lam gamma")):
+    """Validated base data for grafting pipelines: the SurfaceModel, the
+    base real curve lam and the base grafting curve gamma (Components)."""
 
-    model: SurfaceModel
-    lam: Component
-    gamma: Component
+    __slots__ = ()
 
     def base_structure(self) -> Structure:
         return structure(self.model, [self.lam])
@@ -490,21 +490,18 @@ def _spiral_sign(lam_total: Sequence[int], gamma_cls: Sequence[int]) -> int:
     return (d > 0) - (d < 0)
 
 
-class Admissibility(NamedTuple):
-    """One graft decision of a curve on a source structure: the route
-    taken, or None and the failed condition. A crossing decision also
-    fixes all the graft needs: the real components the curve crosses and,
-    per chart in model order, their total and the fused class (see
-    _fused) with the doubled curve, oriented so its first nonzero chart
-    entry is positive."""
+class Admissibility(namedtuple("Admissibility", "route reason source curve "
+                               "crossed totals fused",
+                               defaults=("", None, None, (), (), ()))):
+    """One graft decision of a curve (a Component) on a source Structure:
+    the route taken, or None and the failed condition (strs). A crossing
+    decision also fixes all the graft needs: the real Components the
+    curve crosses and, per chart in model order, their total ((int, int)
+    pairs) and the fused TorusClass (see _fused) with the doubled curve,
+    oriented so its first nonzero chart entry is positive. Fields after
+    route default to "", None or ()."""
 
-    route: Optional[str]
-    reason: str = ""
-    source: Optional[Structure] = None
-    curve: Optional[Component] = None
-    crossed: Tuple[Component, ...] = ()
-    totals: Tuple[Tuple[int, int], ...] = ()
-    fused: Tuple[TorusClass, ...] = ()
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.route is not None

@@ -18,19 +18,20 @@ Orientation conventions are pinned once and used everywhere downstream:
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple, Optional, Sequence
+from typing import Sequence
 
 from .errors import ZeroTwister
 
 Pair = Sequence[int]
 
 
-class TorusClass(NamedTuple):
-    """Oriented homology class of a (multi)curve on the torus."""
+class TorusClass(namedtuple("TorusClass", "p q")):
+    """Oriented homology class of a (multi)curve on the torus: the
+    integers p and q."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
     def __neg__(self) -> "TorusClass":
         p, q = self
@@ -49,19 +50,20 @@ class Mode(enum.Enum):
 
 
 _SHARP = Mode.SHARP  # a module global reads faster than an Enum member
-# builds a TorusClass in half the time of its generated Python __new__;
-# for results, whose entries are already two integers
+# builds a TorusClass in half the time of the Python __new__ namedtuple
+# generates; for results, whose entries are already two integers
 _new = tuple.__new__
 
 
-class TorusMulticurve(NamedTuple):
-    """Unoriented multicurve: multiplicity copies of one primitive class.
+class TorusMulticurve(namedtuple("TorusMulticurve",
+                                 "multiplicity primitive")):
+    """Unoriented multicurve: multiplicity (an int) copies of one
+    primitive class (a TorusClass).
 
     multiplicity 0 encodes the empty multicurve (primitive is None).
     """
 
-    multiplicity: int
-    primitive: Optional[TorusClass]
+    __slots__ = ()
 
     def total(self) -> TorusClass:
         if self.multiplicity == 0 or self.primitive is None:

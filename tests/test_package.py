@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import graftkit
+from graftkit import complex_graph, grid_oracle, surface, torus
 
 # __init__.py imports names to export them, so it is left out
 MODULES = sorted(path for path in Path(graftkit.__file__).parent.glob("*.py")
@@ -90,6 +91,20 @@ class TestColdImport:
         assert "graftkit.complex_graph" in loaded
         assert not {"logging", "hashlib", "dataclasses", "inspect"} & \
             set(loaded)
+
+    def test_import_compiles_no_forward_references(self):
+        """The records are built on collections.namedtuple, so defining
+        them turns no field annotation into a typing.ForwardRef."""
+        proc = _run("import typing\n"
+                    "made = []\n"
+                    "init = typing.ForwardRef.__init__\n"
+                    "def counted(self, *args, **kwargs):\n"
+                    "    made.append(args)\n"
+                    "    init(self, *args, **kwargs)\n"
+                    "typing.ForwardRef.__init__ = counted\n"
+                    "import graftkit\n"
+                    "print(len(made))\n")
+        assert proc.stdout.split() == ["0"]
 
     def test_debug_turned_on_after_import_logs_skips(self):
         # the skipping build of test_complex's TestFusedPass
@@ -174,6 +189,94 @@ def test_value_type_contract(index):
         delattr(value, name)
     if text is not None:
         assert repr(value) == text
+
+
+def test_records_are_not_typing_namedtuples():
+    """No module of the package imports typing.NamedTuple or derives a
+    class from it: the records are built on collections.namedtuple."""
+    found = []
+    for path in Path(graftkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "typing":
+                found += [(path.name, alias.name) for alias in node.names
+                          if alias.name == "NamedTuple"]
+            elif isinstance(node, ast.ClassDef):
+                found += [(path.name, node.name) for base in node.bases
+                          if ast.unparse(base).endswith("NamedTuple")]
+    assert found == []
+
+
+def _records():
+    """One instance of each record, with its pinned repr."""
+    model = graftkit.SurfaceModel(2, "rho", ("a",))
+    lam = graftkit.component("lambda", {"a": (2, 0)})
+    gamma = graftkit.component("gamma", {"a": (1, 0)})
+    pair = grid_oracle.probe_pair((1, 0), 1, (0, 1), 1)
+    first = "GridCurve(direction=TorusClass(p=1, q=0), offsets=((1, 2),))"
+    crossing = "Crossing(index=1, first_at=(0, 623), second_at=(0, 7372))"
+    forward = f"CrossingList(crossings=({crossing},), denominator=8633)"
+    return [
+        (torus.TorusClass(1, -2), "TorusClass(p=1, q=-2)"),
+        (torus.TorusMulticurve(2, torus.TorusClass(1, 0)),
+         "TorusMulticurve(multiplicity=2, primitive=TorusClass(p=1, q=0))"),
+        (pair.first, first),
+        (pair.forward.crossings[0], crossing),
+        (pair.forward, forward),
+        (pair, f"ProbedPair(first={first}, second=GridCurve(direction="
+               f"TorusClass(p=0, q=1), offsets=((8, 15),)), "
+               f"forward={forward})"),
+        (surface.Configuration(model, lam, gamma),
+         "Configuration(model=SurfaceModel(genus=2, holonomy_tag='rho', "
+         "charts=('a',)), lam=Component(content=(('lambda', 1),), "
+         "charts=(('a', TorusClass(p=2, q=0)),), multiplicity=1), "
+         "gamma=Component(content=(('gamma', 1),), charts=(('a', "
+         "TorusClass(p=1, q=0)),), multiplicity=1))"),
+        (surface.Admissibility(None, "no spiral direction"),
+         "Admissibility(route=None, reason='no spiral direction', "
+         "source=None, curve=None, crossed=(), totals=(), fused=())"),
+        (complex_graph.Edge("graft", "a", -1, "k0", "k1"),
+         "Edge(kind='graft', chart='a', n=-1, src='k0', dst='k1')"),
+        (complex_graph.Witness(1, 1, 1, "k"),
+         "Witness(m=1, k=1, l=1, key='k')"),
+    ]
+
+
+RECORDS = ["TorusClass", "TorusMulticurve", "GridCurve", "Crossing",
+           "CrossingList", "ProbedPair", "Configuration", "Admissibility",
+           "Edge", "Witness"]
+
+
+@pytest.mark.parametrize("index", range(len(RECORDS)), ids=RECORDS)
+def test_record_contract(index):
+    """Each record keeps its type, repr, equality and hash through
+    pickling, deep copies, _replace and the tuple.__new__ builds of torus
+    and grid_oracle; carries no __dict__; and refuses assignment. Only
+    Admissibility has field defaults."""
+    value, text = _records()[index]
+    cls = type(value)
+    assert cls.__name__ == RECORDS[index]
+    assert repr(value) == text
+    twins = [cls(*value), pickle.loads(pickle.dumps(value)),
+             copy.deepcopy(value), value._replace(), cls._make(list(value))]
+    twins += [new(cls, tuple(value)) for new in (torus._new,
+                                                 grid_oracle._new)]
+    for twin in twins:
+        assert type(twin) is cls
+        assert twin == value and not twin != value
+        assert hash(twin) == hash(value)
+        assert repr(twin) == text
+    fields = cls._fields
+    assert value._asdict() == dict(zip(fields, value))
+    assert value._replace(**{fields[0]: None}) == (None, *value[1:])
+    defaults = {"reason": "", "source": None, "curve": None,
+                "crossed": (), "totals": (), "fused": ()} \
+        if cls is surface.Admissibility else {}
+    assert cls._field_defaults == defaults
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], value[0])
+    with pytest.raises(AttributeError):
+        value.extra = 1
 
 
 def test_unchecked_constructors_stay_in_surface():

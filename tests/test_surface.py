@@ -855,6 +855,57 @@ class TestSplice:
                                              2),)
 
 
+class TestOrientedIdentity:
+    """Structure.identity() weighs each component by its multiplicity
+    alone, since every Structure holds its curves in their canonical
+    orientation. Checked on every structure that the benchmark's three
+    complex_build sizes and its identity suites build."""
+
+    @staticmethod
+    def assert_oriented(monkeypatch, run):
+        built = []
+        setter = surface._set_curves  # every Structure's curves go here
+
+        def kept(struct, curves):
+            setter(struct, curves)
+            built.append(struct)
+
+        monkeypatch.setattr(surface, "_set_curves", kept)
+        run()
+        monkeypatch.undo()
+        assert built
+        for struct in built:
+            model = struct.model
+            assert [surface._orientation(comp, model)
+                    for comp in struct.real_curves] == \
+                [1] * len(struct.real_curves)
+            assert struct.identity() == surface._identity_of(
+                struct.real_curves, model)
+
+    @pytest.mark.parametrize("charts,bound,depth",
+                             [(1, 8, 4), (2, 4, 3), (3, 2, 3)])
+    def test_complex_builds(self, monkeypatch, charts, bound, depth):
+        def run():
+            graph = build_complex(standard_configuration(charts), bound,
+                                  depth)
+            list(graph.vertices.values())  # builds the last level's too
+
+        self.assert_oriented(monkeypatch, run)
+
+    def test_identity_suites(self, monkeypatch):
+        def run():
+            for name, params in (("goldman", {"trials": 400, "seed": 7}),
+                                 ("iterated", {"twist_bound": 30}),
+                                 ("two_meridian", {"k_max": 10}),
+                                 ("dehn_twist", {"k_max": 30})):
+                assert complex_graph.verify_suite(name, **params).passed
+            config = standard_configuration()
+            complex_graph.standard_fan(config, "a", 30, 7)
+            complex_graph.witness_graph(config, 1, 30)
+
+        self.assert_oriented(monkeypatch, run)
+
+
 class TestFusedComponent:
     """A spiraling graft assembles its fused component in normal form and
     builds it unchecked. It equals what a checked build makes of the same
