@@ -7,8 +7,8 @@ twice). The breadth-first closure under a bounded generator family is
 deterministic for fixed inputs: one serial loop expands the frontier in
 key order and merges each structure's moves as it goes, and both exports
 number the vertices in key order, so repeated builds are byte-identical.
-A build twists and prepares each generator's curve once (see
-surface._prepare), at depth 0 only the untwisted one, and groups them by
+A build twists each generator's curve and works out its positions once
+(see _grafts), at depth 0 only the untwisted one's, and groups them by
 chart into twist families, the untwisted curve leading the first
 chart's. It expands one vertex per orbit of the build's symmetries (see
 _symmetries: chart permutations and the reflection q -> -q that fix the
@@ -73,11 +73,12 @@ from .surface import (
     Structure,
     SurfaceModel,
     _Frozen,
+    _by_position,
     _decide_family,
+    _doubled,
     _graft,
     _graft_content,
     _identity_of,
-    _prepare,
     _render,
     component,
     goldman_decompose,
@@ -282,27 +283,31 @@ def standard_configuration(num_charts: int = 1) -> Configuration:
 def _grafts(config: Configuration, twist_bound: int
             ) -> List[Tuple[str, range, list, list]]:
     """The graft generators by twist family, as (chart, generator
-    indices, generators, curves), the curves built and prepared for the
-    model (see surface._prepare) once per build: per chart the grafting
-    curve's meridian twists up to the twist bound, the first chart's led
-    by the untwisted curve, its zero twist. A chart with no generators is
-    left out. The indices number the generators in this order after the
-    two elementary moves per chart, as build_complex's generator table
-    lists them. config.gamma is left as it is."""
+    indices, generators, family), the family listing each generator's
+    curve with its classes by chart position and doubled for the model
+    (see surface._by_position and surface._doubled), all worked out once
+    per build: per chart the grafting curve's meridian twists up to the
+    twist bound, the first chart's led by the untwisted curve, its zero
+    twist. A chart with no generators is left out. The indices number
+    the generators in this order after the two elementary moves per
+    chart, as build_complex's generator table lists them."""
     model, gamma = config.model, config.gamma
     twists = [n for n in range(-twist_bound, twist_bound + 1) if n]
     out = []
     start = 2 * len(model.charts)
     for chart in model.charts:
         descs = [("graft", chart, n) for n in twists]
-        curves = [_prepare(twist_about_meridian(gamma, chart, n), model)
-                  for n in twists]
+        curves = [twist_about_meridian(gamma, chart, n) for n in twists]
         if not out:
             descs.insert(0, ("graft", "", 0))
-            curves.insert(0, _prepare(gamma, model))
+            curves.insert(0, gamma)
         if curves:
+            family = []
+            for curve in curves:
+                given = _by_position(curve, model)
+                family.append((curve, given, _doubled(curve, given, model)))
             out.append((chart, range(start, start + len(curves)), descs,
-                        curves))
+                        family))
             start += len(curves)
     return out
 
@@ -314,8 +319,9 @@ def _expand(config: Configuration, struct: Structure, identity: tuple,
     ...]): the elementary moves, which keep the content, then the grafts,
     with the content every graft gives, in the order of _grafts (see
     there for g). Each twist family is decided in one pass
-    (surface._decide_family). Inadmissible grafts are skipped and logged
-    at debug level, here alone in the package."""
+    (surface._decide_family) from the positions its entry keeps.
+    Inadmissible grafts are skipped and logged at debug level, here
+    alone in the package."""
     content, totals = identity
     # the meridian's crossings with the real curves, per chart
     index = config.model.chart_index
@@ -335,9 +341,9 @@ def _expand(config: Configuration, struct: Structure, identity: tuple,
             elementary.append((2 * i, before + ((p, q + p),) + after))
             elementary.append((2 * i + 1, before + ((p, q - p),) + after))
     moves = []
-    for chart, gens, descs, curves in grafts:
+    for chart, gens, descs, family in grafts:
         for g, desc, dst in zip(gens, descs, _decide_family(
-                struct, totals, chart, curves)):
+                struct, totals, chart, family)):
             if type(dst) is tuple:
                 moves.append((g, dst))
             elif (log := _debug_log()) is not None:
@@ -585,7 +591,7 @@ def build_complex(config: Configuration, twist_bound: int, depth: int,
     elementary = len(generators)
     curves: List[Optional[Component]] = [None] * elementary
     generators += [desc for _, _, descs, _ in grafts for desc in descs]
-    curves += [curve for *_, family in grafts for curve in family]
+    curves += [curve for *_, family in grafts for curve, _, _ in family]
     # with debug logging on every vertex is expanded, for _expand to log
     # each skip
     group = _symmetries(config, seed, generators) \
@@ -825,9 +831,11 @@ class Report:
         return out
 
 
-def _require_checks(suite: str, name: str, value: int) -> None:
-    """Refuse a range at which a suite would check nothing."""
-    if value < 1:
+def _require_checks(suite: str, name: str, value: int,
+                    least: int = 1) -> None:
+    """Refuse a range at which a suite would check nothing: a value
+    below least, the smallest at which it checks a case."""
+    if value < least:
         raise ValueError(f"suite {suite!r} checks nothing at {name}={value}")
 
 
@@ -858,6 +866,7 @@ def _four_way(k: int) -> Tuple[TorusClass, ...]:
 
 
 def _suite_sharp_flat(k_max: int = 8) -> Report:
+    _require_checks("sharp_flat", "k_max", k_max, 0)
     report = Report("sharp_flat")
     meridian = TorusClass(0, 1)
     for k in range(-k_max, k_max + 1):
@@ -969,6 +978,7 @@ def _suite_goldman(trials: int = 100, seed: int = 7) -> Report:
 
 
 def _suite_iterated(l0: int = 1, twist_bound: int = 8) -> Report:
+    _require_checks("iterated", "twist_bound", twist_bound, 0)
     report = Report("iterated")
     config = standard_configuration()
     witnesses = common_grafts(config, l0, twist_bound)

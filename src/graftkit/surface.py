@@ -42,9 +42,9 @@ it into the source's canonical curves instead of canonicalizing them
 again: the doubled curve, or the fused component in place of the
 crossed ones, goes in oriented at its place in _order, merged with an
 equal component if there is one. A decision reads the curve's classes
-by chart position and doubled class as kept on a copy _prepare made for
-the structure's chart order, and works them out for any other curve; a
-curve that names a chart the model lacks is an UnknownChart either way.
+by chart position and doubled class, which is_admissible works out and
+_decide_family reads as its caller's generator table keeps them; a
+curve that names a chart the model lacks is an UnknownChart.
 
 SurfaceModel, Component, Structure (and complex_graph's ComplexGraph)
 are immutable values on one base, _Frozen: they compare and hash by
@@ -170,8 +170,6 @@ class Component(_Frozen):
     A field is respelled (see the module docstring) only if it must be."""
 
     _fields = ("content", "charts", "multiplicity")
-    # not a field: only the copies _prepare makes carry decision data
-    _prepared = None
 
     def __init__(self, content: Tuple[Tuple[str, int], ...],
                  charts: Tuple[Tuple[str, TorusClass], ...],
@@ -209,7 +207,7 @@ def _normal_component(content: tuple, charts: tuple,
                       multiplicity: int) -> Component:
     """A Component of fields already in Component's normal form, as
     copied from a normal one or assembled in it, built without checking
-    them. It carries no _prepared data."""
+    them."""
     comp = _new(Component)
     fields = comp.__dict__
     fields["content"] = content
@@ -552,16 +550,6 @@ def _doubled(gamma: Component, given: Sequence[Optional[TorusClass]],
                   for g in given])
 
 
-def _prepare(gamma: Component, model: SurfaceModel) -> Component:
-    """A copy of the curve keeping what a decision reads of it for the
-    model's chart order; the given curve is left as it is."""
-    given = _by_position(gamma, model)
-    copy = Component(gamma.content, gamma.charts, gamma.multiplicity)
-    object.__setattr__(copy, "_prepared", (
-        model.charts, given, _doubled(gamma, given, model)))
-    return copy
-
-
 def _crosses(cls: Sequence[int], g: Optional[TorusClass]) -> bool:
     """The crossing test: a real class meets the curve's class g in a
     chart unless they are parallel or g is None (the curve is not there)."""
@@ -627,43 +615,27 @@ def is_admissible(gamma: Component, struct: Structure) -> Admissibility:
     component (distinct exterior labels never meet outside charts).
     Spiraling route: every crossed chart carries a single strand of gamma
     and a spiral direction against the crossed total there. Returns the
-    route taken, or the failed condition.
+    route taken, or the failed condition. The curve's classes by chart
+    position and doubled are worked out from the curve each call.
     """
     model = struct.model
-    charts = model.charts
-    kept = gamma._prepared
-    if kept is not None and kept[0] == charts:
-        _, given, doubled = kept
-    else:
-        given, doubled = _by_position(gamma, model), None
+    given = _by_position(gamma, model)
     crossed, hit, lam, _ = _crossings(struct, given)
     if not crossed:
         return Admissibility("disjoint", "", struct, gamma)
-    if doubled is None:
-        doubled = _doubled(gamma, given, model)
+    doubled = _doubled(gamma, given, model)
     fused = []
     for i, total in enumerate(lam):
         cls = _fused(total, given[i], doubled[i], hit[i])
         if cls.__class__ is str:
             g = given[i]
-            return Admissibility(None, f"chart {charts[i]!r}: " + (
+            return Admissibility(None, f"chart {model.charts[i]!r}: " + (
                 f"grafting class {g} is not a single strand"
                 if cls == "strand" else
                 f"no spiral direction for {g} against {TorusClass(*total)}"))
         fused.append(cls)
     return Admissibility("spiraling", "", struct, gamma, tuple(crossed),
                          tuple(lam), tuple(fused))
-
-
-def _positions(gamma: Component, model: SurfaceModel) -> tuple:
-    """The curve's classes by chart position and doubled (see
-    _by_position and _doubled): as _prepare kept them for the model's
-    chart order, or worked out."""
-    kept = gamma._prepared
-    if kept is not None and kept[0] == model.charts:
-        return kept[1], kept[2]
-    given = _by_position(gamma, model)
-    return given, _doubled(gamma, given, model)
 
 
 def _handed_on(gamma: Component, struct: Structure,
@@ -674,20 +646,24 @@ def _handed_on(gamma: Component, struct: Structure,
     if not adm:
         return adm.reason
     if adm.route == "disjoint":
-        return _spliced(base, _positions(gamma, struct.model)[1])
+        model = struct.model
+        return _spliced(base, _doubled(gamma, _by_position(gamma, model),
+                                       model))
     return _spliced([(p - lp, q - lq) for (p, q), (lp, lq)
                      in zip(base, adm.totals)], adm.fused)
 
 
 def _decide_family(struct: Structure, base: Sequence[Tuple[int, int]],
-                   chart: str, curves: Sequence[Component]) -> list:
+                   chart: str, family: Sequence[tuple]) -> list:
     """Decide grafting each curve of a twist family onto the structure
     with the given chart totals, as _handed_on would, in one pass.
 
-    The curves are one curve and its meridian twists about the chart:
-    they differ in that chart's class alone. So the crossing scan, with
-    every component in the chart counted as crossed, and the smoothing in
-    the other charts are done once. Per curve are left the crossing test
+    The family lists (curve, its classes by chart position, doubled) for
+    the structure's model (see _by_position and _doubled). The curves are
+    one curve and its meridian twists about the chart: they differ in
+    that chart's class alone. So the crossing scan, with every component
+    in the chart counted as crossed, and the smoothing in the other
+    charts are done once. Per curve are left the crossing test
     against each real class in the chart and the smoothing there, and
     the totals rule then gives its destination. is_admissible decides
     what the pass does not cover, so every refusal is its: a component
@@ -696,7 +672,7 @@ def _decide_family(struct: Structure, base: Sequence[Tuple[int, int]],
     """
     model = struct.model
     at = model.chart_index[chart]
-    given, doubled = _positions(curves[0], model)
+    _, given, doubled = family[0]
     crossed, hit, lam, in_chart = _crossings(struct, given, at)
     fused = [None] * len(lam)  # the chart's own is per curve, below
     for i, total in enumerate(lam):
@@ -706,12 +682,11 @@ def _decide_family(struct: Structure, base: Sequence[Tuple[int, int]],
                 crossed = ()
                 break
     if not crossed:
-        return [_handed_on(curve, struct, base) for curve in curves]
+        return [_handed_on(curve, struct, base) for curve, _, _ in family]
     total = lam[at]
     rest = [(p - lp, q - lq) for (p, q), (lp, lq) in zip(base, lam)]
     out = []
-    for curve in curves:
-        given, doubled = _positions(curve, model)
+    for curve, given, doubled in family:
         g = given[at]
         for real in in_chart:
             if not _crosses(real, g):  # not crossed there: handed on

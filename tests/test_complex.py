@@ -185,8 +185,8 @@ def _needed(graph, keys) -> set:
 def _generators(grafts) -> list:
     """The (generator, curve) pairs of _grafts's families, in build
     order."""
-    return [pair for _, _, descs, curves in grafts
-            for pair in zip(descs, curves)]
+    return [(desc, curve) for _, _, descs, family in grafts
+            for desc, (curve, _, _) in zip(descs, family)]
 
 
 def _generator_table(config, grafts) -> list:
@@ -203,7 +203,7 @@ def _generator_table(config, grafts) -> list:
 
 def _curve_table(config, grafts) -> list:
     """build_complex's curves by generator index: none for the elementary
-    moves, then the prepared curves of _grafts."""
+    moves, then the curves of _grafts."""
     return [None] * 2 * len(config.model.charts) + \
         [curve for _, curve in _generators(grafts)]
 
@@ -244,11 +244,12 @@ class TestComputedOnce:
             (handed if inside else building).append((id(struct), id(gamma)))
             return decide(gamma, struct)
 
-        def deciding_family(struct, base, chart, curves):
-            families.append((struct, chart, curves))
+        def deciding_family(struct, base, chart, family):
+            families.append((struct, chart,
+                             [curve for curve, _, _ in family]))
             inside.append(chart)
             try:
-                return decide_family(struct, base, chart, curves)
+                return decide_family(struct, base, chart, family)
             finally:
                 inside.pop()
 
@@ -506,27 +507,32 @@ class TestComputedOnce:
         assert len(calls) == 789 + 75 + 88
 
     def test_generators_prepared_once_per_build(self, monkeypatch):
+        # the build's table works out each generator's classes by chart
+        # position and doubled once, in generator order
         config = standard_configuration(2)
-        generators = len(_generators(complex_graph._grafts(config, 4)))
-        prepared, computed = [], []
-        prepare = complex_graph._prepare
+        curves = [curve for _, curve in
+                  _generators(complex_graph._grafts(config, 4))]
+        positioned, doubled, computed = [], [], []
+        by_position, double = complex_graph._by_position, \
+            complex_graph._doubled
         graft_content = surface._graft_content
-
-        def preparing(curve, model):
-            prepared.append(curve)
-            return prepare(curve, model)
 
         def recording(content, curve):
             computed.append(content)
             return graft_content(content, curve)
 
-        monkeypatch.setattr(complex_graph, "_prepare", preparing)
+        monkeypatch.setattr(complex_graph, "_by_position",
+                            lambda curve, model: positioned.append(curve)
+                            or by_position(curve, model))
+        monkeypatch.setattr(complex_graph, "_doubled",
+                            lambda curve, given, model: doubled.append(curve)
+                            or double(curve, given, model))
         for module in (surface, complex_graph):
             monkeypatch.setattr(module, "_graft_content", recording)
         gamma = vars(config.gamma).copy()
         depth = 3
         graph = build_complex(config, 4, depth)
-        assert len(prepared) == generators
+        assert positioned == doubled == curves
         # the grafted content is worked out once per expanded structure,
         # one per orbit, from that structure's content
         expanded = [graph.vertices[key].identity()[0]
@@ -541,19 +547,16 @@ class TestComputedOnce:
         assert vars(curve) == before
 
     def test_depth_zero_prepares_one_curve(self, monkeypatch):
-        # nothing is expanded at depth 0, so no twisted curve is prepared
-        # however large the twist bound
-        prepared = []
-        prepare = complex_graph._prepare
-
-        def preparing(curve, model):
-            prepared.append(curve)
-            return prepare(curve, model)
-
-        monkeypatch.setattr(complex_graph, "_prepare", preparing)
+        # nothing is expanded at depth 0, so no twisted curve's positions
+        # are worked out however large the twist bound
+        positioned = []
+        by_position = complex_graph._by_position
+        monkeypatch.setattr(complex_graph, "_by_position",
+                            lambda curve, model: positioned.append(curve)
+                            or by_position(curve, model))
         config = standard_configuration(2)
         graph = build_complex(config, 50, 0)
-        assert len(prepared) <= 1
+        assert positioned == [config.gamma]
         assert list(graph.vertices) == [config.base_structure().key()]
         assert graph.edges == () and graph.twist_bound == 50
 
@@ -1351,23 +1354,11 @@ class TestFamilyPass:
 
 
 class TestPreparedCurves:
-    """A build prepares each generator once (surface._prepare); deciding
-    the prepared curve gives the decision of the curve itself."""
+    """A build works out each generator's classes by chart position and
+    doubled once (_grafts); the family pass, reading them from the table,
+    decides as each curve, worked out on its own, does."""
 
     FIELDS = ("route", "reason", "crossed", "totals", "fused")
-
-    def assert_fresh_decision(self, prepared, struct):
-        fresh = Component(prepared.content, prepared.charts,
-                          prepared.multiplicity)
-        assert fresh._prepared is None
-        got = surface.is_admissible(prepared, struct)
-        want = surface.is_admissible(fresh, struct)
-        for name in self.FIELDS:
-            assert getattr(got, name) == getattr(want, name), name
-        totals = struct.identity()[1]
-        assert surface._handed_on(prepared, struct, totals) == \
-            surface._handed_on(fresh, struct, totals)
-        return want
 
     @pytest.mark.parametrize("charts,bound,depth", [
         (1, 3, 3), (2, 2, 2), (3, 1, 2), (None, 1, 2)], ids=[
@@ -1380,31 +1371,43 @@ class TestPreparedCurves:
         else:
             config = standard_configuration(charts)
             graph = build_complex(config, bound, depth)
-        grafts = _generators(complex_graph._grafts(config, bound))
+        grafts = complex_graph._grafts(config, bound)
         outcomes = set()
         for struct in graph.vertices.values():
-            for _, gamma in grafts:
-                assert gamma._prepared is not None
-                want = self.assert_fresh_decision(gamma, struct)
-                outcomes.add(want.route or re.sub(r".*: (grafting class"
-                                                  r"|no spiral).*", r"\1",
-                                                  want.reason))
+            totals = struct.identity()[1]
+            for chart, _, _, family in grafts:
+                assert surface._decide_family(struct, totals, chart,
+                                              family) == \
+                    [surface._handed_on(curve, struct, totals)
+                     for curve, _, _ in family]
+                for curve, _, _ in family:
+                    want = surface.is_admissible(curve, struct)
+                    outcomes.add(want.route or re.sub(
+                        r".*: (grafting class|no spiral).*", r"\1",
+                        want.reason))
         if charts is None:  # it skips every graft, for both reasons
             assert outcomes == {"grafting class", "no spiral"}
         else:
             assert "spiraling" in outcomes
 
     def test_prepared_for_another_chart_order(self):
-        # the curve's orientation and chart positions depend on the order
-        ab = surface.SurfaceModel(2, "rho", ("a", "b"))
-        ba = surface.SurfaceModel(2, "rho", ("b", "a"))
-        curve = surface.component("g", {"a": (1, 1), "b": (-1, 0)})
-        prepared = surface._prepare(curve, ab)
-        assert curve._prepared is None
-        struct = surface.structure(ba, [
-            surface.component("lambda", {"a": (2, 0), "b": (2, 0)})])
-        assert self.assert_fresh_decision(prepared, struct).route == \
-            "spiraling"
+        # the curve's orientation and chart positions depend on the
+        # order: on each model the family pass, given the positions for
+        # that model, decides as the curve does on its own
+        doubles = []
+        for charts in (("a", "b"), ("b", "a")):
+            model = surface.SurfaceModel(2, "rho", charts)
+            curve = surface.component("g", {"a": (1, 1), "b": (-1, 0)})
+            struct = surface.structure(model, [
+                surface.component("lambda", {"a": (2, 0), "b": (2, 0)})])
+            assert surface.is_admissible(curve, struct).route == "spiraling"
+            given = surface._by_position(curve, model)
+            doubles.append(surface._doubled(curve, given, model))
+            totals = struct.identity()[1]
+            assert surface._decide_family(struct, totals, "a", [
+                (curve, given, doubles[-1])]) == \
+                [surface._handed_on(curve, struct, totals)]
+        assert doubles == [((2, 2), (-2, 0)), ((2, 0), (-2, -2))]
 
     @pytest.mark.parametrize("build,digest", [
         (0, "55a56c307a9c8747998c6f639cf25877"
@@ -1420,7 +1423,7 @@ class TestPreparedCurves:
     ], ids=["two-strands", "vertical", "two-labels", "skipping", "2-2-2"])
     def test_decisions_pinned(self, build, digest):
         # every decision of every vertex and generator, refusals and
-        # their reasons included, for the prepared and the fresh curve;
+        # their reasons included, for the table's curve and a fresh copy;
         # the family pass and is_admissible share their rules, so this
         # is what checks those rules on their own
         if build == "skipping":
@@ -1436,10 +1439,10 @@ class TestPreparedCurves:
         grafts = _generators(complex_graph._grafts(config, bound))
         decided = hashlib.sha256()
         for struct in graph.vertices.values():
-            for _, prepared in grafts:
-                fresh = Component(prepared.content, prepared.charts,
-                                  prepared.multiplicity)
-                for curve in (prepared, fresh):
+            for _, gamma in grafts:
+                fresh = Component(gamma.content, gamma.charts,
+                                  gamma.multiplicity)
+                for curve in (gamma, fresh):
                     adm = surface.is_admissible(curve, struct)
                     decided.update(repr(tuple(getattr(adm, name) for name
                                               in self.FIELDS)).encode())
@@ -1845,6 +1848,16 @@ class TestSuites:
             verify_suite("flatsharp", trials=3, seed=1, k_max=2)
         with pytest.raises(TypeError):
             verify_suite("flatsharp", k_max="2")
+
+    @pytest.mark.parametrize("name,param", [
+        ("sharp_flat", "k_max"), ("iterated", "twist_bound")])
+    def test_negative_size_checks_nothing(self, name, param):
+        # at 0 each still checks one case (k = 0, m = 0), below it none
+        with pytest.raises(ValueError, match=re.escape(
+                f"suite {name!r} checks nothing at {param}=-1")):
+            verify_suite(name, **{param: -1})
+        report = verify_suite(name, **{param: 0})
+        assert report.passed and report.instances
 
     @pytest.mark.parametrize("name,params", [
         ("flatsharp", {}),

@@ -388,3 +388,59 @@ def test_no_unreferenced_private_helpers():
                                (module, name)
                                for where, inside, used in named)]
     assert unreferenced == []
+
+
+def test_object_setattr_only_in_memo_setters():
+    """Only the memo setters write past _Frozen's refusal: object.__setattr__
+    is named once in each of Structure.key, Structure._keep and
+    ComplexGraph.rank_by_kind, and nowhere else in the package."""
+    named = []
+    for path in Path(graftkit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {node: f"{cls.name}.{method.name}"
+                 for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for method in cls.body
+                 if isinstance(method, ast.FunctionDef)
+                 for node in ast.walk(method)}
+        named += [owner.get(node, path.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "__setattr__"
+                  and getattr(node.value, "id", None) == "object"]
+    assert sorted(named) == ["ComplexGraph.rank_by_kind", "Structure._keep",
+                             "Structure.key"]
+
+
+def test_components_carry_only_their_fields(monkeypatch):
+    """Every Component made by the complex builds at the benchmark's
+    sizes and by the identity suites, the fan and the witness graph at
+    theirs keeps its three fields and nothing else."""
+    made = []
+    new, init = surface._new, surface.Component.__init__
+
+    def making(cls):
+        obj = new(cls)
+        if cls is surface.Component:
+            made.append(obj)
+        return obj
+
+    def initialising(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(surface, "_new", making)
+    monkeypatch.setattr(surface.Component, "__init__", initialising)
+    for charts, bound, depth in ((1, 8, 4), (2, 4, 3), (3, 2, 3)):
+        graph = graftkit.build_complex(
+            graftkit.standard_configuration(charts), bound, depth)
+        list(graph.vertices.values())  # builds every deferred structure
+    for name, params in (("goldman", {"trials": 400, "seed": 7}),
+                         ("iterated", {"l0": 1, "twist_bound": 30}),
+                         ("two_meridian", {"k_max": 10}),
+                         ("dehn_twist", {"k_max": 30})):
+        assert graftkit.verify_suite(name, **params).passed
+    config = graftkit.standard_configuration()
+    assert graftkit.standard_fan(config, "a", 30, 7).passed
+    graftkit.witness_graph(config, 1, 30).to_json_bytes()
+    assert len(made) > 1000
+    assert {tuple(vars(comp)) for comp in made} == \
+        {surface.Component._fields}

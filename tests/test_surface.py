@@ -939,7 +939,7 @@ class TestFusedComponent:
             assert checked.multiplicity == 1
             assert fused == checked and hash(fused) == hash(checked)
             assert_normal(fused)
-            assert "_prepared" not in vars(fused)
+            assert tuple(vars(fused)) == Component._fields
             if fused in seen:
                 return fused
             seen.add(fused)
@@ -955,8 +955,8 @@ class TestFusedComponent:
     def check_build(self, config, graph, bound, fused_of) -> int:
         """Every spiraling graft of a generator onto a vertex; their
         count."""
-        curves = [curve for *_, family in
-                  complex_graph._grafts(config, bound) for curve in family]
+        curves = [curve for *_, family in complex_graph._grafts(config, bound)
+                  for curve, _, _ in family]
         count = 0
         for struct in graph.vertices.values():
             for curve in curves:
@@ -1025,27 +1025,23 @@ class TestCopies:
             component("lambda", {"a": (2, 0), "b": (2, 0)})])
         for charts in ({"a": (1, 0), "b": (1, 2)},
                        {"a": (-1, 0), "b": (-1, 2)}):
-            prepared = surface._prepare(component("g", charts, 2), model)
-            assert prepared._prepared is not None
-            doubled, = graft_along(structure(model, []),
-                                   prepared).real_curves
-            copies = [doubled, twist_about_meridian(prepared, "b", 1),
-                      *goldman_decompose([prepared])]
+            curve = component("g", charts, 2)
+            doubled, = graft_along(structure(model, []), curve).real_curves
+            copies = [doubled, twist_about_meridian(curve, "b", 1),
+                      *goldman_decompose([curve])]
             if charts["a"] < (0, 0):  # reversed, so a copy
-                copies.append(surface._normalized(prepared, model))
+                copies.append(surface._normalized(curve, model))
             for copy in copies:
-                assert copy is not prepared
-                assert copy._prepared is None
-                assert "_prepared" not in vars(copy)
+                assert copy is not curve
+                assert tuple(vars(copy)) == Component._fields
             # the doubled leaves are decided as themselves, not as the
-            # single leaf whose doubled classes the prepared curve keeps
+            # single leaf they double
             fresh = Component(doubled.content, doubled.charts,
                               doubled.multiplicity)
             got, want = (is_admissible(curve, lam)
                          for curve in (doubled, fresh))
             assert got.route == want.route == "spiraling"
-            assert got.fused == want.fused != \
-                is_admissible(prepared, lam).fused
+            assert got.fused == want.fused != is_admissible(curve, lam).fused
 
 
 class TestGoldman:
