@@ -51,15 +51,13 @@ from .surface import (
     twist_about_meridian,
     validate_configuration,
 )
-from .complex_graph import (
-    ComplexGraph,
-    Edge,
+from .complex_graph import ComplexGraph, Edge, build_complex, \
+    standard_configuration
+from .suites import (
     FanReport,
     Report,
     Witness,
-    build_complex,
     common_grafts,
-    standard_configuration,
     standard_fan,
     suite_names,
     verify_suite,

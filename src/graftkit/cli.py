@@ -27,7 +27,8 @@ from .torus import Mode, TorusClass, algebraic_intersection, dehn_twist, \
     geometric_intersection, resolve
 from .surface import Component, SurfaceModel, component, graft_along, \
     parse_configuration, structure_to_json, validate_configuration
-from .complex_graph import build_complex, suite_names, verify_suite
+from .complex_graph import build_complex
+from .suites import suite_names, verify_suite
 
 _LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 

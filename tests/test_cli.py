@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graftkit import BadConfiguration, GraftError, Report, UnknownChart, \
-    UnknownSuite, build_complex, cli, complex_graph, parse_configuration, \
-    standard_configuration, suite_names
+    UnknownSuite, build_complex, cli, parse_configuration, \
+    standard_configuration, suite_names, suites
 
 
 CONFIG = {
@@ -633,7 +633,7 @@ def invocations(draw):
     # suite runs at its (large) default size
     sizes = {"--k-max": ("k_max", 3), "--range": ("sweep", 1),
              "--trials": ("trials", 3), "--twist-bound": ("twist_bound", 2)}
-    taken = (complex_graph.suite_parameters(suite)
+    taken = (suites.suite_parameters(suite)
              if suite in suite_names() else set())
     for flag, (name, top) in sizes.items():
         value = st.integers(0, top).map(str)

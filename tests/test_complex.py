@@ -30,6 +30,7 @@ from graftkit import (
     standard_configuration,
     standard_fan,
     suite_names,
+    suites,
     verify_suite,
     witness_graph,
 )
@@ -209,7 +210,7 @@ def _curve_table(config, grafts) -> list:
 
 
 def _record_renderings(monkeypatch) -> list:
-    """Every key rendered from here on, under both names it is called
+    """Every key rendered from here on, under each name it is called
     by."""
     rendered = []
     render = surface._render
@@ -218,7 +219,7 @@ def _record_renderings(monkeypatch) -> list:
         rendered.append(render(identity, model, *labels))
         return rendered[-1]
 
-    for module in (surface, complex_graph):
+    for module in (surface, complex_graph, suites):
         monkeypatch.setattr(module, "_render", recording)
     return rendered
 
@@ -346,8 +347,8 @@ class TestComputedOnce:
     def test_goldman_miss_names_both_keys(self, monkeypatch):
         # a graft that drops the w0 component misses every round trip,
         # and the result's key is rendered to report it
-        graft = complex_graph.graft_along
-        monkeypatch.setattr(complex_graph, "graft_along",
+        graft = suites.graft_along
+        monkeypatch.setattr(suites, "graft_along",
                             lambda struct, comp: struct
                             if comp.content == (("w0", 1),)
                             else graft(struct, comp))
@@ -465,13 +466,13 @@ class TestComputedOnce:
     def test_witness_graph_grafts_once(self, monkeypatch):
         # two grafts per m, one per pipeline; the graph reuses them
         calls = []
-        original = complex_graph.graft_along
+        original = suites.graft_along
 
         def counting(struct, gamma):
             calls.append(gamma)
             return original(struct, gamma)
 
-        monkeypatch.setattr(complex_graph, "graft_along", counting)
+        monkeypatch.setattr(suites, "graft_along", counting)
         bound = 4
         graph = witness_graph(standard_configuration(), 1, bound)
         assert len(graph.edges) == 2 * (2 * bound + 1)
@@ -1552,8 +1553,9 @@ class TestExports:
     def test_hand_built_graph_exports(self, build):
         # a graph built from a plain vertex dict and a tuple of Edges, as
         # its signature names them, equals the built one and exports
-        # byte for byte as it does
-        if build == "witness":  # one generator per edge, some repeated
+        # byte for byte as it does; it keeps a read-only copy of the dict,
+        # so a write fails and leaves the counts alone
+        if build == "witness":  # itself built from a vertex dict and Edges
             graph = witness_graph(standard_configuration(), 1, 8)
         else:
             charts, bound, depth = build
@@ -1566,6 +1568,10 @@ class TestExports:
         assert twin.rank_by_kind() == graph.rank_by_kind()
         assert twin.to_json_bytes() == graph.to_json_bytes()
         assert twin.to_dot() == graph.to_dot()
+        counts = twin.cycle_rank(), len(twin.vertices)
+        with pytest.raises(TypeError):
+            twin.vertices["junk"] = None
+        assert (twin.cycle_rank(), len(twin.vertices)) == counts
 
     @pytest.mark.parametrize("output,digest", [
         ("goldman", "11bda563896b85eb18190c9af6b0ee5e"
@@ -1823,6 +1829,12 @@ class TestFan:
         report = standard_fan(config, "a", 0, 0)
         assert report.passed and len(report.rows) == 1
 
+    def test_negative_size_checks_nothing(self):
+        # a fan of no members is an input error, not a failed fan
+        with pytest.raises(ValueError, match=re.escape(
+                "the fan checks nothing at fan_size=-1")):
+            standard_fan(standard_configuration(), "a", -1, 0)
+
     def test_passed_reads_the_common_key(self):
         rows = [(0, 1, "k0"), (1, 0, "k1")]
         assert not FanReport(None, rows).passed
@@ -1850,9 +1862,11 @@ class TestSuites:
             verify_suite("flatsharp", k_max="2")
 
     @pytest.mark.parametrize("name,param", [
-        ("sharp_flat", "k_max"), ("iterated", "twist_bound")])
+        ("sharp_flat", "k_max"), ("iterated", "twist_bound"),
+        ("goldman", "trials")])
     def test_negative_size_checks_nothing(self, name, param):
-        # at 0 each still checks one case (k = 0, m = 0), below it none
+        # at 0 each still checks one case (k = 0, m = 0, the odd
+        # multiplicity), below it none
         with pytest.raises(ValueError, match=re.escape(
                 f"suite {name!r} checks nothing at {param}=-1")):
             verify_suite(name, **{param: -1})
@@ -1889,7 +1903,7 @@ class TestSuites:
                         break
                 comps.append(surface.component(f"w{i}", {chart: (p, q)},
                                                2 * theirs.randint(1, 4)))
-            assert complex_graph._random_even_multicurve(ours, model) == \
+            assert suites._random_even_multicurve(ours, model) == \
                 tuple(comps)
         assert ours.getstate() == theirs.getstate()
 

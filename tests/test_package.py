@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import graftkit
-from graftkit import complex_graph, grid_oracle, surface, torus
+from graftkit import complex_graph, grid_oracle, suites, surface, torus
 
 # __init__.py imports names to export them, so it is left out
 MODULES = sorted(path for path in Path(graftkit.__file__).parent.glob("*.py")
@@ -68,6 +68,33 @@ def test_oracle_imports_no_closed_form():
                     alias.name for alias in node.names)
     assert set(package) <= {"errors", "torus"}
     assert package.get("torus", set()) <= {"Mode", "TorusClass"}
+
+
+def test_suites_apart_from_the_graph():
+    """The checks live in suites.py and the graph in complex_graph.py:
+    within the package only suites imports grid_oracle, complex_graph
+    imports neither random nor suites, and only complex_graph names
+    _Edges or _Vertices, so it alone writes the edge-row format."""
+    oracle_importers, graph_imports, row_writers = set(), set(), set()
+    for path in Path(graftkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            imports = isinstance(node, (ast.Import, ast.ImportFrom))
+            if imports:
+                names = {part for alias in node.names
+                         for part in alias.name.split(".")}
+                names.update((getattr(node, "module", None) or "").split("."))
+            else:
+                names = {getattr(node, "id", None),
+                         getattr(node, "attr", None)}
+            if names & {"_Edges", "_Vertices"}:
+                row_writers.add(path.name)
+            if imports and "grid_oracle" in names:
+                oracle_importers.add(path.name)
+            if imports and path.name == "complex_graph.py":
+                graph_imports |= names
+    assert oracle_importers == {"suites.py"}
+    assert not {"random", "suites"} & graph_imports
+    assert row_writers == {"complex_graph.py"}
 
 
 def _run(code: str) -> subprocess.CompletedProcess:
@@ -236,7 +263,7 @@ def _records():
          "source=None, curve=None, crossed=(), totals=(), fused=())"),
         (complex_graph.Edge("graft", "a", -1, "k0", "k1"),
          "Edge(kind='graft', chart='a', n=-1, src='k0', dst='k1')"),
-        (complex_graph.Witness(1, 1, 1, "k"),
+        (suites.Witness(1, 1, 1, "k"),
          "Witness(m=1, k=1, l=1, key='k')"),
     ]
 

@@ -30,6 +30,7 @@ from graftkit import (
     standard_configuration,
     structure,
     structure_to_json,
+    suites,
     twist_about_curve,
     twist_about_meridian,
     surface,
@@ -898,10 +899,10 @@ class TestOrientedIdentity:
                                  ("iterated", {"twist_bound": 30}),
                                  ("two_meridian", {"k_max": 10}),
                                  ("dehn_twist", {"k_max": 30})):
-                assert complex_graph.verify_suite(name, **params).passed
+                assert suites.verify_suite(name, **params).passed
             config = standard_configuration()
-            complex_graph.standard_fan(config, "a", 30, 7)
-            complex_graph.witness_graph(config, 1, 30)
+            suites.standard_fan(config, "a", 30, 7)
+            suites.witness_graph(config, 1, 30)
 
         self.assert_oriented(monkeypatch, run)
 
