@@ -58,12 +58,11 @@ def main():
          f"{m.multiplicity} x {m.primitive}")
 
     print("\nGrid oracle cross-check")
-    first, second = grid_oracle.draw_pair((0, 1), 2, (1, -1), 2)
-    geo, alg = grid_oracle.oracle_intersection(first, second)
+    pair = grid_oracle.probe_pair((0, 1), 2, (1, -1), 2)
     show("oracle counts for (0,2) vs (2,-2)",
-         f"geometric={geo} algebraic={alg}")
-    for mode in (Mode.SHARP, Mode.FLAT):
-        comps = grid_oracle.oracle_resolve(first, second, mode)
+         f"geometric={pair.forward.geometric} "
+         f"algebraic={pair.forward.algebraic}")
+    for mode, comps in zip((Mode.SHARP, Mode.FLAT), pair.smoothings()):
         total = (sum(c.p for c in comps), sum(c.q for c in comps))
         show(f"oracle {mode.value} components", f"{list(comps)}"
              f" (total {total})")

@@ -207,8 +207,13 @@ def _cmd_complex(ns: argparse.Namespace) -> int:
     model, struct, gamma = _load_configuration(ns.config)
     if gamma is None:
         raise ValueError("configuration lacks a 'gamma' grafting curve")
-    lam_total = component("lambda", dict(zip(model.charts,
-                                             struct.identity()[1])))
+    # a seed of one leaf with one label is the configuration's own real
+    # curve under that label, so the build can map moves by symmetry
+    curves = struct.real_curves
+    one_leaf = len(curves) == 1 and curves[0].multiplicity == 1 and \
+        len(curves[0].content) == 1 and curves[0].content[0][1] == 1
+    lam_total = component(curves[0].content[0][0] if one_leaf else "lambda",
+                          dict(zip(model.charts, struct.identity()[1])))
     configuration = validate_configuration(model, lam_total, gamma)
     dot = ns.format == "dot"
     with _destination(ns.output, binary=not dot) as parts:

@@ -5,7 +5,7 @@ rational lines on the unit square with edge identifications, crossings
 are found by solving the line equations per integer translate, and
 resolutions reconnect arcs at every crossing and trace the components.
 Each copy pair's crossing count is asserted equal to |det| of the two
-directions, and each crossing's index is the sign of det, so a list's
+directions, and a list's one index is the sign of det, so its
 intersection numbers agree with the torus pairing by construction. What
 the oracle works out on its own is where the crossings lie along each
 copy and which components the traced reconnection gives.
@@ -26,14 +26,16 @@ A drawn curve is one direction and its copies' offsets. Each pair of
 curves has one crossing list, whose constants are worked out once before
 each copy pair is solved. Walking the uniform reconnection on its layout
 gives one smoothing; walking the second curve backwards on the same
-layout gives the other. A
-drawing raises DegeneratePosition when a copy starts on a grid line its
-class crosses (this grid-line rule is the drawing's check against its
-class) or when two copies share a geodesic, as does a list with
-coincident geodesics or parameters; probe_pairs then moves the pair to
-the next rung of the offset ladder, its one retry. It draws each (class,
-copies, role, rung) once per call and keeps each pair's list, so the
-counts and both resolutions of a pair need no further solve.
+layout gives the other. ProbedPair.smoothings is the one route from a
+probed pair to its smoothings: it alone lays the arcs out, traces them
+and reads the list's index to choose the backward walk. A drawing
+raises DegeneratePosition when a copy starts on a grid line its class
+crosses (this grid-line rule is the drawing's check against its class)
+or when two copies share a geodesic, as does a list with coincident
+geodesics or parameters; probe_pairs then moves the pair to the next
+rung of the offset ladder, its one retry. It draws each (class, copies,
+role, rung) once per call and keeps each pair's list, so the counts and
+both resolutions of a pair need no further solve.
 
 The records are built on collections.namedtuple, as in torus.
 crossing_list and probe_pairs build each Crossing, CrossingList and
@@ -70,17 +72,18 @@ class GridCurve(namedtuple("GridCurve", "direction offsets")):
     __slots__ = ()
 
 
-class Crossing(namedtuple("Crossing", "index first_at second_at")):
-    """One crossing: its index (an int) and its curve-internal addresses,
-    each an (int, int) pair: copy number, parameter numerator over the
-    crossing list's denominator."""
+class Crossing(namedtuple("Crossing", "first_at second_at")):
+    """One crossing: its curve-internal addresses, each an (int, int)
+    pair: copy number, parameter numerator over the crossing list's
+    denominator."""
 
     __slots__ = ()
 
 
-class CrossingList(namedtuple("CrossingList", "crossings denominator")):
-    """A pair's crossings, a tuple of Crossings, and the int common
-    denominator of every crossing parameter: R * |det|, which is 0 for
+class CrossingList(namedtuple("CrossingList", "crossings denominator index")):
+    """A pair's crossings, a tuple of Crossings; the int common
+    denominator of every crossing parameter, R * |det|; and the int
+    index of every crossing, the sign of det. Both ints are 0 for
     parallel curves (they never cross)."""
 
     __slots__ = ()
@@ -92,12 +95,8 @@ class CrossingList(namedtuple("CrossingList", "crossings denominator")):
 
     @property
     def algebraic(self) -> int:
-        """The index sum. A list's crossings all have one index, the sign
-        of det, so this is the count with that sign."""
-        total = 0
-        for c in self.crossings:
-            total += c[0]
-        return total
+        """The index sum: every crossing has the list's one index."""
+        return self.index * len(self.crossings)
 
 
 def _offset(role: int, copy: int, attempt: int) -> Tuple[int, int]:
@@ -199,7 +198,7 @@ def crossing_list(first: GridCurve, second: GridCurve) -> CrossingList:
         if any(_parallel_coincident(a, oa, ob)
                for oa in first.offsets for ob in second.offsets):
             raise DegeneratePosition("parallel curves share a geodesic")
-        return _new(CrossingList, ((), 0))
+        return _new(CrossingList, ((), 0, 0))
     sign = 1 if det > 0 else -1
     count = abs(det)
     bound = _R * count
@@ -229,23 +228,15 @@ def crossing_list(first: GridCurve, second: GridCurve) -> CrossingList:
                         continue
                     un = (ap * ry - aq * rx) * sign
                     if 0 <= un < bound:
-                        found.append(_new(Crossing,
-                                          (index, (ia, tn), (ib, un))))
+                        found.append(_new(Crossing, ((ia, tn), (ib, un))))
             if len(found) - start != count:
                 raise AssertionError(
                     f"crossing count {len(found) - start} differs from "
                     f"|det| {count}")
-    if (len({c[1] for c in found}) != len(found)
-            or len({c[2] for c in found}) != len(found)):
+    if (len({c[0] for c in found}) != len(found)
+            or len({c[1] for c in found}) != len(found)):
         raise DegeneratePosition("coincident crossing parameters")
-    return _new(CrossingList, (tuple(found), bound))
-
-
-def oracle_intersection(first: GridCurve,
-                        second: GridCurve) -> Tuple[int, int]:
-    """(geometric count, algebraic signed sum) by explicit enumeration."""
-    cl = crossing_list(first, second)
-    return (cl.geometric, cl.algebraic)
+    return _new(CrossingList, (tuple(found), bound, index))
 
 
 def _layout(pair: ProbedPair) -> tuple:
@@ -258,10 +249,10 @@ def _layout(pair: ProbedPair) -> tuple:
     ends at and the arc's parameter length, a numerator over the list's
     denominator, and the count of its crossing-free copies.
     """
-    first, second, (crossings, den) = pair
+    first, second, (crossings, den, _) = pair
     n = len(crossings)
     sides = []
-    for side, curve in ((1, first), (2, second)):
+    for side, curve in enumerate((first, second)):
         ends, lengths = [0] * n, [0] * n
         on_copy: List[List[Tuple[int, int]]] = [[] for _ in curve.offsets]
         for k, c in enumerate(crossings):
@@ -321,22 +312,6 @@ def _trace(layout: tuple, backward: bool) -> Tuple[TorusClass, ...]:
     return tuple(sorted(components))
 
 
-def oracle_resolve(first: GridCurve, second: GridCurve,
-                   mode: Mode) -> Tuple[TorusClass, ...]:
-    """Resolve every crossing in the given mode; component class multiset.
-
-    The mode is realized geometrically: the uniform reconnection that
-    preserves arc orientation gives one of the two smoothings, and the
-    same reconnection with the second curve walked backwards gives the
-    other; both are traced on the one crossing list. Which pairing
-    carries the SHARP name depends on the sign of the configuration's own
-    traced index sum, matching the local orientation frame at each
-    crossing; the oracle computes that sign from its crossing list alone.
-    """
-    return ProbedPair(first, second,
-                      crossing_list(first, second)).resolve(mode)
-
-
 class ProbedPair(namedtuple("ProbedPair", "first second forward")):
     """Two drawn GridCurves and their one CrossingList, forward. Each
     smoothing is a walk of the pair's arc layout, the other one walking
@@ -346,16 +321,12 @@ class ProbedPair(namedtuple("ProbedPair", "first second forward")):
 
     def smoothings(self) -> Tuple[Tuple[TorusClass, ...],
                                   Tuple[TorusClass, ...]]:
-        """(resolve(SHARP), resolve(FLAT)), traced on one layout."""
-        layout, d = _layout(self), self.forward.algebraic
-        return _trace(layout, d < 0), _trace(layout, d > 0)
-
-    def resolve(self, mode: Mode) -> Tuple[TorusClass, ...]:
-        """What oracle_resolve(first, second, mode) returns: SHARP walks
-        the second curve backwards when the list's index sum is
-        negative, FLAT when it is positive."""
-        d = self.forward.algebraic
-        return _trace(_layout(self), d < 0 if mode is Mode.SHARP else d > 0)
+        """The (SHARP, FLAT) components, traced on one layout. Which walk
+        carries which name depends on the sign of the list's index, the
+        local orientation frame at each crossing: SHARP walks the second
+        curve backwards when it is negative, FLAT when it is positive."""
+        layout, index = _layout(self), self.forward.index
+        return _trace(layout, index < 0), _trace(layout, index > 0)
 
 
 def probe_pairs(pairs: Iterable[Tuple[Sequence[int], int, Sequence[int], int]]
@@ -409,3 +380,18 @@ def draw_pair(first_cls: Sequence[int], first_copies: int,
     """The two curves of probe_pair, without their crossing lists."""
     pair = probe_pair(first_cls, first_copies, second_cls, second_copies)
     return pair.first, pair.second
+
+
+def oracle_intersection(first: GridCurve,
+                        second: GridCurve) -> Tuple[int, int]:
+    """(geometric count, algebraic signed sum) by explicit enumeration."""
+    cl = crossing_list(first, second)
+    return (cl.geometric, cl.algebraic)
+
+
+def oracle_resolve(first: GridCurve, second: GridCurve,
+                   mode: Mode) -> Tuple[TorusClass, ...]:
+    """The components of the given smoothing of the two drawn curves, as
+    ProbedPair.smoothings gives them."""
+    return ProbedPair(first, second, crossing_list(first, second)
+                      ).smoothings()[mode is not Mode.SHARP]

@@ -43,6 +43,9 @@ def _witnesses(config: Configuration, base: Structure, other: Structure,
     """The common-graft search behind common_grafts and witness_graph:
     each witness with the structure both pipelines reach from base and
     its l0-twisted copy other."""
+    if twist_bound < 0:
+        raise ValueError(
+            f"the witness search checks nothing at twist_bound={twist_bound}")
     chart = config.model.charts[0]
     for m in range(-twist_bound, twist_bound + 1):
         k = 2 * m - l0
@@ -67,7 +70,8 @@ def common_grafts(config: Configuration, l0: int,
     equality. The twist budget splits as k + l = 2m: grafting inserts two
     leaves of the curve, so each unit of twisting on the real-curve side
     trades against two units absorbed by the doubled grafting class. The
-    expected hit count is the full range of m.
+    expected hit count is the full range of m. A negative twist bound,
+    which checks nothing, raises ValueError.
     """
     base = config.base_structure()
     other = twist_about_meridian(base, config.model.charts[0], l0)
@@ -77,7 +81,8 @@ def common_grafts(config: Configuration, l0: int,
 def witness_graph(config: Configuration, l0: int,
                   twist_bound: int) -> ComplexGraph:
     """Graph form of a common-graft search for export: the two base
-    structures plus every common graft, with the graft moves as edges."""
+    structures plus every common graft, with the graft moves as edges.
+    A negative twist bound raises ValueError."""
     chart = config.model.charts[0]
     base = config.base_structure()
     other = twist_about_meridian(base, chart, l0)

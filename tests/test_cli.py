@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graftkit import BadConfiguration, GraftError, Report, UnknownChart, \
-    UnknownSuite, build_complex, cli, parse_configuration, \
+    UnknownSuite, build_complex, cli, complex_graph, parse_configuration, \
     standard_configuration, suite_names, suites
 
 
@@ -266,6 +267,42 @@ class TestComplexCommand:
         assert proc.stdout.splitlines()[1] == (
             f"rank[all]={ranks['all']} rank[graft]={ranks['graft']} "
             f"rank[elementary]={ranks['elementary']}")
+
+    @pytest.mark.parametrize("curve,expanded", [
+        ({"charts": {"a": [2, 0], "b": [2, 0]}}, 24),
+        ({"charts": {"a": [1, 0], "b": [1, 0]}, "multiplicity": 2}, 71)],
+        ids=["one-leaf", "multiplicity-2"])
+    def test_seed_label_names_the_real_curve(self, tmp_path, monkeypatch,
+                                             caplog, curve, expanded):
+        # a one-leaf seed is the configuration's own curve under its own
+        # label, so the build expands one vertex per orbit, 24 of the
+        # 200; a seed of two leaves has every vertex expanded. Either way
+        # the export is that of a debug-logged build, which expands all.
+        config = {"schema": 1, "genus": 2, "charts": ["a", "b"],
+                  "curves": [{"label": "x", **curve}],
+                  "gamma": {"label": "gamma",
+                            "charts": {"a": [1, 0], "b": [1, 0]}}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        expand, calls = complex_graph._expand, []
+
+        def counted(*args):
+            calls.append(1)
+            return expand(*args)
+
+        monkeypatch.setattr(complex_graph, "_expand", counted)
+        outs = []
+        for debug in (False, True):
+            if debug:
+                caplog.set_level(logging.DEBUG, logger="graftkit")
+            out = tmp_path / f"graph{debug}.json"
+            proc = run_cli("complex", str(path), "--depth", "3",
+                           "--twist-bound", "2", "--output", str(out))
+            assert proc.returncode == 0
+            assert proc.stdout.startswith("vertices=200 ")
+            outs.append(out.read_bytes())
+        assert len(calls) == expanded + 71
+        assert outs[0] == outs[1]
 
     def test_negative_flag_is_input_error(self, config_path):
         proc = run_cli("complex", config_path, "--depth", "-2",

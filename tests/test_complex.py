@@ -1803,6 +1803,16 @@ class TestWitnesses:
         assert graph.to_json_bytes() == witness_graph(
             config, 1, 3).to_json_bytes()
 
+    @pytest.mark.parametrize("search", [common_grafts, witness_graph],
+                             ids=["common_grafts", "witness_graph"])
+    def test_negative_twist_bound_checks_nothing(self, search):
+        # a search of no twists is an input error, not an empty result;
+        # at 0 it still checks m = 0
+        with pytest.raises(ValueError, match=re.escape(
+                "the witness search checks nothing at twist_bound=-1")):
+            search(standard_configuration(), 1, -1)
+        assert search(standard_configuration(), 1, 0)
+
     def test_witness_vertices_read_only(self):
         # a witness graph's vertex map is the built graph's kind, so it is
         # frozen too: a write fails and leaves the counts and export alone

@@ -20,8 +20,15 @@ from graftkit import (
 from graftkit import grid_oracle
 
 
-def draw(a, b, copies_a=1, copies_b=1):
-    return grid_oracle.draw_pair(a, copies_a, b, copies_b)
+MODES = (Mode.SHARP, Mode.FLAT)
+
+
+def probe(a, b, copies_a=1, copies_b=1):
+    return grid_oracle.probe_pair(a, copies_a, b, copies_b)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
 
 
 class TestDrawing:
@@ -42,11 +49,11 @@ class TestDrawing:
 
 class TestCrossings:
     def test_basis_single_crossing(self):
-        first, second = draw((1, 0), (0, 1))
-        crossings = grid_oracle.crossing_list(first, second)
+        pair = probe((1, 0), (0, 1))
+        crossings = grid_oracle.crossing_list(pair.first, pair.second)
+        assert crossings == pair.forward
         assert crossings.geometric == 1
-        assert crossings.algebraic == 1
-        assert all(c.index in (1, -1) for c in crossings.crossings)
+        assert crossings.algebraic == crossings.index == 1
 
     def test_counts_match_exact_values(self):
         # multiplicities enter as parallel copies of the primitive class
@@ -57,51 +64,47 @@ class TestCrossings:
             ((2, 1), ((2, 1), 1), (4, 3), ((4, 3), 1)),
         ]
         for a, (a_prim, a_copies), b, (b_prim, b_copies) in cases:
-            first, second = draw(a_prim, b_prim, a_copies, b_copies)
-            geo, alg = grid_oracle.oracle_intersection(first, second)
-            assert alg == algebraic_intersection(a, b)
-            assert geo == geometric_intersection(a, b)
+            forward = probe(a_prim, b_prim, a_copies, b_copies).forward
+            assert forward.algebraic == algebraic_intersection(a, b)
+            assert forward.geometric == geometric_intersection(a, b)
 
     def test_algebraic_is_index_sum(self):
-        first, second = draw((2, 1), (1, 3))
-        crossings = grid_oracle.crossing_list(first, second)
-        assert crossings.algebraic == sum(c.index
-                                          for c in crossings.crossings)
+        # every crossing of a list has the list's one index, the sign of
+        # det (0 for parallel curves), so the index sum is index * count
+        for a, b in [((2, 1), (1, 3)), ((1, 3), (2, 1)), ((1, 2), (1, 2))]:
+            crossings = probe(a, b).forward
+            d = algebraic_intersection(a, b)
+            assert crossings.index == _sign(d)
+            assert crossings.algebraic == \
+                crossings.index * len(crossings.crossings) == d
 
 
 class TestResolution:
     def test_flat_components_frozen(self):
-        first, second = draw((0, 1), (1, -1), 2, 2)
-        comps = grid_oracle.oracle_resolve(first, second, Mode.FLAT)
-        assert tuple(comps) == ((1, 0), (1, 0))
+        _, flat = probe((0, 1), (1, -1), 2, 2).smoothings()
+        assert flat == ((1, 0), (1, 0))
 
     def test_sharp_components_frozen(self):
-        first, second = draw((0, 1), (1, -1), 2, 2)
-        comps = grid_oracle.oracle_resolve(first, second, Mode.SHARP)
-        assert tuple(comps) == ((-1, 2), (-1, 2))
+        sharp, _ = probe((0, 1), (1, -1), 2, 2).smoothings()
+        assert sharp == ((-1, 2), (-1, 2))
 
     def test_basis_sharp_single_component(self):
-        first, second = draw((1, 0), (0, 1))
-        assert tuple(grid_oracle.oracle_resolve(first, second,
-                                                Mode.SHARP)) == ((1, 1),)
+        sharp, _ = probe((1, 0), (0, 1)).smoothings()
+        assert sharp == ((1, 1),)
 
     def test_disjoint_union_components(self):
-        first, second = draw((1, 0), (1, 0), 1, 2)
-        for mode in (Mode.SHARP, Mode.FLAT):
-            comps = grid_oracle.oracle_resolve(first, second, mode)
-            assert tuple(comps) == ((1, 0), (1, 0), (1, 0))
+        assert probe((1, 0), (1, 0), 1, 2).smoothings() == \
+            (((1, 0), (1, 0), (1, 0)),) * 2
 
     def test_totals_match_exact_resolve_small_sweep(self):
         prims = [(p, q) for p in range(-2, 3) for q in range(-2, 3)
                  if gcd(abs(p), abs(q)) == 1]
-        for a in prims:
-            for b in prims:
-                first, second = draw(a, b)
-                for mode in (Mode.SHARP, Mode.FLAT):
-                    comps = grid_oracle.oracle_resolve(first, second, mode)
-                    total = (sum(c.p for c in comps),
-                             sum(c.q for c in comps))
-                    assert total == resolve(a, b, mode), (a, b, mode)
+        pairs = list(product(prims, repeat=2))
+        probes = grid_oracle.probe_pairs((a, 1, b, 1) for a, b in pairs)
+        for (a, b), pair in zip(pairs, probes):
+            for mode, comps in zip(MODES, pair.smoothings()):
+                total = (sum(c.p for c in comps), sum(c.q for c in comps))
+                assert total == resolve(a, b, mode), (a, b, mode)
 
     def test_wrong_denominator_is_caught(self):
         # a list whose denominator is off by one puts the arcs' lengths
@@ -110,15 +113,14 @@ class TestResolution:
         second = _curve((1, -1), (20, 7), (61, 30))
         right = grid_oracle.crossing_list(first, second)
         wrong = grid_oracle.CrossingList(right.crossings,
-                                         right.denominator + 1)
-        for crossings in (right, wrong):
-            pair = grid_oracle.ProbedPair(first, second, crossings)
-            for mode in (Mode.SHARP, Mode.FLAT):
-                if crossings is right:
-                    assert len(pair.resolve(mode)) == 2
-                    continue
-                with pytest.raises(AssertionError, match="non-integral"):
-                    pair.resolve(mode)
+                                         right.denominator + 1, right.index)
+        pair = grid_oracle.ProbedPair(first, second, right)
+        assert [len(comps) for comps in pair.smoothings()] == [2, 2]
+        # each walk of the wrong layout fails on its own
+        layout = grid_oracle._layout(pair._replace(forward=wrong))
+        for backward in (False, True):
+            with pytest.raises(AssertionError, match="non-integral"):
+                grid_oracle._trace(layout, backward)
         with pytest.raises(AssertionError, match="non-integral"):
             grid_oracle.ProbedPair(first, second, wrong).smoothings()
 
@@ -126,9 +128,7 @@ class TestResolution:
         # every resolution of primitive drawings splits into gcd-many
         # parallel primitive leaves
         for a, b in [((1, 0), (0, 1)), ((1, 2), (1, 0)), ((3, 1), (1, 2))]:
-            first, second = draw(a, b)
-            for mode in (Mode.SHARP, Mode.FLAT):
-                comps = grid_oracle.oracle_resolve(first, second, mode)
+            for mode, comps in zip(MODES, probe(a, b).smoothings()):
                 total = resolve(a, b, mode)
                 expected = (gcd(abs(total.p), abs(total.q))
                             if total != (0, 0) else 0)
@@ -202,18 +202,18 @@ class TestInvariants:
         assert len(layouts) == len(set(layouts)) == 256
 
     def test_smoothings_are_both_resolutions(self):
+        # SHARP walks the second curve backwards when the torus pairing
+        # is negative, FLAT when it is positive; each walk here lays the
+        # arcs out afresh, so smoothings' one shared layout is checked
         probes = 0
-        for a in primitives(3):
-            for b in primitives(3):
-                for m, n in product(range(1, 4), repeat=2):
-                    pair = grid_oracle.probe_pair(a, m, b, n)
-                    modes = (Mode.SHARP, Mode.FLAT)
-                    assert pair.smoothings() == \
-                        tuple(pair.resolve(mode) for mode in modes) == \
-                        tuple(grid_oracle.oracle_resolve(
-                            pair.first, pair.second, mode)
-                            for mode in modes), (a, m, b, n)
-                    probes += 1
+        cases = [(a, m, b, n) for a in primitives(3) for b in primitives(3)
+                 for m, n in product(range(1, 4), repeat=2)]
+        for case, pair in zip(cases, grid_oracle.probe_pairs(cases)):
+            d = algebraic_intersection(case[0], case[2])
+            assert pair.smoothings() == tuple(
+                grid_oracle._trace(grid_oracle._layout(pair), backward)
+                for backward in (d < 0, d > 0)), case
+            probes += 1
         assert probes == 32 * 32 * 9
 
     def test_multi_copy_agreement(self):
@@ -224,28 +224,31 @@ class TestInvariants:
                 for m, n in product(range(1, 4), repeat=2):
                     total_a = (m * a[0], m * a[1])
                     total_b = (n * b[0], n * b[1])
-                    first, second = draw(a, b, m, n)
-                    assert grid_oracle.oracle_intersection(first, second) \
+                    pair = probe(a, b, m, n)
+                    assert (pair.forward.geometric, pair.forward.algebraic) \
                         == (geometric_intersection(total_a, total_b),
                             algebraic_intersection(total_a, total_b)), \
                         (a, m, b, n)
-                    for mode in (Mode.SHARP, Mode.FLAT):
-                        comps = grid_oracle.oracle_resolve(first, second,
-                                                           mode)
+                    for mode, comps in zip(MODES, pair.smoothings()):
                         total = (sum(c.p for c in comps),
                                  sum(c.q for c in comps))
                         assert total == resolve(total_a, total_b, mode), \
                             (a, m, b, n, mode)
 
     def test_probe_lists_match_the_wrappers(self):
-        pair = grid_oracle.probe_pair((2, 1), 2, (1, -3), 1)
-        assert grid_oracle.draw_pair((2, 1), 2, (1, -3), 1) == \
-            (pair.first, pair.second)
-        assert (pair.forward.geometric, pair.forward.algebraic) == \
-            grid_oracle.oracle_intersection(pair.first, pair.second)
-        for mode in (Mode.SHARP, Mode.FLAT):
-            assert pair.resolve(mode) == \
-                grid_oracle.oracle_resolve(pair.first, pair.second, mode)
+        # draw_pair, oracle_intersection and oracle_resolve each read
+        # probe_pair, crossing_list or smoothings; the index is negative,
+        # positive and 0 in turn
+        for a, m, b, n in [((2, 1), 2, (1, -3), 1), ((1, -3), 1, (2, 1), 2),
+                           ((1, 2), 1, (1, 2), 3)]:
+            pair = grid_oracle.probe_pair(a, m, b, n)
+            first, second = pair.first, pair.second
+            assert grid_oracle.draw_pair(a, m, b, n) == (first, second)
+            assert (pair.forward.geometric, pair.forward.algebraic) == \
+                grid_oracle.oracle_intersection(first, second)
+            assert pair.smoothings() == tuple(
+                grid_oracle.oracle_resolve(first, second, mode)
+                for mode in MODES)
 
     def test_sweep_report_pinned(self):
         obj = verify_suite("oracle", sweep=3).to_json_obj()
@@ -290,7 +293,7 @@ class TestRecords:
         pair = grid_oracle.probe_pair(a, m, b, n)
         forward = grid_oracle.CrossingList(
             crossings=pair.forward.crossings,
-            denominator=pair.forward.denominator)
+            denominator=pair.forward.denominator, index=pair.forward.index)
         built = grid_oracle.ProbedPair(pair.first, pair.second, forward)
         listed = grid_oracle.crossing_list(pair.first, pair.second)
         for record, public in ((pair, built), (pair.forward, forward),
@@ -311,12 +314,12 @@ class TestRecords:
 def _box_copy_crossings(ia, a, oa, ib, b, ob):
     """The full (sx, sy) box scan that the solved translate ranges
     replaced, on copy ia of direction a at offset oa and copy ib of b at
-    ob, kept as their reference."""
+    ob, kept as their reference: the crossings' index and the crossings."""
     det = a.p * (-b.q) - (-b.p) * a.q
     if det == 0:
         if _box_parallel_coincident(a, oa, ob):
             raise DegeneratePosition("parallel curves share a geodesic")
-        return []
+        return 0, []
     R = grid_oracle._R
     nx = (ob[0] - oa[0]) * grid_oracle._DEN_Y
     ny = (ob[1] - oa[1]) * grid_oracle._DEN_X
@@ -335,11 +338,11 @@ def _box_copy_crossings(ia, a, oa, ib, b, ob):
                 continue
             un = (a.p * ry - a.q * rx) * sign
             if 0 <= un < bound:
-                out.append(grid_oracle.Crossing(index, (ia, tn), (ib, un)))
+                out.append(grid_oracle.Crossing((ia, tn), (ib, un)))
     if len(out) != abs(det):
         raise AssertionError(
             f"crossing count {len(out)} differs from |det| {abs(det)}")
-    return out
+    return index, out
 
 
 def _box_parallel_coincident(direction, o1, o2):
@@ -360,29 +363,35 @@ def _curve(direction, *offsets):
 
 
 def _copy_pair_crossings(ia, a, oa, ib, b, ob):
-    """crossing_list's crossings of copy ia of a at oa and copy ib of b
-    at ob, each drawn as a one-copy curve, with its copy numbers put
-    back; a one-copy list's crossings never collide along a copy."""
+    """crossing_list's index and crossings of copy ia of a at oa and copy
+    ib of b at ob, each drawn as a one-copy curve, with its copy numbers
+    put back; a one-copy list's crossings never collide along a copy."""
     found = grid_oracle.crossing_list(_curve(a, oa), _curve(b, ob))
-    return [c._replace(first_at=(ia, c.first_at[1]),
-                       second_at=(ib, c.second_at[1]))
-            for c in found.crossings]
+    return found.index, [c._replace(first_at=(ia, c.first_at[1]),
+                                    second_at=(ib, c.second_at[1]))
+                         for c in found.crossings]
 
 
 def _box_crossing_list(first, second):
-    """crossing_list's crossings, from the box scan of each copy pair."""
-    found = [c for (ia, oa), (ib, ob) in product(enumerate(first.offsets),
-                                                 enumerate(second.offsets))
-             for c in _box_copy_crossings(ia, first.direction, oa,
-                                          ib, second.direction, ob)]
+    """crossing_list's index and crossings, from the box scan of each
+    copy pair; every copy pair has the index of the two directions."""
+    indices, found = set(), []
+    for (ia, oa), (ib, ob) in product(enumerate(first.offsets),
+                                      enumerate(second.offsets)):
+        index, crossings = _box_copy_crossings(ia, first.direction, oa,
+                                               ib, second.direction, ob)
+        indices.add(index)
+        found += crossings
     if (len({c.first_at for c in found}) != len(found)
             or len({c.second_at for c in found}) != len(found)):
         raise DegeneratePosition("coincident crossing parameters")
-    return tuple(found)
+    (index,) = indices
+    return index, tuple(found)
 
 
 def _crossings(first, second):
-    return grid_oracle.crossing_list(first, second).crossings
+    found = grid_oracle.crossing_list(first, second)
+    return found.index, found.crossings
 
 
 def _reversed_curve(curve):
@@ -406,10 +415,6 @@ def _reversed_resolution(first, second):
 def _backward_resolution(first, second):
     """The backward walk of second on the one forward list."""
     return _traced(first, second, True)
-
-
-def _sign(x):
-    return (x > 0) - (x < 0)
 
 
 def _solved_branch(a, b):
@@ -551,22 +556,22 @@ class TestReversedList:
 
 class TestPinnedProbes:
     def test_radius_three_digest(self):
-        # crossing order and parameters and both resolutions of every
-        # ordered primitive pair at radius 3
+        # crossing order and addresses, the denominator, the index and
+        # both resolutions of every ordered primitive pair at radius 3
         digest = hashlib.sha256()
         probes = 0
-        for a in primitives(3):
-            for b in primitives(3):
-                for m, n in ((1, 1), (2, 1), (1, 3)):
-                    pair = grid_oracle.probe_pair(a, m, b, n)
-                    digest.update(repr((
-                        pair.forward,
-                        pair.resolve(Mode.SHARP),
-                        pair.resolve(Mode.FLAT))).encode())
-                    probes += 1
+        cases = [(a, m, b, n) for a in primitives(3) for b in primitives(3)
+                 for m, n in ((1, 1), (2, 1), (1, 3))]
+        for pair in grid_oracle.probe_pairs(cases):
+            forward = pair.forward
+            digest.update(repr((
+                tuple((c.first_at, c.second_at) for c in forward.crossings),
+                forward.denominator, forward.index,
+                *pair.smoothings())).encode())
+            probes += 1
         assert probes == 3072
-        assert digest.hexdigest() == ("3255de0b6989c206cb5c90d74e5d8a4f"
-                                      "ce79d7d040781a43bfb34460282b9486")
+        assert digest.hexdigest() == ("3d65e839dbfb9ae1c033c13b3aeb4ab0"
+                                      "fb5cb4f003ba3cdfaeef50eefa403f21")
 
     @pytest.mark.parametrize("a,m,b,n,crossings", [
         ((15, 1), 1, (1, -14), 1, 211),
@@ -584,8 +589,7 @@ class TestPinnedProbes:
             geometric_intersection(total_a, total_b)
         assert pair.forward.algebraic == \
             algebraic_intersection(total_a, total_b)
-        for mode in (Mode.SHARP, Mode.FLAT):
-            comps = pair.resolve(mode)
+        for mode, comps in zip(MODES, pair.smoothings()):
             assert (sum(c.p for c in comps), sum(c.q for c in comps)) == \
                 resolve(total_a, total_b, mode)
 

@@ -240,8 +240,9 @@ def _records():
     gamma = graftkit.component("gamma", {"a": (1, 0)})
     pair = grid_oracle.probe_pair((1, 0), 1, (0, 1), 1)
     first = "GridCurve(direction=TorusClass(p=1, q=0), offsets=((1, 2),))"
-    crossing = "Crossing(index=1, first_at=(0, 623), second_at=(0, 7372))"
-    forward = f"CrossingList(crossings=({crossing},), denominator=8633)"
+    crossing = "Crossing(first_at=(0, 623), second_at=(0, 7372))"
+    forward = (f"CrossingList(crossings=({crossing},), denominator=8633, "
+               f"index=1)")
     return [
         (torus.TorusClass(1, -2), "TorusClass(p=1, q=-2)"),
         (torus.TorusMulticurve(2, torus.TorusClass(1, 0)),
@@ -391,6 +392,29 @@ def test_one_oracle_trace_walk():
                         written[inner.value].append((path.name, node.name))
     assert written == {message: [("grid_oracle.py", "_trace")]
                        for message in messages}
+
+
+def test_one_route_to_the_oracle_smoothings():
+    """ProbedPair.smoothings is the one route from a probed pair to its
+    smoothings: _layout and _trace are named in the package only in
+    their own definitions and in smoothings."""
+    helpers = ("_layout", "_trace")
+    named = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}".lstrip("."))
+            else:
+                name = getattr(child, "id", getattr(child, "attr", None))
+                if name in helpers:
+                    named.add((path.name, owner, name))
+                visit(child, owner)
+
+    for path in Path(graftkit.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), "")
+    assert named == {("grid_oracle.py", "ProbedPair.smoothings", helper)
+                     for helper in helpers}
 
 
 def test_no_unreferenced_private_helpers():
